@@ -35,8 +35,11 @@ fmt-check:
 		exit 1; \
 	fi
 
+# The bench/ module has its own go.mod, so ./... above skips it; it is the
+# one consumer of the public API outside this module.
 test:
 	$(GO) test ./...
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 race:
 	$(GO) test -race ./...
@@ -94,7 +97,7 @@ trace-determinism:
 
 # Datacenter-scale gate: the 2k + 5k cells of the scale suite with full
 # verification (same-seed determinism rerun + mid-flight snapshot/resume
-# + plan serial-equivalence and wall-clock budget at every cell).
+# + plan wall-clock budget at every cell).
 # corralsim exits non-zero on any verification failure; the JSON report
 # lands in scale-report.json (uploaded as a CI artifact even on red).
 scale:

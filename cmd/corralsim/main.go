@@ -173,8 +173,8 @@ func main() {
 	}
 
 	// The scale suite exits non-zero when a cell's determinism, resume or
-	// plan (serial-equivalence / wall-clock budget) verification fails —
-	// that is the CI gate's red signal.
+	// plan wall-clock budget verification fails — that is the CI gate's
+	// red signal.
 	if *machinesList != "" || *exp == "scale" {
 		sz, err := parseSize(*size)
 		if err != nil {

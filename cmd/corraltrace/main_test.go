@@ -62,7 +62,7 @@ func overloadFixture(t *testing.T) []byte {
 			runtime.LinkFault{At: 21.2, Rack: r, Factor: 1})
 	}
 	if _, err := runtime.Run(runtime.Options{
-		Topology: topo, Scheduler: runtime.Corral, BlockSize: 64e6, Seed: 39,
+		Cluster: topo, Scheduler: runtime.Corral, BlockSize: 64e6, Seed: 39,
 		Plan: &planner.Plan{
 			Objective: planner.MinimizeMakespan,
 			Assignments: map[int]*planner.Assignment{
@@ -88,7 +88,7 @@ func overloadFixture(t *testing.T) []byte {
 		jobs[i].Arrival = 0.1 * float64(i)
 	}
 	if _, err := runtime.Run(runtime.Options{
-		Topology: topo, BlockSize: 64e6, Seed: 5,
+		Cluster: topo, BlockSize: 64e6, Seed: 5,
 		AdmissionLimit: 1, AdmissionQueueCap: 1,
 		Trace: c.NewRun("admission"),
 	}, jobs); err != nil {

@@ -126,134 +126,30 @@ const (
 // FlowPolicy allocates link bandwidth among flows.
 type FlowPolicy = netsim.Policy
 
-// TCP returns the reference max-min fair sharing policy (the TCP
-// emulation). It is stateless and may be shared across simulations.
-// SimConfig.Network == nil selects TCPIncremental instead, which computes
-// bit-identical rates faster.
-func TCP() FlowPolicy { return netsim.MaxMinFair{} }
+// TCP returns a fresh max-min fair sharing policy, the paper's TCP
+// emulation (§6.6) and the one SimConfig.Network == nil selects. It
+// re-waterfills only the parts of the network whose flows or link
+// capacities changed since the previous allocation. The policy caches
+// state between allocations: simulations run one after another may share
+// an instance, simulations running concurrently may not.
+func TCP() FlowPolicy { return netsim.NewIncrementalMaxMin() }
 
-// TCPGrouped returns the grouped max-min allocator: bit-identical rates to
-// TCP, computed over path equivalence classes instead of individual flows
-// (an order of magnitude faster at 10k flows). The returned policy carries
-// reusable scratch state — use a fresh instance per concurrently running
-// simulation.
-func TCPGrouped() FlowPolicy { return netsim.NewGroupedMaxMin() }
-
-// TCPIncremental returns the incremental max-min allocator: bit-identical
-// rates to TCP and TCPGrouped, but on each recompute it re-waterfills only
-// the connected components of the link–flow graph whose membership or
-// capacity changed since the previous allocation, falling back to a full
-// grouped pass when too much of the graph is dirty. The returned policy
-// carries reusable scratch state — use a fresh instance per concurrently
-// running simulation. This is the default when SimConfig.Network is nil.
-func TCPIncremental() FlowPolicy { return netsim.NewIncrementalMaxMin() }
+// TCPIncremental returns TCP().
+//
+// Deprecated: use TCP.
+func TCPIncremental() FlowPolicy { return TCP() }
 
 // VarysCoflow returns the Varys-style coflow scheduler (SEBF + MADD with
-// work-conserving backfill), used in the Fig 14 comparison.
+// work-conserving backfill), used in the Fig 14 comparison. It is
+// stateless and may be shared, also across concurrent simulations.
 func VarysCoflow() FlowPolicy { return netsim.Varys{} }
 
-// SimConfig configures one simulated execution.
-type SimConfig struct {
-	Cluster   ClusterConfig
-	Scheduler Scheduler
-	// Plan is required for SchedulerCorral and SchedulerLocalShuffle.
-	Plan *Plan
-	// Network selects the flow-level policy; nil means TCPIncremental
-	// (max-min fair rates, incrementally recomputed).
-	Network FlowPolicy
-	// FlowEpoch > 0 batches flow-rate recomputations to multiples of this
-	// many simulated seconds: flow starts and cancellations within an epoch
-	// share one recompute at the epoch boundary (completions stay exact).
-	// Zero recomputes at every change, the exact legacy behavior.
-	FlowEpoch float64
-	// Seed drives data placement and other randomized choices.
-	Seed int64
-	// FailedMachines are unreachable from time zero (§3.1 failure
-	// handling: Corral drops a job's placement constraints when a majority
-	// of its racks' machines are dead).
-	FailedMachines []int
-	// Failures kills machines at points in simulated time; their running
-	// tasks are re-executed elsewhere. A Failure with Downtime > 0 is
-	// transient: the machine recovers and rejoins the slot pool and DFS
-	// replica set.
-	Failures []Failure
-	// LinkFaults fail or scale rack uplinks at points in simulated time;
-	// in-flight flows re-share via the max-min recompute (flows crossing a
-	// fully failed link park until capacity is restored).
-	LinkFaults []LinkFault
-	// ReplanOnFailure re-invokes the offline planner when a fault breaks a
-	// planned job's rack set (rack-majority loss or uplink failure), with
-	// commitments for unaffected jobs — instead of only dropping the
-	// affected job's constraints.
-	ReplanOnFailure bool
-	// DisableReReplication turns off the DFS repair daemon that re-creates
-	// under-replicated blocks on surviving machines after a failure.
-	DisableReReplication bool
-	// StragglerFraction/StragglerSlowdown inject task outliers (§3.3);
-	// Speculation enables the speculative re-execution watchdog.
-	StragglerFraction float64
-	StragglerSlowdown float64
-	Speculation       bool
-	// RemoteStorageInput reads job input from a separate storage cluster
-	// over Cluster.RemoteStorageBandwidth (§7 "Remote storage").
-	RemoteStorageInput bool
-	// InMemoryInput models Spark-like in-memory data: no replicated output
-	// writes, network-bound shuffles remain (§7 "In-memory systems").
-	InMemoryInput bool
-	// TaskFailureProb crashes each task attempt with this probability;
-	// crashed attempts retry with exponential backoff up to
-	// MaxTaskAttempts (default 4, YARN's mapreduce.map.maxattempts),
-	// after which the job fails terminally. Machines accumulating
-	// BlacklistThreshold failed attempts (default 3; negative disables)
-	// are blacklisted out of the slot pool for BlacklistCooldown seconds.
-	TaskFailureProb    float64
-	MaxTaskAttempts    int
-	RetryBackoff       float64
-	BlacklistThreshold int
-	BlacklistCooldown  float64
-	// AMFailures kill jobs' application masters at points in simulated
-	// time. A restarted job attempt (capped at MaxAMAttempts, default 2)
-	// reuses completed map outputs surviving on live machines and keeps
-	// its planned rack set.
-	AMFailures     []AMFailure
-	MaxAMAttempts  int
-	AMRestartDelay float64
-	// Corruptions silently corrupt one DFS replica on a machine at a
-	// point in simulated time; reads checksum-detect corruption, fail
-	// over to the next-closest clean replica and enqueue the bad replica
-	// for re-replication.
-	Corruptions []Corruption
-	// PlannerBudget is the planning deadline in simulated seconds. When
-	// > 0, every failure-triggered replan is charged a deterministic cost
-	// (a function of jobs x racks x stages) and takes effect only after
-	// that latency; plans whose cost exceeds the budget degrade down the
-	// fallback chain full plan -> commitments-only incremental replan ->
-	// greedy unconstrained placement. Zero keeps planning instantaneous
-	// (the legacy behavior); Result.Degradations counts the tiers taken.
-	PlannerBudget float64
-	// ReplanWindow enables replan-storm suppression: each debounce window
-	// of this many simulated seconds allows MaxReplansPerWindow immediate
-	// replans (default 1), coalesces the rest into one replan at the
-	// window's end, and stretches subsequent windows exponentially (up to
-	// 8x) while storms persist. Zero disables suppression.
-	ReplanWindow        float64
-	MaxReplansPerWindow int
-	// AdmissionLimit bounds how many jobs run concurrently: excess
-	// arrivals park in a FIFO admission queue of AdmissionQueueCap entries
-	// (default 4x the limit) and are deterministically shed beyond it.
-	// Zero admits everything immediately (the legacy behavior).
-	AdmissionLimit    int
-	AdmissionQueueCap int
-	// Probe receives runtime lifecycle events (task attempts, machine
-	// state, AM restarts, job terminality); attach an InvariantMonitor to
-	// check the run. Nil disables probing.
-	Probe InvariantProbe
-	// Trace, if set, receives the run's deterministic simulation-time event
-	// stream. When nil, the simulation asks the installed process-wide
-	// TraceCollector for a run tracer; with no collector installed either,
-	// tracing is disabled at zero cost.
-	Trace *Tracer
-}
+// SimConfig configures one simulated execution: the cluster, scheduler,
+// plan and flow policy, fault and overload injection, and the observer
+// hooks. Cluster is the only required field; Corral and LocalShuffle also
+// need Plan. Every field is documented on runtime.Options, which this
+// aliases.
+type SimConfig = runtime.Options
 
 // Failure kills one machine at a point in simulated time; Downtime > 0
 // makes it transient.
@@ -299,44 +195,7 @@ type JobResult = runtime.JobResult
 // Simulate executes the jobs on the simulated cluster and returns per-job
 // and aggregate metrics.
 func Simulate(cfg SimConfig, jobs []*Job) (*Result, error) {
-	return runtime.Run(simOptions(cfg), jobs)
-}
-
-func simOptions(cfg SimConfig) runtime.Options {
-	return runtime.Options{
-		Topology:             cfg.Cluster,
-		Scheduler:            cfg.Scheduler,
-		Plan:                 cfg.Plan,
-		Network:              cfg.Network,
-		FlowEpoch:            cfg.FlowEpoch,
-		Seed:                 cfg.Seed,
-		FailedMachines:       cfg.FailedMachines,
-		Failures:             cfg.Failures,
-		LinkFaults:           cfg.LinkFaults,
-		ReplanOnFailure:      cfg.ReplanOnFailure,
-		DisableReReplication: cfg.DisableReReplication,
-		StragglerFraction:    cfg.StragglerFraction,
-		StragglerSlowdown:    cfg.StragglerSlowdown,
-		Speculation:          cfg.Speculation,
-		RemoteStorageInput:   cfg.RemoteStorageInput,
-		InMemoryInput:        cfg.InMemoryInput,
-		TaskFailureProb:      cfg.TaskFailureProb,
-		MaxTaskAttempts:      cfg.MaxTaskAttempts,
-		RetryBackoff:         cfg.RetryBackoff,
-		BlacklistThreshold:   cfg.BlacklistThreshold,
-		BlacklistCooldown:    cfg.BlacklistCooldown,
-		AMFailures:           cfg.AMFailures,
-		MaxAMAttempts:        cfg.MaxAMAttempts,
-		AMRestartDelay:       cfg.AMRestartDelay,
-		Corruptions:          cfg.Corruptions,
-		PlannerBudget:        cfg.PlannerBudget,
-		ReplanWindow:         cfg.ReplanWindow,
-		MaxReplansPerWindow:  cfg.MaxReplansPerWindow,
-		AdmissionLimit:       cfg.AdmissionLimit,
-		AdmissionQueueCap:    cfg.AdmissionQueueCap,
-		Probe:                cfg.Probe,
-		Trace:                cfg.Trace,
-	}
+	return runtime.Run(cfg, jobs)
 }
 
 // Snapshot is a versioned, deterministic serialization of a complete
@@ -359,13 +218,13 @@ type ResumeOptions = runtime.ResumeOptions
 // stops the simulation immediately. Targets the run never reaches make
 // the result come back with an error naming them.
 func SimulateWithSnapshots(cfg SimConfig, jobs []*Job, targets []CheckpointTarget, fn func(*Snapshot) bool) (*Result, error) {
-	return runtime.RunWithSnapshots(simOptions(cfg), jobs, targets, fn)
+	return runtime.RunWithSnapshots(cfg, jobs, targets, fn)
 }
 
 // CaptureSnapshot runs the simulation until the target and returns the
 // snapshot captured there, tearing the run down immediately after.
 func CaptureSnapshot(cfg SimConfig, jobs []*Job, target CheckpointTarget) (*Snapshot, error) {
-	return runtime.CaptureAt(simOptions(cfg), jobs, target)
+	return runtime.CaptureAt(cfg, jobs, target)
 }
 
 // ResumeSnapshot reconstitutes a snapshotted run and continues it to

@@ -35,7 +35,7 @@ func AblationAlpha(p Params) (*Report, error) {
 			return err
 		}
 		res, err := runtime.Run(runtime.Options{
-			Topology: topo, Scheduler: runtime.Corral, Plan: plan, Seed: p.Seed,
+			Cluster: topo, Scheduler: runtime.Corral, Plan: plan, Seed: p.Seed,
 		}, workload.Clone(jobs))
 		if err != nil {
 			return err
@@ -182,7 +182,7 @@ func AblationDelay(p Params) (*Report, error) {
 	results := make([]*runtime.Result, len(mults))
 	if err := parallelFor(len(mults), func(i int) error {
 		res, err := runtime.Run(runtime.Options{
-			Topology: topo, Scheduler: runtime.YarnCS, Seed: p.Seed,
+			Cluster: topo, Scheduler: runtime.YarnCS, Seed: p.Seed,
 			DelayNodeLocal: patience[i], DelayRackLocal: 2 * patience[i],
 		}, workload.Clone(jobs))
 		if err != nil {

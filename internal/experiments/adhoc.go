@@ -35,7 +35,7 @@ func Fig11(p Params) (*Report, error) {
 		return nil, err
 	}
 	yarn, err := runtime.Run(runtime.Options{
-		Topology: topo, Scheduler: runtime.YarnCS, Seed: p.Seed,
+		Cluster: topo, Scheduler: runtime.YarnCS, Seed: p.Seed,
 	}, yarnJobs)
 	if err != nil {
 		return nil, err
@@ -49,7 +49,7 @@ func Fig11(p Params) (*Report, error) {
 		return nil, err
 	}
 	corral, err := runtime.Run(runtime.Options{
-		Topology: topo, Scheduler: runtime.Corral, Plan: plan, Seed: p.Seed,
+		Cluster: topo, Scheduler: runtime.Corral, Plan: plan, Seed: p.Seed,
 	}, corralJobs)
 	if err != nil {
 		return nil, err

@@ -107,7 +107,7 @@ func RunChaos(p ChaosParams) (*ChaosReport, error) {
 		return nil, err
 	}
 	clean, err := runtime.Run(runtime.Options{
-		Topology: topo, Scheduler: runtime.Corral, Plan: plan, Seed: p.Seed,
+		Cluster: topo, Scheduler: runtime.Corral, Plan: plan, Seed: p.Seed,
 	}, workload.Clone(jobs))
 	if err != nil {
 		return nil, err
@@ -139,7 +139,7 @@ func RunChaos(p ChaosParams) (*ChaosReport, error) {
 	if err := parallelFor(len(results), func(ci int) error {
 		tr, c := traces[ci/len(cfgs)], cfgs[ci%len(cfgs)]
 		res, err := runtime.Run(runtime.Options{
-			Topology: topo, Scheduler: c.kind, Plan: c.plan, Seed: p.Seed,
+			Cluster: topo, Scheduler: c.kind, Plan: c.plan, Seed: p.Seed,
 			Failures: tr.failures, LinkFaults: tr.faults, ReplanOnFailure: c.replan,
 		}, workload.Clone(jobs))
 		if err != nil {

@@ -34,7 +34,7 @@ func Fig10(p Params) (*Report, error) {
 	// Yarn-CS baseline: queries unplanned too.
 	baseJobs := build()
 	yarn, err := runtime.Run(runtime.Options{
-		Topology: topo, Scheduler: runtime.YarnCS, Seed: p.Seed,
+		Cluster: topo, Scheduler: runtime.YarnCS, Seed: p.Seed,
 	}, baseJobs)
 	if err != nil {
 		return nil, err
@@ -46,7 +46,7 @@ func Fig10(p Params) (*Report, error) {
 		return nil, err
 	}
 	corral, err := runtime.Run(runtime.Options{
-		Topology: topo, Scheduler: runtime.Corral, Plan: plan, Seed: p.Seed,
+		Cluster: topo, Scheduler: runtime.Corral, Plan: plan, Seed: p.Seed,
 	}, corralJobs)
 	if err != nil {
 		return nil, err

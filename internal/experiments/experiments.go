@@ -228,16 +228,6 @@ func (p profile) wcfg(seed int64, jobs int, window float64) workload.Config {
 
 // planJobs runs the offline planner for the given objective.
 func planJobs(topo topology.Config, jobs []*job.Job, obj planner.Objective) (*planner.Plan, error) {
-	return planJobsWith(topo, jobs, obj, false)
-}
-
-// planJobsSerial plans with the legacy serial provisioning engine — the
-// scale suite's plan-equivalence reference (bit-identical by contract).
-func planJobsSerial(topo topology.Config, jobs []*job.Job, obj planner.Objective) (*planner.Plan, error) {
-	return planJobsWith(topo, jobs, obj, true)
-}
-
-func planJobsWith(topo topology.Config, jobs []*job.Job, obj planner.Objective, serial bool) (*planner.Plan, error) {
 	var planned []*job.Job
 	for _, j := range jobs {
 		if !j.AdHoc {
@@ -249,7 +239,6 @@ func planJobsWith(topo topology.Config, jobs []*job.Job, obj planner.Objective, 
 		Jobs:      planned,
 		Alpha:     -1,
 		Objective: obj,
-		Serial:    serial,
 	})
 }
 
@@ -276,7 +265,7 @@ func runAll(topo topology.Config, jobs []*job.Job, obj planner.Objective, seed i
 	results := make([]*runtime.Result, len(kinds))
 	if err := parallelFor(len(kinds), func(i int) error {
 		res, err := runtime.Run(runtime.Options{
-			Topology:  topo,
+			Cluster:   topo,
 			Scheduler: kinds[i],
 			Plan:      plan,
 			Seed:      seed,

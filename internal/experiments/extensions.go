@@ -41,7 +41,7 @@ func ExtRemoteStorage(p Params) (*Report, error) {
 	var results [2]*runtime.Result
 	for i, k := range []runtime.Kind{runtime.YarnCS, runtime.Corral} {
 		res, err := runtime.Run(runtime.Options{
-			Topology: topo, Scheduler: k, Plan: plan, Seed: p.Seed,
+			Cluster: topo, Scheduler: k, Plan: plan, Seed: p.Seed,
 			RemoteStorageInput: true,
 		}, workload.Clone(jobs))
 		if err != nil {
@@ -75,7 +75,7 @@ func ExtInMemory(p Params) (*Report, error) {
 	var results [2]*runtime.Result
 	for i, k := range []runtime.Kind{runtime.YarnCS, runtime.Corral} {
 		res, err := runtime.Run(runtime.Options{
-			Topology: topo, Scheduler: k, Plan: plan, Seed: p.Seed,
+			Cluster: topo, Scheduler: k, Plan: plan, Seed: p.Seed,
 			InMemoryInput: true,
 		}, workload.Clone(jobs))
 		if err != nil {
@@ -104,7 +104,7 @@ func ExtFailures(p Params) (*Report, error) {
 		return nil, err
 	}
 	clean, err := runtime.Run(runtime.Options{
-		Topology: topo, Scheduler: runtime.Corral, Plan: plan, Seed: p.Seed,
+		Cluster: topo, Scheduler: runtime.Corral, Plan: plan, Seed: p.Seed,
 	}, workload.Clone(jobs))
 	if err != nil {
 		return nil, err
@@ -123,7 +123,7 @@ func ExtFailures(p Params) (*Report, error) {
 		})
 	}
 	failed, err := runtime.Run(runtime.Options{
-		Topology: topo, Scheduler: runtime.Corral, Plan: plan, Seed: p.Seed,
+		Cluster: topo, Scheduler: runtime.Corral, Plan: plan, Seed: p.Seed,
 		Failures: failures,
 	}, workload.Clone(jobs))
 	if err != nil {
@@ -169,7 +169,7 @@ func ExtSpeculation(p Params) (*Report, error) {
 	}
 	for _, c := range configs {
 		res, err := runtime.Run(runtime.Options{
-			Topology: topo, Scheduler: runtime.Corral, Plan: plan, Seed: p.Seed,
+			Cluster: topo, Scheduler: runtime.Corral, Plan: plan, Seed: p.Seed,
 			StragglerFraction: c.fraction, Speculation: c.speculate,
 		}, workload.Clone(jobs))
 		if err != nil {
@@ -251,7 +251,7 @@ func ExtReplan(p Params) (*Report, error) {
 		{"corral, oracle plan", runtime.Corral, oracle, "avg_oracle"},
 	} {
 		res, err := runtime.Run(runtime.Options{
-			Topology: topo, Scheduler: c.kind, Plan: c.plan, Seed: p.Seed,
+			Cluster: topo, Scheduler: c.kind, Plan: c.plan, Seed: p.Seed,
 		}, workload.Clone(all))
 		if err != nil {
 			return nil, err

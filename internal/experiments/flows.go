@@ -45,24 +45,26 @@ func Fig14(p Params) (*Report, error) {
 		return nil, err
 	}
 
+	// A nil net selects the runtime's default max-min allocator (TCP), a
+	// fresh instance per run.
 	combos := []struct {
 		label string
 		sched runtime.Kind
 		net   netsim.Policy
 	}{
-		{"yarn-cs+tcp", runtime.YarnCS, netsim.MaxMinFair{}},
+		{"yarn-cs+tcp", runtime.YarnCS, nil},
 		{"yarn-cs+varys", runtime.YarnCS, netsim.Varys{}},
-		{"corral+tcp", runtime.Corral, netsim.MaxMinFair{}},
+		{"corral+tcp", runtime.Corral, nil},
 		{"corral+varys", runtime.Corral, netsim.Varys{}},
 	}
 	// The four scheduler x flow-policy combos fan out as independent cells
-	// (parallel.go). MaxMinFair and Varys are stateless values, safe to
-	// hand to concurrent runs; the plan is read-only.
+	// (parallel.go). Varys is a stateless value, safe to hand to concurrent
+	// runs; the plan is read-only.
 	combosTimes := make([][]float64, len(combos))
 	if err := parallelFor(len(combos), func(i int) error {
 		c := combos[i]
 		res, err := runtime.Run(runtime.Options{
-			Topology:  topo,
+			Cluster:   topo,
 			Scheduler: c.sched,
 			Network:   c.net,
 			Plan:      plan,

@@ -151,7 +151,7 @@ func RunFuzz(p FuzzParams) (*FuzzReport, error) {
 			return fmt.Errorf("fuzz trace %d: plan: %w", i, err)
 		}
 		clean, err := runtime.Run(runtime.Options{
-			Topology: topo, Scheduler: runtime.Corral, Plan: plan, Seed: traceSeed,
+			Cluster: topo, Scheduler: runtime.Corral, Plan: plan, Seed: traceSeed,
 		}, workload.Clone(jobs))
 		if err != nil {
 			return fmt.Errorf("fuzz trace %d: clean run: %w", i, err)
@@ -167,7 +167,7 @@ func RunFuzz(p FuzzParams) (*FuzzReport, error) {
 		for _, sc := range fuzzSchedulers {
 			mon := invariants.NewMonitor(topo.Machines(), topo.SlotsPerMachine)
 			opts := runtime.Options{
-				Topology:        topo,
+				Cluster:         topo,
 				Scheduler:       sc.kind,
 				Seed:            traceSeed,
 				Failures:        tr.Failures,
@@ -353,7 +353,7 @@ func RunAttrition(p Params, probs []float64) (*AttritionReport, error) {
 		prob := levels[i]
 		mon := invariants.NewMonitor(topo.Machines(), topo.SlotsPerMachine)
 		res, err := runtime.Run(runtime.Options{
-			Topology: topo, Scheduler: runtime.Corral, Plan: plan, Seed: p.Seed,
+			Cluster: topo, Scheduler: runtime.Corral, Plan: plan, Seed: p.Seed,
 			TaskFailureProb: prob, Probe: mon,
 		}, workload.Clone(jobs))
 		if err != nil {

@@ -128,7 +128,7 @@ func RunOverload(p OverloadParams) (*OverloadReport, error) {
 		return nil, err
 	}
 	clean, err := runtime.Run(runtime.Options{
-		Topology: topo, Scheduler: runtime.Corral, Plan: plan, Seed: p.Seed,
+		Cluster: topo, Scheduler: runtime.Corral, Plan: plan, Seed: p.Seed,
 	}, workload.Clone(jobs))
 	if err != nil {
 		return nil, err
@@ -168,7 +168,7 @@ func RunOverload(p OverloadParams) (*OverloadReport, error) {
 	if err := parallelFor(len(results), func(ci int) error {
 		rate, c := rates[ci/len(cfgs)], cfgs[ci%len(cfgs)]
 		opts := runtime.Options{
-			Topology: topo, Scheduler: c.kind, Plan: c.plan, Seed: p.Seed,
+			Cluster: topo, Scheduler: c.kind, Plan: c.plan, Seed: p.Seed,
 			Failures: failures, LinkFaults: faults, ReplanOnFailure: c.replan,
 		}
 		var mon *invariants.Monitor

@@ -131,7 +131,7 @@ func TestOverloadResumeEquivalence(t *testing.T) {
 	failures, _ := GenChaosTrace(topo, 1, overloadStorm, rep.Horizon)
 	faults := genFlapStorm(topo, rep.ReplanWindow, rep.Horizon)
 	opts := runtime.Options{
-		Topology: topo, Scheduler: runtime.Corral, Plan: plan, Seed: 1,
+		Cluster: topo, Scheduler: runtime.Corral, Plan: plan, Seed: 1,
 		Failures: failures, LinkFaults: faults, ReplanOnFailure: true,
 		PlannerBudget: overloadBudget, ReplanWindow: rep.ReplanWindow,
 		AdmissionLimit: rep.AdmissionLimit,

@@ -85,7 +85,7 @@ func resumeScenario(prof profile, seed int64) (runtime.Options, []*job.Job, erro
 		return runtime.Options{}, nil, fmt.Errorf("resume scenario seed %d: plan: %w", seed, err)
 	}
 	clean, err := runtime.Run(runtime.Options{
-		Topology: topo, Scheduler: runtime.Corral, Plan: plan, Seed: seed,
+		Cluster: topo, Scheduler: runtime.Corral, Plan: plan, Seed: seed,
 	}, workload.Clone(jobs))
 	if err != nil {
 		return runtime.Options{}, nil, fmt.Errorf("resume scenario seed %d: clean run: %w", seed, err)
@@ -96,7 +96,7 @@ func resumeScenario(prof profile, seed int64) (runtime.Options, []*job.Job, erro
 	}
 	tr := genFuzzTrace(prof, seed, clean.Makespan, ids)
 	opts := runtime.Options{
-		Topology:        topo,
+		Cluster:         topo,
 		Scheduler:       runtime.Corral,
 		Plan:            plan,
 		Seed:            seed,
@@ -114,7 +114,7 @@ func resumeScenario(prof profile, seed int64) (runtime.Options, []*job.Job, erro
 // invariant monitor attached, returning the result and trace export.
 func tracedBaseline(opts runtime.Options, jobs []*job.Job, label string) (*runtime.Result, []byte, error) {
 	c := trace.NewCollector()
-	mon := invariants.NewMonitor(opts.Topology.Machines(), opts.Topology.SlotsPerMachine)
+	mon := invariants.NewMonitor(opts.Cluster.Machines(), opts.Cluster.SlotsPerMachine)
 	opts.Trace = c.NewRun(label)
 	opts.Probe = mon
 	res, err := runtime.Run(opts, workload.Clone(jobs))
@@ -181,7 +181,7 @@ func RunResumeEquivalence(p ResumeParams) (*ResumeReport, error) {
 			return fmt.Errorf("resume seed %d point %d: decode: %w", p.Seed, i, err)
 		}
 		c := trace.NewCollector()
-		mon := invariants.NewMonitor(opts.Topology.Machines(), opts.Topology.SlotsPerMachine)
+		mon := invariants.NewMonitor(opts.Cluster.Machines(), opts.Cluster.SlotsPerMachine)
 		res, err := runtime.Resume(decoded, runtime.ResumeOptions{
 			Trace: c.NewRun(label),
 			Probe: mon,

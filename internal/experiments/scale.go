@@ -17,12 +17,6 @@ package experiments
 //     and the resumed Result must again be bit-identical (the PR 7
 //     crash-resume contract).
 //
-//   - Plan equivalence: for cells small enough to afford it, the offline
-//     plan is recomputed with the legacy serial provisioning engine
-//     (planner.Input.Serial) and must be DeepEqual to the fast path's —
-//     the provisioning fast path's bit-identity contract, re-proven at
-//     scale-suite shapes on every CI run.
-//
 // Plan wall-clock is a first-class gated metric: each cell carries a
 // generous per-cell budget (planBudgetSeconds, ~15× above measured fast-
 // path times) and a cell whose plan exceeds it fails verification. This is
@@ -46,7 +40,6 @@ import (
 
 	"corral/internal/job"
 	"corral/internal/metrics"
-	"corral/internal/netsim"
 	"corral/internal/planner"
 	"corral/internal/runtime"
 	"corral/internal/snapshot"
@@ -79,10 +72,6 @@ type ScaleParams struct {
 	// Machines overrides the Size's ladder with explicit cell sizes (the
 	// corralsim -machines flag); nil selects ScaleLadder(Size).
 	Machines []int
-	// Network selects the flow policy by snapshot-spec name ("" = the
-	// default incremental max-min; "maxmin-grouped" = the pre-incremental
-	// full recompute, kept for before/after measurements).
-	Network string
 	// SkipVerify drops the determinism-rerun and snapshot/resume checks,
 	// leaving only the timed run — for pure measurement sweeps.
 	SkipVerify bool
@@ -100,8 +89,7 @@ type ScaleCell struct {
 	PlanObjective float64
 
 	// Verification verdicts (true when SkipVerify is set: nothing failed).
-	// PlanOK covers both the serial-equivalence check (cells up to
-	// scalePlanEquivMachines) and the plan wall-clock budget.
+	// PlanOK is the plan wall-clock budget.
 	DeterminismOK bool
 	ResumeOK      bool
 	PlanOK        bool
@@ -131,14 +119,6 @@ func (r *ScaleReport) Failures() []string {
 	}
 	return out
 }
-
-// scalePlanEquivMachines caps the cells that rerun provisioning with the
-// legacy serial engine for the plan-equivalence check: the serial engine
-// is exactly what the fast path replaced (~1 s per 2k plan, ~80 s per 10k
-// plan), so re-proving bit-identity on every run is only affordable on
-// the small cell. Larger cells rely on the budget gate plus the planner's
-// own differential fuzz tests.
-const scalePlanEquivMachines = 2000
 
 // planBudgetSeconds is the per-cell plan wall-clock gate: machines/4000
 // seconds (0.5 s at 2k, 2.5 s at 10k) — roughly 15× above measured
@@ -180,23 +160,6 @@ func scaleWorkload(machines int, seed int64) []*job.Job {
 	})
 }
 
-// scalePolicy resolves ScaleParams.Network to a fresh policy instance per
-// run (allocator scratch state must never be shared across concurrent
-// runs). "" returns nil: the runtime's own default.
-func scalePolicy(name string) (netsim.Policy, error) {
-	switch name {
-	case "":
-		return nil, nil
-	case "maxmin-incremental":
-		return netsim.NewIncrementalMaxMin(), nil
-	case "maxmin-grouped":
-		return netsim.NewGroupedMaxMin(), nil
-	case "maxmin":
-		return netsim.MaxMinFair{}, nil
-	}
-	return nil, fmt.Errorf("scale: unknown network policy %q", name)
-}
-
 // runScaleCell measures one cell and runs its verification passes.
 func runScaleCell(p ScaleParams, machines int) (ScaleCell, error) {
 	cell := ScaleCell{Machines: machines}
@@ -213,27 +176,18 @@ func runScaleCell(p ScaleParams, machines int) (ScaleCell, error) {
 	cell.PlanSeconds = time.Since(planStart).Seconds() //corralvet:ok wallclock the scale suite measures the planner's real running time per cell
 	cell.PlanObjective = plan.ObjectiveValue()
 
-	opts := func() (runtime.Options, error) {
-		pol, err := scalePolicy(p.Network)
-		if err != nil {
-			return runtime.Options{}, err
-		}
-		return runtime.Options{
-			Topology:  topo,
-			Scheduler: runtime.Corral,
-			Plan:      plan,
-			Network:   pol,
-			Seed:      p.Seed,
-		}, nil
+	// Network stays nil: each run builds its own default allocator, so the
+	// verification passes below can share these options concurrently.
+	o := runtime.Options{
+		Cluster:   topo,
+		Scheduler: runtime.Corral,
+		Plan:      plan,
+		Seed:      p.Seed,
 	}
 
 	// Timed run: the measurement the CI scale gate and CHANGES.md
 	// before/after numbers come from. MemStats deltas count every heap
 	// allocation the run makes (the alloc-lean event core's target).
-	o, err := opts()
-	if err != nil {
-		return cell, err
-	}
 	var before, after goruntime.MemStats
 	goruntime.ReadMemStats(&before)
 	start := time.Now() //corralvet:ok wallclock the scale suite measures simulator throughput (wall-clock, events/sec)
@@ -267,12 +221,8 @@ func runScaleCell(p ScaleParams, machines int) (ScaleCell, error) {
 	// Verification passes are independent of each other, so they fan out
 	// over the sweep pool; each writes only its own index-addressed detail
 	// slot (sweepsafe), merged serially below.
-	details := make([]string, 3)
-	if err := parallelFor(3, func(i int) error {
-		o, err := opts()
-		if err != nil {
-			return err
-		}
+	details := make([]string, 2)
+	if err := parallelFor(2, func(i int) error {
 		switch i {
 		case 0: // determinism rerun: same seed, bit-identical Result
 			again, err := runtime.Run(o, workload.Clone(jobs))
@@ -306,18 +256,6 @@ func runScaleCell(p ScaleParams, machines int) (ScaleCell, error) {
 				details[i] = fmt.Sprintf("resumed Result diverged (makespan %.6f vs %.6f)",
 					resumed.Makespan, res.Makespan)
 			}
-		case 2: // plan equivalence: fast path vs legacy serial provisioning
-			if machines > scalePlanEquivMachines {
-				return nil
-			}
-			serial, err := planJobsSerial(topo, jobs, planner.MinimizeAvgCompletion)
-			if err != nil {
-				return fmt.Errorf("scale %d machines: serial plan: %w", machines, err)
-			}
-			if !reflect.DeepEqual(serial, plan) {
-				details[i] = fmt.Sprintf("fast-path plan diverged from serial reference (objective %.6f vs %.6f)",
-					plan.ObjectiveValue(), serial.ObjectiveValue())
-			}
 		}
 		return nil
 	}); err != nil {
@@ -330,12 +268,6 @@ func runScaleCell(p ScaleParams, machines int) (ScaleCell, error) {
 		cell.ResumeOK = false
 		if cell.Detail == "" {
 			cell.Detail = details[1]
-		}
-	}
-	if details[2] != "" {
-		cell.PlanOK = false
-		if cell.Detail == "" {
-			cell.Detail = details[2]
 		}
 	}
 	return cell, nil
@@ -373,7 +305,7 @@ func ScaleWithMachines(p Params, machines []int) (*Report, error) {
 	}
 	r := newReport("scale: datacenter-scale fast path (wall-clock, allocs, events/sec)")
 	t := &metrics.Table{
-		Title:   "online W1 stream under Corral; verification = same-seed rerun + mid-flight snapshot/resume + plan serial-equivalence/budget",
+		Title:   "online W1 stream under Corral; verification = same-seed rerun + mid-flight snapshot/resume + plan budget",
 		Columns: []string{"machines", "racks", "jobs", "events", "makespan (s)", "plan (s)", "wall (s)", "ev/s", "allocs/ev", "deterministic", "resume", "plan ok"},
 	}
 	verdict := func(ok bool, detail string) string {

@@ -4,6 +4,11 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"corral/internal/planner"
+	"corral/internal/runtime"
+	"corral/internal/snapshot"
+	"corral/internal/workload"
 )
 
 // scaleTestCell keeps the scale tests inside unit-test budgets: 200
@@ -56,25 +61,48 @@ func TestScaleSeedsActuallyDiffer(t *testing.T) {
 	}
 }
 
-// TestScalePolicyEquivalence is the tentpole's contract at the integration
-// level: the incremental allocator, the grouped full recompute and the
-// original per-pass MaxMinFair must drive bit-identical simulations — same
-// events, same completions, same makespan — because they compute the same
-// max-min allocation, just at different cost.
+// TestScalePolicyEquivalence is the allocator contract at the scale
+// cell's level: every policy name a snapshot may carry ("" and the legacy
+// maxmin, maxmin-grouped and maxmin-incremental, all now the one max-min
+// allocator) must resume a mid-flight capture of the 200-machine cell to
+// the same Result RunScale reports — same events, same completions, same
+// makespan. The differential against the per-flow MaxMinFair oracle on
+// this cell is netsim_test's TestRunResultMatchesMaxMinFair.
 func TestScalePolicyEquivalence(t *testing.T) {
-	results := map[string]*ScaleReport{}
-	for _, net := range []string{"", "maxmin-incremental", "maxmin-grouped", "maxmin"} {
-		rep, err := RunScale(ScaleParams{Seed: 7, Machines: []int{scaleTestCell}, Network: net, SkipVerify: true})
-		if err != nil {
-			t.Fatalf("network %q: %v", net, err)
-		}
-		results[net] = rep
+	const seed = 7
+	rep, err := RunScale(ScaleParams{Seed: seed, Machines: []int{scaleTestCell}, SkipVerify: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	base := results[""].Cells[0].Result
-	for net, rep := range results {
-		if !reflect.DeepEqual(rep.Cells[0].Result, base) {
+	base := rep.Cells[0].Result
+	topo := scaleTopo(scaleTestCell)
+	jobs := scaleWorkload(scaleTestCell, seed)
+	plan, err := planJobs(topo, jobs, planner.MinimizeAvgCompletion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := runtime.Options{Cluster: topo, Scheduler: runtime.Corral, Plan: plan, Seed: seed}
+	for _, net := range []string{"", "maxmin-incremental", "maxmin-grouped", "maxmin"} {
+		snap, err := runtime.CaptureAt(o, workload.Clone(jobs), runtime.CheckpointTarget{EventIndex: base.Events / 2})
+		if err != nil {
+			t.Fatalf("network %q: capture: %v", net, err)
+		}
+		snap.Spec.Policy = net
+		raw, err := snapshot.Encode(snap)
+		if err != nil {
+			t.Fatalf("network %q: encode: %v", net, err)
+		}
+		dec, err := snapshot.Decode(raw)
+		if err != nil {
+			t.Fatalf("network %q: decode: %v", net, err)
+		}
+		got, err := runtime.Resume(dec, runtime.ResumeOptions{})
+		if err != nil {
+			t.Fatalf("network %q: resume: %v", net, err)
+		}
+		if !reflect.DeepEqual(got, base) {
 			t.Errorf("network %q diverged from the default allocator:\n got:  %+v\n want: %+v",
-				net, summarize(rep.Cells[0].Result), summarize(base))
+				net, summarize(got), summarize(base))
 		}
 	}
 }
@@ -116,9 +144,6 @@ func TestScaleWorkerCountInvariance(t *testing.T) {
 func TestScaleParamErrors(t *testing.T) {
 	if _, err := RunScale(ScaleParams{Machines: []int{10}}); err == nil {
 		t.Error("sub-rack cell accepted; want error")
-	}
-	if _, err := RunScale(ScaleParams{Machines: []int{scaleTestCell}, Network: "bogus"}); err == nil {
-		t.Error("unknown network policy accepted; want error")
 	}
 }
 

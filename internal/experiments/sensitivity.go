@@ -119,13 +119,13 @@ func Fig13a(p Params) (*Report, error) {
 		seed := seeds[i]
 		actual := workload.PerturbSizes(states[i].predicted, errFrac, seed+int64(errFrac*100))
 		yarn, err := runtime.Run(runtime.Options{
-			Topology: topo, Scheduler: runtime.YarnCS, Seed: seed,
+			Cluster: topo, Scheduler: runtime.YarnCS, Seed: seed,
 		}, workload.Clone(actual))
 		if err != nil {
 			return err
 		}
 		corral, err := runtime.Run(runtime.Options{
-			Topology: topo, Scheduler: runtime.Corral, Plan: states[i].plan, Seed: seed,
+			Cluster: topo, Scheduler: runtime.Corral, Plan: states[i].plan, Seed: seed,
 		}, workload.Clone(actual))
 		if err != nil {
 			return err
@@ -196,13 +196,13 @@ func Fig13b(p Params) (*Report, error) {
 		seed, st := seeds[i], states[i]
 		actual := workload.PerturbArrivals(st.predicted, f, st.delay, seed+int64(f*100))
 		yarn, err := runtime.Run(runtime.Options{
-			Topology: topo, Scheduler: runtime.YarnCS, Seed: seed,
+			Cluster: topo, Scheduler: runtime.YarnCS, Seed: seed,
 		}, workload.Clone(actual))
 		if err != nil {
 			return err
 		}
 		corral, err := runtime.Run(runtime.Options{
-			Topology: topo, Scheduler: runtime.Corral, Plan: st.plan, Seed: seed,
+			Cluster: topo, Scheduler: runtime.Corral, Plan: st.plan, Seed: seed,
 		}, workload.Clone(actual))
 		if err != nil {
 			return err

@@ -13,7 +13,7 @@ import (
 // of reducers (1–8) pulling rack-aggregated transfers from a varying fan-in
 // of source racks (1–10), spread across the whole cluster. Reducers on one
 // machine pulling from the same rack share identical link paths — the
-// equivalence structure GroupedMaxMin exploits — while the uneven per-link
+// equivalence structure the grouped pass exploits — while the uneven per-link
 // loads make bottlenecks cascade through many fill levels, as they do in
 // the W1–W4 sweeps.
 func benchNetwork(b *testing.B, nFlows int) *Network {
@@ -54,11 +54,13 @@ func benchmarkAllocate(b *testing.B, p Policy, nFlows int) {
 	}
 }
 
+// The MaxMin rows time the per-flow test oracle and the Grouped rows the
+// full grouped pass IncrementalMaxMin falls back to.
 func BenchmarkRecomputeMaxMin1k(b *testing.B)  { benchmarkAllocate(b, MaxMinFair{}, 1000) }
 func BenchmarkRecomputeMaxMin10k(b *testing.B) { benchmarkAllocate(b, MaxMinFair{}, 10000) }
 
-func BenchmarkRecomputeGrouped1k(b *testing.B)  { benchmarkAllocate(b, NewGroupedMaxMin(), 1000) }
-func BenchmarkRecomputeGrouped10k(b *testing.B) { benchmarkAllocate(b, NewGroupedMaxMin(), 10000) }
+func BenchmarkRecomputeGrouped1k(b *testing.B)  { benchmarkAllocate(b, newFullPass(), 1000) }
+func BenchmarkRecomputeGrouped10k(b *testing.B) { benchmarkAllocate(b, newFullPass(), 10000) }
 
 // benchmarkAllocateChurn measures the recompute-under-churn regime the
 // incremental allocator is built for: every iteration one rack uplink's
@@ -104,5 +106,5 @@ func BenchmarkRecomputeIncremental10k(b *testing.B) {
 // the same churn stream through the full grouped pass, so the two rows'
 // ratio is the incremental win in isolation.
 func BenchmarkRecomputeGroupedChurn10k(b *testing.B) {
-	benchmarkAllocateChurn(b, NewGroupedMaxMin(), 10000)
+	benchmarkAllocateChurn(b, newFullPass(), 10000)
 }

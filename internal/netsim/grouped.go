@@ -6,35 +6,35 @@ import (
 	"corral/internal/topology"
 )
 
-// GroupedMaxMin is a drop-in fast path for MaxMinFair: it collapses flows
-// sharing an identical link path (same Network-interned pathID) into one
-// equivalence class before water-filling. On the two-level CLOS there are
-// only O(racks²) distinct paths regardless of flow count — the execution
-// engine's rack-aggregated shuffle transfers reuse a handful of paths per
-// destination machine — so the fill loop runs over hundreds of groups
-// instead of tens of thousands of flows.
+// grouped is the full max-min pass IncrementalMaxMin runs on a cold cache
+// and on fallback rounds, and whose per-component fill it reuses for dirty
+// components. It collapses flows sharing an identical link path (same
+// Network-interned pathID) into one equivalence class before
+// water-filling. On the two-level CLOS there are only O(racks²) distinct
+// paths regardless of flow count — the execution engine's rack-aggregated
+// shuffle transfers reuse a handful of paths per destination machine — so
+// the fill loop runs over hundreds of groups instead of tens of thousands
+// of flows.
 //
-// Equivalence contract: rates are bit-identical to MaxMinFair. Flows in one
-// class are indistinguishable to progressive filling (same links, same
-// freeze instant), and maxMinFill charges links with one aggregated
-// delta·count operation per link per level, which is exactly the arithmetic
-// performed here on group counts. Each member flow's rate in the reference
-// is the same sum 0 + δ₁ + δ₂ + … accumulated below per group. The seeded
-// differential tests in grouped_test.go enforce this bit-for-bit.
+// Equivalence contract: rates are bit-identical to the per-flow
+// progressive-filling oracle in export_test.go. Flows in one class are
+// indistinguishable to progressive filling (same links, same freeze
+// instant), and maxMinFill charges links with one aggregated delta·count
+// operation per link per level, which is exactly the arithmetic performed
+// here on group counts. Each member flow's rate in the reference is the
+// same sum 0 + δ₁ + δ₂ + … accumulated below per group. The seeded
+// differential tests enforce this bit-for-bit.
 //
-// Like the reference, filling is component-local: used links are
-// partitioned into connected components via the groups' paths, and each
-// component is filled with its own level/accumulator against its own links
-// only. A component's rates are therefore a pure function of its
-// (path, member-count) multiset and its links' capacities — the invariant
-// IncrementalMaxMin exploits to reuse cached rates for components whose
-// inputs did not change (see incremental.go).
+// Filling is component-local: used links are partitioned into connected
+// components via the groups' paths, and each component is filled with its
+// own level/accumulator against its own links only. A component's rates
+// are therefore a pure function of its (path, member-count) multiset and
+// its links' capacities — the invariant IncrementalMaxMin exploits to
+// reuse cached rates for components whose inputs did not change.
 //
-// The allocator keeps reusable scratch keyed by pathID and link id, with
-// round-stamping instead of clearing, so steady-state Allocate calls do not
-// allocate. It is stateful: use one instance per Network (NewGroupedMaxMin),
-// never share an instance across concurrently running simulations.
-type GroupedMaxMin struct {
+// The scratch is keyed by pathID and link id, with round-stamping instead
+// of clearing, so steady-state rounds do not allocate.
+type grouped struct {
 	// Per-pathID scratch, grown as new paths are interned. groupOf[id] is
 	// only meaningful when gstamp[id] == round.
 	groupOf []int32
@@ -75,42 +75,13 @@ type pathGroup struct {
 	frozen bool
 }
 
-// NewGroupedMaxMin returns a grouped allocator for use by one Network.
-func NewGroupedMaxMin() *GroupedMaxMin { return &GroupedMaxMin{} }
-
-// Name implements Policy.
-func (g *GroupedMaxMin) Name() string { return "maxmin-grouped" }
-
-// Allocate implements Policy. Panics if any flow was constructed outside
-// Network.StartPath (pathID 0): grouping needs the interned path identity.
-//
-// The steady state is allocation-free (round-stamped scratch, grow-once
-// slices), pinned dynamically by BenchmarkRecomputeGrouped10k and
-// statically by the hotalloc analyzer via the marker below.
-//
-//corral:hotpath
-func (g *GroupedMaxMin) Allocate(flows []*Flow, caps []float64, scratch []float64) {
-	remaining := scratch
-	copy(remaining, caps)
-	if len(flows) == 0 {
-		return
-	}
-	g.build(flows, len(remaining))
-	g.partition()
-	for ci := 0; ci < g.numComps; ci++ {
-		g.fillComponent(ci, remaining)
-	}
-	g.assignRates(flows)
-}
-
 // build groups the flows by interned pathID, recomputes the per-link
 // member counts, group lists and used-link set, and unions links sharing a
-// group into the component forest. Shared by GroupedMaxMin and
-// IncrementalMaxMin; round-stamped scratch keeps it allocation-free in the
-// steady state.
+// group into the component forest. Round-stamped scratch keeps it
+// allocation-free in the steady state.
 //
 //corral:hotpath
-func (g *GroupedMaxMin) build(flows []*Flow, nLinks int) {
+func (g *grouped) build(flows []*Flow, nLinks int) {
 	g.round++
 	if g.round < 0 { // stamp counter wrapped; invalidate all stamps
 		for i := range g.gstamp {
@@ -128,7 +99,7 @@ func (g *GroupedMaxMin) build(flows []*Flow, nLinks int) {
 	for _, f := range flows {
 		id := int(f.pathID)
 		if id == 0 {
-			panic("netsim: GroupedMaxMin requires flows started via Network.StartPath (pathID unset)")
+			panic("netsim: IncrementalMaxMin requires flows started via Network.StartPath (pathID unset)")
 		}
 		if id >= len(g.groupOf) {
 			g.groupOf = append(g.groupOf, make([]int32, id+1-len(g.groupOf))...)
@@ -186,7 +157,7 @@ func (g *GroupedMaxMin) build(flows []*Flow, nLinks int) {
 
 // find resolves link l's union-find root with path compression. Only valid
 // for links stamped in the current round.
-func (g *GroupedMaxMin) find(l int32) int32 {
+func (g *grouped) find(l int32) int32 {
 	for g.parent[l] != l {
 		g.parent[l] = g.parent[g.parent[l]]
 		l = g.parent[l]
@@ -199,7 +170,7 @@ func (g *GroupedMaxMin) find(l int32) int32 {
 // link list, and tags every group with its component.
 //
 //corral:hotpath
-func (g *GroupedMaxMin) partition() {
+func (g *grouped) partition() {
 	g.numComps = 0
 	for _, l := range g.used {
 		r := g.find(int32(l))
@@ -238,7 +209,7 @@ func (g *GroupedMaxMin) partition() {
 // the reference's early break) pick it up in assignRates.
 //
 //corral:hotpath
-func (g *GroupedMaxMin) fillComponent(ci int, remaining []float64) {
+func (g *grouped) fillComponent(ci int, remaining []float64) {
 	links := g.compLinks[ci]
 	unfrozen := int(g.compGroups[ci])
 	level := 0.0
@@ -298,7 +269,7 @@ func (g *GroupedMaxMin) fillComponent(ci int, remaining []float64) {
 // behavior, per component).
 //
 //corral:hotpath
-func (g *GroupedMaxMin) assignRates(flows []*Flow) {
+func (g *grouped) assignRates(flows []*Flow) {
 	for gi := range g.groups {
 		grp := &g.groups[gi]
 		if !grp.frozen {

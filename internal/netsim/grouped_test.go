@@ -11,8 +11,9 @@ import (
 )
 
 // scriptOp is one step of a randomized differential script. The same script
-// replays against a MaxMinFair network and a GroupedMaxMin network; any
-// divergence in rates, completion times or accounting fails the test.
+// replays against a MaxMinFair (oracle) network and an IncrementalMaxMin
+// network; any divergence in rates, completion times or accounting fails
+// the test.
 type scriptOp struct {
 	at     des.Time
 	kind   int // 0 start machine-pair, 1 start rack-aggregated, 2 cancel, 3 link fault
@@ -85,18 +86,16 @@ type runLog struct {
 // replay runs the script against a fresh simulator/network under p and
 // returns the full bit-exact allocation log.
 func replay(c *topology.Cluster, ops []scriptOp, p Policy) runLog {
-	return replayWith(c, ops, p, 0, false)
+	return replayWith(c, ops, p, false)
 }
 
-// replayWith is replay with the scale knobs dialed: a flow-epoch batching
-// quantum and/or Flow-object pooling. Under pooling a handle is dead once
-// its flow completes or is canceled, so the cancel ops consult a liveness
-// table — skipping a dead handle is exactly the reference's
-// cancel-finished-flow no-op.
-func replayWith(c *topology.Cluster, ops []scriptOp, p Policy, epoch des.Time, pooling bool) runLog {
+// replayWith is replay with optional Flow-object pooling. Under pooling a
+// handle is dead once its flow completes or is canceled, so the cancel ops
+// consult a liveness table — skipping a dead handle is exactly the
+// reference's cancel-finished-flow no-op.
+func replayWith(c *topology.Cluster, ops []scriptOp, p Policy, pooling bool) runLog {
 	sim := des.New()
 	n := New(sim, c, p)
-	n.SetFlowEpoch(epoch)
 	n.SetFlowPooling(pooling)
 	log := runLog{completions: make(map[int64]des.Time)}
 	n.OnAllocate = func() {
@@ -157,11 +156,23 @@ func replayWith(c *topology.Cluster, ops []scriptOp, p Policy, epoch des.Time, p
 	return log
 }
 
+// fullPass is IncrementalMaxMin with its cache dropped before every
+// round, so each Allocate runs the full grouped pass the allocator falls
+// back to.
+type fullPass struct{ IncrementalMaxMin }
+
+func newFullPass() *fullPass { return &fullPass{} }
+
+func (f *fullPass) Allocate(flows []*Flow, caps []float64, scratch []float64) {
+	f.haveCache = false
+	f.IncrementalMaxMin.Allocate(flows, caps, scratch)
+}
+
 // TestGroupedBitIdenticalToMaxMinFair is the differential gate for the
-// grouped allocator: across seeded randomized scripts mixing in-rack,
+// full grouped pass: across seeded randomized scripts mixing in-rack,
 // cross-rack, loopback and rack-aggregated flows with mid-transfer cancels
 // and link faults, every allocation's rates, every completion time and all
-// byte accounting must match MaxMinFair bit for bit.
+// byte accounting must match the MaxMinFair oracle bit for bit.
 func TestGroupedBitIdenticalToMaxMinFair(t *testing.T) {
 	c := topology.MustNew(topology.Config{
 		Racks:            4,
@@ -173,7 +184,7 @@ func TestGroupedBitIdenticalToMaxMinFair(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		ops := genScript(rand.New(rand.NewSource(seed)), c, 300)
 		ref := replay(c, ops, MaxMinFair{})
-		got := replay(c, ops, NewGroupedMaxMin())
+		got := replay(c, ops, newFullPass())
 		if len(ref.snaps) != len(got.snaps) {
 			t.Fatalf("seed %d: %d allocations under maxmin, %d under grouped", seed, len(ref.snaps), len(got.snaps))
 		}
@@ -196,7 +207,7 @@ func TestGroupedBitIdenticalToMaxMinFair(t *testing.T) {
 // burst of N flow starts triggers exactly one allocation, and N simultaneous
 // completions are absorbed without any further allocation.
 func TestGroupedBatchedRecompute(t *testing.T) {
-	sim, n := newNet(t, NewGroupedMaxMin())
+	sim, n := newNet(t, NewIncrementalMaxMin())
 	allocs := 0
 	n.OnAllocate = func() { allocs++ }
 	// 4 equal flows per destination machine in rack 1, all from rack 0's
@@ -219,16 +230,16 @@ func TestGroupedBatchedRecompute(t *testing.T) {
 func TestGroupedRequiresInternedFlows(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("GroupedMaxMin accepted a flow with pathID 0")
+			t.Fatal("IncrementalMaxMin accepted a flow with pathID 0")
 		}
 	}()
 	f := &Flow{ID: 1, Bytes: 1, remaining: 1, path: []topology.LinkID{0, 1}}
 	caps := []float64{gbps, gbps}
-	NewGroupedMaxMin().Allocate([]*Flow{f}, caps, make([]float64, 2))
+	NewIncrementalMaxMin().Allocate([]*Flow{f}, caps, make([]float64, 2))
 }
 
-// TestGroupedAllocateSteadyStateZeroAlloc pins the zero-alloc contract:
-// once scratch is warm, recomputes allocate nothing.
+// TestGroupedAllocateSteadyStateZeroAlloc pins the zero-alloc contract for
+// the full grouped pass: once scratch is warm, recomputes allocate nothing.
 func TestGroupedAllocateSteadyStateZeroAlloc(t *testing.T) {
 	c := topology.MustNew(topology.Config{
 		Racks:            4,
@@ -238,7 +249,7 @@ func TestGroupedAllocateSteadyStateZeroAlloc(t *testing.T) {
 		Oversubscription: 5,
 	})
 	sim := des.New()
-	n := New(sim, c, NewGroupedMaxMin())
+	n := New(sim, c, NewIncrementalMaxMin())
 	for dst := 0; dst < 20; dst++ {
 		for src := 0; src < 20; src++ {
 			if src != dst {
@@ -249,7 +260,7 @@ func TestGroupedAllocateSteadyStateZeroAlloc(t *testing.T) {
 	// Fire the initial recompute so n.flows is populated and rates exist.
 	for sim.Step() && n.ActiveFlows() == 0 {
 	}
-	g := NewGroupedMaxMin()
+	g := newFullPass()
 	g.Allocate(n.flows, n.caps, n.scratch) // warm the scratch
 	avg := testing.AllocsPerRun(100, func() {
 		g.Allocate(n.flows, n.caps, n.scratch)

@@ -2,14 +2,14 @@ package netsim
 
 import "corral/internal/topology"
 
-// IncrementalMaxMin is the datacenter-scale fast path over GroupedMaxMin:
-// instead of re-waterfilling the whole network on every recompute, it
-// diffs the current round's (path, member-count) groups and link
-// capacities against a cache of the previous round and re-fills only the
-// connected components whose inputs changed, copying cached rates into
-// every clean component.
+// IncrementalMaxMin is the max-min fair allocator that emulates TCP (the
+// paper's §6.6 "max-min fair bandwidth allocation mechanism"). Instead of
+// re-waterfilling the whole network on every recompute, it diffs the
+// current round's (path, member-count) groups and link capacities against
+// a cache of the previous round and re-fills only the connected components
+// whose inputs changed, copying cached rates into every clean component.
 //
-// Why that is bit-identical to GroupedMaxMin: component filling is fully
+// Why that is bit-identical to a full pass: component filling is fully
 // local (see grouped.go) — a component's rates are a pure function of its
 // (path, count) group multiset and its links' capacities, computed with a
 // deterministic float sequence. A component is marked dirty when any of
@@ -29,36 +29,42 @@ import "corral/internal/topology"
 // round (any group that could have joined or left it would have tripped a
 // rule), so the cached per-group rates ARE the rates a full fill would
 // compute. The seeded differential tests in incremental_test.go enforce
-// the equivalence bit-for-bit against both GroupedMaxMin and MaxMinFair,
-// across starts, cancels, link faults and flow-epoch batching.
+// the equivalence bit-for-bit against the per-flow oracle in
+// export_test.go and against the full grouped pass on every round,
+// across starts, cancels, link faults and flow pooling.
 //
-// When the dirty set exceeds FallbackFrac of all groups the allocator
-// runs the plain full grouped pass (same code path, so trivially
-// bit-identical) — diffing overhead is only paid when it buys real work
-// reduction. The cache is rebuilt after every non-empty round either way.
+// When the dirty set exceeds a quarter of all groups the allocator runs
+// the plain full grouped pass (same fill code, so trivially bit-identical)
+// — diffing overhead is only paid when it buys real work reduction. The
+// cache is rebuilt after every non-empty round either way.
 //
-// Like GroupedMaxMin it is stateful and single-Network: use
-// NewIncrementalMaxMin per simulation. The cache participates in
-// snapshot/resume without serialization because restore replays the event
-// history, rebuilding the cache through the same allocation sequence.
+// The cache is keyed by path IDs, which each Network assigns from 1, so
+// it is only valid for the Network it was built on; Allocate drops it
+// when it sees another Network's capacity slice. An instance may therefore
+// serve simulations run one after another, but never two running
+// concurrently. The cache participates in snapshot/resume without
+// serialization because restore replays the event history, rebuilding the
+// cache through the same allocation sequence.
 type IncrementalMaxMin struct {
-	GroupedMaxMin
+	grouped
 
-	// FallbackFrac is the dirty-group fraction above which Allocate
+	// fallbackFrac is the dirty-group fraction above which Allocate
 	// abandons the incremental path for the full grouped pass.
 	// NewIncrementalMaxMin sets 0.25; tests tune it to force either path.
-	FallbackFrac float64
+	fallbackFrac float64
 
 	// Cache of the previous non-empty round, keyed by interned pathID.
 	// prevCount[id] == 0 means the path was absent. prevCaps is refreshed
 	// only for links used in a round; stale entries are harmless because a
 	// link that re-enters use always does so under a new or changed group
-	// (see the dirty rules above).
+	// (see the dirty rules above). cacheCaps is the capacity slice of the
+	// Network the cache was built on.
 	prevCount []int
 	prevRate  []float64
 	prevPath  [][]topology.LinkID
 	prevIDs   []int32
 	prevCaps  []float64
+	cacheCaps []float64
 	haveCache bool
 
 	// compDirty is per-round scratch sized to numComps.
@@ -71,10 +77,10 @@ type IncrementalMaxMin struct {
 	fullRounds int
 }
 
-// NewIncrementalMaxMin returns an incremental allocator for use by one
-// Network, with the default 25% dirty-set fallback threshold.
+// NewIncrementalMaxMin returns a max-min allocator with the default 25%
+// dirty-set fallback threshold.
 func NewIncrementalMaxMin() *IncrementalMaxMin {
-	return &IncrementalMaxMin{FallbackFrac: 0.25}
+	return &IncrementalMaxMin{fallbackFrac: 0.25}
 }
 
 // Name implements Policy.
@@ -86,8 +92,8 @@ func (inc *IncrementalMaxMin) Rounds() (incremental, full int) {
 	return inc.incRounds, inc.fullRounds
 }
 
-// Allocate implements Policy. Panics like GroupedMaxMin on flows not
-// started via Network.StartPath.
+// Allocate implements Policy. Panics if any flow was constructed outside
+// Network.StartPath (pathID 0): grouping needs the interned path identity.
 //
 // Steady state is allocation-free: all cache and scratch slices grow once
 // and are reused, pinned by TestIncrementalAllocateSteadyStateZeroAlloc
@@ -95,7 +101,7 @@ func (inc *IncrementalMaxMin) Rounds() (incremental, full int) {
 //
 //corral:hotpath
 func (inc *IncrementalMaxMin) Allocate(flows []*Flow, caps []float64, scratch []float64) {
-	g := &inc.GroupedMaxMin
+	g := &inc.grouped
 	remaining := scratch
 	copy(remaining, caps)
 	if len(flows) == 0 {
@@ -104,13 +110,16 @@ func (inc *IncrementalMaxMin) Allocate(flows []*Flow, caps []float64, scratch []
 		// meanwhile are caught by the caps rule then).
 		return
 	}
+	if inc.haveCache && &caps[0] != &inc.cacheCaps[0] {
+		inc.haveCache = false // another Network: its path IDs mean other paths
+	}
 	g.build(flows, len(remaining))
 	g.partition()
 
 	useInc := false
 	if inc.haveCache {
 		dirtyGroups := inc.markDirty(caps)
-		useInc = float64(dirtyGroups) <= inc.FallbackFrac*float64(len(g.groups))
+		useInc = float64(dirtyGroups) <= inc.fallbackFrac*float64(len(g.groups))
 	}
 
 	if useInc {
@@ -145,11 +154,11 @@ func (inc *IncrementalMaxMin) Allocate(flows []*Flow, caps []float64, scratch []
 
 // markDirty applies the three dirty rules against the cache and returns
 // the number of groups living in dirty components (the work a dirty-set
-// re-fill must do, compared against FallbackFrac by the caller).
+// re-fill must do, compared against fallbackFrac by the caller).
 //
 //corral:hotpath
 func (inc *IncrementalMaxMin) markDirty(caps []float64) int {
-	g := &inc.GroupedMaxMin
+	g := &inc.grouped
 	if len(inc.compDirty) < g.numComps {
 		inc.compDirty = make([]bool, g.numComps)
 	} else {
@@ -211,7 +220,7 @@ func (inc *IncrementalMaxMin) markDirty(caps []float64) int {
 //
 //corral:hotpath
 func (inc *IncrementalMaxMin) updateCache(caps []float64) {
-	g := &inc.GroupedMaxMin
+	g := &inc.grouped
 	for _, id := range inc.prevIDs {
 		inc.prevCount[id] = 0
 	}
@@ -235,5 +244,6 @@ func (inc *IncrementalMaxMin) updateCache(caps []float64) {
 	for _, l := range g.used {
 		inc.prevCaps[l] = caps[l]
 	}
+	inc.cacheCaps = caps
 	inc.haveCache = true
 }

@@ -25,16 +25,16 @@ func ratesBits(flows []*Flow) []uint64 {
 	return out
 }
 
-// assertSameAsFresh allocates the same flow set under a fresh GroupedMaxMin
-// and a fresh MaxMinFair and requires the candidate's rates to match both
-// bit for bit.
+// assertSameAsFresh allocates the same flow set under a fresh full grouped
+// pass and the MaxMinFair oracle and requires the candidate's rates to
+// match both bit for bit.
 func assertSameAsFresh(t *testing.T, label string, flows []*Flow, caps []float64) {
 	t.Helper()
 	got := ratesBits(flows)
 	scratch := make([]float64, len(caps))
-	NewGroupedMaxMin().Allocate(flows, caps, scratch)
+	newFullPass().Allocate(flows, caps, scratch)
 	if want := ratesBits(flows); !reflect.DeepEqual(got, want) {
-		t.Fatalf("%s: rates diverge from fresh GroupedMaxMin:\n got:  %v\n want: %v", label, got, want)
+		t.Fatalf("%s: rates diverge from a fresh full pass:\n got:  %v\n want: %v", label, got, want)
 	}
 	MaxMinFair{}.Allocate(flows, caps, scratch)
 	if want := ratesBits(flows); !reflect.DeepEqual(got, want) {
@@ -43,7 +43,7 @@ func assertSameAsFresh(t *testing.T, label string, flows []*Flow, caps []float64
 }
 
 // TestIncrementalFallbackBoundary drives the dirty set across the
-// full-recompute threshold from both sides: with FallbackFrac 0.25 over 8
+// full-recompute threshold from both sides: with fallbackFrac 0.25 over 8
 // single-link groups the boundary is 2 dirty groups, so rounds dirtying
 // 1 and 2 groups must take the incremental path and a round dirtying 3
 // must fall back — with bit-identical rates throughout.
@@ -95,7 +95,7 @@ func TestIncrementalFallbackBoundary(t *testing.T) {
 
 // TestIncrementalDirtyRules exercises each cache-invalidation rule in
 // isolation — capacity change, vanished bridging path, and pure cache
-// reuse — with FallbackFrac 1 so the incremental path always runs when a
+// reuse — with fallbackFrac 1 so the incremental path always runs when a
 // cache exists, and verifies rates stay bit-identical to a full pass.
 func TestIncrementalDirtyRules(t *testing.T) {
 	caps := []float64{2 * gbps, 3 * gbps, 5 * gbps, 7 * gbps}
@@ -109,8 +109,7 @@ func TestIncrementalDirtyRules(t *testing.T) {
 	fC := incFlow(3, 3, pathC)
 	fD := incFlow(4, 4, pathD)
 
-	inc := NewIncrementalMaxMin()
-	inc.FallbackFrac = 1
+	inc := &IncrementalMaxMin{fallbackFrac: 1}
 
 	all := []*Flow{fA, fB, fC, fD}
 	inc.Allocate(all, caps, scratch)
@@ -141,11 +140,11 @@ func TestIncrementalDirtyRules(t *testing.T) {
 }
 
 // TestIncrementalBitIdenticalToGrouped is the differential gate for the
-// incremental allocator: the PR 4 randomized scripts (starts, cancels,
-// link faults, rack-aggregated paths) replayed under GroupedMaxMin and
-// IncrementalMaxMin must produce bit-identical allocations, completions
-// and accounting — at the default fallback threshold and with the
-// fallback disabled (FallbackFrac 1, maximum incremental coverage).
+// incremental path: the randomized scripts (starts, cancels, link faults,
+// rack-aggregated paths) replayed under the full grouped pass and the
+// incremental allocator must produce bit-identical allocations,
+// completions and accounting — at the default fallback threshold and with
+// the fallback disabled (fallbackFrac 1, maximum incremental coverage).
 func TestIncrementalBitIdenticalToGrouped(t *testing.T) {
 	c := topology.MustNew(topology.Config{
 		Racks:            4,
@@ -157,10 +156,9 @@ func TestIncrementalBitIdenticalToGrouped(t *testing.T) {
 	totalInc := 0
 	for seed := int64(1); seed <= 8; seed++ {
 		ops := genScript(rand.New(rand.NewSource(seed)), c, 300)
-		ref := replay(c, ops, NewGroupedMaxMin())
+		ref := replay(c, ops, newFullPass())
 		for _, frac := range []float64{0.25, 1} {
-			inc := NewIncrementalMaxMin()
-			inc.FallbackFrac = frac
+			inc := &IncrementalMaxMin{fallbackFrac: frac}
 			got := replay(c, ops, inc)
 			if len(ref.snaps) != len(got.snaps) {
 				t.Fatalf("seed %d frac %v: %d allocations under grouped, %d under incremental",
@@ -187,13 +185,10 @@ func TestIncrementalBitIdenticalToGrouped(t *testing.T) {
 	}
 }
 
-// TestIncrementalBitIdenticalUnderEpochAndPooling runs the differential
-// scripts with the scale knobs on: a flow-epoch batching quantum (same on
-// both sides — batching changes the recompute schedule, which must stay a
-// pure function of the change sequence) and Flow pooling on the
-// incremental side only (object recycling must be invisible to rates,
-// completions and accounting).
-func TestIncrementalBitIdenticalUnderEpochAndPooling(t *testing.T) {
+// TestIncrementalBitIdenticalUnderPooling runs the differential scripts
+// with Flow pooling on the incremental side only: object recycling must be
+// invisible to rates, completions and accounting.
+func TestIncrementalBitIdenticalUnderPooling(t *testing.T) {
 	c := topology.MustNew(topology.Config{
 		Racks:            4,
 		MachinesPerRack:  5,
@@ -201,51 +196,45 @@ func TestIncrementalBitIdenticalUnderEpochAndPooling(t *testing.T) {
 		NICBandwidth:     10 * gbps,
 		Oversubscription: 5,
 	})
-	const epoch = des.Time(0.05)
-	batchedSomewhere := false
 	for seed := int64(1); seed <= 4; seed++ {
 		ops := genScript(rand.New(rand.NewSource(seed)), c, 300)
-		exact := replay(c, ops, NewGroupedMaxMin())
-		ref := replayWith(c, ops, NewGroupedMaxMin(), epoch, false)
-		got := replayWith(c, ops, NewIncrementalMaxMin(), epoch, true)
+		ref := replay(c, ops, newFullPass())
+		got := replayWith(c, ops, NewIncrementalMaxMin(), true)
 		if !reflect.DeepEqual(ref.snaps, got.snaps) {
-			t.Fatalf("seed %d: allocations diverge between grouped and pooled incremental under epoch batching", seed)
+			t.Fatalf("seed %d: allocations diverge between the full pass and pooled incremental", seed)
 		}
 		if !reflect.DeepEqual(ref.completions, got.completions) {
-			t.Fatalf("seed %d: completion times diverge under epoch batching", seed)
+			t.Fatalf("seed %d: completion times diverge under pooling", seed)
 		}
 		if ref.cross != got.cross || ref.total != got.total || ref.served != got.served {
-			t.Fatalf("seed %d: accounting diverges under epoch batching", seed)
+			t.Fatalf("seed %d: accounting diverges under pooling", seed)
 		}
-		if len(ref.snaps) < len(exact.snaps) {
-			batchedSomewhere = true
-		}
-	}
-	if !batchedSomewhere {
-		t.Fatal("epoch batching never coalesced a recompute on any seed: test is vacuous")
 	}
 }
 
-// TestFlowEpochQuantizesRecomputes pins the batching contract directly: a
-// burst of starts spread inside one quantum triggers exactly one
-// allocation, at the epoch boundary.
-func TestFlowEpochQuantizesRecomputes(t *testing.T) {
-	sim, n := newNet(t, NewIncrementalMaxMin())
-	n.SetFlowEpoch(0.25)
-	var at []des.Time
-	n.OnAllocate = func() { at = append(at, sim.Now()) }
-	for i := 0; i < 5; i++ {
-		d := des.Time(0.01 + float64(i)*0.02)
-		sim.At(d, func() { n.Start(0, 4, 1*gbps, 0, 0, nil) })
-	}
-	sim.Run()
-	if len(at) == 0 || at[0] != 0.25 {
-		t.Fatalf("first allocation at %v, want exactly at the 0.25 epoch boundary (allocations: %v)", at, at)
-	}
-	for i := 1; i < len(at); i++ {
-		if at[i] < at[i-1] {
-			t.Fatalf("allocation times regressed: %v", at)
-		}
+// TestIncrementalReuseAcrossNetworks runs one allocator on two Networks in
+// turn, as a shared policy value does across back-to-back simulations. The
+// second Network interns its cross-rack path as ID 1 — the ID the first
+// Network gave an intra-rack path that was still active, with the same
+// member count, when the first run ended. The cache must not carry that
+// path's 10 Gbps NIC rate over to a flow bound by the 8 Gbps rack uplink.
+func TestIncrementalReuseAcrossNetworks(t *testing.T) {
+	inc := NewIncrementalMaxMin()
+	c := testCluster(t)
+
+	simA := des.New()
+	a := New(simA, c, inc)
+	a.Start(0, 1, 20*gbps, 0, 0, nil) // intra-rack, NIC-bound, path ID 1: finishes last
+	a.Start(4, 8, 8*gbps, 0, 0, nil)  // cross-rack, uplink-bound, path ID 2
+	simA.Run()
+
+	simB := des.New()
+	b := New(simB, c, inc)
+	var done des.Time
+	b.Start(4, 8, 8*gbps, 0, 0, func(*Flow) { done = simB.Now() }) // path ID 1
+	simB.Run()
+	if math.Abs(float64(done)-1.0) > 1e-9 {
+		t.Fatalf("8 Gb cross-rack flow on an 8 Gbps uplink finished at %v with a reused allocator, want 1s", done)
 	}
 }
 
@@ -288,7 +277,7 @@ func TestIncrementalAllocateSteadyStateZeroAlloc(t *testing.T) {
 		Oversubscription: 5,
 	})
 	sim := des.New()
-	n := New(sim, c, NewGroupedMaxMin())
+	n := New(sim, c, NewIncrementalMaxMin())
 	for dst := 0; dst < 20; dst++ {
 		for src := 0; src < 20; src++ {
 			if src != dst {

@@ -1,76 +1,5 @@
 package netsim
 
-// MaxMinFair allocates link bandwidth by progressive filling (water
-// filling), the standard emulation of long-lived TCP flows: all flows'
-// rates rise together until some link saturates; that link's flows freeze
-// at their current rate and filling continues on the rest.
-//
-// This matches the paper's §6.6 baseline: "a max-min fair bandwidth
-// allocation mechanism to emulate TCP".
-//
-// Filling is component-local: the link–flow graph is first partitioned
-// into connected components (flows sharing no link, directly or
-// transitively, cannot influence each other's max-min share) and each
-// component is water-filled independently with its own fill level. The
-// rates are the same max-min fixpoint a single global fill computes, but
-// the floating-point operation sequence of one component never depends on
-// another component's bottleneck events — the arithmetic locality
-// IncrementalMaxMin relies on to reuse cached rates for untouched
-// components bit-exactly (see incremental.go).
-type MaxMinFair struct{}
-
-// Name implements Policy.
-func (MaxMinFair) Name() string { return "maxmin" }
-
-// Allocate implements Policy.
-func (MaxMinFair) Allocate(flows []*Flow, caps []float64, scratch []float64) {
-	remaining := scratch
-	copy(remaining, caps)
-	if len(flows) == 0 {
-		return
-	}
-
-	// Union links that share a flow; each union-find root identifies one
-	// connected component. Components touch disjoint link sets, so filling
-	// them in any order against the shared remaining array is exact.
-	parent := make([]int, len(remaining))
-	for i := range parent {
-		parent[i] = i
-	}
-	find := func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	for _, f := range flows {
-		r0 := find(int(f.path[0]))
-		for _, l := range f.path[1:] {
-			r := find(int(l))
-			if r != r0 {
-				parent[r] = r0
-			}
-		}
-	}
-
-	// Bucket flows per component in first-seen flow order, preserving the
-	// caller's flow order inside each bucket (determinism: the Network
-	// iterates flows in start order).
-	roots := make([]int, 0, 8)
-	buckets := make(map[int][]*Flow, 8)
-	for _, f := range flows {
-		r := find(int(f.path[0]))
-		if _, ok := buckets[r]; !ok {
-			roots = append(roots, r)
-		}
-		buckets[r] = append(buckets[r], f)
-	}
-	for _, r := range roots {
-		maxMinFill(buckets[r], remaining, func(f *Flow) float64 { return 0 })
-	}
-}
-
 // maxMinFill water-fills the given flows on the remaining link capacities,
 // setting each flow's rate to base(f) + its max-min share. remaining is
 // consumed in place. Flows with an empty path are given an unbounded share
@@ -80,10 +9,10 @@ func (MaxMinFair) Allocate(flows []*Flow, caps []float64, scratch []float64) {
 // Link charging is link-centric: when the common fill level rises by delta,
 // each link is charged delta·(unfrozen flows on it) in ONE floating-point
 // operation rather than one subtraction per flow. This is the arithmetic
-// contract GroupedMaxMin reproduces — both compute the same float sequence
-// from the same integer link counts, which is what makes the grouped
-// allocator bit-identical to this reference (see grouped.go and the
-// differential tests). MaxMinFair calls it once per connected component;
+// contract the grouped fill reproduces — both compute the same float
+// sequence from the same integer link counts, which is what makes
+// IncrementalMaxMin bit-identical to the per-flow test oracle built on
+// this function (see grouped.go and the differential tests).
 // Varys uses it globally for work-conserving backfill, where component
 // decoupling is irrelevant (nothing caches Varys rates).
 func maxMinFill(flows []*Flow, remaining []float64, base func(*Flow) float64) {

@@ -89,7 +89,7 @@ type Network struct {
 	scratch  []float64
 
 	// Path interning: flows with byte-identical link paths share a dense
-	// pathID (starting at 1), the equivalence-class key GroupedMaxMin
+	// pathID (starting at 1), the equivalence-class key IncrementalMaxMin
 	// groups on. pathKey is a reused encoding buffer — map lookups via
 	// pathIDs[string(pathKey)] do not allocate; only the first sighting of
 	// a distinct path does. pathsByID[id] is the canonical (never mutated)
@@ -110,13 +110,6 @@ type Network struct {
 	// completion closure reads the object after an arbitrary delay.
 	flowPool  []*Flow
 	poolFlows bool
-
-	// Flow-epoch batching (SetFlowEpoch): when positive, recomputes
-	// triggered by flow-set changes are quantized up to the next epoch
-	// boundary instead of running immediately; completion events still
-	// fire exactly. recomputeAt is the pending quantized target.
-	flowEpoch   des.Time
-	recomputeAt des.Time
 
 	lastAdvance  des.Time
 	completionEv *des.Event
@@ -201,23 +194,6 @@ func (n *Network) FlowsServed() int64 { return n.flowsServed }
 // should leave pooling off unless they do too. Loopback (src==dst) flows
 // are never pooled.
 func (n *Network) SetFlowPooling(on bool) { n.poolFlows = on }
-
-// SetFlowEpoch sets the recompute-batching quantum. With a positive
-// epoch, rate recomputations triggered by flow starts, cancels and link
-// capacity changes are deferred to the next multiple of the epoch, so a
-// burst of changes inside one quantum is absorbed by a single
-// re-waterfill — the coarse knob for the huge-shuffle tail at datacenter
-// scale. Flow completions still recompute exactly (completion times stay
-// event-driven); the trade-off is that a mid-epoch start or cancel keeps
-// the old allocation until the boundary. Zero (the default) restores
-// exact recompute-on-change behavior. Determinism is unaffected: the
-// quantized schedule is a pure function of the change sequence.
-func (n *Network) SetFlowEpoch(e des.Time) {
-	if e < 0 {
-		panic(fmt.Sprintf("netsim: negative flow epoch %g", float64(e)))
-	}
-	n.flowEpoch = e
-}
 
 // Start begins a transfer of bytes from machine src to machine dst.
 // done, if non-nil, is invoked when the transfer finishes. Zero-byte flows
@@ -313,7 +289,7 @@ func (n *Network) internPath(path []topology.LinkID) int32 {
 }
 
 // NumPaths returns how many distinct link paths the network has seen — the
-// upper bound on GroupedMaxMin's equivalence-class count.
+// upper bound on IncrementalMaxMin's equivalence-class count.
 func (n *Network) NumPaths() int { return int(n.numPaths) }
 
 // Cancel aborts an in-flight flow: its bandwidth is released at the next
@@ -351,23 +327,8 @@ func (n *Network) SetLinkCapacityFactor(id topology.LinkID, factor float64) {
 func (n *Network) LinkCapacity(id topology.LinkID) float64 { return n.caps[id] }
 
 // scheduleRecompute coalesces multiple same-instant flow-set changes into a
-// single rate recomputation. With a flow epoch set it instead quantizes
-// the recompute up to the next epoch boundary, coalescing every change in
-// the same quantum into one re-waterfill.
+// single rate recomputation.
 func (n *Network) scheduleRecompute() {
-	if n.flowEpoch > 0 {
-		at := des.Time(math.Ceil(float64(n.sim.Now())/float64(n.flowEpoch))) * n.flowEpoch
-		if at < n.sim.Now() {
-			at = n.sim.Now() // ceil·epoch rounded an ulp below now
-		}
-		//corralvet:ok floateq exact identity intended: both sides are the same quantized epoch boundary; near-equal targets are distinct boundaries
-		if n.recomputeEv != nil && !n.recomputeEv.Canceled() && n.recomputeAt == at {
-			return
-		}
-		n.recomputeAt = at
-		n.recomputeEv = n.sim.After(at-n.sim.Now(), n.recompute)
-		return
-	}
 	//corralvet:ok floateq exact identity intended: both sides are the same des.Time instant; near-equal instants are distinct events
 	if n.recomputeEv != nil && !n.recomputeEv.Canceled() && n.recomputeEv.At() == n.sim.Now() {
 		return

@@ -13,8 +13,8 @@
 //     At datacenter scale this phase dominates planning wall-clock, so it
 //     has a fast engine (provision.go: precomputed widening chain,
 //     parallel candidate evaluation, group-compressed objective) that is
-//     bit-identical to the straightforward serial loop kept as the
-//     differential reference behind Input.Serial.
+//     bit-identical to the straightforward serial loop kept in the tests
+//     as the differential reference.
 //
 //   - Prioritization (Fig 4): an extension of LPT/LIST scheduling. Jobs
 //     are sorted (batch: widest first, then longest; online: by arrival,
@@ -67,11 +67,6 @@ type Input struct {
 	// disables the penalty.
 	Alpha     float64
 	Objective Objective
-	// Serial selects the legacy serial provisioning engine (one full
-	// prioritization run per candidate allocation). It exists as the
-	// differential-test reference for the fast path and produces
-	// bit-identical plans; leave it false outside tests.
-	Serial bool
 	// Trace, if set, receives plan_start/plan_assign/plan_done events for
 	// this invocation. When nil, New and Replan ask the process-wide trace
 	// collector for a run tracer (nil again keeps tracing disabled).
@@ -147,8 +142,8 @@ func New(in Input) (*Plan, error) {
 }
 
 // planTwoPhase is the shared core behind New, Replan and the public
-// wrappers: validate, provision (fast or serial per Input.Serial), run the
-// final prioritization, materialize. initF seeds per-rack availability
+// wrappers: validate, provision, run the final prioritization,
+// materialize. initF seeds per-rack availability
 // times (Replan commitments); nil means every rack free at time zero. now
 // stamps trace events.
 func planTwoPhase(in Input, now float64, initF []float64) (*Plan, error) {
@@ -216,10 +211,10 @@ func (r *schedResult) objective(o Objective) float64 {
 	return r.avgCompletion
 }
 
-// scheduler holds reusable buffers for repeated prioritization runs. The
-// serial provisioning engine calls run once per candidate; the fast path
-// only uses it for the single materializing run (candidate objectives go
-// through the group-compressed evaluator in provision.go instead).
+// scheduler holds reusable buffers for repeated prioritization runs.
+// Planning only uses it for the single materializing run (candidate
+// objectives go through the group-compressed evaluator in provision.go);
+// the serial reference engine in the tests runs it once per candidate.
 type scheduler struct {
 	in   Input
 	resp []model.ResponseFunc

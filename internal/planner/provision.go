@@ -27,11 +27,12 @@ package planner
 //     (time, count) runs, replacing the legacy scheduler's O(R)-per-job
 //     flat merge and per-job rack-set sort with a few group operations.
 //
-// The legacy serial path (provisionSerial: the scheduler evaluated once
-// per candidate, exactly the pre-fast-path code) stays as the
-// differential-test reference — the MaxMinFair-vs-GroupedMaxMin playbook:
-// TestProvisionFastMatchesSerial proves the two produce DeepEqual plans
-// across seeded random workloads, objectives and commitments.
+// The legacy serial engine (the scheduler evaluated once per candidate,
+// exactly the pre-fast-path code) lives in provision_test.go as the
+// differential reference — the same playbook that keeps netsim's max-min
+// allocator honest: TestProvisionFastMatchesSerial proves the two choose
+// identical widths across seeded random workloads, objectives,
+// commitments and a scale-suite cell.
 //
 // Determinism obligations: candidate objectives are pure functions of
 // (jobs, cluster, widths); block decomposition and worker scheduling feed
@@ -339,20 +340,11 @@ func (e *evaluator) objective() float64 {
 }
 
 // provision explores the widening chain and returns the best widths
-// vector. Input.Serial selects the legacy reference engine.
+// vector: precompute the chain, fan contiguous candidate blocks over the
+// worker pool (each block with its own evaluator scratch), then take the
+// serial index-order argmin — the legacy loop's strict `<` update rule, so
+// the earliest candidate wins ties and the result is worker-count-invariant.
 func provision(in Input, resp []model.ResponseFunc, initF []float64) []int {
-	if in.Serial {
-		return provisionSerial(in, resp, initF)
-	}
-	return provisionFast(in, resp, initF)
-}
-
-// provisionFast is the parallel/incremental engine: precompute the chain,
-// fan contiguous candidate blocks over the worker pool (each block with
-// its own evaluator scratch), then take the serial index-order argmin —
-// the legacy loop's strict `<` update rule, so the earliest candidate
-// wins ties and the result is worker-count-invariant.
-func provisionFast(in Input, resp []model.ResponseFunc, initF []float64) []int {
 	J, R := len(in.Jobs), in.Cluster.Racks
 	chain := buildChain(resp, J, R)
 	C := len(chain) + 1
@@ -401,43 +393,6 @@ func provisionFast(in Input, resp []model.ResponseFunc, initF []float64) []int {
 	}
 	for t := 0; t < best; t++ {
 		bestRj[chain[t]]++
-	}
-	return bestRj
-}
-
-// provisionSerial is the legacy engine, kept verbatim as the differential
-// reference: one scheduler, every candidate evaluated in chain order with
-// a full prioritization run, best kept under strict `<`.
-func provisionSerial(in Input, resp []model.ResponseFunc, initF []float64) []int {
-	R := in.Cluster.Racks
-	rj := make([]int, len(in.Jobs))
-	for i := range rj {
-		rj[i] = 1
-	}
-	sched := newScheduler(in, resp)
-	sched.initF = initF
-
-	bestObj := sched.run(rj).objective(in.Objective)
-	bestRj := append([]int(nil), rj...)
-	for {
-		// Widen the longest job that is not yet cluster-wide.
-		longest, longestLat := -1, -1.0
-		for i := range rj {
-			if rj[i] >= R {
-				continue
-			}
-			if l := resp[i].At(rj[i]); l > longestLat {
-				longest, longestLat = i, l
-			}
-		}
-		if longest == -1 {
-			break
-		}
-		rj[longest]++
-		if obj := sched.run(rj).objective(in.Objective); obj < bestObj {
-			bestObj = obj
-			copy(bestRj, rj)
-		}
 	}
 	return bestRj
 }

@@ -1,16 +1,21 @@
 package planner
 
 // Differential tests for the provisioning fast path: the parallel /
-// incremental / group-compressed engine must produce Plans DeepEqual to
-// the legacy serial reference (Input.Serial) — the same playbook that
-// proved GroupedMaxMin bit-identical to MaxMinFair.
+// incremental / group-compressed engine must choose exactly the widths
+// the legacy serial engine (provisionSerial, below) chooses — the same
+// playbook that proves netsim's max-min allocator bit-identical to its
+// per-flow oracle.
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"corral/internal/job"
 	"corral/internal/model"
+	"corral/internal/topology"
+	"corral/internal/workload"
 )
 
 // randomCommitments reserves a few random rack sets until random times.
@@ -26,46 +31,53 @@ func randomCommitments(rng *rand.Rand, R int, now float64) []Commitment {
 
 // TestProvisionFastMatchesSerial fuzzes the fast path against the legacy
 // serial engine across seeded random workloads × {batch, online} ×
-// {fresh plan, replan with commitments}: the Plans must be DeepEqual —
-// same rack sets, starts, priorities, latencies and metrics, bit for bit.
+// {fresh plan, replan with commitments}, plus the scale suite's 2k-machine
+// cell: both engines must choose the same widths vector, from which
+// planTwoPhase materializes the plan with shared code.
 func TestProvisionFastMatchesSerial(t *testing.T) {
+	check := func(label string, in Input, initF []float64) {
+		t.Helper()
+		resp := responseFuncs(t, in)
+		fast, slow := provision(in, resp, initF), provisionSerial(in, resp, initF)
+		if !reflect.DeepEqual(fast, slow) {
+			t.Fatalf("%s: fast widths differ from serial reference\nfast:   %v\nserial: %v", label, fast, slow)
+		}
+	}
 	for seed := int64(1); seed <= 8; seed++ {
 		for _, obj := range []Objective{MinimizeMakespan, MinimizeAvgCompletion} {
 			rng := rand.New(rand.NewSource(seed))
 			jobs := randomJobs(rng, rng.Intn(40)+1)
 			in := Input{Cluster: testClusterModel(), Jobs: jobs, Alpha: -1, Objective: obj}
-
-			fast, err := New(in)
+			check(fmt.Sprintf("seed %d %s", seed, obj), in, nil)
+			plan, err := New(in)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ser := in
-			ser.Serial = true
-			slow, err := New(ser)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(fast, slow) {
-				t.Fatalf("seed %d %s: fast plan differs from serial reference\nfast: %+v\nserial: %+v",
-					seed, obj, fast, slow)
-			}
-			checkPlanInvariants(t, in, fast)
+			checkPlanInvariants(t, in, plan)
 
+			// The inputs Replan hands planTwoPhase.
 			now := rng.Float64() * 2000
 			cs := randomCommitments(rng, in.Cluster.Racks, now)
-			fastR, err := Replan(in, now, cs)
+			initF, err := commitmentAvailability(in.Cluster.Racks, now, cs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			slowR, err := Replan(ser, now, cs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(fastR, slowR) {
-				t.Fatalf("seed %d %s replan: fast plan differs from serial reference", seed, obj)
-			}
+			re := in
+			re.Jobs = clampArrivals(in.Jobs, now)
+			check(fmt.Sprintf("seed %d %s replan", seed, obj), re, initF)
 		}
 	}
+
+	// The scale suite's 2k cell at seed 1 (experiments.scaleTopo and
+	// scaleWorkload): 50 racks of 40 machines, a 200-job online W1 stream.
+	topo := topology.Config{Racks: 50, MachinesPerRack: 40, SlotsPerMachine: 2, NICBandwidth: 10 * gbps, Oversubscription: 5}
+	var planned []*job.Job
+	for _, j := range workload.W1(workload.Config{Seed: 1, Jobs: 200, Scale: 1.0 / 8, TaskScale: 1.0 / 8, ArrivalWindow: 100}) {
+		if !j.AdHoc {
+			planned = append(planned, j)
+		}
+	}
+	check("2k scale cell", Input{Cluster: model.FromTopology(topo), Jobs: planned, Alpha: -1, Objective: MinimizeAvgCompletion}, nil)
 }
 
 // TestProvisionWorkerCountInvariance pins the determinism contract: the
@@ -193,4 +205,42 @@ func responseFuncs(t *testing.T, in Input) []model.ResponseFunc {
 		resp[i] = in.Cluster.Response(j, alpha)
 	}
 	return resp
+}
+
+// provisionSerial is the pre-fast-path provisioning engine, kept verbatim
+// as the differential reference: one scheduler, every candidate evaluated
+// in chain order with a full prioritization run, best kept under strict
+// `<`.
+func provisionSerial(in Input, resp []model.ResponseFunc, initF []float64) []int {
+	R := in.Cluster.Racks
+	rj := make([]int, len(in.Jobs))
+	for i := range rj {
+		rj[i] = 1
+	}
+	sched := newScheduler(in, resp)
+	sched.initF = initF
+
+	bestObj := sched.run(rj).objective(in.Objective)
+	bestRj := append([]int(nil), rj...)
+	for {
+		// Widen the longest job that is not yet cluster-wide.
+		longest, longestLat := -1, -1.0
+		for i := range rj {
+			if rj[i] >= R {
+				continue
+			}
+			if l := resp[i].At(rj[i]); l > longestLat {
+				longest, longestLat = i, l
+			}
+		}
+		if longest == -1 {
+			break
+		}
+		rj[longest]++
+		if obj := sched.run(rj).objective(in.Objective); obj < bestObj {
+			bestObj = obj
+			copy(bestRj, rj)
+		}
+	}
+	return bestRj
 }

@@ -30,7 +30,7 @@ func (p *countingProbe) Observe(e invariants.Event) {
 
 func attritionOpts(seed int64) Options {
 	return Options{
-		Topology:          smallTopo(),
+		Cluster:           smallTopo(),
 		BlockSize:         64e6,
 		Seed:              seed,
 		TaskFailureProb:   0.25,
@@ -165,9 +165,9 @@ func TestAMRestartCompletes(t *testing.T) {
 	topo := smallTopo()
 	probe := newCountingProbe(topo.Machines(), topo.SlotsPerMachine)
 	mk := func() []*job.Job { return []*job.Job{shuffleJob(1)} }
-	clean := mustRun(t, Options{Topology: topo, BlockSize: 64e6, Seed: 13}, mk())
+	clean := mustRun(t, Options{Cluster: topo, BlockSize: 64e6, Seed: 13}, mk())
 
-	opts := Options{Topology: topo, BlockSize: 64e6, Seed: 13, Probe: probe}
+	opts := Options{Cluster: topo, BlockSize: 64e6, Seed: 13, Probe: probe}
 	opts.AMFailures = []AMFailure{{At: clean.Makespan / 2, JobID: 1}}
 	rt, err := newRuntime(opts, mk())
 	if err != nil {
@@ -203,7 +203,7 @@ func TestAMRestartCompletes(t *testing.T) {
 
 // The MaxAMAttempts-th AM failure is terminal.
 func TestAMBudgetFailsJob(t *testing.T) {
-	opts := Options{Topology: smallTopo(), BlockSize: 64e6, Seed: 17, MaxAMAttempts: 2, AMRestartDelay: 0.3}
+	opts := Options{Cluster: smallTopo(), BlockSize: 64e6, Seed: 17, MaxAMAttempts: 2, AMRestartDelay: 0.3}
 	opts.AMFailures = []AMFailure{{At: 0.2, JobID: 1}, {At: 0.8, JobID: 1}}
 	res := mustRun(t, opts, []*job.Job{shuffleJob(1)})
 	jr := res.Jobs[0]
@@ -222,7 +222,7 @@ func TestCorruptionReadFailoverAndRepair(t *testing.T) {
 		j.Arrival = 1
 		return []*job.Job{j}
 	}
-	rt, err := newRuntime(Options{Topology: topo, BlockSize: 64e6, Seed: 19}, mk())
+	rt, err := newRuntime(Options{Cluster: topo, BlockSize: 64e6, Seed: 19}, mk())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func (p *vacuityProbe) Observe(e invariants.Event) {
 func TestMonitorAntiVacuity(t *testing.T) {
 	topo := smallTopo()
 	probe := &vacuityProbe{mon: invariants.NewMonitor(topo.Machines(), topo.SlotsPerMachine)}
-	mustRun(t, Options{Topology: topo, BlockSize: 64e6, Seed: 23, Probe: probe},
+	mustRun(t, Options{Cluster: topo, BlockSize: 64e6, Seed: 23, Probe: probe},
 		[]*job.Job{shuffleJob(1)})
 	if probe.mon.ViolationCount() == 0 {
 		t.Fatal("monitor saw only task starts yet reported no slot violation — it cannot fail")

@@ -8,7 +8,7 @@ import (
 )
 
 func TestRemoteStorageRequiresInterconnect(t *testing.T) {
-	if _, err := Run(Options{Topology: smallTopo(), RemoteStorageInput: true}, nil); err == nil {
+	if _, err := Run(Options{Cluster: smallTopo(), RemoteStorageInput: true}, nil); err == nil {
 		t.Fatal("remote storage without interconnect not rejected")
 	}
 }
@@ -18,7 +18,7 @@ func TestRemoteStorageInputFetches(t *testing.T) {
 	topo.RemoteStorageBandwidth = 20 * gbps
 	jobs := []*job.Job{shuffleJob(1)}
 	res := mustRun(t, Options{
-		Topology: topo, BlockSize: 64e6, Seed: 31, RemoteStorageInput: true,
+		Cluster: topo, BlockSize: 64e6, Seed: 31, RemoteStorageInput: true,
 	}, jobs)
 	if res.Jobs[0].CompletionTime <= 0 {
 		t.Fatal("remote-storage job did not complete")
@@ -40,7 +40,7 @@ func TestRemoteStorageInterconnectBottleneck(t *testing.T) {
 			jobs = append(jobs, shuffleJob(i))
 		}
 		res := mustRun(t, Options{
-			Topology: topo, BlockSize: 64e6, Seed: 32, RemoteStorageInput: true,
+			Cluster: topo, BlockSize: 64e6, Seed: 32, RemoteStorageInput: true,
 		}, jobs)
 		return res.Makespan
 	}
@@ -62,10 +62,10 @@ func TestRemoteStorageCorralStillWins(t *testing.T) {
 	}
 	plan := planFor(t, topo, jobs, planner.MinimizeMakespan)
 	yarn := mustRun(t, Options{
-		Topology: topo, Scheduler: YarnCS, BlockSize: 64e6, Seed: 33, RemoteStorageInput: true,
+		Cluster: topo, Scheduler: YarnCS, BlockSize: 64e6, Seed: 33, RemoteStorageInput: true,
 	}, jobs)
 	corral := mustRun(t, Options{
-		Topology: topo, Scheduler: Corral, Plan: plan, BlockSize: 64e6, Seed: 33, RemoteStorageInput: true,
+		Cluster: topo, Scheduler: Corral, Plan: plan, BlockSize: 64e6, Seed: 33, RemoteStorageInput: true,
 	}, jobs)
 	if corral.CrossRackBytes >= yarn.CrossRackBytes {
 		t.Fatalf("Corral cross-rack %g >= Yarn %g under remote storage",
@@ -81,7 +81,7 @@ func TestInMemoryModeSkipsWrites(t *testing.T) {
 		t.Skip("plan spread the job")
 	}
 	res := mustRun(t, Options{
-		Topology: topo, Scheduler: Corral, Plan: plan, BlockSize: 64e6,
+		Cluster: topo, Scheduler: Corral, Plan: plan, BlockSize: 64e6,
 		Seed: 34, InMemoryInput: true,
 	}, jobs)
 	// With a 1-rack plan and no replicated writes, nothing crosses racks.
@@ -102,10 +102,10 @@ func TestInMemoryStillNetworkBound(t *testing.T) {
 	}
 	plan := planFor(t, topo, jobs, planner.MinimizeMakespan)
 	yarn := mustRun(t, Options{
-		Topology: topo, Scheduler: YarnCS, BlockSize: 64e6, Seed: 35, InMemoryInput: true,
+		Cluster: topo, Scheduler: YarnCS, BlockSize: 64e6, Seed: 35, InMemoryInput: true,
 	}, jobs)
 	corral := mustRun(t, Options{
-		Topology: topo, Scheduler: Corral, Plan: plan, BlockSize: 64e6, Seed: 35, InMemoryInput: true,
+		Cluster: topo, Scheduler: Corral, Plan: plan, BlockSize: 64e6, Seed: 35, InMemoryInput: true,
 	}, jobs)
 	if corral.Makespan >= yarn.Makespan {
 		t.Fatalf("in-memory Corral %g >= Yarn %g", corral.Makespan, yarn.Makespan)

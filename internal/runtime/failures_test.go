@@ -13,7 +13,7 @@ func TestMidRunFailureTasksReexecute(t *testing.T) {
 	// Kill three machines shortly after the job starts: its in-flight
 	// tasks must be re-executed and the job must still complete.
 	res := mustRun(t, Options{
-		Topology: topo, BlockSize: 64e6, Seed: 21,
+		Cluster: topo, BlockSize: 64e6, Seed: 21,
 		Failures: []Failure{{At: 0.5, Machine: 0}, {At: 0.5, Machine: 1}, {At: 0.7, Machine: 2}},
 	}, jobs)
 	jr := res.Jobs[0]
@@ -24,7 +24,7 @@ func TestMidRunFailureTasksReexecute(t *testing.T) {
 	// make the job substantially faster. (It can be marginally faster:
 	// failures shift the randomized heartbeat order, and a lucky placement
 	// may beat the clean run by noise.)
-	clean := mustRun(t, Options{Topology: topo, BlockSize: 64e6, Seed: 21}, []*job.Job{shuffleJob(1)})
+	clean := mustRun(t, Options{Cluster: topo, BlockSize: 64e6, Seed: 21}, []*job.Job{shuffleJob(1)})
 	if jr.CompletionTime < 0.8*clean.Jobs[0].CompletionTime {
 		t.Fatalf("failure run (%g) much faster than clean run (%g)",
 			jr.CompletionTime, clean.Jobs[0].CompletionTime)
@@ -42,7 +42,7 @@ func TestMidRunFailureCorralFallback(t *testing.T) {
 	// Kill a majority of the assigned rack mid-run.
 	lo := a.Racks[0] * topo.MachinesPerRack
 	res := mustRun(t, Options{
-		Topology: topo, Scheduler: Corral, Plan: plan, BlockSize: 64e6, Seed: 22,
+		Cluster: topo, Scheduler: Corral, Plan: plan, BlockSize: 64e6, Seed: 22,
 		Failures: []Failure{
 			{At: 0.2, Machine: lo}, {At: 0.2, Machine: lo + 1}, {At: 0.2, Machine: lo + 2},
 		},
@@ -56,10 +56,10 @@ func TestMidRunFailureCorralFallback(t *testing.T) {
 }
 
 func TestFailureValidation(t *testing.T) {
-	if _, err := Run(Options{Topology: smallTopo(), Failures: []Failure{{At: 1, Machine: 10000}}}, nil); err == nil {
+	if _, err := Run(Options{Cluster: smallTopo(), Failures: []Failure{{At: 1, Machine: 10000}}}, nil); err == nil {
 		t.Fatal("out-of-range failure machine not rejected")
 	}
-	if _, err := Run(Options{Topology: smallTopo(), Failures: []Failure{{At: -1, Machine: 0}}}, nil); err == nil {
+	if _, err := Run(Options{Cluster: smallTopo(), Failures: []Failure{{At: -1, Machine: 0}}}, nil); err == nil {
 		t.Fatal("negative failure time not rejected")
 	}
 }
@@ -74,7 +74,7 @@ func TestFailAllReplicasStillReadable(t *testing.T) {
 	for r := 0; r < topo.Racks; r++ {
 		failures = append(failures, Failure{At: 0.1, Machine: r * topo.MachinesPerRack})
 	}
-	res := mustRun(t, Options{Topology: topo, BlockSize: 64e6, Seed: 23, Failures: failures}, jobs)
+	res := mustRun(t, Options{Cluster: topo, BlockSize: 64e6, Seed: 23, Failures: failures}, jobs)
 	if res.Jobs[0].CompletionTime <= 0 {
 		t.Fatal("job starved after per-rack failures")
 	}
@@ -83,9 +83,9 @@ func TestFailAllReplicasStillReadable(t *testing.T) {
 func TestStragglersSlowJobsDown(t *testing.T) {
 	topo := smallTopo()
 	mk := func() []*job.Job { return []*job.Job{shuffleJob(1)} }
-	clean := mustRun(t, Options{Topology: topo, BlockSize: 64e6, Seed: 24}, mk())
+	clean := mustRun(t, Options{Cluster: topo, BlockSize: 64e6, Seed: 24}, mk())
 	slow := mustRun(t, Options{
-		Topology: topo, BlockSize: 64e6, Seed: 24,
+		Cluster: topo, BlockSize: 64e6, Seed: 24,
 		StragglerFraction: 0.5, StragglerSlowdown: 10,
 	}, mk())
 	if slow.Makespan <= clean.Makespan {
@@ -97,7 +97,7 @@ func TestSpeculationMitigatesStragglers(t *testing.T) {
 	topo := smallTopo()
 	mk := func() []*job.Job { return []*job.Job{shuffleJob(1)} }
 	base := Options{
-		Topology: topo, BlockSize: 64e6, Seed: 25,
+		Cluster: topo, BlockSize: 64e6, Seed: 25,
 		StragglerFraction: 0.3, StragglerSlowdown: 20,
 	}
 	noSpec := mustRun(t, base, mk())
@@ -112,8 +112,8 @@ func TestSpeculationMitigatesStragglers(t *testing.T) {
 func TestSpeculationHarmlessWithoutStragglers(t *testing.T) {
 	topo := smallTopo()
 	mk := func() []*job.Job { return []*job.Job{shuffleJob(1)} }
-	clean := mustRun(t, Options{Topology: topo, BlockSize: 64e6, Seed: 26}, mk())
-	spec := mustRun(t, Options{Topology: topo, BlockSize: 64e6, Seed: 26, Speculation: true}, mk())
+	clean := mustRun(t, Options{Cluster: topo, BlockSize: 64e6, Seed: 26}, mk())
+	spec := mustRun(t, Options{Cluster: topo, BlockSize: 64e6, Seed: 26, Speculation: true}, mk())
 	if spec.Makespan != clean.Makespan {
 		t.Fatalf("speculation changed a straggler-free run: %g vs %g", spec.Makespan, clean.Makespan)
 	}
@@ -124,7 +124,7 @@ func TestFailureDeterminism(t *testing.T) {
 		topo := smallTopo()
 		jobs := []*job.Job{shuffleJob(1), shuffleJob(2)}
 		return mustRun(t, Options{
-			Topology: topo, BlockSize: 64e6, Seed: 27,
+			Cluster: topo, BlockSize: 64e6, Seed: 27,
 			Failures:          []Failure{{At: 1, Machine: 3}, {At: 2, Machine: 7}},
 			StragglerFraction: 0.2, Speculation: true,
 		}, jobs)
@@ -147,7 +147,7 @@ func TestManyFailuresNoDeadlock(t *testing.T) {
 	for i := 0; i < topo.Machines()/2; i++ {
 		failures = append(failures, Failure{At: float64(i) * 0.3, Machine: i * 2})
 	}
-	res := mustRun(t, Options{Topology: topo, BlockSize: 64e6, Seed: 28, Failures: failures}, jobs)
+	res := mustRun(t, Options{Cluster: topo, BlockSize: 64e6, Seed: 28, Failures: failures}, jobs)
 	for _, jr := range res.Jobs {
 		if jr.CompletionTime <= 0 {
 			t.Fatalf("job %d never finished under cascading failures", jr.ID)

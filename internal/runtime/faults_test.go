@@ -21,7 +21,7 @@ func TestWatchdogCanceledAfterCompletion(t *testing.T) {
 	// bit-identical to the same run without speculation (canceled events
 	// are not counted by des.Fired).
 	base := Options{
-		Topology: topo, BlockSize: 64e6, Seed: 31,
+		Cluster: topo, BlockSize: 64e6, Seed: 31,
 		StragglerFraction: 1, StragglerSlowdown: 1.5, SpeculationThreshold: 2,
 	}
 	noSpec := mustRun(t, base, mk())
@@ -43,7 +43,7 @@ func TestSpeculativeRelaunchCappedAtOne(t *testing.T) {
 	// straggles again, and is killed again, forever. With the cap the
 	// backup copy runs at nominal speed and the run terminates.
 	rt, err := newRuntime(Options{
-		Topology: topo, BlockSize: 64e6, Seed: 32,
+		Cluster: topo, BlockSize: 64e6, Seed: 32,
 		StragglerFraction: 1, StragglerSlowdown: 6,
 		Speculation: true, SpeculationThreshold: 2,
 	}, []*job.Job{shuffleJob(1)})
@@ -66,7 +66,7 @@ func TestSpeculativeRelaunchCappedAtOne(t *testing.T) {
 // --- S3: requeueMap under repeated failures ---------------------------------
 
 func TestRequeueMapReplicaFiltering(t *testing.T) {
-	rt, err := newRuntime(Options{Topology: smallTopo(), Seed: 1}, nil)
+	rt, err := newRuntime(Options{Cluster: smallTopo(), Seed: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestMapRunsOnceAcrossRepeatedFailures(t *testing.T) {
 	// the sibling replicas die alongside it the second time. The affected
 	// map tasks must complete exactly once each.
 	rt, err := newRuntime(Options{
-		Topology: topo, BlockSize: 64e6, Seed: 33,
+		Cluster: topo, BlockSize: 64e6, Seed: 33,
 		Failures: []Failure{
 			{At: 0.3, Machine: 0, Downtime: 1.0},
 			{At: 2.0, Machine: 0, Downtime: 1.0},
@@ -153,7 +153,7 @@ func TestRackMajorityLossMidShuffle(t *testing.T) {
 			1: {JobID: 1, Racks: []int{0}, Start: 0, EstLatency: 30},
 		},
 	}
-	clean := mustRun(t, Options{Topology: topo, Scheduler: Corral, Plan: plan, BlockSize: 64e6, Seed: 34},
+	clean := mustRun(t, Options{Cluster: topo, Scheduler: Corral, Plan: plan, BlockSize: 64e6, Seed: 34},
 		[]*job.Job{shuffleJob(1)})
 	// Maps of this shuffle-dominated job finish in well under half the
 	// makespan; at 0.5*makespan the job is mid-shuffle. Kill 3 of the 4
@@ -161,7 +161,7 @@ func TestRackMajorityLossMidShuffle(t *testing.T) {
 	at := 0.5 * clean.Makespan
 	lo := 0 * topo.MachinesPerRack
 	rt, err := newRuntime(Options{
-		Topology: topo, Scheduler: Corral, Plan: plan, BlockSize: 64e6, Seed: 34,
+		Cluster: topo, Scheduler: Corral, Plan: plan, BlockSize: 64e6, Seed: 34,
 		Failures: []Failure{
 			{At: at, Machine: lo}, {At: at, Machine: lo + 1}, {At: at, Machine: lo + 2},
 		},
@@ -194,7 +194,7 @@ func TestTransientFailureRecovers(t *testing.T) {
 	topo := smallTopo()
 	var recovered []float64
 	res := mustRun(t, Options{
-		Topology: topo, BlockSize: 64e6, Seed: 35,
+		Cluster: topo, BlockSize: 64e6, Seed: 35,
 		Failures: []Failure{{At: 0.5, Machine: 0, Downtime: 2}},
 		OnMachineRepair: func(m int, at float64) {
 			if m == 0 {
@@ -211,15 +211,15 @@ func TestTransientFailureRecovers(t *testing.T) {
 }
 
 func TestFailureValidationDowntime(t *testing.T) {
-	opts := Options{Topology: smallTopo(), Failures: []Failure{{At: 1, Machine: 0, Downtime: -1}}}
+	opts := Options{Cluster: smallTopo(), Failures: []Failure{{At: 1, Machine: 0, Downtime: -1}}}
 	if _, err := Run(opts, nil); err == nil {
 		t.Fatal("negative downtime not rejected")
 	}
-	bad := Options{Topology: smallTopo(), LinkFaults: []LinkFault{{At: 1, Rack: 99, Factor: 1}}}
+	bad := Options{Cluster: smallTopo(), LinkFaults: []LinkFault{{At: 1, Rack: 99, Factor: 1}}}
 	if _, err := Run(bad, nil); err == nil {
 		t.Fatal("out-of-range link fault rack not rejected")
 	}
-	neg := Options{Topology: smallTopo(), LinkFaults: []LinkFault{{At: 1, Rack: 0, Factor: -0.5}}}
+	neg := Options{Cluster: smallTopo(), LinkFaults: []LinkFault{{At: 1, Rack: 0, Factor: -0.5}}}
 	if _, err := Run(neg, nil); err == nil {
 		t.Fatal("negative link fault factor not rejected")
 	}
@@ -230,7 +230,7 @@ func TestFailureValidationDowntime(t *testing.T) {
 func TestLinkFaultSlowsAndRecovers(t *testing.T) {
 	topo := smallTopo()
 	mk := func() []*job.Job { return []*job.Job{shuffleJob(1)} }
-	clean := mustRun(t, Options{Topology: topo, BlockSize: 64e6, Seed: 36}, mk())
+	clean := mustRun(t, Options{Cluster: topo, BlockSize: 64e6, Seed: 36}, mk())
 	// Fail every rack uplink for a window mid-run; all cross-rack traffic
 	// parks, then resumes. The job must finish, later than clean.
 	var faults []LinkFault
@@ -239,7 +239,7 @@ func TestLinkFaultSlowsAndRecovers(t *testing.T) {
 			LinkFault{At: 0.3 * clean.Makespan, Rack: r, Factor: 0},
 			LinkFault{At: 0.3*clean.Makespan + 5, Rack: r, Factor: 1})
 	}
-	faulty := mustRun(t, Options{Topology: topo, BlockSize: 64e6, Seed: 36, LinkFaults: faults}, mk())
+	faulty := mustRun(t, Options{Cluster: topo, BlockSize: 64e6, Seed: 36, LinkFaults: faults}, mk())
 	if faulty.Jobs[0].CompletionTime <= 0 {
 		t.Fatal("job did not complete across a full uplink outage")
 	}
@@ -257,10 +257,10 @@ func TestUplinkFailureDropsConstraints(t *testing.T) {
 			1: {JobID: 1, Racks: []int{0}, Start: 0, EstLatency: 30},
 		},
 	}
-	clean := mustRun(t, Options{Topology: topo, Scheduler: Corral, Plan: plan, BlockSize: 64e6, Seed: 37},
+	clean := mustRun(t, Options{Cluster: topo, Scheduler: Corral, Plan: plan, BlockSize: 64e6, Seed: 37},
 		[]*job.Job{shuffleJob(1)})
 	rt, err := newRuntime(Options{
-		Topology: topo, Scheduler: Corral, Plan: plan, BlockSize: 64e6, Seed: 37,
+		Cluster: topo, Scheduler: Corral, Plan: plan, BlockSize: 64e6, Seed: 37,
 		LinkFaults: []LinkFault{
 			{At: 0.4 * clean.Makespan, Rack: 0, Factor: 0},
 			{At: 0.4*clean.Makespan + 30, Rack: 0, Factor: 1},
@@ -285,7 +285,7 @@ func TestUplinkFailureDropsConstraints(t *testing.T) {
 
 func TestReReplicationRestoresSpread(t *testing.T) {
 	topo := smallTopo()
-	opts := Options{Topology: topo, BlockSize: 64e6, Seed: 38}
+	opts := Options{Cluster: topo, BlockSize: 64e6, Seed: 38}
 	mk := func() []*job.Job { return []*job.Job{shuffleJob(1)} }
 
 	// Clean run: record total network bytes and which blocks live on the
@@ -387,7 +387,7 @@ func TestReplanOnFailureReassigns(t *testing.T) {
 	deadRack := 0
 	lo := deadRack * topo.MachinesPerRack
 	rt, err := newRuntime(Options{
-		Topology: topo, Scheduler: Corral, Plan: plan, BlockSize: 64e6, Seed: 39,
+		Cluster: topo, Scheduler: Corral, Plan: plan, BlockSize: 64e6, Seed: 39,
 		ReplanOnFailure: true,
 		Failures: []Failure{
 			{At: 1, Machine: lo}, {At: 1, Machine: lo + 1}, {At: 1, Machine: lo + 2},
@@ -421,7 +421,7 @@ func TestReplanDeterminism(t *testing.T) {
 		jobs := []*job.Job{shuffleJob(1), shuffleJob(2)}
 		plan := planFor(t, topo, []*job.Job{shuffleJob(1), shuffleJob(2)}, planner.MinimizeMakespan)
 		return mustRun(t, Options{
-			Topology: topo, Scheduler: Corral, Plan: plan, BlockSize: 64e6, Seed: 40,
+			Cluster: topo, Scheduler: Corral, Plan: plan, BlockSize: 64e6, Seed: 40,
 			ReplanOnFailure: true,
 			Failures: []Failure{
 				{At: 0.5, Machine: 0, Downtime: 3}, {At: 0.5, Machine: 1, Downtime: 3},

@@ -29,7 +29,7 @@ func TestValidateOverloadRejects(t *testing.T) {
 		{"queue cap without limit", func(o *Options) { o.AdmissionQueueCap = 8 }, "requires AdmissionLimit"},
 	}
 	for _, tc := range cases {
-		opts := Options{Topology: smallTopo(), BlockSize: 64e6, Seed: 1}
+		opts := Options{Cluster: smallTopo(), BlockSize: 64e6, Seed: 1}
 		tc.mut(&opts)
 		_, err := newRuntime(opts, []*job.Job{shuffleJob(1)})
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -46,7 +46,7 @@ func TestValidateOverloadRejects(t *testing.T) {
 // exponential-cooldown and quiet-decay transitions one by one.
 func TestReplanSuppressionWindow(t *testing.T) {
 	rt, err := newRuntime(Options{
-		Topology: smallTopo(), BlockSize: 64e6, Seed: 1,
+		Cluster: smallTopo(), BlockSize: 64e6, Seed: 1,
 		ReplanWindow: 1, // MaxReplansPerWindow defaults to 1
 	}, []*job.Job{shuffleJob(1)})
 	if err != nil {
@@ -85,7 +85,7 @@ func TestReplanSuppressionWindow(t *testing.T) {
 // every request: N requests cost O(log N) replans, not N.
 func TestReplanSuppressionCooldownCap(t *testing.T) {
 	rt, err := newRuntime(Options{
-		Topology: smallTopo(), BlockSize: 64e6, Seed: 1,
+		Cluster: smallTopo(), BlockSize: 64e6, Seed: 1,
 		ReplanWindow: 1,
 	}, []*job.Job{shuffleJob(1)})
 	if err != nil {
@@ -127,7 +127,7 @@ func budgetScenario(t *testing.T, budget float64) (*Result, *countingProbe) {
 		},
 	}
 	res := mustRun(t, Options{
-		Topology: topo, Scheduler: Corral, Plan: plan, BlockSize: 64e6, Seed: 39,
+		Cluster: topo, Scheduler: Corral, Plan: plan, BlockSize: 64e6, Seed: 39,
 		ReplanOnFailure: true,
 		PlannerBudget:   budget,
 		Probe:           probe,
@@ -208,7 +208,7 @@ func admissionJobs(arrivals ...float64) []*job.Job {
 func TestAdmissionSerializesArrivals(t *testing.T) {
 	topo := smallTopo()
 	probe := newCountingProbe(topo.Machines(), topo.SlotsPerMachine)
-	opts := Options{Topology: topo, BlockSize: 64e6, Seed: 3, AdmissionLimit: 1, Probe: probe}
+	opts := Options{Cluster: topo, BlockSize: 64e6, Seed: 3, AdmissionLimit: 1, Probe: probe}
 	res := mustRun(t, opts, admissionJobs(0, 0.1, 0.2))
 	if res.Deferred != 2 || res.Shed != 0 {
 		t.Fatalf("Deferred/Shed = %d/%d, want 2/0", res.Deferred, res.Shed)
@@ -232,7 +232,7 @@ func TestAdmissionSerializesArrivals(t *testing.T) {
 		t.Fatalf("%d invariant violations: %v", n, probe.mon.Violations())
 	}
 	// Serialized execution cannot beat unconstrained execution.
-	free := mustRun(t, Options{Topology: topo, BlockSize: 64e6, Seed: 3}, admissionJobs(0, 0.1, 0.2))
+	free := mustRun(t, Options{Cluster: topo, BlockSize: 64e6, Seed: 3}, admissionJobs(0, 0.1, 0.2))
 	if res.Makespan < free.Makespan {
 		t.Fatalf("serialized makespan %g beat unconstrained %g", res.Makespan, free.Makespan)
 	}
@@ -244,7 +244,7 @@ func TestAdmissionShedsAtCapacity(t *testing.T) {
 	topo := smallTopo()
 	probe := newCountingProbe(topo.Machines(), topo.SlotsPerMachine)
 	opts := Options{
-		Topology: topo, BlockSize: 64e6, Seed: 5,
+		Cluster: topo, BlockSize: 64e6, Seed: 5,
 		AdmissionLimit: 1, AdmissionQueueCap: 1, Probe: probe,
 	}
 	res := mustRun(t, opts, admissionJobs(0, 0.1, 0.2, 0.3))
@@ -279,7 +279,7 @@ func TestAdmissionShedsAtCapacity(t *testing.T) {
 func TestAdmissionDeterminism(t *testing.T) {
 	run := func() *Result {
 		return mustRun(t, Options{
-			Topology: smallTopo(), BlockSize: 64e6, Seed: 9,
+			Cluster: smallTopo(), BlockSize: 64e6, Seed: 9,
 			AdmissionLimit: 2, AdmissionQueueCap: 1,
 		}, admissionJobs(0, 0.5, 1, 1.5, 2))
 	}
@@ -295,7 +295,7 @@ func TestAdmissionDeterminism(t *testing.T) {
 // and restore it exactly: the resumed run equals the uninterrupted one.
 func TestOverloadSnapshotRoundTrip(t *testing.T) {
 	opts := Options{
-		Topology: smallTopo(), BlockSize: 64e6, Seed: 21,
+		Cluster: smallTopo(), BlockSize: 64e6, Seed: 21,
 		AdmissionLimit: 1, ReplanWindow: 2,
 	}
 	jobs := func() []*job.Job { return admissionJobs(0, 0.1, 0.2) }

@@ -26,7 +26,7 @@ func TestPlanPrioritiesOrderJobs(t *testing.T) {
 		2: {JobID: 2, Racks: []int{0}, Priority: 0, EstLatency: 10},
 	}}
 	res := mustRun(t, Options{
-		Topology: topo, Scheduler: Corral, Plan: plan, BlockSize: 64e6, Seed: 51,
+		Cluster: topo, Scheduler: Corral, Plan: plan, BlockSize: 64e6, Seed: 51,
 	}, []*job.Job{j1, j2})
 	var c1, c2 float64
 	for _, jr := range res.Jobs {
@@ -56,9 +56,9 @@ func TestDelaySchedulingAchievesLocality(t *testing.T) {
 		}
 		return jobs
 	}
-	patient := mustRun(t, Options{Topology: topo, BlockSize: 64e6, Seed: 52}, mk())
+	patient := mustRun(t, Options{Cluster: topo, BlockSize: 64e6, Seed: 52}, mk())
 	impatient := mustRun(t, Options{
-		Topology: topo, BlockSize: 64e6, Seed: 52,
+		Cluster: topo, BlockSize: 64e6, Seed: 52,
 		DelayNodeLocal: 1, DelayRackLocal: 2,
 	}, mk())
 	if patient.CrossRackBytes >= impatient.CrossRackBytes {
@@ -80,7 +80,7 @@ func TestWorkConservationUnderConstraints(t *testing.T) {
 		1: {JobID: 1, Racks: []int{0}, Priority: 0, EstLatency: 10},
 	}}
 	res := mustRun(t, Options{
-		Topology: topo, Scheduler: Corral, Plan: plan, BlockSize: 64e6, Seed: 53,
+		Cluster: topo, Scheduler: Corral, Plan: plan, BlockSize: 64e6, Seed: 53,
 	}, []*job.Job{planned, adhoc})
 	// Both finish; the ad-hoc job is not serialized behind the planned one
 	// (it has three other racks all to itself).
@@ -103,7 +103,7 @@ func TestSlotAccountingRestored(t *testing.T) {
 	topo := smallTopo()
 	jobs := []*job.Job{shuffleJob(1), shuffleJob(2)}
 	rt, err := newRuntime(Options{
-		Topology: topo, BlockSize: 64e6, Seed: 54,
+		Cluster: topo, BlockSize: 64e6, Seed: 54,
 		StragglerFraction: 0.3, Speculation: true,
 		Failures: []Failure{{At: 1, Machine: 9}},
 	}, jobs)
@@ -143,7 +143,7 @@ func TestPlannerEstimateTracksSimulation(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := mustRun(t, Options{
-		Topology: topo, Scheduler: Corral, Plan: plan, BlockSize: 64e6, Seed: 55,
+		Cluster: topo, Scheduler: Corral, Plan: plan, BlockSize: 64e6, Seed: 55,
 	}, jobs)
 	est := plan.Makespan
 	act := res.Makespan
@@ -194,7 +194,7 @@ func TestQuickRuntimeInvariants(t *testing.T) {
 			})
 		}
 		opts := Options{
-			Topology: topo, Scheduler: kind, Plan: plan, BlockSize: 64e6,
+			Cluster: topo, Scheduler: kind, Plan: plan, BlockSize: 64e6,
 			Seed: seed, Failures: failures,
 		}
 		if stragglers {

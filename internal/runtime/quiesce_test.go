@@ -14,7 +14,7 @@ func TestQuiesceTimeFoldsRepairTail(t *testing.T) {
 	topo := smallTopo()
 	mk := func() []*job.Job { return []*job.Job{shuffleJob(1)} }
 
-	clean := mustRun(t, Options{Topology: topo, BlockSize: 64e6, Seed: 61}, mk())
+	clean := mustRun(t, Options{Cluster: topo, BlockSize: 64e6, Seed: 61}, mk())
 	if clean.QuiesceTime != clean.Makespan {
 		t.Fatalf("no repairs ran, yet QuiesceTime %g != Makespan %g",
 			clean.QuiesceTime, clean.Makespan)
@@ -24,7 +24,7 @@ func TestQuiesceTimeFoldsRepairTail(t *testing.T) {
 	// re-replicated by flows that are pure repair tail.
 	late := clean.Makespan + 5
 	res := mustRun(t, Options{
-		Topology: topo, BlockSize: 64e6, Seed: 61,
+		Cluster: topo, BlockSize: 64e6, Seed: 61,
 		Failures: []Failure{{At: late, Machine: 0}},
 	}, mk())
 	if res.Makespan != clean.Makespan {
@@ -41,7 +41,7 @@ func TestQuiesceTimeFoldsRepairTail(t *testing.T) {
 
 	// With the repair daemon off the tail disappears again.
 	off := mustRun(t, Options{
-		Topology: topo, BlockSize: 64e6, Seed: 61,
+		Cluster: topo, BlockSize: 64e6, Seed: 61,
 		Failures:             []Failure{{At: late, Machine: 0}},
 		DisableReReplication: true,
 	}, mk())

@@ -46,7 +46,7 @@ func (rt *runtime) replanOnFailure() {
 
 	var replanJobs []*jobExec
 	in := planner.Input{
-		Cluster:   model.FromTopology(rt.opts.Topology),
+		Cluster:   model.FromTopology(rt.opts.Cluster),
 		Alpha:     -1,
 		Objective: rt.opts.Plan.Objective,
 	}

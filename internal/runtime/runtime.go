@@ -77,19 +77,14 @@ func ParseKind(s string) (Kind, error) {
 	return 0, fmt.Errorf("runtime: unknown scheduler %q", s)
 }
 
-// Options configures one simulated run.
+// Options configures one simulated run; the public API exports it as
+// corral.SimConfig.
 type Options struct {
-	Topology topology.Config
-	// Network is the bandwidth-sharing policy; nil selects the incremental
-	// max-min fast path (TCP-like rates, bit-identical to MaxMinFair).
+	// Cluster is the simulated cluster's shape.
+	Cluster topology.Config
+	// Network is the bandwidth-sharing policy; nil selects a fresh max-min
+	// fair allocator (netsim.IncrementalMaxMin, the TCP emulation).
 	Network netsim.Policy
-	// FlowEpoch, when positive, batches network rate recomputations to
-	// multiples of this many simulated seconds: flow starts, cancels and
-	// link faults inside one quantum are absorbed by a single re-waterfill
-	// (completions still recompute exactly). The coarse knob for the
-	// huge-shuffle tail at datacenter scale; zero keeps the exact
-	// recompute-on-change behavior.
-	FlowEpoch float64
 	// Scheduler selects the policy; Corral and LocalShuffle require Plan.
 	Scheduler Kind
 	Plan      *planner.Plan
@@ -157,7 +152,7 @@ type Options struct {
 	// RemoteStorageInput makes every job read its input from the separate
 	// storage cluster over the shared interconnect (§2's Azure/S3
 	// scenario, §7 "Remote storage") instead of from pre-placed DFS
-	// blocks. Requires Topology.RemoteStorageBandwidth > 0.
+	// blocks. Requires Cluster.RemoteStorageBandwidth > 0.
 	RemoteStorageInput bool
 	// InMemoryInput models Spark-like in-memory data (§7 "In-memory
 	// systems"): terminal outputs are not written through the replicated
@@ -447,7 +442,7 @@ func newRuntime(opts Options, jobs []*job.Job) (*runtime, error) {
 			return nil, fmt.Errorf("runtime: scheduler %v requires a plan", opts.Scheduler)
 		}
 	}
-	cluster, err := topology.New(opts.Topology)
+	cluster, err := topology.New(opts.Cluster)
 	if err != nil {
 		return nil, err
 	}
@@ -513,19 +508,14 @@ func newRuntime(opts Options, jobs []*job.Job) (*runtime, error) {
 	}
 	if opts.RemoteStorageInput {
 		if _, ok := cluster.StorageLink(); !ok {
-			return nil, fmt.Errorf("runtime: RemoteStorageInput requires Topology.RemoteStorageBandwidth > 0")
+			return nil, fmt.Errorf("runtime: RemoteStorageInput requires Cluster.RemoteStorageBandwidth > 0")
 		}
 	}
 	if opts.InMemoryInput {
 		opts.OutputReplication = 1
 	}
-	if opts.FlowEpoch < 0 {
-		return nil, fmt.Errorf("runtime: negative flow epoch %g", opts.FlowEpoch)
-	}
-	// Default to the incremental fast-path allocator: bit-identical rates
-	// to MaxMinFair and GroupedMaxMin (see netsim/incremental.go) but
-	// stateful, so each run gets a fresh instance — required for parallel
-	// experiment sweeps.
+	// Default to the max-min allocator. It is stateful, so each run gets a
+	// fresh instance — required for parallel experiment sweeps.
 	netPolicy := opts.Network
 	if netPolicy == nil {
 		netPolicy = netsim.NewIncrementalMaxMin()
@@ -553,9 +543,6 @@ func newRuntime(opts Options, jobs []*job.Job) (*runtime, error) {
 	// dropped in the done callback or cleared on abort), so retired flow
 	// objects are recycled instead of churning the GC.
 	rt.net.SetFlowPooling(true)
-	if opts.FlowEpoch > 0 {
-		rt.net.SetFlowEpoch(des.Time(opts.FlowEpoch))
-	}
 	rt.machineOrder = make([]int, m)
 	for i := range rt.freeSlots {
 		rt.freeSlots[i] = cluster.Config.SlotsPerMachine

@@ -62,7 +62,7 @@ func mustRun(t *testing.T, opts Options, jobs []*job.Job) *Result {
 
 func TestSingleJobCompletes(t *testing.T) {
 	jobs := []*job.Job{shuffleJob(1)}
-	res := mustRun(t, Options{Topology: smallTopo(), BlockSize: 64e6, Seed: 1}, jobs)
+	res := mustRun(t, Options{Cluster: smallTopo(), BlockSize: 64e6, Seed: 1}, jobs)
 	if len(res.Jobs) != 1 {
 		t.Fatalf("results for %d jobs, want 1", len(res.Jobs))
 	}
@@ -87,10 +87,10 @@ func TestSingleJobCompletes(t *testing.T) {
 }
 
 func TestCorralRequiresPlan(t *testing.T) {
-	if _, err := Run(Options{Topology: smallTopo(), Scheduler: Corral}, nil); err == nil {
+	if _, err := Run(Options{Cluster: smallTopo(), Scheduler: Corral}, nil); err == nil {
 		t.Fatal("Corral without plan not rejected")
 	}
-	if _, err := Run(Options{Topology: smallTopo(), Scheduler: LocalShuffle}, nil); err == nil {
+	if _, err := Run(Options{Cluster: smallTopo(), Scheduler: LocalShuffle}, nil); err == nil {
 		t.Fatal("LocalShuffle without plan not rejected")
 	}
 }
@@ -100,7 +100,7 @@ func TestCorralConstrainsRacks(t *testing.T) {
 	jobs := []*job.Job{shuffleJob(1), shuffleJob(2), shuffleJob(3), shuffleJob(4)}
 	plan := planFor(t, topo, jobs, planner.MinimizeMakespan)
 	res := mustRun(t, Options{
-		Topology: topo, Scheduler: Corral, Plan: plan, BlockSize: 64e6, Seed: 2,
+		Cluster: topo, Scheduler: Corral, Plan: plan, BlockSize: 64e6, Seed: 2,
 	}, jobs)
 	for _, jr := range res.Jobs {
 		a := plan.Assignments[jr.ID]
@@ -120,8 +120,8 @@ func TestCorralBeatsYarnCSOnShuffleHeavyBatch(t *testing.T) {
 	}
 	plan := planFor(t, topo, jobs, planner.MinimizeMakespan)
 
-	yarn := mustRun(t, Options{Topology: topo, Scheduler: YarnCS, BlockSize: 64e6, Seed: 3}, jobs)
-	corral := mustRun(t, Options{Topology: topo, Scheduler: Corral, Plan: plan, BlockSize: 64e6, Seed: 3}, jobs)
+	yarn := mustRun(t, Options{Cluster: topo, Scheduler: YarnCS, BlockSize: 64e6, Seed: 3}, jobs)
+	corral := mustRun(t, Options{Cluster: topo, Scheduler: Corral, Plan: plan, BlockSize: 64e6, Seed: 3}, jobs)
 
 	if corral.Makespan >= yarn.Makespan {
 		t.Fatalf("Corral makespan %g >= Yarn-CS %g", corral.Makespan, yarn.Makespan)
@@ -140,8 +140,8 @@ func TestLocalShuffleBetween(t *testing.T) {
 		jobs = append(jobs, shuffleJob(i))
 	}
 	plan := planFor(t, topo, jobs, planner.MinimizeMakespan)
-	corral := mustRun(t, Options{Topology: topo, Scheduler: Corral, Plan: plan, BlockSize: 64e6, Seed: 4}, jobs)
-	local := mustRun(t, Options{Topology: topo, Scheduler: LocalShuffle, Plan: plan, BlockSize: 64e6, Seed: 4}, jobs)
+	corral := mustRun(t, Options{Cluster: topo, Scheduler: Corral, Plan: plan, BlockSize: 64e6, Seed: 4}, jobs)
+	local := mustRun(t, Options{Cluster: topo, Scheduler: LocalShuffle, Plan: plan, BlockSize: 64e6, Seed: 4}, jobs)
 	if local.CrossRackBytes < corral.CrossRackBytes {
 		t.Fatalf("LocalShuffle cross-rack %g < Corral %g", local.CrossRackBytes, corral.CrossRackBytes)
 	}
@@ -153,7 +153,7 @@ func TestShuffleWatcherRuns(t *testing.T) {
 	for i := 1; i <= 4; i++ {
 		jobs = append(jobs, shuffleJob(i))
 	}
-	res := mustRun(t, Options{Topology: topo, Scheduler: ShuffleWatcher, BlockSize: 64e6, Seed: 5}, jobs)
+	res := mustRun(t, Options{Cluster: topo, Scheduler: ShuffleWatcher, BlockSize: 64e6, Seed: 5}, jobs)
 	for _, jr := range res.Jobs {
 		if jr.CompletionTime <= 0 {
 			t.Fatalf("job %d did not complete", jr.ID)
@@ -176,7 +176,7 @@ func TestDAGJobExecutes(t *testing.T) {
 		{Name: "right", Profile: p, Upstream: []int{0}},
 		{Name: "join", Profile: p, Upstream: []int{1, 2}},
 	}}
-	res := mustRun(t, Options{Topology: smallTopo(), BlockSize: 64e6, Seed: 6}, []*job.Job{dag})
+	res := mustRun(t, Options{Cluster: smallTopo(), BlockSize: 64e6, Seed: 6}, []*job.Job{dag})
 	jr := res.Jobs[0]
 	if jr.CompletionTime <= 0 {
 		t.Fatal("DAG did not complete")
@@ -191,7 +191,7 @@ func TestMapOnlyJob(t *testing.T) {
 	j := job.MapReduce(1, "maponly", job.Profile{
 		InputBytes: 256e6, MapTasks: 4, MapRate: 2e8,
 	})
-	res := mustRun(t, Options{Topology: smallTopo(), BlockSize: 64e6, Seed: 7}, []*job.Job{j})
+	res := mustRun(t, Options{Cluster: smallTopo(), BlockSize: 64e6, Seed: 7}, []*job.Job{j})
 	if res.Jobs[0].CompletionTime <= 0 {
 		t.Fatal("map-only job did not complete")
 	}
@@ -203,7 +203,7 @@ func TestMapOnlyJob(t *testing.T) {
 func TestOnlineArrivals(t *testing.T) {
 	j1, j2 := shuffleJob(1), shuffleJob(2)
 	j2.Arrival = 500
-	res := mustRun(t, Options{Topology: smallTopo(), BlockSize: 64e6, Seed: 8}, []*job.Job{j1, j2})
+	res := mustRun(t, Options{Cluster: smallTopo(), BlockSize: 64e6, Seed: 8}, []*job.Job{j1, j2})
 	for _, jr := range res.Jobs {
 		if jr.Completion < jr.Arrival {
 			t.Fatalf("job %d completed before arrival", jr.ID)
@@ -228,7 +228,7 @@ func TestAdHocJobsRunUnderCorral(t *testing.T) {
 	adhoc.Recurring = false
 	all := append(append([]*job.Job{}, planned...), adhoc)
 	plan := planFor(t, topo, planned, planner.MinimizeMakespan)
-	res := mustRun(t, Options{Topology: topo, Scheduler: Corral, Plan: plan, BlockSize: 64e6, Seed: 9}, all)
+	res := mustRun(t, Options{Cluster: topo, Scheduler: Corral, Plan: plan, BlockSize: 64e6, Seed: 9}, all)
 	for _, jr := range res.Jobs {
 		if jr.CompletionTime <= 0 {
 			t.Fatalf("job %d (adhoc=%v) did not complete", jr.ID, jr.AdHoc)
@@ -249,7 +249,7 @@ func TestFailureFallbackReleasesConstraints(t *testing.T) {
 	mlo, _ := cl.MachinesInRack(a.Racks[0])
 	failed := []int{mlo, mlo + 1, mlo + 2}
 	res := mustRun(t, Options{
-		Topology: topo, Scheduler: Corral, Plan: plan, BlockSize: 64e6,
+		Cluster: topo, Scheduler: Corral, Plan: plan, BlockSize: 64e6,
 		Seed: 10, FailedMachines: failed,
 	}, jobs)
 	if res.Jobs[0].CompletionTime <= 0 {
@@ -262,7 +262,7 @@ func TestFailureFallbackReleasesConstraints(t *testing.T) {
 }
 
 func TestFailedMachineValidation(t *testing.T) {
-	if _, err := Run(Options{Topology: smallTopo(), FailedMachines: []int{999}}, nil); err == nil {
+	if _, err := Run(Options{Cluster: smallTopo(), FailedMachines: []int{999}}, nil); err == nil {
 		t.Fatal("out-of-range failed machine not rejected")
 	}
 }
@@ -277,7 +277,7 @@ func TestDeterminism(t *testing.T) {
 			jobs = append(jobs, j)
 		}
 		plan := planFor(t, topo, jobs, planner.MinimizeAvgCompletion)
-		return mustRun(t, Options{Topology: topo, Scheduler: Corral, Plan: plan, BlockSize: 64e6, Seed: 11}, jobs)
+		return mustRun(t, Options{Cluster: topo, Scheduler: Corral, Plan: plan, BlockSize: 64e6, Seed: 11}, jobs)
 	}
 	a, b := run(), run()
 	if a.Makespan != b.Makespan || a.CrossRackBytes != b.CrossRackBytes {
@@ -298,7 +298,7 @@ func TestVarysPolicyRuns(t *testing.T) {
 		jobs = append(jobs, shuffleJob(i))
 	}
 	res := mustRun(t, Options{
-		Topology: topo, Scheduler: YarnCS, Network: netsim.Varys{},
+		Cluster: topo, Scheduler: YarnCS, Network: netsim.Varys{},
 		BlockSize: 64e6, Seed: 12,
 	}, jobs)
 	if res.Makespan <= 0 {
@@ -315,7 +315,7 @@ func TestCorralSingleRackJobCrossRackOnlyFromWrites(t *testing.T) {
 	if len(plan.Assignments[1].Racks) != 1 {
 		t.Skip("plan spread the job; premise gone")
 	}
-	res := mustRun(t, Options{Topology: topo, Scheduler: Corral, Plan: plan, BlockSize: 64e6, Seed: 13}, jobs)
+	res := mustRun(t, Options{Cluster: topo, Scheduler: Corral, Plan: plan, BlockSize: 64e6, Seed: 13}, jobs)
 	jr := res.Jobs[0]
 	// Output = 100e6; one cross-rack replica copy.
 	if jr.CrossRackBytes > 150e6 {
@@ -337,8 +337,8 @@ func TestBackgroundTrafficHurtsYarnMoreThanCorral(t *testing.T) {
 			jobs = append(jobs, shuffleJob(i))
 		}
 		plan := planFor(t, topo, jobs, planner.MinimizeMakespan)
-		y := mustRun(t, Options{Topology: topo, Scheduler: YarnCS, BlockSize: 64e6, Seed: 14}, jobs)
-		c := mustRun(t, Options{Topology: topo, Scheduler: Corral, Plan: plan, BlockSize: 64e6, Seed: 14}, jobs)
+		y := mustRun(t, Options{Cluster: topo, Scheduler: YarnCS, BlockSize: 64e6, Seed: 14}, jobs)
+		c := mustRun(t, Options{Cluster: topo, Scheduler: Corral, Plan: plan, BlockSize: 64e6, Seed: 14}, jobs)
 		return y.Makespan - c.Makespan
 	}
 	low := gap(0)
@@ -351,7 +351,7 @@ func TestBackgroundTrafficHurtsYarnMoreThanCorral(t *testing.T) {
 func TestResultAggregates(t *testing.T) {
 	topo := smallTopo()
 	jobs := []*job.Job{shuffleJob(1), shuffleJob(2)}
-	res := mustRun(t, Options{Topology: topo, BlockSize: 64e6, Seed: 15}, jobs)
+	res := mustRun(t, Options{Cluster: topo, BlockSize: 64e6, Seed: 15}, jobs)
 	if got := res.AvgCompletionTime(); got <= 0 {
 		t.Fatalf("avg completion = %g", got)
 	}

@@ -227,10 +227,9 @@ func (rt *runtime) buildSpec() (snapshot.Spec, error) {
 		}
 	}
 	spec := snapshot.Spec{
-		Topology:  o.Topology,
+		Topology:  o.Cluster,
 		Scheduler: o.Scheduler.String(),
 		Policy:    policy,
-		FlowEpoch: o.FlowEpoch,
 		Seed:      o.Seed,
 		Plan:      o.Plan,
 
@@ -283,19 +282,16 @@ func (rt *runtime) buildSpec() (snapshot.Spec, error) {
 }
 
 // policyByName is the inverse of Policy.Name for the bundled policies.
-// "" selects the default (a fresh incremental max-min instance per run —
-// bit-identical to the grouped and reference allocators, so snapshots
-// recorded under any earlier default resume equivalently).
+// "" selects the default. Every max-min name maps to a fresh instance of
+// the one max-min allocator: "maxmin" and "maxmin-grouped" name the
+// per-flow and grouped allocators it replaced, whose rates it reproduces
+// bit for bit, so snapshots recorded under them resume equivalently.
 func policyByName(name string) (netsim.Policy, error) {
 	switch name {
 	case "":
 		return nil, nil
-	case "maxmin-incremental":
+	case "maxmin", "maxmin-grouped", "maxmin-incremental":
 		return netsim.NewIncrementalMaxMin(), nil
-	case "maxmin-grouped":
-		return netsim.NewGroupedMaxMin(), nil
-	case "maxmin":
-		return netsim.MaxMinFair{}, nil
 	case "varys":
 		return netsim.Varys{}, nil
 	}
@@ -312,11 +308,13 @@ func optionsFromSpec(spec *snapshot.Spec) (Options, []*job.Job, error) {
 	if err != nil {
 		return Options{}, nil, err
 	}
+	if spec.FlowEpoch != 0 {
+		return Options{}, nil, fmt.Errorf("runtime: snapshot spec sets FlowEpoch %g; flow-epoch batching was removed, so only FlowEpoch 0 restores", spec.FlowEpoch)
+	}
 	opts := Options{
-		Topology:  spec.Topology,
+		Cluster:   spec.Topology,
 		Scheduler: kind,
 		Network:   policy,
-		FlowEpoch: spec.FlowEpoch,
 		Seed:      spec.Seed,
 		Plan:      spec.Plan,
 

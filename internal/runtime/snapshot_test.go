@@ -16,7 +16,7 @@ import (
 // all active, so a snapshot has to carry every state category at once.
 func snapOpts(seed int64) Options {
 	return Options{
-		Topology:          smallTopo(),
+		Cluster:           smallTopo(),
 		BlockSize:         64e6,
 		Seed:              seed,
 		TaskFailureProb:   0.1,
@@ -84,7 +84,7 @@ func TestSnapshotResumeEquivalence(t *testing.T) {
 				t.Fatalf("seed %d idx %d: decode: %v", seed, idx, err)
 			}
 			c := trace.NewCollector()
-			mon := newCountingProbe(opts.Topology.Machines(), opts.Topology.SlotsPerMachine)
+			mon := newCountingProbe(opts.Cluster.Machines(), opts.Cluster.SlotsPerMachine)
 			res, err := Resume(decoded, ResumeOptions{Trace: c.NewRun("snap-eq"), Probe: mon})
 			if err != nil {
 				t.Fatalf("seed %d idx %d: resume: %v", seed, idx, err)

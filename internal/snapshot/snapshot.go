@@ -96,13 +96,13 @@ type Spec struct {
 	Topology  topology.Config
 	Scheduler string
 	// Policy names the bandwidth-sharing policy ("" selects the default
-	// incremental max-min allocator, bit-identical to the grouped and
-	// reference allocators).
+	// max-min allocator; "maxmin", "maxmin-grouped" and
+	// "maxmin-incremental" all restore as that allocator).
 	Policy string
-	// FlowEpoch batches flow-rate recomputations to multiples of this many
-	// simulated seconds (PR 9, additive). Pre-PR-9 snapshots decode this to
-	// zero — exact, unbatched recomputation — so old snapshots restore with
-	// unchanged semantics.
+	// FlowEpoch is a wire field of a removed recompute-batching knob. It is
+	// kept so decoding stays strict and every existing snapshot still
+	// decodes and re-encodes byte for byte; restore rejects any value but
+	// zero, which is what every writer now records.
 	FlowEpoch float64
 	Seed      int64
 	Plan      *planner.Plan

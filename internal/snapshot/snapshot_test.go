@@ -25,9 +25,20 @@ import (
 // deliberate one.
 func goldenSnapshot(t *testing.T) *snapshot.Snapshot {
 	t.Helper()
+	opts, jobs := goldenRun()
+	snap, err := runtime.CaptureAt(opts, jobs, runtime.CheckpointTarget{SimTime: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap
+}
+
+// goldenRun is the pinned run goldenSnapshot captures, built fresh on
+// every call.
+func goldenRun() (runtime.Options, []*job.Job) {
 	const gbps = 1e9 / 8
 	opts := runtime.Options{
-		Topology: topology.Config{
+		Cluster: topology.Config{
 			Racks:            2,
 			MachinesPerRack:  2,
 			SlotsPerMachine:  2,
@@ -47,11 +58,54 @@ func goldenSnapshot(t *testing.T) *snapshot.Snapshot {
 		MapRate:      2e8,
 		ReduceRate:   2e8,
 	})
-	snap, err := runtime.CaptureAt(opts, []*job.Job{j}, runtime.CheckpointTarget{SimTime: 4})
+	return opts, []*job.Job{j}
+}
+
+// TestLegacyPolicyNamesResume pins the flow-policy names snapshots have
+// recorded: the default "" and every max-min allocator name ever written
+// must decode and resume to the uninterrupted default run's Result, and a
+// Spec that sets the removed FlowEpoch knob must be rejected with an error
+// naming the field rather than resume under different semantics.
+func TestLegacyPolicyNamesResume(t *testing.T) {
+	want, err := runtime.Run(goldenRun())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return snap
+	for _, tc := range []struct {
+		policy    string
+		flowEpoch float64
+		wantErr   string
+	}{
+		{policy: ""},
+		{policy: "maxmin"},
+		{policy: "maxmin-grouped"},
+		{policy: "maxmin-incremental"},
+		{policy: "", flowEpoch: 0.25, wantErr: "FlowEpoch"},
+	} {
+		snap := goldenSnapshot(t)
+		snap.Spec.Policy, snap.Spec.FlowEpoch = tc.policy, tc.flowEpoch
+		raw, err := snapshot.Encode(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec, err := snapshot.Decode(raw)
+		if err != nil {
+			t.Fatalf("policy %q: decode: %v", tc.policy, err)
+		}
+		got, err := runtime.Resume(dec, runtime.ResumeOptions{})
+		if tc.wantErr != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("FlowEpoch %v: err = %v, want an error naming %s", tc.flowEpoch, err, tc.wantErr)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("policy %q: resume: %v", tc.policy, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("policy %q: resumed Result differs from the default run's:\n got:  %+v\n want: %+v", tc.policy, got, want)
+		}
+	}
 }
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {

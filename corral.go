@@ -32,6 +32,7 @@ import (
 	"corral/internal/model"
 	"corral/internal/netsim"
 	"corral/internal/planner"
+	"corral/internal/pool"
 	"corral/internal/runtime"
 	"corral/internal/snapshot"
 	"corral/internal/topology"
@@ -167,11 +168,11 @@ type AMFailure = runtime.AMFailure
 // in simulated time.
 type Corruption = runtime.Corruption
 
-// InvariantProbe receives runtime lifecycle events; InvariantEvent is
-// one such event.
+// InvariantProbe observes a run's trace events (SimConfig.Probe);
+// InvariantEvent is one such event.
 type (
-	InvariantProbe = invariants.Probe
-	InvariantEvent = invariants.Event
+	InvariantProbe = trace.Observer
+	InvariantEvent = trace.Event
 )
 
 // InvariantMonitor checks runtime lifecycle invariants (slot
@@ -209,8 +210,8 @@ type Snapshot = snapshot.Snapshot
 // SimTime.
 type CheckpointTarget = runtime.CheckpointTarget
 
-// ResumeOptions reattaches the observer hooks (invariant probe, tracer,
-// repair callback) that a snapshot deliberately excludes.
+// ResumeOptions reattaches the observers (invariant probe, tracer) that a
+// snapshot deliberately excludes.
 type ResumeOptions = runtime.ResumeOptions
 
 // SimulateWithSnapshots runs like Simulate but captures a snapshot at each
@@ -511,11 +512,11 @@ func CaptureScenarioSnapshot(size ExperimentSize, seed int64, target CheckpointT
 }
 
 // SetSweepWorkers bounds the worker pool experiment sweeps (chaos
-// intensities, fuzz traces, sensitivity points, ablation cells) fan out
-// over. n <= 0 restores the default (GOMAXPROCS); 1 forces serial
-// execution. The worker count changes wall-clock time only — sweep results
-// are bit-identical for any value.
-func SetSweepWorkers(n int) { experiments.SetSweepWorkers(n) }
+// intensities, fuzz traces, sensitivity points, ablation cells) and the
+// planner's provisioning search fan out over. n <= 0 restores the default
+// (GOMAXPROCS); 1 forces serial execution. The worker count changes
+// wall-clock time only — results are bit-identical for any value.
+func SetSweepWorkers(n int) { pool.SetWorkers(n) }
 
 // UnknownExperimentError reports an unrecognized experiment ID.
 type UnknownExperimentError struct{ ID string }

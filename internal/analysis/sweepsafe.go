@@ -6,11 +6,11 @@ import (
 	"go/types"
 )
 
-// SweepSafe statically enforces the parallel-sweep write discipline from
-// internal/experiments/parallel.go: a closure handed to parallelFor runs
-// concurrently on an unspecified worker, so the only write it may make
-// to state captured from outside the closure is an index-addressed slot
-// store — slots[i] = ..., where i is the closure's own index parameter.
+// SweepSafe statically enforces the worker-pool write discipline from
+// internal/pool: a closure handed to pool.For (or to a helper named
+// parallelFor) runs concurrently on an unspecified worker, so the only
+// write it may make to state captured from outside the closure is an
+// index-addressed slot store — slots[i] = ..., where i is the closure's own index parameter.
 // Everything else (captured scalar mutation, appends to captured slices,
 // captured-map writes, stores at any other index, writes through a
 // captured pointer, channel sends) either races outright or makes the
@@ -23,7 +23,7 @@ import (
 // aimed at a slot (out := &outs[i]; out.field = ...).
 var SweepSafe = &Analyzer{
 	Name: "sweepsafe",
-	Doc:  "non-slot writes to captured state inside a parallelFor closure (breaks worker-count invariance)",
+	Doc:  "non-slot writes to captured state inside a pool.For or parallelFor closure (breaks worker-count invariance)",
 	Run:  runSweepSafe,
 }
 
@@ -34,7 +34,7 @@ func runSweepSafe(pass *Pass) {
 			if !ok {
 				return true
 			}
-			lit, ok := sweepClosureArg(pass.Info, call)
+			lit, ok := sweepClosureArg(pass, call)
 			if !ok {
 				return true
 			}
@@ -44,13 +44,19 @@ func runSweepSafe(pass *Pass) {
 	}
 }
 
-// sweepClosureArg matches a parallelFor(n, func(i int) error {...}) call
-// and returns the closure literal. Matching is by callee name plus shape
-// (a function literal with a single int parameter as the last argument)
-// so the check follows the convention, not one package's symbol.
-func sweepClosureArg(info *types.Info, call *ast.CallExpr) (*ast.FuncLit, bool) {
+// sweepClosureArg matches a pool.For(n, func(i int) error {...}) or
+// parallelFor(n, ...) call and returns the closure literal. Matching is
+// by callee plus shape (a function literal with a single int parameter as
+// the last argument): the module's pool.For, or any function named
+// parallelFor, so the check follows the convention, not one symbol.
+func sweepClosureArg(pass *Pass, call *ast.CallExpr) (*ast.FuncLit, bool) {
+	info := pass.Info
 	f := calleeFunc(info, call)
-	if f == nil || f.Name() != "parallelFor" || len(call.Args) == 0 {
+	if f == nil || len(call.Args) == 0 {
+		return nil, false
+	}
+	poolFor := f.Name() == "For" && f.Pkg() != nil && f.Pkg().Path() == pass.Module+"/internal/pool"
+	if !poolFor && f.Name() != "parallelFor" {
 		return nil, false
 	}
 	lit, ok := ast.Unparen(call.Args[len(call.Args)-1]).(*ast.FuncLit)
@@ -87,13 +93,14 @@ func checkSweepClosure(pass *Pass, call *ast.CallExpr, lit *ast.FuncLit) {
 		return obj != nil && obj.Pos() >= lit.Pos() && obj.Pos() <= lit.End()
 	}
 
+	pool := exprString(call.Fun)
 	report := func(n ast.Node, target ast.Expr, form string) {
 		pass.Report(Finding{
 			Pos: n.Pos(),
 			Message: form + " " + exprString(target) +
-				" captured by a parallelFor closure: cell writes must be index-addressed slot stores (slots[i] = ...)",
-			Related: []RelatedPos{{Pos: call.Pos(), Message: "closure passed to parallelFor here"}},
-			Fix:     "precompute a slots slice sized to n, write only slots[i] inside the closure, and merge serially in index order after parallelFor returns",
+				" captured by a " + pool + " closure: cell writes must be index-addressed slot stores (slots[i] = ...)",
+			Related: []RelatedPos{{Pos: call.Pos(), Message: "closure passed to " + pool + " here"}},
+			Fix:     "precompute a slots slice sized to n, write only slots[i] inside the closure, and merge serially in index order after " + pool + " returns",
 		})
 	}
 	checkWrite := func(n ast.Node, target ast.Expr) {

@@ -118,6 +118,26 @@ func seeded(n int) (float64, error) {
 	}
 }
 
+// The module's worker pool is checked under its own name: pool.For
+// closures obey the same slot discipline as parallelFor ones.
+func TestSweepSafeChecksPoolFor(t *testing.T) {
+	runFixture(t, SweepSafe, `package fixture
+
+import "corral/internal/pool"
+
+func sweep(n int) (float64, error) {
+	sum := 0.0
+	slots := make([]float64, n)
+	err := pool.For(n, func(i int) error {
+		slots[i] = float64(i)
+		sum += slots[i] // want sweepsafe
+		return nil
+	})
+	return sum, err
+}
+`)
+}
+
 // Unrelated helpers named parallelFor but with a different shape (no
 // closure literal, or a multi-parameter closure) must not be checked.
 func TestSweepSafeIgnoresOtherShapes(t *testing.T) {

@@ -53,6 +53,9 @@ type Flow struct{}
 type Network struct{}
 func (n *Network) Start(src, dst int, bytes float64) *Flow { return nil }
 `,
+	"corral/internal/pool": `package pool
+func For(n int, fn func(i int) error) error { return nil }
+`,
 }
 
 type fixtureImporter struct {

@@ -8,6 +8,7 @@ import (
 	"corral/internal/metrics"
 	"corral/internal/model"
 	"corral/internal/planner"
+	"corral/internal/pool"
 	"corral/internal/runtime"
 	"corral/internal/workload"
 )
@@ -26,10 +27,10 @@ func AblationAlpha(p Params) (*Report, error) {
 		Columns: []string{"alpha", "input CoV", "makespan (s)"},
 	}
 	// Both ablation cells (penalty off / on) plan and simulate
-	// independently; fan them out and render in cell order (parallel.go).
+	// independently; fan them out and render in cell order (internal/pool).
 	alphas := []float64{0, -1} // 0 = off, -1 = paper default
 	results := make([]*runtime.Result, len(alphas))
-	if err := parallelFor(len(alphas), func(i int) error {
+	if err := pool.For(len(alphas), func(i int) error {
 		plan, err := planner.New(planner.Input{Cluster: cm, Jobs: jobs, Alpha: alphas[i]})
 		if err != nil {
 			return err
@@ -169,7 +170,7 @@ func AblationDelay(p Params) (*Report, error) {
 		Columns: []string{"node-local patience", "makespan (s)", "cross-rack GB"},
 	}
 	// Patience levels fan out as independent cells and render in level
-	// order (parallel.go).
+	// order (internal/pool).
 	mults := []float64{0.1, 1, 4}
 	patience := make([]int, len(mults))
 	for i, mult := range mults {
@@ -180,7 +181,7 @@ func AblationDelay(p Params) (*Report, error) {
 		patience[i] = d1
 	}
 	results := make([]*runtime.Result, len(mults))
-	if err := parallelFor(len(mults), func(i int) error {
+	if err := pool.For(len(mults), func(i int) error {
 		res, err := runtime.Run(runtime.Options{
 			Cluster: topo, Scheduler: runtime.YarnCS, Seed: p.Seed,
 			DelayNodeLocal: patience[i], DelayRackLocal: 2 * patience[i],

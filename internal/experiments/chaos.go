@@ -17,6 +17,7 @@ import (
 
 	"corral/internal/metrics"
 	"corral/internal/planner"
+	"corral/internal/pool"
 	"corral/internal/runtime"
 	"corral/internal/topology"
 	"corral/internal/workload"
@@ -115,7 +116,7 @@ func RunChaos(p ChaosParams) (*ChaosReport, error) {
 	rep := &ChaosReport{Horizon: clean.Makespan, Clean: clean}
 	// Every (intensity, scheduler config) cell is an independent simulation:
 	// precompute the traces, fan the cells out over the sweep worker pool,
-	// and assemble Runs in intensity order afterwards (see parallel.go for
+	// and assemble Runs in intensity order afterwards (see internal/pool for
 	// the determinism rules).
 	type cfg struct {
 		kind   runtime.Kind
@@ -136,7 +137,7 @@ func RunChaos(p ChaosParams) (*ChaosReport, error) {
 		traces[i].failures, traces[i].faults = GenChaosTrace(topo, p.Seed, intensity, rep.Horizon)
 	}
 	results := make([]*runtime.Result, len(p.Intensities)*len(cfgs))
-	if err := parallelFor(len(results), func(ci int) error {
+	if err := pool.For(len(results), func(ci int) error {
 		tr, c := traces[ci/len(cfgs)], cfgs[ci%len(cfgs)]
 		res, err := runtime.Run(runtime.Options{
 			Cluster: topo, Scheduler: c.kind, Plan: c.plan, Seed: p.Seed,

@@ -24,6 +24,7 @@ import (
 	"corral/internal/metrics"
 	"corral/internal/model"
 	"corral/internal/planner"
+	"corral/internal/pool"
 	"corral/internal/runtime"
 	"corral/internal/topology"
 	"corral/internal/workload"
@@ -261,9 +262,9 @@ func runAll(topo topology.Config, jobs []*job.Job, obj planner.Objective, seed i
 	}
 	// Each scheduler's run is independent (the plan is read-only, jobs are
 	// cloned per run), so kinds fan out over the sweep worker pool and the
-	// result map is assembled in kind order afterwards (parallel.go).
+	// result map is assembled in kind order afterwards (internal/pool).
 	results := make([]*runtime.Result, len(kinds))
-	if err := parallelFor(len(kinds), func(i int) error {
+	if err := pool.For(len(kinds), func(i int) error {
 		res, err := runtime.Run(runtime.Options{
 			Cluster:   topo,
 			Scheduler: kinds[i],

@@ -6,6 +6,7 @@ import (
 	"corral/internal/metrics"
 	"corral/internal/netsim"
 	"corral/internal/planner"
+	"corral/internal/pool"
 	"corral/internal/runtime"
 	"corral/internal/topology"
 	"corral/internal/workload"
@@ -58,10 +59,10 @@ func Fig14(p Params) (*Report, error) {
 		{"corral+varys", runtime.Corral, netsim.Varys{}},
 	}
 	// The four scheduler x flow-policy combos fan out as independent cells
-	// (parallel.go). Varys is a stateless value, safe to hand to concurrent
+	// (internal/pool). Varys is a stateless value, safe to hand to concurrent
 	// runs; the plan is read-only.
 	combosTimes := make([][]float64, len(combos))
-	if err := parallelFor(len(combos), func(i int) error {
+	if err := pool.For(len(combos), func(i int) error {
 		c := combos[i]
 		res, err := runtime.Run(runtime.Options{
 			Cluster:   topo,

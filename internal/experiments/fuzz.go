@@ -22,13 +22,12 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 
 	"corral/internal/invariants"
 	"corral/internal/metrics"
 	"corral/internal/planner"
+	"corral/internal/pool"
 	"corral/internal/runtime"
-	"corral/internal/snapshot"
 	"corral/internal/workload"
 )
 
@@ -128,7 +127,7 @@ func RunFuzz(p FuzzParams) (*FuzzReport, error) {
 	// Each trace — workload generation, planning, clean run, trace
 	// generation and the three monitored runs — is fully derived from its
 	// own seed, so traces fan out over the sweep worker pool and their
-	// outputs merge in trace order (see parallel.go for the rules).
+	// outputs merge in trace order (see internal/pool for the rules).
 	type traceOut struct {
 		runs        int
 		violations  []string
@@ -137,7 +136,7 @@ func RunFuzz(p FuzzParams) (*FuzzReport, error) {
 		completions []float64
 	}
 	outs := make([]traceOut, p.Traces)
-	if err := parallelFor(p.Traces, func(i int) error {
+	if err := pool.For(p.Traces, func(i int) error {
 		out := &outs[i]
 		traceSeed := p.Seed + int64(i)*7919
 		wrng := rand.New(rand.NewSource(traceSeed))
@@ -216,35 +215,18 @@ func RunFuzz(p FuzzParams) (*FuzzReport, error) {
 		// bit-identical to the uninterrupted one.
 		if p.Snapshots && replanRes != nil && replanRes.Events > 2 {
 			label := fmt.Sprintf("trace %d (seed %d) snapshot-resume", i, traceSeed)
-			idx := replanRes.Events / 2
-			snap, err := runtime.CaptureAt(replanOpts, workload.Clone(jobs), runtime.CheckpointTarget{EventIndex: idx})
-			if err != nil {
-				out.violations = append(out.violations, fmt.Sprintf("%s: capture@%d: %v", label, idx, err))
-				return nil
-			}
-			raw, err := snapshot.Encode(snap)
-			if err != nil {
-				out.violations = append(out.violations, fmt.Sprintf("%s: encode: %v", label, err))
-				return nil
-			}
-			decoded, err := snapshot.Decode(raw)
-			if err != nil {
-				out.violations = append(out.violations, fmt.Sprintf("%s: decode: %v", label, err))
-				return nil
-			}
 			mon := invariants.NewMonitor(topo.Machines(), topo.SlotsPerMachine)
-			res, err := runtime.Resume(decoded, runtime.ResumeOptions{Probe: mon})
-			out.runs++
+			_, _, mismatch, err := resumeCheck(replanOpts, jobs, replanRes.Events/2, runtime.ResumeOptions{Probe: mon}, replanRes)
 			if err != nil {
-				out.violations = append(out.violations, fmt.Sprintf("%s: resume@%d: %v", label, idx, err))
+				out.violations = append(out.violations, fmt.Sprintf("%s: %v", label, err))
 				return nil
 			}
+			out.runs++
 			for _, v := range mon.Violations() {
 				out.violations = append(out.violations, label+": "+v)
 			}
-			if !reflect.DeepEqual(res, replanRes) {
-				out.violations = append(out.violations,
-					fmt.Sprintf("%s: resumed Result@%d differs from uninterrupted run", label, idx))
+			if mismatch != "" {
+				out.violations = append(out.violations, label+": "+mismatch)
 			}
 		}
 		return nil
@@ -346,10 +328,10 @@ func RunAttrition(p Params, probs []float64) (*AttritionReport, error) {
 	}
 	rep := &AttritionReport{}
 	// Crash-probability levels are independent monitored runs: fan them out
-	// and collect in level order (see parallel.go for the rules).
+	// and collect in level order (see internal/pool for the rules).
 	levels := append([]float64{0}, probs...)
 	results := make([]*runtime.Result, len(levels))
-	if err := parallelFor(len(levels), func(i int) error {
+	if err := pool.For(len(levels), func(i int) error {
 		prob := levels[i]
 		mon := invariants.NewMonitor(topo.Machines(), topo.SlotsPerMachine)
 		res, err := runtime.Run(runtime.Options{

@@ -18,7 +18,7 @@ package experiments
 //
 // Everything is a pure function of OverloadParams: the workload, plan,
 // storm trace and every simulation are seeded, and cells fan out over the
-// sweep pool with index-addressed slots (parallel.go determinism rules).
+// sweep pool with index-addressed slots (internal/pool determinism rules).
 
 import (
 	"fmt"
@@ -26,6 +26,7 @@ import (
 	"corral/internal/invariants"
 	"corral/internal/metrics"
 	"corral/internal/planner"
+	"corral/internal/pool"
 	"corral/internal/runtime"
 	"corral/internal/topology"
 	"corral/internal/workload"
@@ -165,7 +166,7 @@ func RunOverload(p OverloadParams) (*OverloadReport, error) {
 	}
 	results := make([]*runtime.Result, len(rates)*len(cfgs))
 	violations := make([]int, len(results))
-	if err := parallelFor(len(results), func(ci int) error {
+	if err := pool.For(len(results), func(ci int) error {
 		rate, c := rates[ci/len(cfgs)], cfgs[ci%len(cfgs)]
 		opts := runtime.Options{
 			Cluster: topo, Scheduler: c.kind, Plan: c.plan, Seed: p.Seed,

@@ -7,6 +7,7 @@ import (
 
 	"corral/internal/invariants"
 	"corral/internal/planner"
+	"corral/internal/pool"
 	"corral/internal/runtime"
 	"corral/internal/snapshot"
 	"corral/internal/trace"
@@ -89,9 +90,9 @@ func TestOverloadDeterminism(t *testing.T) {
 // Worker scheduling must never leak into the report: the sweep is
 // bit-identical serial and with 8 workers.
 func TestOverloadWorkerInvariance(t *testing.T) {
-	defer SetSweepWorkers(0)
+	defer pool.SetWorkers(0)
 	run := func(workers int) *Report {
-		SetSweepWorkers(workers)
+		pool.SetWorkers(workers)
 		rep, err := OverloadWithRates(Params{Size: SizeS, Seed: 7}, overloadGateRates)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)

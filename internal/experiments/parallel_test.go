@@ -1,72 +1,29 @@
 package experiments
 
 import (
-	"errors"
 	"reflect"
-	"sync/atomic"
 	"testing"
 
 	"corral/internal/netsim"
 	"corral/internal/planner"
+	"corral/internal/pool"
 	"corral/internal/runtime"
 	"corral/internal/workload"
 )
-
-func TestParallelForRunsEveryIndexOnce(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		SetSweepWorkers(workers)
-		hits := make([]int32, 100)
-		if err := parallelFor(len(hits), func(i int) error {
-			atomic.AddInt32(&hits[i], 1)
-			return nil
-		}); err != nil {
-			t.Fatalf("workers=%d: unexpected error: %v", workers, err)
-		}
-		for i, h := range hits {
-			if h != 1 {
-				t.Fatalf("workers=%d: index %d ran %d times", workers, i, h)
-			}
-		}
-	}
-	SetSweepWorkers(0)
-	if err := parallelFor(0, func(int) error { t.Fatal("fn called for n=0"); return nil }); err != nil {
-		t.Fatalf("n=0: unexpected error: %v", err)
-	}
-}
-
-func TestParallelForReturnsLowestIndexError(t *testing.T) {
-	defer SetSweepWorkers(0)
-	errLow, errHigh := errors.New("low"), errors.New("high")
-	for _, workers := range []int{1, 8} {
-		SetSweepWorkers(workers)
-		err := parallelFor(50, func(i int) error {
-			switch i {
-			case 7:
-				return errLow
-			case 31:
-				return errHigh
-			}
-			return nil
-		})
-		if err != errLow {
-			t.Fatalf("workers=%d: got error %v, want the lowest-index error %v", workers, err, errLow)
-		}
-	}
-}
 
 // TestSweepWorkerCountInvariance is the core parallel-sweep determinism
 // gate: the same chaos sweep must produce a DeepEqual report whether the
 // cells run serially or across a wide worker pool — worker scheduling must
 // never leak into Results.
 func TestSweepWorkerCountInvariance(t *testing.T) {
-	defer SetSweepWorkers(0)
+	defer pool.SetWorkers(0)
 	p := ChaosParams{Size: SizeS, Seed: 7, Intensities: []float64{0.2, 0.5}}
-	SetSweepWorkers(1)
+	pool.SetWorkers(1)
 	serial, err := RunChaos(p)
 	if err != nil {
 		t.Fatalf("serial sweep: %v", err)
 	}
-	SetSweepWorkers(8)
+	pool.SetWorkers(8)
 	parallel, err := RunChaos(p)
 	if err != nil {
 		t.Fatalf("parallel sweep: %v", err)
@@ -80,8 +37,8 @@ func TestSweepWorkerCountInvariance(t *testing.T) {
 // seed with the full worker pool: reports must be bit-identical per seed
 // and differ across seeds (anti-vacuity).
 func TestParallelSweepTwoSeedReplay(t *testing.T) {
-	defer SetSweepWorkers(0)
-	SetSweepWorkers(8)
+	defer pool.SetWorkers(0)
+	pool.SetWorkers(8)
 	reports := map[int64]*ChaosReport{}
 	for _, seed := range []int64{3, 9} {
 		p := ChaosParams{Size: SizeS, Seed: seed, Intensities: []float64{0.3}}

@@ -23,6 +23,7 @@ import (
 	"corral/internal/job"
 	"corral/internal/metrics"
 	"corral/internal/planner"
+	"corral/internal/pool"
 	"corral/internal/runtime"
 	"corral/internal/snapshot"
 	"corral/internal/trace"
@@ -110,6 +111,35 @@ func resumeScenario(prof profile, seed int64) (runtime.Options, []*job.Job, erro
 	return opts, jobs, nil
 }
 
+// resumeCheck captures the run (opts, jobs) after idx events, round-trips
+// the snapshot through the codec — equivalence must hold for the
+// serialized form a crashed process would restart from — resumes it with
+// ro attached and compares the resumed Result against want. err reports
+// an infrastructure failure (capture, encode, decode); mismatch is empty
+// when the resumed run reproduces want and otherwise says how it failed.
+func resumeCheck(opts runtime.Options, jobs []*job.Job, idx uint64, ro runtime.ResumeOptions, want *runtime.Result) (snap *snapshot.Snapshot, raw []byte, mismatch string, err error) {
+	snap, err = runtime.CaptureAt(opts, workload.Clone(jobs), runtime.CheckpointTarget{EventIndex: idx})
+	if err != nil {
+		return nil, nil, "", fmt.Errorf("capture@%d: %w", idx, err)
+	}
+	if raw, err = snapshot.Encode(snap); err != nil {
+		return nil, nil, "", fmt.Errorf("encode@%d: %w", idx, err)
+	}
+	decoded, err := snapshot.Decode(raw)
+	if err != nil {
+		return nil, nil, "", fmt.Errorf("decode@%d: %w", idx, err)
+	}
+	res, err := runtime.Resume(decoded, ro)
+	switch {
+	case err != nil:
+		mismatch = fmt.Sprintf("resume@%d failed: %v", idx, err)
+	case !reflect.DeepEqual(res, want):
+		mismatch = fmt.Sprintf("resumed Result@%d differs from the uninterrupted run (makespan %.6f vs %.6f, events %d vs %d)",
+			idx, res.Makespan, want.Makespan, res.Events, want.Events)
+	}
+	return snap, raw, mismatch, nil
+}
+
 // tracedBaseline runs the scenario uninterrupted with a tracer and the
 // invariant monitor attached, returning the result and trace export.
 func tracedBaseline(opts runtime.Options, jobs []*job.Job, label string) (*runtime.Result, []byte, error) {
@@ -161,43 +191,25 @@ func RunResumeEquivalence(p ResumeParams) (*ResumeReport, error) {
 		indices[i] = 1 + uint64(prng.Int63n(int64(base.Events-1)))
 	}
 	// Each point is an independent capture + resume: fan out over the
-	// sweep worker pool and collect in point order (see parallel.go).
-	if err := parallelFor(p.Points, func(i int) error {
+	// sweep worker pool and collect in point order (see internal/pool).
+	if err := pool.For(p.Points, func(i int) error {
 		pt := &rep.Points[i]
 		pt.EventIndex = indices[i]
-		snap, err := runtime.CaptureAt(opts, workload.Clone(jobs), runtime.CheckpointTarget{EventIndex: indices[i]})
-		if err != nil {
-			return fmt.Errorf("resume seed %d point %d: capture: %w", p.Seed, i, err)
-		}
-		pt.SimTime = snap.Meta.SimTime
-		// Round-trip through the codec: equivalence must hold for the
-		// serialized form a crashed process would restart from.
-		raw, err := snapshot.Encode(snap)
-		if err != nil {
-			return fmt.Errorf("resume seed %d point %d: encode: %w", p.Seed, i, err)
-		}
-		decoded, err := snapshot.Decode(raw)
-		if err != nil {
-			return fmt.Errorf("resume seed %d point %d: decode: %w", p.Seed, i, err)
-		}
 		c := trace.NewCollector()
 		mon := invariants.NewMonitor(opts.Cluster.Machines(), opts.Cluster.SlotsPerMachine)
-		res, err := runtime.Resume(decoded, runtime.ResumeOptions{
-			Trace: c.NewRun(label),
-			Probe: mon,
-		})
+		snap, raw, mismatch, err := resumeCheck(opts, jobs, indices[i],
+			runtime.ResumeOptions{Trace: c.NewRun(label), Probe: mon}, base)
 		if err != nil {
-			pt.Detail = fmt.Sprintf("resume failed: %v", err)
+			return fmt.Errorf("resume seed %d point %d: %w", p.Seed, i, err)
+		}
+		pt.SimTime = snap.Meta.SimTime
+		if mismatch != "" {
+			pt.Detail = mismatch
 			pt.Snapshot = raw
 			return nil
 		}
 		if n := mon.ViolationCount(); n != 0 {
 			pt.Detail = fmt.Sprintf("resumed run raised %d invariant violations: %v", n, mon.Violations())
-			pt.Snapshot = raw
-			return nil
-		}
-		if !reflect.DeepEqual(res, base) {
-			pt.Detail = fmt.Sprintf("final Result differs from uninterrupted run (resumed %+v, base %+v)", res, base)
 			pt.Snapshot = raw
 			return nil
 		}

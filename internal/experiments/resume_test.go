@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"corral/internal/invariants"
+	"corral/internal/pool"
 	"corral/internal/runtime"
 	"corral/internal/snapshot"
 	"corral/internal/workload"
@@ -24,8 +25,8 @@ const failureArtifact = "resume-failure.snap.json"
 // first mismatching point's snapshot as an artifact.
 func resumeSweep(t *testing.T, seed int64, workers int) *ResumeReport {
 	t.Helper()
-	SetSweepWorkers(workers)
-	defer SetSweepWorkers(0)
+	pool.SetWorkers(workers)
+	defer pool.SetWorkers(0)
 	rep, err := RunResumeEquivalence(ResumeParams{Size: SizeS, Seed: seed, Points: 3})
 	if err != nil {
 		t.Fatal(err)

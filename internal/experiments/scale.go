@@ -41,8 +41,8 @@ import (
 	"corral/internal/job"
 	"corral/internal/metrics"
 	"corral/internal/planner"
+	"corral/internal/pool"
 	"corral/internal/runtime"
-	"corral/internal/snapshot"
 	"corral/internal/topology"
 	"corral/internal/workload"
 )
@@ -222,7 +222,7 @@ func runScaleCell(p ScaleParams, machines int) (ScaleCell, error) {
 	// over the sweep pool; each writes only its own index-addressed detail
 	// slot (sweepsafe), merged serially below.
 	details := make([]string, 2)
-	if err := parallelFor(2, func(i int) error {
+	if err := pool.For(2, func(i int) error {
 		switch i {
 		case 0: // determinism rerun: same seed, bit-identical Result
 			again, err := runtime.Run(o, workload.Clone(jobs))
@@ -234,28 +234,11 @@ func runScaleCell(p ScaleParams, machines int) (ScaleCell, error) {
 					again.Makespan, res.Makespan, again.Events, res.Events)
 			}
 		case 1: // snapshot at half the events, codec round-trip, resume
-			snap, err := runtime.CaptureAt(o, workload.Clone(jobs),
-				runtime.CheckpointTarget{EventIndex: res.Events / 2})
+			_, _, mismatch, err := resumeCheck(o, jobs, res.Events/2, runtime.ResumeOptions{}, res)
 			if err != nil {
-				return fmt.Errorf("scale %d machines: capture: %w", machines, err)
+				return fmt.Errorf("scale %d machines: %w", machines, err)
 			}
-			raw, err := snapshot.Encode(snap)
-			if err != nil {
-				return fmt.Errorf("scale %d machines: encode: %w", machines, err)
-			}
-			decoded, err := snapshot.Decode(raw)
-			if err != nil {
-				return fmt.Errorf("scale %d machines: decode: %w", machines, err)
-			}
-			resumed, err := runtime.Resume(decoded, runtime.ResumeOptions{})
-			if err != nil {
-				details[i] = fmt.Sprintf("resume failed: %v", err)
-				return nil
-			}
-			if !reflect.DeepEqual(resumed, res) {
-				details[i] = fmt.Sprintf("resumed Result diverged (makespan %.6f vs %.6f)",
-					resumed.Makespan, res.Makespan)
-			}
+			details[i] = mismatch
 		}
 		return nil
 	}); err != nil {

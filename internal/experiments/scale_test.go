@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"corral/internal/planner"
+	"corral/internal/pool"
 	"corral/internal/runtime"
 	"corral/internal/snapshot"
 	"corral/internal/workload"
@@ -112,10 +113,10 @@ func TestScalePolicyEquivalence(t *testing.T) {
 // identical whether the intra-cell verification fans out over 1 or 8
 // workers.
 func TestScaleWorkerCountInvariance(t *testing.T) {
-	defer SetSweepWorkers(0)
+	defer pool.SetWorkers(0)
 	run := func(workers int) *Report {
 		t.Helper()
-		SetSweepWorkers(workers)
+		pool.SetWorkers(workers)
 		r, err := ScaleWithMachines(Params{Size: SizeS, Seed: 3}, []int{scaleTestCell})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)

@@ -6,6 +6,7 @@ import (
 	"corral/internal/job"
 	"corral/internal/metrics"
 	"corral/internal/planner"
+	"corral/internal/pool"
 	"corral/internal/runtime"
 	"corral/internal/workload"
 )
@@ -34,12 +35,12 @@ func Fig12(p Params) (*Report, error) {
 	// One cell per (background level, seed); each runs its own batch and
 	// online simulations. Cells fan out over the sweep worker pool and the
 	// per-level averages reduce in seed order, exactly as the old serial
-	// loops did (see parallel.go for the determinism rules).
+	// loops did (see internal/pool for the determinism rules).
 	type cellOut struct {
 		makespanRed, avgRed float64
 	}
 	cells := make([]cellOut, len(fracs)*len(seeds))
-	if err := parallelFor(len(cells), func(ci int) error {
+	if err := pool.For(len(cells), func(ci int) error {
 		frac, seed := fracs[ci/len(seeds)], seeds[ci%len(seeds)]
 		topo := prof.withBackground(frac)
 		batch := genWorkload("W1", prof, seed, 0)
@@ -109,12 +110,12 @@ func Fig13a(p Params) (*Report, error) {
 		Title:   "% reduction in makespan vs Yarn-CS under size error",
 		Columns: []string{"error", "reduction"},
 	}
-	// (error level, seed) grid, fanned out per the parallel.go rules: the
+	// (error level, seed) grid, fanned out per the internal/pool rules: the
 	// seed states are precomputed above, each cell runs its own pair of
 	// simulations, and per-level averages reduce in seed order.
 	errFracs := []float64{0, 0.1, 0.2, 0.3, 0.4, 0.5}
 	reds := make([]float64, len(errFracs)*len(seeds))
-	if err := parallelFor(len(reds), func(ci int) error {
+	if err := pool.For(len(reds), func(ci int) error {
 		errFrac, i := errFracs[ci/len(seeds)], ci%len(seeds)
 		seed := seeds[i]
 		actual := workload.PerturbSizes(states[i].predicted, errFrac, seed+int64(errFrac*100))
@@ -188,10 +189,10 @@ func Fig13b(p Params) (*Report, error) {
 		Title:   "% reduction in average job time vs Yarn-CS under arrival error",
 		Columns: []string{"% jobs delayed", "reduction"},
 	}
-	// Same (level, seed) grid fan-out as Fig13a, per the parallel.go rules.
+	// Same (level, seed) grid fan-out as Fig13a, per the internal/pool rules.
 	delayFracs := []float64{0, 0.1, 0.2, 0.3, 0.4, 0.5}
 	reds := make([]float64, len(delayFracs)*len(seeds))
-	if err := parallelFor(len(reds), func(ci int) error {
+	if err := pool.For(len(reds), func(ci int) error {
 		f, i := delayFracs[ci/len(seeds)], ci%len(seeds)
 		seed, st := seeds[i], states[i]
 		actual := workload.PerturbArrivals(st.predicted, f, st.delay, seed+int64(f*100))

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"corral/internal/pool"
 	"corral/internal/trace"
 )
 
@@ -13,8 +14,8 @@ import (
 // uninstalled again so other tests in the package run untraced.
 func traceExport(t *testing.T, seed int64, workers int) (jsonl, chrome []byte) {
 	t.Helper()
-	SetSweepWorkers(workers)
-	defer SetSweepWorkers(0)
+	pool.SetWorkers(workers)
+	defer pool.SetWorkers(0)
 	c := trace.NewCollector()
 	trace.Install(c)
 	defer trace.Install(nil)

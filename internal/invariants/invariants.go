@@ -1,5 +1,5 @@
 // Package invariants is the runtime invariant monitor behind the
-// corralcheck fuzzer: the simulation runtime streams lifecycle events
+// corralcheck fuzzer: the simulation runtime streams its trace events
 // (task attempts, machine state changes, AM restarts, job terminations)
 // into a Monitor, which checks the safety properties every run must obey
 // regardless of the fault trace thrown at it:
@@ -12,13 +12,13 @@
 //   - terminality: every submitted job either completes or fails,
 //     exactly once, and nothing is still running at simulation end;
 //   - externally audited properties (per-link flow-rate feasibility from
-//     netsim, byte conservation from the DFS) reported through Audit
-//     events.
+//     netsim, byte conservation from the DFS) reported as audit events.
 //
-// The package deliberately imports nothing from the simulation stack so
-// the runtime can depend on it without cycles; richer checks that need
-// netsim or dfs internals run in those packages and report their verdict
-// here as Audit events.
+// A Monitor is a trace.Observer: runtime.Options.Probe attaches it to the
+// run's tracer, so it reads the same event stream the trace exports do
+// and ignores the kinds it does not check (flows, DFS traffic, planner
+// events). Richer checks that need netsim or dfs internals run in those
+// packages and report their verdict as trace.KAudit events.
 //
 // Determinism obligations: a Monitor's violation list is a pure function
 // of the observed event sequence — no maps are ranged unsorted, no
@@ -28,92 +28,9 @@ package invariants
 import (
 	"fmt"
 	"sort"
+
+	"corral/internal/trace"
 )
-
-// Kind enumerates the event types the runtime emits.
-type Kind int
-
-// Lifecycle event kinds.
-const (
-	// JobSubmit: a job became schedulable (Job set).
-	JobSubmit Kind = iota
-	// TaskStart: an attempt began on Machine for Job.
-	TaskStart
-	// TaskFinish: an attempt completed successfully on Machine.
-	TaskFinish
-	// TaskAbort: an in-flight attempt was killed (machine death, AM
-	// death, speculation, or crash); its slot-usage ends here.
-	TaskAbort
-	// TaskCrash: informational — an attempt suffered an injected
-	// transient failure. A TaskAbort for the same attempt follows.
-	TaskCrash
-	// MachineDown / MachineUp: machine liveness transitions.
-	MachineDown
-	MachineUp
-	// Blacklist / Unblacklist: scheduling-pool membership transitions
-	// driven by accumulated attempt failures.
-	Blacklist
-	Unblacklist
-	// AMFail / AMRestart: a job lost its application master / the
-	// restarted attempt resumed.
-	AMFail
-	AMRestart
-	// JobDone / JobFail: terminal job outcomes.
-	JobDone
-	JobFail
-	// Corruption: a DFS replica was corrupted (Machine set).
-	Corruption
-	// Audit: an externally checked invariant failed; Detail carries the
-	// message. Always recorded as a violation.
-	Audit
-	// SimEnd: the event queue drained; final checks run here.
-	SimEnd
-	// Replan: the runtime invoked the planner for a failure-triggered
-	// replan. Checked against the BoundReplanRate budget when armed.
-	Replan
-	// JobDefer: an arrival was parked in the admission queue; Machine
-	// carries the queue depth (not a machine index). Checked against the
-	// BoundAdmissionQueue cap when armed.
-	JobDefer
-	// JobShed: an arrival was rejected at admission-queue capacity. A
-	// terminal outcome — shed jobs are never submitted, so terminality is
-	// checked without the submission requirement.
-	JobShed
-)
-
-var kindNames = map[Kind]string{
-	JobSubmit: "job-submit", TaskStart: "task-start", TaskFinish: "task-finish",
-	TaskAbort: "task-abort", TaskCrash: "task-crash",
-	MachineDown: "machine-down", MachineUp: "machine-up",
-	Blacklist: "blacklist", Unblacklist: "unblacklist",
-	AMFail: "am-fail", AMRestart: "am-restart",
-	JobDone: "job-done", JobFail: "job-fail",
-	Corruption: "corruption", Audit: "audit", SimEnd: "sim-end",
-	Replan: "replan", JobDefer: "job-defer", JobShed: "job-shed",
-}
-
-func (k Kind) String() string {
-	if s, ok := kindNames[k]; ok {
-		return s
-	}
-	return fmt.Sprintf("kind(%d)", int(k))
-}
-
-// Event is one observation from the runtime. Machine and Job are -1 when
-// not applicable.
-type Event struct {
-	Time    float64
-	Kind    Kind
-	Machine int
-	Job     int
-	Detail  string
-}
-
-// Probe receives the runtime's event stream. runtime.Options.Probe
-// accepts any implementation; Monitor is the checking one.
-type Probe interface {
-	Observe(Event)
-}
 
 // maxViolations caps stored violation messages so a badly broken run
 // cannot allocate without bound; the count keeps incrementing.
@@ -132,7 +49,7 @@ type Monitor struct {
 	blacklisted []bool
 
 	submitted map[int]bool
-	terminal  map[int]Kind
+	terminal  map[int]trace.Kind
 
 	// Overload bounds; zero values keep the checks disarmed so existing
 	// gates observe the new event kinds without new obligations.
@@ -155,11 +72,11 @@ func NewMonitor(machines, slotsPerMachine int) *Monitor {
 		down:        make([]bool, machines),
 		blacklisted: make([]bool, machines),
 		submitted:   make(map[int]bool),
-		terminal:    make(map[int]Kind),
+		terminal:    make(map[int]trace.Kind),
 	}
 }
 
-// BoundReplanRate arms the replan-rate invariant: more than max Replan
+// BoundReplanRate arms the replan-rate invariant: more than max replan
 // events within any trailing window of the given length (seconds of
 // simulated time) is a violation. Verifies that replan-storm suppression
 // actually bounds planner invocations under fault bursts.
@@ -168,7 +85,7 @@ func (m *Monitor) BoundReplanRate(max int, window float64) {
 	m.replanWindow = window
 }
 
-// BoundAdmissionQueue arms the admission-queue invariant: a JobDefer
+// BoundAdmissionQueue arms the admission-queue invariant: a deferral
 // event reporting a queue depth above cap is a violation. Verifies that
 // admission control keeps the pending-arrival backlog bounded.
 func (m *Monitor) BoundAdmissionQueue(cap int) {
@@ -192,117 +109,127 @@ func (m *Monitor) Violations() []string {
 // ViolationCount returns the total number of violations observed.
 func (m *Monitor) ViolationCount() int { return m.count }
 
-// Ended reports whether a SimEnd event was observed.
+// Ended reports whether a sim_end event was observed.
 func (m *Monitor) Ended() bool { return m.ended }
 
 // machineOK validates a machine index for events that carry one.
-func (m *Monitor) machineOK(e Event) bool {
-	if e.Machine < 0 || e.Machine >= m.machines {
-		m.Violationf("t=%.3f %v: machine %d out of range [0,%d)", e.Time, e.Kind, e.Machine, m.machines)
+func (m *Monitor) machineOK(e trace.Event) bool {
+	if e.Mach < 0 || e.Mach >= m.machines {
+		m.Violationf("t=%.3f %v: machine %d out of range [0,%d)", e.T, e.Kind, e.Mach, m.machines)
 		return false
 	}
 	return true
 }
 
-// Observe checks one event against the invariants.
-func (m *Monitor) Observe(e Event) {
-	if m.sawEvent && e.Time < m.lastTime {
-		m.Violationf("t=%.3f %v: event time went backwards (last %.3f)", e.Time, e.Kind, m.lastTime)
+// Observe checks one event against the invariants. Kinds the monitor
+// does not check pass through untouched, time included.
+func (m *Monitor) Observe(e trace.Event) {
+	switch e.Kind {
+	case trace.KJobSubmit, trace.KTaskStart, trace.KTaskFinish, trace.KTaskAbort,
+		trace.KTaskCrash, trace.KDFSCorrupt, trace.KAMFail, trace.KAMRestart,
+		trace.KMachineDown, trace.KMachineUp, trace.KBlacklist, trace.KUnblacklist,
+		trace.KJobDone, trace.KJobFail, trace.KReplan, trace.KJobDeferred,
+		trace.KJobShed, trace.KAudit:
+	case trace.KSimEnd:
+		// Stamped with the quiesce time, which may precede the last
+		// event: it closes the run rather than advancing the clock.
+		m.ended = true
+		m.finish(e.T)
+		return
+	default:
+		return
 	}
-	if e.Time >= m.lastTime {
-		m.lastTime = e.Time
+	if m.sawEvent && e.T < m.lastTime {
+		m.Violationf("t=%.3f %v: event time went backwards (last %.3f)", e.T, e.Kind, m.lastTime)
+	}
+	if e.T >= m.lastTime {
+		m.lastTime = e.T
 	}
 	m.sawEvent = true
 
 	switch e.Kind {
-	case JobSubmit:
+	case trace.KJobSubmit:
 		m.submitted[e.Job] = true
-	case TaskStart:
+	case trace.KTaskStart:
 		if !m.machineOK(e) {
 			return
 		}
-		if m.down[e.Machine] {
-			m.Violationf("t=%.3f job %d: attempt started on dead machine %d", e.Time, e.Job, e.Machine)
+		if m.down[e.Mach] {
+			m.Violationf("t=%.3f job %d: attempt started on dead machine %d", e.T, e.Job, e.Mach)
 		}
-		if m.blacklisted[e.Machine] {
-			m.Violationf("t=%.3f job %d: attempt started on blacklisted machine %d", e.Time, e.Job, e.Machine)
+		if m.blacklisted[e.Mach] {
+			m.Violationf("t=%.3f job %d: attempt started on blacklisted machine %d", e.T, e.Job, e.Mach)
 		}
-		m.runningOn[e.Machine]++
-		if m.runningOn[e.Machine] > m.slots {
+		m.runningOn[e.Mach]++
+		if m.runningOn[e.Mach] > m.slots {
 			m.Violationf("t=%.3f machine %d: %d concurrent attempts exceed %d slots",
-				e.Time, e.Machine, m.runningOn[e.Machine], m.slots)
+				e.T, e.Mach, m.runningOn[e.Mach], m.slots)
 		}
-	case TaskFinish, TaskAbort:
+	case trace.KTaskFinish, trace.KTaskAbort:
 		if !m.machineOK(e) {
 			return
 		}
-		m.runningOn[e.Machine]--
-		if m.runningOn[e.Machine] < 0 {
-			m.Violationf("t=%.3f machine %d: attempt count went negative on %v", e.Time, e.Machine, e.Kind)
+		m.runningOn[e.Mach]--
+		if m.runningOn[e.Mach] < 0 {
+			m.Violationf("t=%.3f machine %d: attempt count went negative on %v", e.T, e.Mach, e.Kind)
 		}
-	case TaskCrash, Corruption, AMFail, AMRestart:
+	case trace.KTaskCrash, trace.KDFSCorrupt, trace.KAMFail, trace.KAMRestart:
 		// Informational; range-check only.
-		if e.Machine >= 0 {
+		if e.Mach >= 0 {
 			m.machineOK(e)
 		}
-	case MachineDown:
+	case trace.KMachineDown:
 		if m.machineOK(e) {
-			m.down[e.Machine] = true
+			m.down[e.Mach] = true
 		}
-	case MachineUp:
+	case trace.KMachineUp:
 		if m.machineOK(e) {
-			m.down[e.Machine] = false
+			m.down[e.Mach] = false
 		}
-	case Blacklist:
+	case trace.KBlacklist:
 		if m.machineOK(e) {
-			m.blacklisted[e.Machine] = true
+			m.blacklisted[e.Mach] = true
 		}
-	case Unblacklist:
+	case trace.KUnblacklist:
 		if m.machineOK(e) {
-			m.blacklisted[e.Machine] = false
+			m.blacklisted[e.Mach] = false
 		}
-	case JobDone, JobFail:
+	case trace.KJobDone, trace.KJobFail:
 		if prev, ok := m.terminal[e.Job]; ok {
-			m.Violationf("t=%.3f job %d: second terminal event %v (already %v)", e.Time, e.Job, e.Kind, prev)
+			m.Violationf("t=%.3f job %d: second terminal event %v (already %v)", e.T, e.Job, e.Kind, prev)
 		}
 		m.terminal[e.Job] = e.Kind
 		if !m.submitted[e.Job] {
-			m.Violationf("t=%.3f job %d: terminal event %v without submission", e.Time, e.Job, e.Kind)
+			m.Violationf("t=%.3f job %d: terminal event %v without submission", e.T, e.Job, e.Kind)
 		}
-	case Replan:
+	case trace.KReplan:
 		if m.replanWindow > 0 {
-			m.replanTimes = append(m.replanTimes, e.Time)
+			m.replanTimes = append(m.replanTimes, e.T)
 			// Drop times outside the trailing window (t-window, t].
 			cut := 0
-			for cut < len(m.replanTimes) && m.replanTimes[cut] <= e.Time-m.replanWindow {
+			for cut < len(m.replanTimes) && m.replanTimes[cut] <= e.T-m.replanWindow {
 				cut++
 			}
 			m.replanTimes = m.replanTimes[cut:]
 			if len(m.replanTimes) > m.replanMax {
 				m.Violationf("t=%.3f: %d replans within the last %.3f s exceed the bound of %d",
-					e.Time, len(m.replanTimes), m.replanWindow, m.replanMax)
+					e.T, len(m.replanTimes), m.replanWindow, m.replanMax)
 			}
 		}
-	case JobDefer:
-		// Machine carries the admission-queue depth, not a machine index.
-		if m.admissionCap > 0 && e.Machine > m.admissionCap {
+	case trace.KJobDeferred:
+		if depth := int(e.Value); m.admissionCap > 0 && depth > m.admissionCap {
 			m.Violationf("t=%.3f job %d: admission queue depth %d exceeds the cap of %d",
-				e.Time, e.Job, e.Machine, m.admissionCap)
+				e.T, e.Job, depth, m.admissionCap)
 		}
-	case JobShed:
+	case trace.KJobShed:
 		// Terminal without the submission requirement: shed jobs never
 		// entered the scheduler.
 		if prev, ok := m.terminal[e.Job]; ok {
-			m.Violationf("t=%.3f job %d: second terminal event %v (already %v)", e.Time, e.Job, e.Kind, prev)
+			m.Violationf("t=%.3f job %d: second terminal event %v (already %v)", e.T, e.Job, e.Kind, prev)
 		}
 		m.terminal[e.Job] = e.Kind
-	case Audit:
-		m.Violationf("t=%.3f audit failed: %s", e.Time, e.Detail)
-	case SimEnd:
-		m.ended = true
-		m.finish(e.Time)
-	default:
-		m.Violationf("t=%.3f: unknown event kind %d", e.Time, int(e.Kind))
+	case trace.KAudit:
+		m.Violationf("t=%.3f audit failed: %s", e.T, e.Detail)
 	}
 }
 

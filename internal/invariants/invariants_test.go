@@ -3,28 +3,35 @@ package invariants
 import (
 	"strings"
 	"testing"
+
+	"corral/internal/trace"
 )
 
-func ev(t float64, k Kind, machine, job int) Event {
-	return Event{Time: t, Kind: k, Machine: machine, Job: job}
+func ev(t float64, k trace.Kind, machine, job int) trace.Event {
+	return trace.Event{T: t, Kind: k, Mach: machine, Job: job}
+}
+
+// deferral is a job_deferred event; the queue depth rides in Value.
+func deferral(t float64, depth, job int) trace.Event {
+	return trace.Event{T: t, Kind: trace.KJobDeferred, Mach: -1, Job: job, Value: float64(depth)}
 }
 
 // TestCleanRunNoViolations: a well-formed lifecycle produces no
 // violations — the monitor must not fire on healthy runs.
 func TestCleanRunNoViolations(t *testing.T) {
 	m := NewMonitor(4, 2)
-	for _, e := range []Event{
-		ev(0, JobSubmit, -1, 1),
-		ev(1, TaskStart, 0, 1),
-		ev(1, TaskStart, 0, 1), // second slot on machine 0
-		ev(2, TaskFinish, 0, 1),
-		ev(2, MachineDown, 3, -1),
-		ev(3, TaskFinish, 0, 1),
-		ev(4, MachineUp, 3, -1),
-		ev(4, TaskStart, 3, 1),
-		ev(5, TaskFinish, 3, 1),
-		ev(5, JobDone, -1, 1),
-		ev(5, SimEnd, -1, -1),
+	for _, e := range []trace.Event{
+		ev(0, trace.KJobSubmit, -1, 1),
+		ev(1, trace.KTaskStart, 0, 1),
+		ev(1, trace.KTaskStart, 0, 1), // second slot on machine 0
+		ev(2, trace.KTaskFinish, 0, 1),
+		ev(2, trace.KMachineDown, 3, -1),
+		ev(3, trace.KTaskFinish, 0, 1),
+		ev(4, trace.KMachineUp, 3, -1),
+		ev(4, trace.KTaskStart, 3, 1),
+		ev(5, trace.KTaskFinish, 3, 1),
+		ev(5, trace.KJobDone, -1, 1),
+		ev(5, trace.KSimEnd, -1, -1),
 	} {
 		m.Observe(e)
 	}
@@ -39,13 +46,13 @@ func TestCleanRunNoViolations(t *testing.T) {
 // TestSlotConservation: more concurrent attempts than slots must fire.
 func TestSlotConservation(t *testing.T) {
 	m := NewMonitor(2, 1)
-	m.Observe(ev(0, JobSubmit, -1, 1))
-	m.Observe(ev(1, TaskStart, 0, 1))
-	m.Observe(ev(1, TaskStart, 0, 1))
+	m.Observe(ev(0, trace.KJobSubmit, -1, 1))
+	m.Observe(ev(1, trace.KTaskStart, 0, 1))
+	m.Observe(ev(1, trace.KTaskStart, 0, 1))
 	assertViolation(t, m, "exceed 1 slots")
 
 	m2 := NewMonitor(2, 1)
-	m2.Observe(ev(1, TaskFinish, 0, 1))
+	m2.Observe(ev(1, trace.KTaskFinish, 0, 1))
 	assertViolation(t, m2, "went negative")
 }
 
@@ -53,20 +60,20 @@ func TestSlotConservation(t *testing.T) {
 // blacklisted machines.
 func TestDeadAndBlacklistedPlacement(t *testing.T) {
 	m := NewMonitor(2, 2)
-	m.Observe(ev(0, MachineDown, 1, -1))
-	m.Observe(ev(1, TaskStart, 1, 7))
+	m.Observe(ev(0, trace.KMachineDown, 1, -1))
+	m.Observe(ev(1, trace.KTaskStart, 1, 7))
 	assertViolation(t, m, "dead machine 1")
 
 	m2 := NewMonitor(2, 2)
-	m2.Observe(ev(0, Blacklist, 0, -1))
-	m2.Observe(ev(1, TaskStart, 0, 7))
+	m2.Observe(ev(0, trace.KBlacklist, 0, -1))
+	m2.Observe(ev(1, trace.KTaskStart, 0, 7))
 	assertViolation(t, m2, "blacklisted machine 0")
 
 	// After unblacklist the machine is schedulable again.
 	m3 := NewMonitor(2, 2)
-	m3.Observe(ev(0, Blacklist, 0, -1))
-	m3.Observe(ev(5, Unblacklist, 0, -1))
-	m3.Observe(ev(6, TaskStart, 0, 7))
+	m3.Observe(ev(0, trace.KBlacklist, 0, -1))
+	m3.Observe(ev(5, trace.KUnblacklist, 0, -1))
+	m3.Observe(ev(6, trace.KTaskStart, 0, 7))
 	if m3.ViolationCount() != 0 {
 		t.Fatalf("unexpected violations: %v", m3.Violations())
 	}
@@ -75,31 +82,31 @@ func TestDeadAndBlacklistedPlacement(t *testing.T) {
 // TestTimeMonotonicity: a decreasing event time must fire.
 func TestTimeMonotonicity(t *testing.T) {
 	m := NewMonitor(1, 1)
-	m.Observe(ev(5, JobSubmit, -1, 1))
-	m.Observe(ev(4, JobSubmit, -1, 2))
+	m.Observe(ev(5, trace.KJobSubmit, -1, 1))
+	m.Observe(ev(4, trace.KJobSubmit, -1, 2))
 	assertViolation(t, m, "went backwards")
 }
 
 // TestTerminality: double-terminal and never-terminal jobs must fire.
 func TestTerminality(t *testing.T) {
 	m := NewMonitor(1, 1)
-	m.Observe(ev(0, JobSubmit, -1, 1))
-	m.Observe(ev(1, JobDone, -1, 1))
-	m.Observe(ev(2, JobFail, -1, 1))
+	m.Observe(ev(0, trace.KJobSubmit, -1, 1))
+	m.Observe(ev(1, trace.KJobDone, -1, 1))
+	m.Observe(ev(2, trace.KJobFail, -1, 1))
 	assertViolation(t, m, "second terminal event")
 
 	m2 := NewMonitor(1, 1)
-	m2.Observe(ev(0, JobSubmit, -1, 1))
-	m2.Observe(ev(0, JobSubmit, -1, 2))
-	m2.Observe(ev(1, JobDone, -1, 1))
-	m2.Observe(ev(2, SimEnd, -1, -1))
+	m2.Observe(ev(0, trace.KJobSubmit, -1, 1))
+	m2.Observe(ev(0, trace.KJobSubmit, -1, 2))
+	m2.Observe(ev(1, trace.KJobDone, -1, 1))
+	m2.Observe(ev(2, trace.KSimEnd, -1, -1))
 	assertViolation(t, m2, "never reached a terminal state")
 
 	// A failed job is terminal: no violation.
 	m3 := NewMonitor(1, 1)
-	m3.Observe(ev(0, JobSubmit, -1, 3))
-	m3.Observe(ev(1, JobFail, -1, 3))
-	m3.Observe(ev(2, SimEnd, -1, -1))
+	m3.Observe(ev(0, trace.KJobSubmit, -1, 3))
+	m3.Observe(ev(1, trace.KJobFail, -1, 3))
+	m3.Observe(ev(2, trace.KSimEnd, -1, -1))
 	if m3.ViolationCount() != 0 {
 		t.Fatalf("failed-but-terminal job flagged: %v", m3.Violations())
 	}
@@ -108,17 +115,17 @@ func TestTerminality(t *testing.T) {
 // TestLeakedAttemptAtEnd: an attempt still running at SimEnd must fire.
 func TestLeakedAttemptAtEnd(t *testing.T) {
 	m := NewMonitor(2, 2)
-	m.Observe(ev(0, JobSubmit, -1, 1))
-	m.Observe(ev(1, TaskStart, 0, 1))
-	m.Observe(ev(2, JobDone, -1, 1))
-	m.Observe(ev(3, SimEnd, -1, -1))
+	m.Observe(ev(0, trace.KJobSubmit, -1, 1))
+	m.Observe(ev(1, trace.KTaskStart, 0, 1))
+	m.Observe(ev(2, trace.KJobDone, -1, 1))
+	m.Observe(ev(3, trace.KSimEnd, -1, -1))
 	assertViolation(t, m, "still running at simulation end")
 }
 
 // TestAuditEvents: external audit failures become violations verbatim.
 func TestAuditEvents(t *testing.T) {
 	m := NewMonitor(1, 1)
-	m.Observe(Event{Time: 3, Kind: Audit, Machine: -1, Job: -1, Detail: "link 4 oversubscribed"})
+	m.Observe(trace.Event{T: 3, Kind: trace.KAudit, Mach: -1, Job: -1, Detail: "link 4 oversubscribed"})
 	assertViolation(t, m, "link 4 oversubscribed")
 }
 
@@ -156,7 +163,7 @@ func TestReplanRateBound(t *testing.T) {
 	m := NewMonitor(4, 2)
 	m.BoundReplanRate(2, 10)
 	for _, tm := range []float64{0, 3, 20, 35} { // never >2 in any 10 s
-		m.Observe(ev(tm, Replan, -1, -1))
+		m.Observe(ev(tm, trace.KReplan, -1, -1))
 	}
 	if n := m.ViolationCount(); n != 0 {
 		t.Fatalf("paced replans produced %d violations: %v", n, m.Violations())
@@ -165,7 +172,7 @@ func TestReplanRateBound(t *testing.T) {
 	m = NewMonitor(4, 2)
 	m.BoundReplanRate(2, 10)
 	for _, tm := range []float64{40, 41, 42} { // 3 within 10 s
-		m.Observe(ev(tm, Replan, -1, -1))
+		m.Observe(ev(tm, trace.KReplan, -1, -1))
 	}
 	if n := m.ViolationCount(); n != 1 {
 		t.Fatalf("burst produced %d violations, want 1: %v", n, m.Violations())
@@ -177,24 +184,22 @@ func TestReplanRateBound(t *testing.T) {
 	// Disarmed: any burst is fine.
 	m = NewMonitor(4, 2)
 	for i := 0; i < 50; i++ {
-		m.Observe(ev(1, Replan, -1, -1))
+		m.Observe(ev(1, trace.KReplan, -1, -1))
 	}
 	if n := m.ViolationCount(); n != 0 {
 		t.Fatalf("disarmed monitor produced %d violations", n)
 	}
 }
 
-// TestAdmissionQueueBound: JobDefer depths above the armed cap fire; the
-// depth rides in the Machine field and must not be range-checked as a
-// machine index.
+// TestAdmissionQueueBound: deferral depths above the armed cap fire.
 func TestAdmissionQueueBound(t *testing.T) {
 	m := NewMonitor(4, 2)
 	m.BoundAdmissionQueue(3)
-	m.Observe(ev(1, JobDefer, 3, 7)) // at cap: fine (depth 3 > 4 machines would misfire machineOK)
+	m.Observe(deferral(1, 3, 7)) // at cap: fine
 	if n := m.ViolationCount(); n != 0 {
 		t.Fatalf("in-bound defer produced %d violations: %v", n, m.Violations())
 	}
-	m.Observe(ev(2, JobDefer, 4, 8))
+	m.Observe(deferral(2, 4, 8))
 	if n := m.ViolationCount(); n != 1 {
 		t.Fatalf("over-cap defer produced %d violations, want 1: %v", n, m.Violations())
 	}
@@ -207,24 +212,50 @@ func TestAdmissionQueueBound(t *testing.T) {
 // violation), but double-terminal still fires — including shed-then-done.
 func TestShedTerminality(t *testing.T) {
 	m := NewMonitor(4, 2)
-	m.Observe(ev(1, JobShed, -1, 9))
-	m.Observe(ev(5, SimEnd, -1, -1))
+	m.Observe(ev(1, trace.KJobShed, -1, 9))
+	m.Observe(ev(5, trace.KSimEnd, -1, -1))
 	if n := m.ViolationCount(); n != 0 {
 		t.Fatalf("shed job produced %d violations: %v", n, m.Violations())
 	}
 
 	m = NewMonitor(4, 2)
-	m.Observe(ev(1, JobShed, -1, 9))
-	m.Observe(ev(2, JobShed, -1, 9))
+	m.Observe(ev(1, trace.KJobShed, -1, 9))
+	m.Observe(ev(2, trace.KJobShed, -1, 9))
 	if n := m.ViolationCount(); n != 1 {
 		t.Fatalf("double shed produced %d violations, want 1: %v", n, m.Violations())
 	}
 
 	m = NewMonitor(4, 2)
-	m.Observe(ev(0, JobSubmit, -1, 9))
-	m.Observe(ev(1, JobShed, -1, 9))
-	m.Observe(ev(2, JobDone, -1, 9))
+	m.Observe(ev(0, trace.KJobSubmit, -1, 9))
+	m.Observe(ev(1, trace.KJobShed, -1, 9))
+	m.Observe(ev(2, trace.KJobDone, -1, 9))
 	if n := m.ViolationCount(); n != 1 {
 		t.Fatalf("shed-then-done produced %d violations, want 1: %v", n, m.Violations())
+	}
+}
+
+// TestSimEndAtQuiesceTime: sim_end carries the quiesce time, which may
+// precede the last event; it closes the run without a time violation.
+func TestSimEndAtQuiesceTime(t *testing.T) {
+	m := NewMonitor(2, 2)
+	m.Observe(ev(0, trace.KJobSubmit, -1, 1))
+	m.Observe(ev(5, trace.KJobDone, -1, 1))
+	m.Observe(ev(9, trace.KMachineUp, 0, -1))
+	m.Observe(ev(5, trace.KSimEnd, -1, -1))
+	if !m.Ended() || m.ViolationCount() != 0 {
+		t.Fatalf("ended=%v, violations %v", m.Ended(), m.Violations())
+	}
+}
+
+// TestIgnoresUncheckedKinds: flow, DFS traffic, planner and metadata
+// events pass through without any check, time included.
+func TestIgnoresUncheckedKinds(t *testing.T) {
+	m := NewMonitor(1, 1)
+	m.Observe(ev(5, trace.KJobSubmit, -1, 1))
+	for _, k := range []trace.Kind{trace.KMachineMeta, trace.KFlowRate, trace.KBlockRead, trace.KPlanAssign, trace.KSlotsBusy} {
+		m.Observe(ev(1, k, 99, 1))
+	}
+	if n := m.ViolationCount(); n != 0 {
+		t.Fatalf("unchecked kinds produced %d violations: %v", n, m.Violations())
 	}
 }

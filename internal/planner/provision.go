@@ -11,8 +11,8 @@ package planner
 //     to widen next is chosen purely from resp[i].At(rj[i]), which depends
 //     only on the widths so far. The whole chain can therefore be
 //     precomputed up front (buildChain) and the candidate evaluations
-//     fanned out over a bounded work-stealing pool (the
-//     experiments/parallel.go pattern), with a serial index-order argmin
+//     fanned out over the bounded worker pool (internal/pool), with a
+//     serial index-order argmin
 //     afterwards — the strict `<` of the legacy loop — so the winner is
 //     identical for any worker count.
 //
@@ -39,68 +39,12 @@ package planner
 // neither the values nor the reduction order.
 
 import (
-	goruntime "runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"corral/internal/job"
 	"corral/internal/model"
+	"corral/internal/pool"
 )
-
-// planWorkersBound is the configured provisioning worker bound; <= 0
-// means GOMAXPROCS.
-var planWorkersBound atomic.Int64
-
-// SetWorkers bounds the worker pool the provisioning fast path fans
-// candidate evaluations over. n <= 0 restores the default (GOMAXPROCS);
-// n == 1 forces serial evaluation. The setting changes wall-clock only,
-// never results (TestProvisionWorkerCountInvariance).
-func SetWorkers(n int) { planWorkersBound.Store(int64(n)) }
-
-// Workers reports the current effective provisioning worker bound.
-func Workers() int {
-	if n := int(planWorkersBound.Load()); n > 0 {
-		return n
-	}
-	return goruntime.GOMAXPROCS(0)
-}
-
-// parallelFor runs fn(0..n-1) across the provisioning worker pool. fn
-// must confine its writes to block i's own index-addressed state; any
-// shared reduction belongs after parallelFor returns (the same contract
-// corralvet's sweepsafe check enforces on experiments.parallelFor).
-func parallelFor(n int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
-	w := Workers()
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next int64 = -1
-	var wg sync.WaitGroup
-	for k := 0; k < w; k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
 
 // buildChain replays the widening rule without evaluating any candidate:
 // chain[t] is the job widened to produce candidate t+1 (candidate 0 is
@@ -355,14 +299,14 @@ func provision(in Input, resp []model.ResponseFunc, initF []float64) []int {
 	// a few blocks per worker keeps the stealing pool balanced. Block
 	// geometry affects wall-clock only: every objs[t] is a pure function
 	// of candidate t.
-	nb := Workers() * 4
+	nb := pool.Workers() * 4
 	if nb > C {
 		nb = C
 	}
 	if nb < 1 {
 		nb = 1
 	}
-	parallelFor(nb, func(b int) {
+	_ = pool.For(nb, func(b int) error { // block evaluation cannot fail
 		lo, hi := b*C/nb, (b+1)*C/nb
 		out := objs[lo:hi] // this block's own slots
 		ev := newEvaluator(in, resp, initGroups)
@@ -379,6 +323,7 @@ func provision(in Input, resp []model.ResponseFunc, initF []float64) []int {
 			ev.widen(chain[t-1])
 			out[t-lo] = ev.objective()
 		}
+		return nil
 	})
 
 	best := 0

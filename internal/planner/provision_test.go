@@ -14,6 +14,7 @@ import (
 
 	"corral/internal/job"
 	"corral/internal/model"
+	"corral/internal/pool"
 	"corral/internal/topology"
 	"corral/internal/workload"
 )
@@ -83,7 +84,7 @@ func TestProvisionFastMatchesSerial(t *testing.T) {
 // TestProvisionWorkerCountInvariance pins the determinism contract: the
 // worker pool size changes wall-clock only, never the plan.
 func TestProvisionWorkerCountInvariance(t *testing.T) {
-	defer SetWorkers(0)
+	defer pool.SetWorkers(0)
 	rng := rand.New(rand.NewSource(7))
 	in := Input{
 		Cluster:   testClusterModel(),
@@ -91,12 +92,12 @@ func TestProvisionWorkerCountInvariance(t *testing.T) {
 		Alpha:     -1,
 		Objective: MinimizeAvgCompletion,
 	}
-	SetWorkers(1)
+	pool.SetWorkers(1)
 	one, err := New(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	SetWorkers(8)
+	pool.SetWorkers(8)
 	eight, err := New(in)
 	if err != nil {
 		t.Fatal(err)

@@ -18,9 +18,7 @@ package runtime
 //     accumulating BlacklistThreshold failures is blacklisted: it keeps
 //     its running work but receives no new attempts and is skipped by the
 //     dispatch heartbeat (so delay scheduling does not wait for it).
-//     After BlacklistCooldown it rejoins through the same
-//     OnMachineRepair hook transient machine recoveries use, with its
-//     failure count reset.
+//     After BlacklistCooldown it rejoins with its failure count reset.
 //   - AMFailures kill a job's application master: all running attempts
 //     are lost and the job stops scheduling until the resource manager
 //     relaunches it AMRestartDelay later. The restarted attempt reuses
@@ -41,7 +39,6 @@ import (
 
 	"corral/internal/des"
 	"corral/internal/dfs"
-	"corral/internal/invariants"
 	"corral/internal/trace"
 )
 
@@ -61,33 +58,6 @@ type AMFailure struct {
 type Corruption struct {
 	At      float64
 	Machine int
-}
-
-// probe forwards a lifecycle event to the configured invariant probe.
-func (rt *runtime) probe(kind invariants.Kind, machine, jobID int) {
-	if rt.opts.Probe == nil {
-		return
-	}
-	rt.opts.Probe.Observe(invariants.Event{
-		Time:    float64(rt.sim.Now()),
-		Kind:    kind,
-		Machine: machine,
-		Job:     jobID,
-	})
-}
-
-// probeAudit reports an external audit failure as a violation event.
-func (rt *runtime) probeAudit(err error) {
-	if rt.opts.Probe == nil {
-		return
-	}
-	rt.opts.Probe.Observe(invariants.Event{
-		Time:    float64(rt.sim.Now()),
-		Kind:    invariants.Audit,
-		Machine: -1,
-		Job:     -1,
-		Detail:  err.Error(),
-	})
 }
 
 // armCrash rolls the injected-crash die for a freshly launched attempt.
@@ -119,7 +89,6 @@ func (rt *runtime) crashAttempt(tk *runningTask) {
 		return
 	}
 	je := tk.je
-	rt.probe(invariants.TaskCrash, tk.machine, je.job.ID)
 	role, idx, att := tk.ident()
 	rt.tr.TaskCrash(float64(rt.sim.Now()), role, je.job.ID, tk.st.idx, idx, att, tk.machine)
 	var attempts int
@@ -152,28 +121,22 @@ func (rt *runtime) noteAttemptFailure(m int) {
 		return
 	}
 	rt.blacklisted[m] = true
-	rt.probe(invariants.Blacklist, m, -1)
 	rt.tr.Blacklist(float64(rt.sim.Now()), m)
 	rt.sim.After(des.Time(rt.opts.BlacklistCooldown), func() { rt.unblacklist(m) })
 }
 
-// unblacklist returns a machine to the slot pool after its cooldown,
-// through the same repair hook transient machine recoveries use.
+// unblacklist returns a machine to the slot pool after its cooldown.
 func (rt *runtime) unblacklist(m int) {
 	if !rt.blacklisted[m] {
 		return
 	}
 	rt.blacklisted[m] = false
 	rt.machineFailures[m] = 0
-	rt.probe(invariants.Unblacklist, m, -1)
 	rt.tr.Unblacklist(float64(rt.sim.Now()), m)
 	if rt.dead[m] {
-		// Died during the cooldown: recoverMachine re-admits it (and
-		// fires the repair hook) if the failure was transient.
+		// Died during the cooldown: recoverMachine re-admits it if the
+		// failure was transient.
 		return
-	}
-	if rt.opts.OnMachineRepair != nil {
-		rt.opts.OnMachineRepair(m, float64(rt.sim.Now()))
 	}
 	rt.requestDispatch()
 }
@@ -189,7 +152,6 @@ func (rt *runtime) failJob(je *jobExec, reason string) {
 	rt.active--
 	rt.failedJobs++
 	rt.abortJobAttempts(je)
-	rt.probe(invariants.JobFail, -1, je.job.ID)
 	rt.tr.JobFail(float64(rt.sim.Now()), je.job.ID, reason)
 	rt.onJobTerminal(je)
 	rt.requestDispatch()
@@ -225,7 +187,6 @@ func (rt *runtime) failAM(jobID int) {
 	if je == nil || !je.submitted || je.done() || je.amDown {
 		return
 	}
-	rt.probe(invariants.AMFail, -1, jobID)
 	rt.tr.AMFail(float64(rt.sim.Now()), jobID)
 	je.amFailures++
 	if je.amFailures >= rt.opts.MaxAMAttempts {
@@ -251,7 +212,6 @@ func (rt *runtime) restartJob(je *jobExec) {
 	for _, st := range je.stages {
 		rt.recoverStage(st)
 	}
-	rt.probe(invariants.AMRestart, -1, je.job.ID)
 	rt.tr.AMRestart(float64(rt.sim.Now()), je.job.ID)
 	rt.requestDispatch()
 }
@@ -353,9 +313,7 @@ func (rt *runtime) applyCorruption(c Corruption) {
 		return
 	}
 	b := candidates[rt.rng.Intn(len(candidates))]
-	if rt.store.CorruptReplica(b, c.Machine) {
-		rt.probe(invariants.Corruption, c.Machine, -1)
-	}
+	rt.store.CorruptReplica(b, c.Machine)
 }
 
 // detectCorruption is the read-side checksum path: a reader that skipped

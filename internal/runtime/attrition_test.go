@@ -7,26 +7,32 @@ import (
 
 	"corral/internal/invariants"
 	"corral/internal/job"
+	"corral/internal/trace"
 )
 
 // countingProbe forwards events to an invariant monitor while counting
 // per-kind occurrences, so tests can assert lifecycle behaviour.
 type countingProbe struct {
 	mon   *invariants.Monitor
-	kinds map[invariants.Kind]int
+	kinds map[trace.Kind]int
 }
 
 func newCountingProbe(machines, slots int) *countingProbe {
 	return &countingProbe{
 		mon:   invariants.NewMonitor(machines, slots),
-		kinds: make(map[invariants.Kind]int),
+		kinds: make(map[trace.Kind]int),
 	}
 }
 
-func (p *countingProbe) Observe(e invariants.Event) {
+func (p *countingProbe) Observe(e trace.Event) {
 	p.kinds[e.Kind]++
 	p.mon.Observe(e)
 }
+
+// observerFunc adapts a function to a trace.Observer.
+type observerFunc func(trace.Event)
+
+func (f observerFunc) Observe(e trace.Event) { f(e) }
 
 func attritionOpts(seed int64) Options {
 	return Options{
@@ -56,7 +62,7 @@ func TestAttritionRetriesComplete(t *testing.T) {
 				jr.ID, jr.Failed, jr.CompletionTime)
 		}
 	}
-	if probe.kinds[invariants.TaskCrash] == 0 {
+	if probe.kinds[trace.KTaskCrash] == 0 {
 		t.Fatal("no task crashes injected at TaskFailureProb=0.25 (vacuous test)")
 	}
 	if !probe.mon.Ended() {
@@ -127,31 +133,26 @@ func TestAttemptBudgetFailsJob(t *testing.T) {
 }
 
 // Machines that accumulate failures must be blacklisted out of the slot
-// pool and re-admitted through the repair hook after the cooldown.
+// pool and re-admitted after the cooldown.
 func TestBlacklistingAndRejoin(t *testing.T) {
 	topo := smallTopo()
 	probe := newCountingProbe(topo.Machines(), topo.SlotsPerMachine)
-	var repaired []int
 	opts := attritionOpts(11)
 	opts.TaskFailureProb = 0.5
 	opts.BlacklistThreshold = 2
 	opts.BlacklistCooldown = 5
 	opts.Probe = probe
-	opts.OnMachineRepair = func(m int, at float64) { repaired = append(repaired, m) }
 	res := mustRun(t, opts, []*job.Job{shuffleJob(1), shuffleJob(2)})
 	if res.FailedJobs != 0 {
 		t.Fatalf("%d jobs failed; want all complete despite blacklisting", res.FailedJobs)
 	}
-	bl := probe.kinds[invariants.Blacklist]
+	bl := probe.kinds[trace.KBlacklist]
 	if bl == 0 {
 		t.Fatal("no machine was blacklisted at threshold 2 with 50% crashes (vacuous test)")
 	}
-	if probe.kinds[invariants.Unblacklist] != bl {
+	if probe.kinds[trace.KUnblacklist] != bl {
 		t.Fatalf("blacklist/unblacklist events %d/%d, want pairs",
-			bl, probe.kinds[invariants.Unblacklist])
-	}
-	if len(repaired) != bl {
-		t.Fatalf("repair hook fired %d times for %d blacklistings", len(repaired), bl)
+			bl, probe.kinds[trace.KUnblacklist])
 	}
 	if n := probe.mon.ViolationCount(); n != 0 {
 		t.Fatalf("blacklisting run raised %d violations: %v", n, probe.mon.Violations())
@@ -177,9 +178,9 @@ func TestAMRestartCompletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if probe.kinds[invariants.AMFail] != 1 || probe.kinds[invariants.AMRestart] != 1 {
+	if probe.kinds[trace.KAMFail] != 1 || probe.kinds[trace.KAMRestart] != 1 {
 		t.Fatalf("AMFail/AMRestart events = %d/%d, want 1/1",
-			probe.kinds[invariants.AMFail], probe.kinds[invariants.AMRestart])
+			probe.kinds[trace.KAMFail], probe.kinds[trace.KAMRestart])
 	}
 	jr := res.Jobs[0]
 	if jr.Failed || jr.CompletionTime <= 0 {
@@ -264,8 +265,8 @@ func TestCorruptionReadFailoverAndRepair(t *testing.T) {
 // conservation invariant must fire on an otherwise healthy run.
 type vacuityProbe struct{ mon *invariants.Monitor }
 
-func (p *vacuityProbe) Observe(e invariants.Event) {
-	if e.Kind == invariants.TaskFinish || e.Kind == invariants.TaskAbort {
+func (p *vacuityProbe) Observe(e trace.Event) {
+	if e.Kind == trace.KTaskFinish || e.Kind == trace.KTaskAbort {
 		return
 	}
 	p.mon.Observe(e)

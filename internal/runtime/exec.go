@@ -6,7 +6,6 @@ import (
 
 	"corral/internal/des"
 	"corral/internal/dfs"
-	"corral/internal/invariants"
 	"corral/internal/job"
 	"corral/internal/netsim"
 	"corral/internal/planner"
@@ -181,7 +180,6 @@ func (t *mapTask) nodeLocal(rt *runtime, m int) bool {
 // pile onto the same racks, the pathology §6.2 describes.
 func (rt *runtime) submit(je *jobExec) {
 	je.submitted = true
-	rt.probe(invariants.JobSubmit, -1, je.job.ID)
 	rt.tr.JobSubmit(float64(rt.sim.Now()), je.job.ID, je.job.Name, je.job.Slots())
 	je.racksTouched = make([]bool, rt.cluster.Config.Racks)
 	if rt.opts.Scheduler == ShuffleWatcher && !je.job.AdHoc {
@@ -408,7 +406,6 @@ func (rt *runtime) runMap(st *stageExec, t *mapTask, m int) {
 		tk.after(rt, des.Time(dur), func() {
 			tk.done = true
 			rt.finishTracking(tk)
-			rt.probe(invariants.TaskFinish, m, je.job.ID)
 			rt.tr.TaskFinish(float64(rt.sim.Now()), trace.RoleMap, je.job.ID, st.idx, t.index, t.attempts, m,
 				float64(rt.sim.Now()-tk.started))
 			je.taskSeconds += float64(rt.sim.Now() - tk.started)
@@ -502,7 +499,6 @@ func (rt *runtime) runReduce(st *stageExec, rT *reduceTask, m int) {
 	finish := func() {
 		tk.done = true
 		rt.finishTracking(tk)
-		rt.probe(invariants.TaskFinish, m, je.job.ID)
 		dur := float64(rt.sim.Now() - tk.started)
 		rt.tr.TaskFinish(float64(rt.sim.Now()), trace.RoleReduce, je.job.ID, st.idx, rT.index, rT.attempts, m, dur)
 		je.taskSeconds += dur
@@ -521,7 +517,7 @@ func (rt *runtime) runReduce(st *stageExec, rT *reduceTask, m int) {
 	write := func() {
 		tk.endCompute()
 		outBytes := p.OutputBytes / float64(p.ReduceTasks)
-		if outBytes <= 0 || !rt.isTerminal(st) || rt.opts.OutputReplication <= 1 {
+		if outBytes <= 0 || !rt.isTerminal(st) || rt.opts.InMemoryInput {
 			finish()
 			return
 		}
@@ -616,15 +612,9 @@ func (rt *runtime) writeOutput(tk *runningTask, coflow netsim.CoflowID, m int, b
 	tk.flow(rt, func(cb func(*netsim.Flow)) *netsim.Flow {
 		return rt.net.Start(m, r2, bytes, coflow, je.job.ID, cb)
 	}, flowDone)
-	if rt.opts.OutputReplication >= 3 {
-		tk.flow(rt, func(cb func(*netsim.Flow)) *netsim.Flow {
-			return rt.net.Start(r2, r3, bytes, coflow, je.job.ID, cb)
-		}, flowDone)
-	} else {
-		tk.flow(rt, func(cb func(*netsim.Flow)) *netsim.Flow {
-			return rt.net.Start(m, m, 0, 0, je.job.ID, cb)
-		}, flowDone)
-	}
+	tk.flow(rt, func(cb func(*netsim.Flow)) *netsim.Flow {
+		return rt.net.Start(r2, r3, bytes, coflow, je.job.ID, cb)
+	}, flowDone)
 }
 
 // pickRemoteRack returns a uniformly random rack != myRack, deterministic-
@@ -669,7 +659,6 @@ func (rt *runtime) finishStage(st *stageExec) {
 	if je.stagesLeft == 0 {
 		je.completion = float64(rt.sim.Now())
 		rt.active--
-		rt.probe(invariants.JobDone, -1, je.job.ID)
 		rt.tr.JobDone(float64(rt.sim.Now()), je.job.ID)
 		rt.onJobTerminal(je)
 		rt.requestDispatch()

@@ -42,7 +42,6 @@ import (
 	"math"
 
 	"corral/internal/des"
-	"corral/internal/invariants"
 	"corral/internal/netsim"
 	"corral/internal/trace"
 )
@@ -116,7 +115,6 @@ func (rt *runtime) track(je *jobExec, st *stageExec, t *mapTask, rT *reduceTask,
 		tk.noSpec = true
 	}
 	rt.running[m] = append(rt.running[m], tk)
-	rt.probe(invariants.TaskStart, m, je.job.ID)
 	return tk
 }
 
@@ -209,7 +207,6 @@ func (rt *runtime) abortTask(tk *runningTask, freeSlot bool, requeueDelay des.Ti
 	tk.flows = tk.flows[:0]
 	rt.finishTracking(tk)
 	rt.taskEnded(tk.je)
-	rt.probe(invariants.TaskAbort, tk.machine, tk.je.job.ID)
 	role, idx, att := tk.ident()
 	rt.tr.TaskAbort(float64(rt.sim.Now()), role, tk.je.job.ID, tk.st.idx, idx, att, tk.machine)
 	if freeSlot {
@@ -304,14 +301,10 @@ func (rt *runtime) recoverMachine(m int) {
 	}
 	rt.dead[m] = false
 	rt.deadCount--
-	rt.probe(invariants.MachineUp, m, -1)
 	rt.tr.MachineUp(float64(rt.sim.Now()), m)
 	rt.freeSlots[m] = rt.cluster.Config.SlotsPerMachine
 	rt.recoverAt[m] = math.Inf(1)
 	rt.store.MachineUp(m)
-	if rt.opts.OnMachineRepair != nil {
-		rt.opts.OnMachineRepair(m, float64(rt.sim.Now()))
-	}
 	rt.requestDispatch()
 }
 
@@ -322,7 +315,6 @@ func (rt *runtime) failMachine(m int) {
 	}
 	rt.dead[m] = true
 	rt.deadCount++
-	rt.probe(invariants.MachineDown, m, -1)
 	rt.tr.MachineDown(float64(rt.sim.Now()), m)
 	rt.freeSlots[m] = 0
 	if math.IsInf(rt.recoverAt[m], 1) || rt.recoverAt[m] <= float64(rt.sim.Now()) {

@@ -8,6 +8,7 @@ import (
 	"corral/internal/dfs"
 	"corral/internal/job"
 	"corral/internal/planner"
+	"corral/internal/trace"
 )
 
 // --- S1: watchdog timers are canceled on normal completion ------------------
@@ -196,17 +197,17 @@ func TestTransientFailureRecovers(t *testing.T) {
 	res := mustRun(t, Options{
 		Cluster: topo, BlockSize: 64e6, Seed: 35,
 		Failures: []Failure{{At: 0.5, Machine: 0, Downtime: 2}},
-		OnMachineRepair: func(m int, at float64) {
-			if m == 0 {
-				recovered = append(recovered, at)
+		Probe: observerFunc(func(e trace.Event) {
+			if e.Kind == trace.KMachineUp && e.Mach == 0 {
+				recovered = append(recovered, e.T)
 			}
-		},
+		}),
 	}, []*job.Job{shuffleJob(1)})
 	if res.Jobs[0].CompletionTime <= 0 {
 		t.Fatal("job did not complete across a transient failure")
 	}
 	if len(recovered) != 1 || math.Abs(recovered[0]-2.5) > 1e-9 {
-		t.Fatalf("recovery hook calls = %v, want one at t=2.5", recovered)
+		t.Fatalf("machine-up events = %v, want one at t=2.5", recovered)
 	}
 }
 

@@ -28,7 +28,6 @@ import (
 	"fmt"
 
 	"corral/internal/des"
-	"corral/internal/invariants"
 )
 
 // maxReplanCooldown caps the exponential window-stretch factor.
@@ -83,7 +82,6 @@ func (rt *runtime) arrive(je *jobExec) {
 		if depth > rt.maxAdmissionQ {
 			rt.maxAdmissionQ = depth
 		}
-		rt.probe(invariants.JobDefer, depth, je.job.ID)
 		rt.tr.JobDeferred(now, je.job.ID, depth)
 		return
 	}
@@ -102,7 +100,6 @@ func (rt *runtime) shedJob(je *jobExec) {
 	rt.active--
 	rt.shed++
 	depth := len(rt.admissionQueue)
-	rt.probe(invariants.JobShed, depth, je.job.ID)
 	rt.tr.JobShed(now, je.job.ID, depth)
 }
 

@@ -6,10 +6,10 @@ import (
 	"testing"
 
 	"corral/internal/des"
-	"corral/internal/invariants"
 	"corral/internal/job"
 	"corral/internal/planner"
 	"corral/internal/snapshot"
+	"corral/internal/trace"
 )
 
 // --- option validation -------------------------------------------------------
@@ -216,8 +216,8 @@ func TestAdmissionSerializesArrivals(t *testing.T) {
 	if res.MaxAdmissionQueue != 2 {
 		t.Fatalf("MaxAdmissionQueue = %d, want 2", res.MaxAdmissionQueue)
 	}
-	if probe.kinds[invariants.JobDefer] != 2 {
-		t.Fatalf("JobDefer events = %d, want 2", probe.kinds[invariants.JobDefer])
+	if probe.kinds[trace.KJobDeferred] != 2 {
+		t.Fatalf("JobDefer events = %d, want 2", probe.kinds[trace.KJobDeferred])
 	}
 	for i, jr := range res.Jobs {
 		if jr.Failed || jr.CompletionTime <= 0 {
@@ -254,8 +254,8 @@ func TestAdmissionShedsAtCapacity(t *testing.T) {
 	if res.FailedJobs != 0 {
 		t.Fatalf("FailedJobs = %d; shed jobs must not count as attrition failures", res.FailedJobs)
 	}
-	if probe.kinds[invariants.JobShed] != 2 {
-		t.Fatalf("JobShed events = %d, want 2", probe.kinds[invariants.JobShed])
+	if probe.kinds[trace.KJobShed] != 2 {
+		t.Fatalf("JobShed events = %d, want 2", probe.kinds[trace.KJobShed])
 	}
 	for _, jr := range res.Jobs[:2] {
 		if jr.Failed {

@@ -21,7 +21,6 @@ import (
 	"sort"
 
 	"corral/internal/des"
-	"corral/internal/invariants"
 	"corral/internal/model"
 	"corral/internal/planner"
 )
@@ -87,7 +86,6 @@ func (rt *runtime) replanOnFailure() {
 		// Legacy behavior: the full replan is instantaneous and free.
 		rt.replans++
 		rt.tr.Replan(now, len(in.Jobs))
-		rt.probe(invariants.Replan, -1, -1)
 		next, err := planner.Replan(in, now, commitments)
 		if err != nil {
 			return // constraint-drop fallback already applied
@@ -111,7 +109,6 @@ func (rt *runtime) replanOnFailure() {
 		rt.degradations.Full++
 		rt.replans++
 		rt.tr.Replan(now, J)
-		rt.probe(invariants.Replan, -1, -1)
 		next, err := planner.Replan(in, now+cost, commitments)
 		if err != nil {
 			return
@@ -125,7 +122,6 @@ func (rt *runtime) replanOnFailure() {
 		rt.degradations.Incremental++
 		rt.replans++
 		rt.tr.Replan(now, J)
-		rt.probe(invariants.Replan, -1, -1)
 		rt.tr.Degrade(now, 1, J)
 		widths := make(map[int]int, len(replanJobs))
 		for _, je := range replanJobs {

@@ -18,6 +18,13 @@
 // straggler injection) draws from one seeded *rand.Rand, slot and task
 // scans go in index order, and order-sensitive work never ranges over a
 // map unsorted (see the collect-and-sort idiom in exec.go).
+//
+// Observation: a run has one event stream. Each lifecycle point (job,
+// attempt, machine, AM, replan, admission, audit, end of run) is emitted
+// once, as a trace.Event into the run's tracer. Options.Probe observes
+// that stream through trace.Observed — the invariant monitor is such an
+// observer — so probing needs no hooks of its own and costs nothing when
+// neither a tracer nor a probe is attached.
 package runtime
 
 import (
@@ -28,7 +35,6 @@ import (
 
 	"corral/internal/des"
 	"corral/internal/dfs"
-	"corral/internal/invariants"
 	"corral/internal/job"
 	"corral/internal/netsim"
 	"corral/internal/planner"
@@ -77,6 +83,30 @@ func ParseKind(s string) (Kind, error) {
 	return 0, fmt.Errorf("runtime: unknown scheduler %q", s)
 }
 
+// Fixed scheduler and write-pipeline parameters. Snapshot specs still
+// record them, and Resume restores no other value.
+const (
+	// heartbeat is the scheduler retry interval in seconds when jobs
+	// decline slots waiting for locality (the delay-scheduling "wait").
+	heartbeat = 1.0
+	// adhocShare is the capacity-scheduler queue share for ad-hoc jobs
+	// under the plan-driven schedulers: when the ad-hoc queue is running
+	// less than this fraction of all busy slots, a freed slot is offered
+	// to ad-hoc jobs first (work-conserving both ways). Yarn-CS and
+	// ShuffleWatcher ignore it (single FIFO queue).
+	adhocShare = 0.5
+)
+
+// outputReplicas is the replica count of terminal stage outputs: one
+// local replica plus two on a remote rack, or only the local copy for
+// InMemoryInput runs, which skip the write pipeline.
+func outputReplicas(inMemory bool) int {
+	if inMemory {
+		return 1
+	}
+	return 3
+}
+
 // Options configures one simulated run; the public API exports it as
 // corral.SimConfig.
 type Options struct {
@@ -97,12 +127,6 @@ type Options struct {
 	// the cluster size.
 	DelayNodeLocal int
 	DelayRackLocal int
-	// OutputReplication for terminal stage outputs (default 3: one local
-	// replica plus two on a remote rack).
-	OutputReplication int
-	// Heartbeat is the scheduler retry interval when jobs decline slots
-	// waiting for locality (the delay-scheduling "wait"). Default 1s.
-	Heartbeat float64
 	// Failures kills machines at points in simulated time: running tasks
 	// on a failed machine are aborted and re-executed elsewhere, and
 	// planned jobs whose rack sets lose a majority of machines fall back
@@ -124,10 +148,6 @@ type Options struct {
 	// default because HDFS re-replication is part of the paper's assumed
 	// substrate (§2).
 	DisableReReplication bool
-	// OnMachineRepair, if set, is invoked when a transiently failed
-	// machine recovers — a hook for experiments that track repair events.
-	// It runs inside the simulation; it must be deterministic.
-	OnMachineRepair func(machine int, at float64)
 	// StragglerFraction is the probability that a task's compute phase is
 	// a straggler, running StragglerSlowdown (default 6) times slower —
 	// the "outliers" of §3.3. Zero disables injection.
@@ -138,12 +158,6 @@ type Options struct {
 	// expected duration is relaunched.
 	Speculation          bool
 	SpeculationThreshold float64
-	// AdhocShare is the capacity-scheduler queue share for ad-hoc jobs
-	// under the plan-driven schedulers: when the ad-hoc queue is running
-	// less than this fraction of all busy slots, a freed slot is offered
-	// to ad-hoc jobs first (work-conserving both ways). Default 0.5.
-	// Yarn-CS and ShuffleWatcher ignore it (single FIFO queue).
-	AdhocShare float64
 	// FailedMachines are dead from time zero: no slots, and DFS replicas
 	// on them are unreadable. If more than half the machines of a planned
 	// job's rack set are dead, Corral drops the job's placement
@@ -180,9 +194,7 @@ type Options struct {
 	// negative disables blacklisting).
 	BlacklistThreshold int
 	// BlacklistCooldown is how long in seconds a blacklisted machine sits
-	// out (default 30). It rejoins with its failure count reset, via the
-	// OnMachineRepair hook — the same path transient machine recoveries
-	// take.
+	// out (default 30). It rejoins with its failure count reset.
 	BlacklistCooldown float64
 	// AMFailures kills job application masters at points in simulated
 	// time. The job's running attempts are lost; a restarted AM attempt
@@ -234,10 +246,13 @@ type Options struct {
 	// AdmissionQueueCap bounds the admission queue (default 4×
 	// AdmissionLimit; requires AdmissionLimit > 0).
 	AdmissionQueueCap int
-	// Probe, if set, receives runtime lifecycle events for invariant
-	// monitoring (see internal/invariants). It runs inside the simulation;
-	// it must be deterministic and must not call back into the runtime.
-	Probe invariants.Probe
+	// Probe, if set, observes every trace event of the run (see
+	// trace.Observed) — the invariant monitor of internal/invariants is
+	// the checking one — and arms the link-rate and DFS-accounting audits,
+	// whose failures it sees as trace.KAudit events. It runs inside the
+	// simulation; it must be deterministic and must not call back into
+	// the runtime.
+	Probe trace.Observer
 	// Trace, if set, receives the run's lifecycle events (task attempts,
 	// flows, failures, repairs — see internal/trace). When nil, the runtime
 	// asks the process-wide trace collector for a run tracer (installed by
@@ -446,21 +461,12 @@ func newRuntime(opts Options, jobs []*job.Job) (*runtime, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opts.OutputReplication == 0 {
-		opts.OutputReplication = 3
-	}
 	m := cluster.Config.Machines()
 	if opts.DelayNodeLocal == 0 {
 		opts.DelayNodeLocal = m
 	}
 	if opts.DelayRackLocal == 0 {
 		opts.DelayRackLocal = 2 * m
-	}
-	if opts.Heartbeat <= 0 {
-		opts.Heartbeat = 1
-	}
-	if opts.AdhocShare <= 0 || opts.AdhocShare >= 1 {
-		opts.AdhocShare = 0.5
 	}
 	if opts.StragglerSlowdown <= 1 {
 		opts.StragglerSlowdown = 6
@@ -499,7 +505,7 @@ func newRuntime(opts Options, jobs []*job.Job) (*runtime, error) {
 		return nil, err
 	}
 	// Resolve overload defaults before buildSpec records the options, so a
-	// resumed run re-applies them idempotently (like Heartbeat above).
+	// resumed run re-applies them idempotently.
 	if opts.ReplanWindow > 0 && opts.MaxReplansPerWindow <= 0 {
 		opts.MaxReplansPerWindow = 1
 	}
@@ -510,9 +516,6 @@ func newRuntime(opts Options, jobs []*job.Job) (*runtime, error) {
 		if _, ok := cluster.StorageLink(); !ok {
 			return nil, fmt.Errorf("runtime: RemoteStorageInput requires Cluster.RemoteStorageBandwidth > 0")
 		}
-	}
-	if opts.InMemoryInput {
-		opts.OutputReplication = 1
 	}
 	// Default to the max-min allocator. It is stateful, so each run gets a
 	// fresh instance — required for parallel experiment sweeps.
@@ -559,6 +562,7 @@ func newRuntime(opts Options, jobs []*job.Job) (*runtime, error) {
 	if rt.tr == nil {
 		rt.tr = trace.NewRun(fmt.Sprintf("sim/%s/seed%d", opts.Scheduler, opts.Seed))
 	}
+	rt.tr = trace.Observed(rt.tr, opts.Probe)
 	if rt.tr.Enabled() {
 		for mi := 0; mi < m; mi++ {
 			rt.tr.MachineMeta(mi, cluster.RackOf(mi))
@@ -575,7 +579,7 @@ func newRuntime(opts Options, jobs []*job.Job) (*runtime, error) {
 		// or capacity-infeasible rate becomes an invariant violation.
 		rt.net.OnAllocate = func() {
 			if err := rt.net.AuditFeasibility(1e-6); err != nil {
-				rt.probeAudit(err)
+				rt.tr.Audit(float64(rt.sim.Now()), err.Error())
 			}
 		}
 	}
@@ -596,7 +600,6 @@ func newRuntime(opts Options, jobs []*job.Job) (*runtime, error) {
 			rt.dead[f] = true
 			rt.deadCount++
 			rt.freeSlots[f] = 0
-			rt.probe(invariants.MachineDown, f, -1)
 			rt.tr.MachineDown(0, f)
 			// Dead from time zero: no data was ever on them to repair, but
 			// the store must know not to place or read replicas there.
@@ -752,13 +755,11 @@ func (rt *runtime) start() {
 // event queue must have drained.
 func (rt *runtime) finish() (*Result, error) {
 	if rt.opts.Probe != nil {
-		// Final audits: incremental DFS accounting must agree with a from-
-		// scratch recount, then the monitor runs its end-of-simulation
-		// checks (no leaked attempts, every job terminal).
+		// Final audit: incremental DFS accounting must agree with a from-
+		// scratch recount.
 		if err := rt.store.AuditAccounting(); err != nil {
-			rt.probeAudit(err)
+			rt.tr.Audit(float64(rt.sim.Now()), err.Error())
 		}
-		rt.probe(invariants.SimEnd, -1, -1)
 	}
 
 	res := &Result{
@@ -778,6 +779,9 @@ func (rt *runtime) finish() (*Result, error) {
 	}
 	for _, je := range rt.jobs {
 		if je.completion < 0 {
+			// Still close the run, so the invariant monitor's end-of-run
+			// checks name every stuck job and attempt.
+			rt.tr.SimEnd(float64(rt.sim.Now()))
 			return nil, fmt.Errorf("runtime: job %d never completed (deadlock?)", je.job.ID)
 		}
 		jr := JobResult{

@@ -91,7 +91,7 @@ func (rt *runtime) dispatch() {
 	}
 	if rt.declined && !rt.retryPending {
 		rt.retryPending = true
-		rt.sim.After(des.Time(rt.opts.Heartbeat), func() {
+		rt.sim.After(des.Time(heartbeat), func() {
 			rt.retryPending = false
 			rt.dispatch()
 		})
@@ -112,7 +112,7 @@ func (rt *runtime) offerSlot(m int) bool {
 	planned := func(je *jobExec) bool { return je.assignment != nil }
 	adhoc := func(je *jobExec) bool { return je.assignment == nil }
 	adhocFirst := float64(rt.runningAdhoc) <
-		rt.opts.AdhocShare*float64(rt.runningPlanned+rt.runningAdhoc+1)
+		adhocShare*float64(rt.runningPlanned+rt.runningAdhoc+1)
 	if adhocFirst {
 		return rt.offerSlotTo(m, adhoc) || rt.offerSlotTo(m, planned)
 	}

@@ -16,10 +16,9 @@ package runtime
 // run's trace byte for byte, which is what the crash-resume equivalence
 // harness (internal/experiments/resume.go) asserts.
 //
-// Observer attachments (Probe, Trace, OnMachineRepair) are never part of
-// a snapshot: tracing and probing must not perturb a run, so they must
-// not perturb a snapshot either. Resumers reattach them via
-// ResumeOptions.
+// Observer attachments (Probe, Trace) are never part of a snapshot:
+// tracing and probing must not perturb a run, so they must not perturb a
+// snapshot either. Resumers reattach them via ResumeOptions.
 
 import (
 	"fmt"
@@ -27,7 +26,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"corral/internal/invariants"
 	"corral/internal/job"
 	"corral/internal/netsim"
 	"corral/internal/snapshot"
@@ -80,9 +78,8 @@ func (t CheckpointTarget) String() string {
 // ResumeOptions reattaches the observer hooks a snapshot deliberately
 // excludes.
 type ResumeOptions struct {
-	Probe           invariants.Probe
-	Trace           *trace.Tracer
-	OnMachineRepair func(machine int, at float64)
+	Probe trace.Observer
+	Trace *trace.Tracer
 }
 
 // RunWithSnapshots runs like Run but captures a snapshot at each target,
@@ -164,8 +161,9 @@ func CaptureAt(opts Options, jobs []*job.Job, target CheckpointTarget) (*snapsho
 // replayed to Meta.EventIndex; the replayed state is then audited
 // field-by-field against the snapshot's State section. Any mismatch —
 // a corrupted snapshot, or a build whose semantics drifted from the
-// snapshotting build — is reported to the probe as an invariant violation
-// and returned as an error; the run never continues from unverified state.
+// snapshotting build — is traced as an audit failure (an invariant
+// violation for an attached monitor) and returned as an error; the run
+// never continues from unverified state.
 func Resume(snap *snapshot.Snapshot, ro ResumeOptions) (*Result, error) {
 	if snap == nil {
 		return nil, fmt.Errorf("runtime: resuming nil snapshot")
@@ -179,7 +177,6 @@ func Resume(snap *snapshot.Snapshot, ro ResumeOptions) (*Result, error) {
 	}
 	opts.Probe = ro.Probe
 	opts.Trace = ro.Trace
-	opts.OnMachineRepair = ro.OnMachineRepair
 	rt, err := newRuntime(opts, jobs)
 	if err != nil {
 		return nil, err
@@ -189,14 +186,14 @@ func Resume(snap *snapshot.Snapshot, ro ResumeOptions) (*Result, error) {
 		if !rt.sim.Step() {
 			err := fmt.Errorf("snapshot restore audit: event queue drained after %d events, snapshot taken at %d — spec does not reproduce the captured run",
 				rt.sim.Fired(), snap.Meta.EventIndex)
-			rt.probeAudit(err)
+			rt.tr.Audit(float64(rt.sim.Now()), err.Error())
 			return nil, err
 		}
 	}
 	if diffs := snapshot.DiffStates(rt.captureState(), &snap.State); len(diffs) > 0 {
 		err := fmt.Errorf("snapshot restore audit: replayed state diverges from captured state in %d field(s): %s",
 			len(diffs), diffs[0])
-		rt.probeAudit(err)
+		rt.tr.Audit(float64(rt.sim.Now()), err.Error())
 		return nil, err
 	}
 	// Restored state verified; re-run the DFS byte-conservation audit on it
@@ -204,21 +201,17 @@ func Resume(snap *snapshot.Snapshot, ro ResumeOptions) (*Result, error) {
 	// restored world, not just the events that follow.
 	if rt.opts.Probe != nil {
 		if err := rt.store.AuditAccounting(); err != nil {
-			rt.probeAudit(err)
+			rt.tr.Audit(float64(rt.sim.Now()), err.Error())
 		}
 	}
 	rt.sim.Run()
 	return rt.finish()
 }
 
-// buildSpec serializes the run's full input. It fails on inputs that
-// cannot round-trip: a custom network policy instance or a live
-// OnMachineRepair hook.
+// buildSpec serializes the run's full input. It fails on the one input
+// that cannot round-trip: a custom network policy instance.
 func (rt *runtime) buildSpec() (snapshot.Spec, error) {
 	o := rt.opts
-	if o.OnMachineRepair != nil {
-		return snapshot.Spec{}, fmt.Errorf("runtime: cannot snapshot a run with an OnMachineRepair hook (closures do not serialize; reattach it via ResumeOptions)")
-	}
 	policy := ""
 	if o.Network != nil {
 		policy = o.Network.Name()
@@ -236,15 +229,15 @@ func (rt *runtime) buildSpec() (snapshot.Spec, error) {
 		BlockSize:            o.BlockSize,
 		DelayNodeLocal:       o.DelayNodeLocal,
 		DelayRackLocal:       o.DelayRackLocal,
-		OutputReplication:    o.OutputReplication,
-		Heartbeat:            o.Heartbeat,
+		OutputReplication:    outputReplicas(o.InMemoryInput),
+		Heartbeat:            heartbeat,
 		ReplanOnFailure:      o.ReplanOnFailure,
 		DisableReReplication: o.DisableReReplication,
 		StragglerFraction:    o.StragglerFraction,
 		StragglerSlowdown:    o.StragglerSlowdown,
 		Speculation:          o.Speculation,
 		SpeculationThreshold: o.SpeculationThreshold,
-		AdhocShare:           o.AdhocShare,
+		AdhocShare:           adhocShare,
 		RemoteStorageInput:   o.RemoteStorageInput,
 		InMemoryInput:        o.InMemoryInput,
 		TaskFailureProb:      o.TaskFailureProb,
@@ -311,6 +304,15 @@ func optionsFromSpec(spec *snapshot.Spec) (Options, []*job.Job, error) {
 	if spec.FlowEpoch != 0 {
 		return Options{}, nil, fmt.Errorf("runtime: snapshot spec sets FlowEpoch %g; flow-epoch batching was removed, so only FlowEpoch 0 restores", spec.FlowEpoch)
 	}
+	if want := outputReplicas(spec.InMemoryInput); spec.OutputReplication != want {
+		return Options{}, nil, fmt.Errorf("runtime: snapshot spec sets OutputReplication %d; it is fixed, so only %d restores (InMemoryInput %v)", spec.OutputReplication, want, spec.InMemoryInput)
+	}
+	if spec.Heartbeat != heartbeat {
+		return Options{}, nil, fmt.Errorf("runtime: snapshot spec sets Heartbeat %g; it is fixed, so only %g restores", spec.Heartbeat, heartbeat)
+	}
+	if spec.AdhocShare != adhocShare {
+		return Options{}, nil, fmt.Errorf("runtime: snapshot spec sets AdhocShare %g; it is fixed, so only %g restores", spec.AdhocShare, adhocShare)
+	}
 	opts := Options{
 		Cluster:   spec.Topology,
 		Scheduler: kind,
@@ -321,15 +323,12 @@ func optionsFromSpec(spec *snapshot.Spec) (Options, []*job.Job, error) {
 		BlockSize:            spec.BlockSize,
 		DelayNodeLocal:       spec.DelayNodeLocal,
 		DelayRackLocal:       spec.DelayRackLocal,
-		OutputReplication:    spec.OutputReplication,
-		Heartbeat:            spec.Heartbeat,
 		ReplanOnFailure:      spec.ReplanOnFailure,
 		DisableReReplication: spec.DisableReReplication,
 		StragglerFraction:    spec.StragglerFraction,
 		StragglerSlowdown:    spec.StragglerSlowdown,
 		Speculation:          spec.Speculation,
 		SpeculationThreshold: spec.SpeculationThreshold,
-		AdhocShare:           spec.AdhocShare,
 		RemoteStorageInput:   spec.RemoteStorageInput,
 		InMemoryInput:        spec.InMemoryInput,
 		TaskFailureProb:      spec.TaskFailureProb,

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"corral/internal/job"
+	"corral/internal/netsim"
 	"corral/internal/snapshot"
 	"corral/internal/trace"
 )
@@ -144,15 +145,21 @@ func TestSnapshotTargetPastEnd(t *testing.T) {
 	}
 }
 
-// TestSnapshotRejectsUnserializableHooks: a run holding an
-// OnMachineRepair closure cannot be snapshotted — the error arrives
-// before the simulation starts.
+// renamedPolicy is a custom network policy instance: the default
+// allocator under a name no snapshot can resolve.
+type renamedPolicy struct{ netsim.Policy }
+
+func (renamedPolicy) Name() string { return "custom" }
+
+// TestSnapshotRejectsUnserializableHooks: a run holding a custom network
+// policy instance cannot be snapshotted — the error arrives before the
+// simulation starts.
 func TestSnapshotRejectsUnserializableHooks(t *testing.T) {
 	opts := snapOpts(7)
-	opts.OnMachineRepair = func(machine int, at float64) {}
+	opts.Network = renamedPolicy{netsim.NewIncrementalMaxMin()}
 	_, err := CaptureAt(opts, snapJobs(), CheckpointTarget{EventIndex: 50})
-	if err == nil || !strings.Contains(err.Error(), "OnMachineRepair") {
-		t.Fatalf("err = %v, want OnMachineRepair rejection", err)
+	if err == nil || !strings.Contains(err.Error(), "custom network policy") {
+		t.Fatalf("err = %v, want custom-policy rejection", err)
 	}
 }
 

@@ -88,9 +88,8 @@ type Corruption struct {
 }
 
 // Spec is the complete run input: rebuilding a runtime from a Spec and
-// replaying is what Restore does. Function-valued options (Probe, Trace,
-// OnMachineRepair, a custom Network policy instance) are not part of the
-// Spec — policies are recorded by Name and observers are reattached by the
+// replaying is what Restore does. Observers (Probe, Trace) and a custom
+// Network policy instance are not part of the Spec — policies are recorded by Name and observers are reattached by the
 // resumer.
 type Spec struct {
 	Topology  topology.Config
@@ -108,9 +107,12 @@ type Spec struct {
 	Plan      *planner.Plan
 	Jobs      []*job.Job
 
-	BlockSize            float64
-	DelayNodeLocal       int
-	DelayRackLocal       int
+	BlockSize      float64
+	DelayNodeLocal int
+	DelayRackLocal int
+	// OutputReplication, Heartbeat and AdhocShare record fixed runtime
+	// parameters (3, or 1 with InMemoryInput; 1 s; 0.5). Writers record
+	// exactly those values and restore rejects any other.
 	OutputReplication    int
 	Heartbeat            float64
 	ReplanOnFailure      bool

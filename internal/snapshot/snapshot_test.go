@@ -64,26 +64,34 @@ func goldenRun() (runtime.Options, []*job.Job) {
 // TestLegacyPolicyNamesResume pins the flow-policy names snapshots have
 // recorded: the default "" and every max-min allocator name ever written
 // must decode and resume to the uninterrupted default run's Result, and a
-// Spec that sets the removed FlowEpoch knob must be rejected with an error
-// naming the field rather than resume under different semantics.
+// Spec that sets the removed FlowEpoch knob or moves a now-fixed parameter
+// (OutputReplication, Heartbeat, AdhocShare) must be rejected with an
+// error naming the field rather than resume under different semantics.
 func TestLegacyPolicyNamesResume(t *testing.T) {
 	want, err := runtime.Run(goldenRun())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		policy    string
-		flowEpoch float64
-		wantErr   string
+		policy  string
+		tamper  func(*snapshot.Spec)
+		wantErr string
 	}{
 		{policy: ""},
 		{policy: "maxmin"},
 		{policy: "maxmin-grouped"},
 		{policy: "maxmin-incremental"},
-		{policy: "", flowEpoch: 0.25, wantErr: "FlowEpoch"},
+		{tamper: func(s *snapshot.Spec) { s.FlowEpoch = 0.25 }, wantErr: "FlowEpoch"},
+		{tamper: func(s *snapshot.Spec) { s.OutputReplication = 2 }, wantErr: "OutputReplication"},
+		{tamper: func(s *snapshot.Spec) { s.InMemoryInput = true }, wantErr: "OutputReplication"},
+		{tamper: func(s *snapshot.Spec) { s.Heartbeat = 2 }, wantErr: "Heartbeat"},
+		{tamper: func(s *snapshot.Spec) { s.AdhocShare = 0.25 }, wantErr: "AdhocShare"},
 	} {
 		snap := goldenSnapshot(t)
-		snap.Spec.Policy, snap.Spec.FlowEpoch = tc.policy, tc.flowEpoch
+		snap.Spec.Policy = tc.policy
+		if tc.tamper != nil {
+			tc.tamper(&snap.Spec)
+		}
 		raw, err := snapshot.Encode(snap)
 		if err != nil {
 			t.Fatal(err)
@@ -95,7 +103,7 @@ func TestLegacyPolicyNamesResume(t *testing.T) {
 		got, err := runtime.Resume(dec, runtime.ResumeOptions{})
 		if tc.wantErr != "" {
 			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("FlowEpoch %v: err = %v, want an error naming %s", tc.flowEpoch, err, tc.wantErr)
+				t.Fatalf("err = %v, want an error naming %s", err, tc.wantErr)
 			}
 			continue
 		}

@@ -324,6 +324,8 @@ func writeChromeRun(cw *chromeWriter, pid int, run runBlob) {
 			cw.instant(pid, e.T, "defer j"+string(appendInt(nil, int64(e.Job)))+" (queue "+string(appendInt(nil, int64(e.Value)))+")")
 		case KJobShed:
 			cw.instant(pid, e.T, "shed j"+string(appendInt(nil, int64(e.Job)))+" (queue "+string(appendInt(nil, int64(e.Value)))+")")
+		case KAudit:
+			cw.instant(pid, e.T, "audit failed: "+e.Detail)
 		}
 		if cw.err != nil {
 			return

@@ -74,6 +74,8 @@ var kindFields = [numKinds]uint16{
 	KReplanSuppressed:   fValue,
 	KJobDeferred:        fJob | fValue,
 	KJobShed:            fJob | fValue,
+
+	KAudit: fDetail,
 }
 
 func appendInt(b []byte, v int64) []byte { return strconv.AppendInt(b, v, 10) }

@@ -4,6 +4,8 @@
 // Tracer; a Collector gathers the runs of one process-wide experiment
 // invocation and exports them as flat JSONL (for scripting and
 // corraltrace) or Chrome trace-event JSON (for Perfetto).
+// An Observer — the invariant monitor is one — consumes the same stream
+// live through a tracer from Observed.
 //
 // Three properties are contracts, not aspirations:
 //
@@ -83,6 +85,10 @@ const (
 	KJobDeferred        // job, value=admission queue depth after the deferral
 	KJobShed            // job, value=admission queue depth at the shed
 
+	// Invariant checking: an externally audited property (link-rate
+	// feasibility, DFS byte accounting, snapshot restore) failed.
+	KAudit // detail=the failed check's message
+
 	numKinds
 )
 
@@ -128,6 +134,8 @@ var kindNames = [numKinds]string{
 	KReplanSuppressed:   "replan_suppressed",
 	KJobDeferred:        "job_deferred",
 	KJobShed:            "job_shed",
+
+	KAudit: "audit",
 }
 
 func (k Kind) String() string {
@@ -186,10 +194,45 @@ type Event struct {
 type Tracer struct {
 	label  string
 	events []Event
+	// obs, when set, receives every event, which is then buffered in into
+	// rather than here (nowhere when into is nil); see Observed.
+	obs  Observer
+	into *Tracer
+}
+
+// Observer receives every event of a run, in emission order — the
+// invariant monitor is one. It runs inside the simulation, so it must be
+// deterministic and must not call back into the run.
+type Observer interface {
+	Observe(Event)
 }
 
 // New creates a standalone tracer (outside any Collector).
 func New(label string) *Tracer { return &Tracer{label: label} }
+
+// Observed returns a tracer that forwards every event to o and buffers it
+// in t; with t nil nothing is buffered and o alone sees the events. With
+// o nil it returns t unchanged.
+func Observed(t *Tracer, o Observer) *Tracer {
+	if o == nil {
+		return t
+	}
+	return &Tracer{label: t.Label(), obs: o, into: t}
+}
+
+// emit hands one event to the observer and the buffer.
+//
+//corral:hotpath
+func (t *Tracer) emit(e Event) {
+	if t.obs == nil {
+		t.events = append(t.events, e)
+		return
+	}
+	t.obs.Observe(e)
+	if t.into != nil {
+		t.into.emit(e)
+	}
+}
 
 // Enabled reports whether emissions are recorded. Instrumentation sites
 // that must do extra work to build an event (fmt, per-link scans) guard
@@ -208,6 +251,9 @@ func (t *Tracer) Label() string {
 func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
+	}
+	if t.obs != nil {
+		return t.into.Events()
 	}
 	return t.events
 }
@@ -230,7 +276,7 @@ func (t *Tracer) MachineMeta(machine, rack int) {
 	e := unsetEvent(0, KMachineMeta)
 	e.Mach, e.Link = machine, -1
 	e.Src = rack // rack rides in Src: Event has no dedicated rack field
-	t.events = append(t.events, e)
+	t.emit(e)
 }
 
 // LinkMeta records a link's name and base capacity (timestamp 0).
@@ -242,7 +288,7 @@ func (t *Tracer) LinkMeta(link int, name string, capacity float64) {
 	}
 	e := unsetEvent(0, KLinkMeta)
 	e.Link, e.Value, e.Detail = link, capacity, name
-	t.events = append(t.events, e)
+	t.emit(e)
 }
 
 // JobSubmit records a job entering the scheduler.
@@ -254,7 +300,7 @@ func (t *Tracer) JobSubmit(now float64, job int, name string, slots int) {
 	}
 	e := unsetEvent(now, KJobSubmit)
 	e.Job, e.Value, e.Detail = job, float64(slots), name
-	t.events = append(t.events, e)
+	t.emit(e)
 }
 
 // JobDone records a job's last stage completing.
@@ -266,7 +312,7 @@ func (t *Tracer) JobDone(now float64, job int) {
 	}
 	e := unsetEvent(now, KJobDone)
 	e.Job = job
-	t.events = append(t.events, e)
+	t.emit(e)
 }
 
 // JobFail records a terminal job failure.
@@ -278,14 +324,14 @@ func (t *Tracer) JobFail(now float64, job int, reason string) {
 	}
 	e := unsetEvent(now, KJobFail)
 	e.Job, e.Detail = job, reason
-	t.events = append(t.events, e)
+	t.emit(e)
 }
 
 //corral:hotpath
-func (t *Tracer) taskEvent(now float64, k Kind, role Role, job, stage, task, attempt, machine int) {
+func taskEvent(now float64, k Kind, role Role, job, stage, task, attempt, machine int) Event {
 	e := unsetEvent(now, k)
 	e.Role, e.Job, e.Stage, e.Task, e.Att, e.Mach = role, job, stage, task, attempt, machine
-	t.events = append(t.events, e)
+	return e
 }
 
 // TaskQueued records a task (re-)entering the pending queues.
@@ -295,7 +341,7 @@ func (t *Tracer) TaskQueued(now float64, role Role, job, stage, task, attempt in
 	if t == nil {
 		return
 	}
-	t.taskEvent(now, KTaskQueued, role, job, stage, task, attempt, -1)
+	t.emit(taskEvent(now, KTaskQueued, role, job, stage, task, attempt, -1))
 }
 
 // TaskStart records an attempt launching on a machine.
@@ -305,7 +351,7 @@ func (t *Tracer) TaskStart(now float64, role Role, job, stage, task, attempt, ma
 	if t == nil {
 		return
 	}
-	t.taskEvent(now, KTaskStart, role, job, stage, task, attempt, machine)
+	t.emit(taskEvent(now, KTaskStart, role, job, stage, task, attempt, machine))
 }
 
 // TaskFinish records an attempt completing; dur is its wall-clock
@@ -316,8 +362,9 @@ func (t *Tracer) TaskFinish(now float64, role Role, job, stage, task, attempt, m
 	if t == nil {
 		return
 	}
-	t.taskEvent(now, KTaskFinish, role, job, stage, task, attempt, machine)
-	t.events[len(t.events)-1].Value = dur
+	e := taskEvent(now, KTaskFinish, role, job, stage, task, attempt, machine)
+	e.Value = dur
+	t.emit(e)
 }
 
 // TaskCrash records an injected attempt crash.
@@ -327,7 +374,7 @@ func (t *Tracer) TaskCrash(now float64, role Role, job, stage, task, attempt, ma
 	if t == nil {
 		return
 	}
-	t.taskEvent(now, KTaskCrash, role, job, stage, task, attempt, machine)
+	t.emit(taskEvent(now, KTaskCrash, role, job, stage, task, attempt, machine))
 }
 
 // TaskAbort records an attempt killed by failure/speculation/AM restart.
@@ -337,7 +384,7 @@ func (t *Tracer) TaskAbort(now float64, role Role, job, stage, task, attempt, ma
 	if t == nil {
 		return
 	}
-	t.taskEvent(now, KTaskAbort, role, job, stage, task, attempt, machine)
+	t.emit(taskEvent(now, KTaskAbort, role, job, stage, task, attempt, machine))
 }
 
 // TaskBackoff records the retry backoff delay before a crashed task
@@ -348,8 +395,9 @@ func (t *Tracer) TaskBackoff(now float64, role Role, job, stage, task, attempt i
 	if t == nil {
 		return
 	}
-	t.taskEvent(now, KTaskBackoff, role, job, stage, task, attempt, -1)
-	t.events[len(t.events)-1].Value = delay
+	e := taskEvent(now, KTaskBackoff, role, job, stage, task, attempt, -1)
+	e.Value = delay
+	t.emit(e)
 }
 
 // ShuffleDone records a reduce attempt's shuffle phase completing.
@@ -359,7 +407,7 @@ func (t *Tracer) ShuffleDone(now float64, job, stage, task, machine int) {
 	if t == nil {
 		return
 	}
-	t.taskEvent(now, KShuffleDone, RoleReduce, job, stage, task, -1, machine)
+	t.emit(taskEvent(now, KShuffleDone, RoleReduce, job, stage, task, -1, machine))
 }
 
 // SlotsBusy samples the cluster-wide occupied-slot counter.
@@ -371,14 +419,14 @@ func (t *Tracer) SlotsBusy(now float64, busy int) {
 	}
 	e := unsetEvent(now, KSlotsBusy)
 	e.Value = float64(busy)
-	t.events = append(t.events, e)
+	t.emit(e)
 }
 
 //corral:hotpath
 func (t *Tracer) machineEvent(now float64, k Kind, machine int) {
 	e := unsetEvent(now, k)
 	e.Mach = machine
-	t.events = append(t.events, e)
+	t.emit(e)
 }
 
 // MachineDown records a machine failure.
@@ -431,7 +479,7 @@ func (t *Tracer) AMFail(now float64, job int) {
 	}
 	e := unsetEvent(now, KAMFail)
 	e.Job = job
-	t.events = append(t.events, e)
+	t.emit(e)
 }
 
 // AMRestart records a restarted AM resuming its job.
@@ -443,7 +491,7 @@ func (t *Tracer) AMRestart(now float64, job int) {
 	}
 	e := unsetEvent(now, KAMRestart)
 	e.Job = job
-	t.events = append(t.events, e)
+	t.emit(e)
 }
 
 // Replan records a failure-triggered planner re-invocation covering n jobs.
@@ -455,7 +503,7 @@ func (t *Tracer) Replan(now float64, jobs int) {
 	}
 	e := unsetEvent(now, KReplan)
 	e.Value = float64(jobs)
-	t.events = append(t.events, e)
+	t.emit(e)
 }
 
 // SimEnd records the run's quiesce time (last job completion or repair
@@ -468,7 +516,7 @@ func (t *Tracer) SimEnd(quiesce float64) {
 	}
 	e := unsetEvent(quiesce, KSimEnd)
 	e.Value = quiesce
-	t.events = append(t.events, e)
+	t.emit(e)
 }
 
 // FlowStart records a network flow starting. src/dst are -1 for
@@ -484,7 +532,7 @@ func (t *Tracer) FlowStart(now float64, flow int64, job, src, dst int, bytes flo
 	if cross {
 		e.Detail = "cross"
 	}
-	t.events = append(t.events, e)
+	t.emit(e)
 }
 
 // FlowFinish records a flow completing its bytes.
@@ -496,7 +544,7 @@ func (t *Tracer) FlowFinish(now float64, flow int64, bytes float64) {
 	}
 	e := unsetEvent(now, KFlowFinish)
 	e.Flow, e.Value = flow, bytes
-	t.events = append(t.events, e)
+	t.emit(e)
 }
 
 // FlowCancel records a flow aborted mid-transfer; sent is what crossed
@@ -509,7 +557,7 @@ func (t *Tracer) FlowCancel(now float64, flow int64, sent float64) {
 	}
 	e := unsetEvent(now, KFlowCancel)
 	e.Flow, e.Value = flow, sent
-	t.events = append(t.events, e)
+	t.emit(e)
 }
 
 // FlowRate records a flow's allocated rate changing at a recompute point.
@@ -521,7 +569,7 @@ func (t *Tracer) FlowRate(now float64, flow int64, rate float64) {
 	}
 	e := unsetEvent(now, KFlowRate)
 	e.Flow, e.Value = flow, rate
-	t.events = append(t.events, e)
+	t.emit(e)
 }
 
 // LinkUtil samples a link's utilization fraction at a recompute point
@@ -534,7 +582,7 @@ func (t *Tracer) LinkUtil(now float64, link int, util float64) {
 	}
 	e := unsetEvent(now, KLinkUtil)
 	e.Link, e.Value = link, util
-	t.events = append(t.events, e)
+	t.emit(e)
 }
 
 // LinkCap records a link-fault capacity change.
@@ -546,7 +594,7 @@ func (t *Tracer) LinkCap(now float64, link int, capacity float64) {
 	}
 	e := unsetEvent(now, KLinkCap)
 	e.Link, e.Value = link, capacity
-	t.events = append(t.events, e)
+	t.emit(e)
 }
 
 // DFSCreate records a file being placed into the block store.
@@ -558,7 +606,7 @@ func (t *Tracer) DFSCreate(now float64, name string, bytes float64) {
 	}
 	e := unsetEvent(now, KDFSCreate)
 	e.Value, e.Detail = bytes, name
-	t.events = append(t.events, e)
+	t.emit(e)
 }
 
 // DFSCorrupt records a replica on a machine going silently corrupt.
@@ -570,7 +618,7 @@ func (t *Tracer) DFSCorrupt(now float64, machine int, bytes float64) {
 	}
 	e := unsetEvent(now, KDFSCorrupt)
 	e.Mach, e.Value = machine, bytes
-	t.events = append(t.events, e)
+	t.emit(e)
 }
 
 // BlockRead records a remote DFS block read; failover marks a read that
@@ -586,7 +634,7 @@ func (t *Tracer) BlockRead(now float64, job, reader, replica int, bytes float64,
 	if failover {
 		e.Detail = "failover"
 	}
-	t.events = append(t.events, e)
+	t.emit(e)
 }
 
 // RepairStart records the re-replication daemon launching a copy.
@@ -598,7 +646,7 @@ func (t *Tracer) RepairStart(now float64, src, dst int, bytes float64) {
 	}
 	e := unsetEvent(now, KRepairStart)
 	e.Src, e.Dst, e.Value = src, dst, bytes
-	t.events = append(t.events, e)
+	t.emit(e)
 }
 
 // RepairCommit records a repair copy landing in the store.
@@ -610,7 +658,7 @@ func (t *Tracer) RepairCommit(now float64, src, dst int, bytes float64) {
 	}
 	e := unsetEvent(now, KRepairCommit)
 	e.Src, e.Dst, e.Value = src, dst, bytes
-	t.events = append(t.events, e)
+	t.emit(e)
 }
 
 // PlanStart records a planner invocation over n jobs. now is simulation
@@ -623,7 +671,7 @@ func (t *Tracer) PlanStart(now float64, jobs int, objective string) {
 	}
 	e := unsetEvent(now, KPlanStart)
 	e.Value, e.Detail = float64(jobs), objective
-	t.events = append(t.events, e)
+	t.emit(e)
 }
 
 // PlanAssign records one job's planned rack set, priority and start.
@@ -636,7 +684,7 @@ func (t *Tracer) PlanAssign(now float64, job, priority int, start float64, racks
 	e := unsetEvent(now, KPlanAssign)
 	e.Job, e.Att, e.Value = job, priority, start
 	e.Detail = formatRacks(racks)
-	t.events = append(t.events, e)
+	t.emit(e)
 }
 
 // PlanDone records the plan's estimated objective value.
@@ -648,7 +696,7 @@ func (t *Tracer) PlanDone(now float64, objective float64) {
 	}
 	e := unsetEvent(now, KPlanDone)
 	e.Value = objective
-	t.events = append(t.events, e)
+	t.emit(e)
 }
 
 // PlanBudgetExceeded records a replan decision whose estimated full-plan
@@ -661,7 +709,7 @@ func (t *Tracer) PlanBudgetExceeded(now float64, cost float64) {
 	}
 	e := unsetEvent(now, KPlanBudgetExceeded)
 	e.Value = cost
-	t.events = append(t.events, e)
+	t.emit(e)
 }
 
 // Degrade records a fallback-chain step: tier 1 is the commitments-only
@@ -675,7 +723,7 @@ func (t *Tracer) Degrade(now float64, tier, jobs int) {
 	}
 	e := unsetEvent(now, KDegrade)
 	e.Att, e.Value = tier, float64(jobs)
-	t.events = append(t.events, e)
+	t.emit(e)
 }
 
 // ReplanSuppressed records a replan request absorbed by the storm
@@ -688,7 +736,7 @@ func (t *Tracer) ReplanSuppressed(now float64, fireAt float64) {
 	}
 	e := unsetEvent(now, KReplanSuppressed)
 	e.Value = fireAt
-	t.events = append(t.events, e)
+	t.emit(e)
 }
 
 // JobDeferred records an arrival parked in the admission queue; depth is
@@ -701,7 +749,7 @@ func (t *Tracer) JobDeferred(now float64, job, depth int) {
 	}
 	e := unsetEvent(now, KJobDeferred)
 	e.Job, e.Value = job, float64(depth)
-	t.events = append(t.events, e)
+	t.emit(e)
 }
 
 // JobShed records an arrival rejected because the admission queue is at
@@ -714,7 +762,20 @@ func (t *Tracer) JobShed(now float64, job, depth int) {
 	}
 	e := unsetEvent(now, KJobShed)
 	e.Job, e.Value = job, float64(depth)
-	t.events = append(t.events, e)
+	t.emit(e)
+}
+
+// Audit records an externally checked invariant failing; detail is the
+// check's message.
+//
+//corral:hotpath
+func (t *Tracer) Audit(now float64, detail string) {
+	if t == nil {
+		return
+	}
+	e := unsetEvent(now, KAudit)
+	e.Detail = detail
+	t.emit(e)
 }
 
 // formatRacks renders a rack set as "r0 r2 r5".

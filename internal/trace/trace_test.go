@@ -44,10 +44,11 @@ func emitAll(t *Tracer) {
 	t.PlanStart(0, 5, "makespan")
 	t.PlanAssign(0, 0, 1, 0.0, []int{0, 2})
 	t.PlanDone(0, 123.5)
+	t.Audit(8, "link 4 oversubscribed")
 }
 
 // emitAllCount must track emitAll: one event per call above.
-const emitAllCount = 35
+const emitAllCount = 36
 
 func TestNilTracerSafe(t *testing.T) {
 	var tr *Tracer
@@ -82,6 +83,44 @@ func TestEmitAllBuffered(t *testing.T) {
 	}
 	if !tr.Enabled() || tr.Label() != "test" {
 		t.Fatal("tracer state wrong")
+	}
+}
+
+// kindCounter is an Observer tallying events per kind.
+type kindCounter map[Kind]int
+
+func (c kindCounter) Observe(e Event) { c[e.Kind]++ }
+
+// TestObserved: an observed tracer hands every event to the observer and
+// buffers it in the wrapped tracer; wrapping nil buffers nothing, and a
+// nil observer leaves the tracer as it was.
+func TestObserved(t *testing.T) {
+	inner := New("run")
+	seen := kindCounter{}
+	tr := Observed(inner, seen)
+	emitAll(tr)
+	if got := len(inner.Events()); got != emitAllCount {
+		t.Fatalf("wrapped tracer buffered %d events, want %d", got, emitAllCount)
+	}
+	if got := len(tr.Events()); got != emitAllCount || tr.Label() != "run" {
+		t.Fatalf("observed tracer reports %d events, label %q", got, tr.Label())
+	}
+	total := 0
+	for _, n := range seen {
+		total += n
+	}
+	if total != emitAllCount || seen[KAudit] != 1 {
+		t.Fatalf("observer saw %d events (%d audits), want %d (1)", total, seen[KAudit], emitAllCount)
+	}
+
+	alone := kindCounter{}
+	tr = Observed(nil, alone)
+	emitAll(tr)
+	if !tr.Enabled() || tr.Events() != nil || alone[KTaskStart] != 1 {
+		t.Fatalf("observer-only tracer: enabled=%v events=%d task starts seen=%d", tr.Enabled(), len(tr.Events()), alone[KTaskStart])
+	}
+	if Observed(inner, nil) != inner {
+		t.Fatal("a nil observer must return the tracer unchanged")
 	}
 }
 

@@ -23,9 +23,11 @@ build:
 # vet is go vet plus the full corralvet suite (all nine checks), so a
 # seeded contract violation — a shared write in a parallelFor closure, a
 # fmt call on a //corral:hotpath function — fails `make vet` directly.
+# -tests checks the _test.go files too: each package with its in-package
+# tests, and each external test package against that augmented build.
 vet:
 	$(GO) vet ./...
-	$(GO) run ./cmd/corralvet ./...
+	$(GO) run ./cmd/corralvet -tests ./...
 
 fmt-check:
 	@out="$$(gofmt -l .)"; \
@@ -41,14 +43,17 @@ test:
 	$(GO) test ./...
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
+# internal/experiments alone needs ~10 minutes under -race on a 2-vCPU
+# host, the same as go test's default per-binary timeout; 25m still fits
+# inside the CI race job's 30-minute limit.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 25m ./...
 
 # Standalone corralvet run with the machine-readable report, mirroring
 # the CI fast-gate step (the same run `make vet` performs without the
 # artifact).
 corralvet:
-	$(GO) run ./cmd/corralvet -report corralvet.json ./...
+	$(GO) run ./cmd/corralvet -tests -report corralvet.json ./...
 
 # Chaos gate: two-seed determinism of the full fault-injection sweep plus
 # the graceful-degradation acceptance (replan <= drop <= yarn on the
@@ -124,12 +129,13 @@ scale-nightly:
 
 # Perf baseline: every benchmark once on the fast "s" profile — the
 # experiment harness in the repo root, the netsim allocator
-# micro-benchmarks and the tracer's emit/export overhead — captured as
+# micro-benchmarks, the 10k-machine heartbeat dispatch pass and the
+# tracer's emit/export overhead — captured as
 # machine-readable JSON for trajectory tracking. Rerun this (and commit
 # the result) whenever a semantic metric or the benchmark set
 # intentionally changes.
 bench:
-	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/netsim ./internal/trace ./internal/analysis \
+	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/netsim ./internal/runtime ./internal/trace ./internal/analysis \
 		| $(GO) run ./cmd/corralbench -o BENCH_baseline.json
 
 # Benchmark-regression gate: rerun the same benchmarks and diff against
@@ -138,5 +144,5 @@ bench:
 # past the tolerance. The fresh JSON lands in bench-fresh.json (uploaded
 # as a CI artifact) for inspection.
 bench-compare:
-	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/netsim ./internal/trace ./internal/analysis \
+	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/netsim ./internal/runtime ./internal/trace ./internal/analysis \
 		| $(GO) run ./cmd/corralbench -o bench-fresh.json -compare BENCH_baseline.json -tol 50

@@ -113,6 +113,7 @@ func TestParseTarget(t *testing.T) {
 			t.Errorf("parseTarget(%q): %v", c.in, err)
 			continue
 		}
+		//corralvet:ok floateq exact identity intended: the checkpoint time parses from a literal and must round-trip bit for bit
 		if got.EventIndex != c.wantEv || got.SimTime != c.wantT {
 			t.Errorf("parseTarget(%q) = %+v, want ev=%d t=%g", c.in, got, c.wantEv, c.wantT)
 		}

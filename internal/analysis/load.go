@@ -107,9 +107,7 @@ func Load(cfg LoadConfig, patterns ...string) ([]*Package, error) {
 			aug.Module = modPath
 			out = append(out, aug)
 			if len(extNames) > 0 {
-				ld.overrides[ip] = aug.Types
-				ext, err := ld.checkFiles(ip+"_test", d, extNames)
-				delete(ld.overrides, ip)
+				ext, err := ld.forTest(ip, aug.Types).checkFiles(ip+"_test", d, extNames)
 				if err != nil {
 					return nil, err
 				}
@@ -256,10 +254,52 @@ type loader struct {
 	modPath string
 	// full caches the canonical (non-test) instance per import path.
 	full map[string]*Package
-	// overrides temporarily substitutes a test-augmented instance while
-	// its external test package is checked.
+	// overrides substitutes a test-augmented instance (see forTest).
 	overrides map[string]*types.Package
 	loading   map[string]bool // import-cycle guard
+}
+
+// forTest returns the loader an external test package of path is checked
+// with, the way `go test` and `go vet` build it: path resolves to its
+// test-augmented instance aug, and every module package that imports path,
+// directly or not, is re-checked against aug instead of the canonical
+// build. Without the re-check, an external test that imports a dependent
+// of path (internal/netsim_test importing runtime) sees two distinct
+// netsim packages and fails to type-check. Packages that do not depend on
+// path are shared with ld, so their types stay identical across both.
+func (ld *loader) forTest(path string, aug *types.Package) *loader {
+	view := &loader{
+		fset:      ld.fset,
+		std:       ld.std,
+		modDir:    ld.modDir,
+		modPath:   ld.modPath,
+		full:      map[string]*Package{},
+		overrides: map[string]*types.Package{path: aug},
+		loading:   map[string]bool{},
+	}
+	memo := map[*types.Package]bool{}
+	for p, pkg := range ld.full {
+		if !importsPath(pkg.Types, path, memo) {
+			view.full[p] = pkg
+		}
+	}
+	return view
+}
+
+// importsPath reports whether pkg imports path, directly or transitively.
+func importsPath(pkg *types.Package, path string, memo map[*types.Package]bool) bool {
+	if v, ok := memo[pkg]; ok {
+		return v
+	}
+	found := false
+	for _, imp := range pkg.Imports() {
+		if imp.Path() == path || importsPath(imp, path, memo) {
+			found = true
+			break
+		}
+	}
+	memo[pkg] = found
+	return found
 }
 
 // importPath maps a directory below the module root to its import path.

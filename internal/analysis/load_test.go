@@ -3,6 +3,7 @@ package analysis
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -91,21 +92,53 @@ func TestLoadWithTests(t *testing.T) {
 	}
 }
 
+// An external test package that imports a dependent of the package
+// under test must see one instance of that package: the dependent is
+// re-checked against the test-augmented build, as go test compiles it.
+// Here n's export_test.go adds Fake, and n_test hands it to b, which only
+// knows n.Policy — two n instances would make Fake not implement b's
+// Policy. The root package imports b and sorts first, so b's canonical
+// build is already cached when n_test is checked.
+func TestLoadExternalTestImportsDependent(t *testing.T) {
+	dir := writeTree(t, map[string]string{
+		"go.mod":                    "module example/mini\n\ngo 1.22\n",
+		"root.go":                   "package mini\n\nimport \"example/mini/internal/b\"\n\nvar _ b.Net\n",
+		"internal/n/n.go":           "package n\n\ntype Flow struct{}\n\ntype Policy interface{ Allocate(*Flow) }\n",
+		"internal/n/export_test.go": "package n\n\ntype Fake struct{}\n\nfunc (Fake) Allocate(*Flow) {}\n",
+		"internal/b/b.go":           "package b\n\nimport \"example/mini/internal/n\"\n\ntype Net struct{ P n.Policy }\n",
+		"internal/n/ext_test.go":    "package n_test\n\nimport (\n\t\"example/mini/internal/b\"\n\t\"example/mini/internal/n\"\n)\n\nvar _ = b.Net{P: n.Fake{}}\n",
+	})
+	pkgs, err := Load(LoadConfig{Dir: dir, Tests: true}, "./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var paths []string
+	for _, p := range pkgs {
+		paths = append(paths, p.Path)
+	}
+	want := []string{"example/mini", "example/mini/internal/b", "example/mini/internal/n", "example/mini/internal/n_test"}
+	if !slices.Equal(paths, want) {
+		t.Fatalf("paths = %v, want %v", paths, want)
+	}
+}
+
 func TestLoadOnRealRepoFindsAnnotatedSites(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads the whole module")
 	}
-	// The repo itself must stay corralvet-clean; this is the same
-	// invariant CI enforces via `go run ./cmd/corralvet ./...`.
-	pkgs, err := Load(LoadConfig{Dir: "../.."}, "./...")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pkgs) < 10 {
-		t.Fatalf("expected to load the full module, got %d packages", len(pkgs))
-	}
-	diags := RunAnalyzers(pkgs, Analyzers())
-	for _, d := range diags {
-		t.Errorf("unexpected finding: %s", d)
+	// The repo itself must stay corralvet-clean, test files included; this
+	// is the same invariant CI enforces via `corralvet -tests ./...`.
+	for _, tests := range []bool{false, true} {
+		pkgs, err := Load(LoadConfig{Dir: "../..", Tests: tests}, "./...")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(pkgs) < 10 {
+			t.Fatalf("expected to load the full module, got %d packages", len(pkgs))
+		}
+		diags := RunAnalyzers(pkgs, Analyzers())
+		for _, d := range diags {
+			t.Errorf("tests=%v: unexpected finding: %s", tests, d)
+		}
 	}
 }

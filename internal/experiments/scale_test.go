@@ -131,6 +131,7 @@ func TestScaleWorkerCountInvariance(t *testing.T) {
 		if strings.HasPrefix(k, "wallclock_") {
 			continue
 		}
+		//corralvet:ok floateq exact identity intended: the worker count must not change a single bit of any report value
 		if serial.Values[k] != parallel.Values[k] {
 			t.Errorf("key %q differs across worker counts: serial %v, parallel %v",
 				k, serial.Values[k], parallel.Values[k])

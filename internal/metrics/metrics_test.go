@@ -117,6 +117,7 @@ func TestSlowdown(t *testing.T) {
 		{"zero faulty", 10, 0, 0},
 	}
 	for _, c := range cases {
+		//corralvet:ok floateq exact identity intended: every case's ratio is exactly representable (or +Inf)
 		if got := Slowdown(c.clean, c.faulty); got != c.want {
 			t.Errorf("%s: Slowdown(%g, %g) = %g, want %g",
 				c.name, c.clean, c.faulty, got, c.want)
@@ -149,9 +150,11 @@ func TestCDF(t *testing.T) {
 	}
 	want := []float64{1, 2, 3, 4}
 	for i, p := range pts {
+		//corralvet:ok floateq exact identity intended: CDF values are copies of the integer-valued samples
 		if p.Value != want[i] {
 			t.Fatalf("CDF[%d] = %+v, want value %g", i, p, want[i])
 		}
+		//corralvet:ok floateq exact identity intended: quarters are exactly representable
 		if p.Fraction != float64(i+1)/4 {
 			t.Fatalf("CDF[%d] fraction = %g", i, p.Fraction)
 		}
@@ -229,6 +232,7 @@ func TestQuickCDFMonotone(t *testing.T) {
 		}
 		sorted := append([]float64(nil), v...)
 		sort.Float64s(sorted)
+		//corralvet:ok floateq exact identity intended: the last CDF point is a copy of the sample maximum
 		return pts[len(pts)-1].Value == sorted[len(sorted)-1]
 	}
 	if err := quick.Check(f, nil); err != nil {

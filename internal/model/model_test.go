@@ -139,6 +139,7 @@ func TestStageLatencyIsSumOfPhases(t *testing.T) {
 	p := shuffleHeavy()
 	for r := 1; r <= 7; r++ {
 		want := c.MapLatency(p, r) + c.ShuffleLatency(p, r) + c.ReduceLatency(p, r)
+		//corralvet:ok floateq exact identity intended: StageLatency is this sum, evaluated in the same order
 		if got := c.StageLatency(p, r); got != want {
 			t.Fatalf("StageLatency(%d) = %g, want %g", r, got, want)
 		}

@@ -237,11 +237,13 @@ func TestDeterminism(t *testing.T) {
 		return p
 	}
 	p1, p2 := run(), run()
+	//corralvet:ok floateq exact identity intended: same-seed reruns must be bit-identical
 	if p1.Makespan != p2.Makespan {
 		t.Fatalf("makespan differs across runs: %g vs %g", p1.Makespan, p2.Makespan)
 	}
 	for id, a1 := range p1.Assignments {
 		a2 := p2.Assignments[id]
+		//corralvet:ok floateq exact identity intended: same-seed reruns must be bit-identical
 		if a1.Start != a2.Start || a1.Priority != a2.Priority || len(a1.Racks) != len(a2.Racks) {
 			t.Fatalf("job %d assignment differs: %+v vs %+v", id, a1, a2)
 		}
@@ -437,6 +439,7 @@ func TestPlanEstimatesConsistent(t *testing.T) {
 	if p.AvgCompletion <= 0 || p.AvgCompletion > p.Makespan {
 		t.Fatalf("avg completion %g vs makespan %g", p.AvgCompletion, p.Makespan)
 	}
+	//corralvet:ok floateq exact identity intended: ObjectiveValue returns the Makespan field itself
 	if p.ObjectiveValue() != p.Makespan {
 		t.Fatal("batch objective should be makespan")
 	}

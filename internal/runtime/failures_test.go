@@ -114,6 +114,7 @@ func TestSpeculationHarmlessWithoutStragglers(t *testing.T) {
 	mk := func() []*job.Job { return []*job.Job{shuffleJob(1)} }
 	clean := mustRun(t, Options{Cluster: topo, BlockSize: 64e6, Seed: 26}, mk())
 	spec := mustRun(t, Options{Cluster: topo, BlockSize: 64e6, Seed: 26, Speculation: true}, mk())
+	//corralvet:ok floateq exact identity intended: without stragglers speculation must not change the schedule at all
 	if spec.Makespan != clean.Makespan {
 		t.Fatalf("speculation changed a straggler-free run: %g vs %g", spec.Makespan, clean.Makespan)
 	}
@@ -130,6 +131,7 @@ func TestFailureDeterminism(t *testing.T) {
 		}, jobs)
 	}
 	a, b := run(), run()
+	//corralvet:ok floateq exact identity intended: same-seed reruns must be bit-identical
 	if a.Makespan != b.Makespan || a.CrossRackBytes != b.CrossRackBytes {
 		t.Fatalf("failure+straggler run nondeterministic: (%g,%g) vs (%g,%g)",
 			a.Makespan, a.CrossRackBytes, b.Makespan, b.CrossRackBytes)

@@ -15,6 +15,7 @@ func TestQuiesceTimeFoldsRepairTail(t *testing.T) {
 	mk := func() []*job.Job { return []*job.Job{shuffleJob(1)} }
 
 	clean := mustRun(t, Options{Cluster: topo, BlockSize: 64e6, Seed: 61}, mk())
+	//corralvet:ok floateq exact identity intended: with no repair tail QuiesceTime is math.Max(Makespan, 0), a copy
 	if clean.QuiesceTime != clean.Makespan {
 		t.Fatalf("no repairs ran, yet QuiesceTime %g != Makespan %g",
 			clean.QuiesceTime, clean.Makespan)
@@ -27,6 +28,7 @@ func TestQuiesceTimeFoldsRepairTail(t *testing.T) {
 		Cluster: topo, BlockSize: 64e6, Seed: 61,
 		Failures: []Failure{{At: late, Machine: 0}},
 	}, mk())
+	//corralvet:ok floateq exact identity intended: a failure after the last job finished must leave the schedule untouched
 	if res.Makespan != clean.Makespan {
 		t.Fatalf("post-completion failure changed Makespan: %g vs %g",
 			res.Makespan, clean.Makespan)
@@ -45,6 +47,7 @@ func TestQuiesceTimeFoldsRepairTail(t *testing.T) {
 		Failures:             []Failure{{At: late, Machine: 0}},
 		DisableReReplication: true,
 	}, mk())
+	//corralvet:ok floateq exact identity intended: with re-replication off QuiesceTime is a copy of Makespan
 	if off.QuiesceTime != off.Makespan {
 		t.Fatalf("repairs disabled, yet QuiesceTime %g != Makespan %g",
 			off.QuiesceTime, off.Makespan)

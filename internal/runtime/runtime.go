@@ -385,7 +385,8 @@ type runtime struct {
 	dead         []bool
 	deadCount    int
 	running      [][]*runningTask // per-machine in-flight attempts
-	machineOrder []int            // heartbeat visit order, reshuffled per pass
+	machineOrder []int32          // heartbeat visit order, reshuffled per pass
+	rackOf       []int32          // machine -> rack, for the heartbeat rack filter
 
 	// tkArena is the chunked attempt arena (newRunningTask): objects are
 	// handed out chunk-by-chunk and never recycled.
@@ -433,6 +434,9 @@ type runtime struct {
 	// runnableJobs is dispatch's per-pass scratch: the byOrder subsequence
 	// with runnable tasks, rebuilt at the top of every dispatch.
 	runnableJobs []*jobExec
+	// rackDemand is dispatch's per-rack scratch: the racks some runnable
+	// job may run in, rebuilt with runnableJobs.
+	rackDemand []bool
 
 	dispatchPending bool
 	retryPending    bool
@@ -546,11 +550,14 @@ func newRuntime(opts Options, jobs []*job.Job) (*runtime, error) {
 	// dropped in the done callback or cleared on abort), so retired flow
 	// objects are recycled instead of churning the GC.
 	rt.net.SetFlowPooling(true)
-	rt.machineOrder = make([]int, m)
+	rt.machineOrder = make([]int32, m)
+	rt.rackOf = make([]int32, m)
 	for i := range rt.freeSlots {
 		rt.freeSlots[i] = cluster.Config.SlotsPerMachine
-		rt.machineOrder[i] = i
+		rt.machineOrder[i] = int32(i)
+		rt.rackOf[i] = int32(cluster.RackOf(i))
 	}
+	rt.rackDemand = make([]bool, cluster.Config.Racks)
 	rt.blacklisted = make([]bool, m)
 	rt.machineFailures = make([]int, m)
 

@@ -81,6 +81,7 @@ func TestSingleJobCompletes(t *testing.T) {
 	if jr.TaskSeconds <= 0 {
 		t.Fatal("no task seconds recorded")
 	}
+	//corralvet:ok floateq exact identity intended: Makespan is the maximum completion time, a copy of one
 	if res.Makespan != jr.Completion {
 		t.Fatalf("makespan %g != single job completion %g", res.Makespan, jr.Completion)
 	}
@@ -280,11 +281,13 @@ func TestDeterminism(t *testing.T) {
 		return mustRun(t, Options{Cluster: topo, Scheduler: Corral, Plan: plan, BlockSize: 64e6, Seed: 11}, jobs)
 	}
 	a, b := run(), run()
+	//corralvet:ok floateq exact identity intended: same-seed reruns must be bit-identical
 	if a.Makespan != b.Makespan || a.CrossRackBytes != b.CrossRackBytes {
 		t.Fatalf("nondeterministic: (%g,%g) vs (%g,%g)",
 			a.Makespan, a.CrossRackBytes, b.Makespan, b.CrossRackBytes)
 	}
 	for i := range a.Jobs {
+		//corralvet:ok floateq exact identity intended: same-seed reruns must be bit-identical
 		if a.Jobs[i].Completion != b.Jobs[i].Completion {
 			t.Fatalf("job %d completion differs", a.Jobs[i].ID)
 		}

@@ -1,6 +1,10 @@
 package runtime
 
-import "corral/internal/des"
+import (
+	"math"
+
+	"corral/internal/des"
+)
 
 // Dispatch: the resource-manager side of the runtime. Whenever slots free
 // up or new tasks become runnable, pending tasks are matched to free slots
@@ -14,13 +18,41 @@ import "corral/internal/des"
 // job accepts rack-local slots, after DelayRackLocal any slot.
 
 // shuffleMachineOrder re-permutes the heartbeat order (Fisher-Yates on the
-// runtime's seeded rng, so runs stay deterministic).
+// runtime's seeded stream, so runs stay deterministic). Each swap index is
+// drawn straight from the counting source by int31n, which is math/rand's
+// Int31n algorithm: the same values and the same draw count as
+// rt.rng.Intn(i+1) (TestShuffleMatchesRandIntn), without the four
+// rand.Rand wrapper calls per draw; a 10k-machine pass makes 10k draws.
+//
+//corral:hotpath
 func (rt *runtime) shuffleMachineOrder() {
-	n := len(rt.machineOrder)
-	for i := n - 1; i > 0; i-- {
-		j := rt.rng.Intn(i + 1)
-		rt.machineOrder[i], rt.machineOrder[j] = rt.machineOrder[j], rt.machineOrder[i]
+	src, order := rt.rngSrc, rt.machineOrder
+	for i := len(order) - 1; i > 0; i-- {
+		j := src.int31n(int32(i + 1))
+		order[i], order[j] = order[j], order[i]
 	}
+}
+
+// int31n is (*rand.Rand).Int31n(n) on this source, draw for draw: a mask
+// for powers of two, otherwise rejection above
+// max = (1<<31)-1-(1<<31)%n followed by v % n. Each Int31 is the high 31
+// bits of one Int63 draw. Since (1<<31)%n < n, max >= (1<<31)-n, so a
+// draw at or below MaxInt32-n is accepted without computing max; only
+// the top n values (a ~n/2^31 chance) pay for the division.
+func (c *countingSource) int31n(n int32) int32 {
+	c.draws++
+	v := int32(c.src.Int63() >> 32)
+	if n&(n-1) == 0 {
+		return v & (n - 1)
+	}
+	if v > math.MaxInt32-n {
+		max := int32((1 << 31) - 1 - (1<<31)%uint32(n))
+		for v > max {
+			c.draws++
+			v = int32(c.src.Int63() >> 32)
+		}
+	}
+	return v % n
 }
 
 // requestDispatch coalesces dispatch work to one event per instant.
@@ -58,6 +90,8 @@ func (je *jobExec) runnableTasks() int {
 // node-manager heartbeats arrive in effectively random order, and a fixed
 // index order would let the FIFO scheduler pack jobs into low-numbered
 // racks "for free".
+//
+//corral:hotpath
 func (rt *runtime) dispatch() {
 	rt.declined = false
 	// One pass over the job list narrows the per-slot scan to jobs that can
@@ -68,20 +102,47 @@ func (rt *runtime) dispatch() {
 	// can make a job runnable synchronously (all completions and stage
 	// transitions arrive as later events), so one snapshot per dispatch
 	// suffices; jobs draining to zero mid-pass are lazily skipped.
+	//
+	// The same pass marks rackDemand with every rack some runnable job
+	// allows (anyRack stands for all of them once an unconstrained job is
+	// runnable), and the heartbeat visit skips machines in unmarked racks.
+	// That skip is exact: offerSlotTo on such a machine would reject every
+	// runnable job at allowsRack, and everything it checks before that is
+	// side-effect free. allowedRacks changes only in event handlers
+	// (submit, the failure and link-fault fallbacks, adoptReplan), never
+	// inside a dispatch, so the marks stay a superset for the whole call.
 	rt.runnableJobs = rt.runnableJobs[:0]
+	clear(rt.rackDemand)
+	anyRack := false
 	for _, je := range rt.byOrder {
-		if je.submitted && !je.done() && !je.amDown && je.runnableTasks() > 0 {
-			rt.runnableJobs = append(rt.runnableJobs, je)
+		if !je.submitted || je.done() || je.amDown || je.runnableTasks() == 0 {
+			continue
+		}
+		rt.runnableJobs = append(rt.runnableJobs, je)
+		if je.allowedRacks == nil {
+			anyRack = true
+		} else if !anyRack {
+			for _, r := range je.allowedRacks {
+				rt.rackDemand[r] = true
+			}
 		}
 	}
 	for {
 		assigned := false
+		// The shuffle runs even when no job is runnable: every pass consumes
+		// its draws, demand or not.
 		rt.shuffleMachineOrder()
+		if len(rt.runnableJobs) == 0 {
+			break
+		}
 		for _, m := range rt.machineOrder {
-			if rt.dead[m] || rt.blacklisted[m] {
+			// The rack test comes first: at datacenter scale it rejects
+			// almost every machine, from two small tables.
+			if !anyRack && !rt.rackDemand[rt.rackOf[m]] ||
+				rt.freeSlots[m] == 0 || rt.dead[m] || rt.blacklisted[m] {
 				continue
 			}
-			for rt.freeSlots[m] > 0 && rt.offerSlot(m) {
+			for rt.freeSlots[m] > 0 && rt.offerSlot(int(m)) {
 				assigned = true
 			}
 		}
@@ -90,12 +151,17 @@ func (rt *runtime) dispatch() {
 		}
 	}
 	if rt.declined && !rt.retryPending {
-		rt.retryPending = true
-		rt.sim.After(des.Time(heartbeat), func() {
-			rt.retryPending = false
-			rt.dispatch()
-		})
+		rt.armRetry()
 	}
+}
+
+// armRetry schedules the delay-scheduling heartbeat retry.
+func (rt *runtime) armRetry() {
+	rt.retryPending = true
+	rt.sim.After(des.Time(heartbeat), func() {
+		rt.retryPending = false
+		rt.dispatch()
+	})
 }
 
 // offerSlot offers one slot on machine m. Under the plan-driven

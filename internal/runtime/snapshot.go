@@ -400,7 +400,10 @@ func (rt *runtime) captureState() *snapshot.State {
 	r.FreeSlots = append([]int(nil), rt.freeSlots...)
 	r.Dead = append([]bool(nil), rt.dead...)
 	r.DeadCount = rt.deadCount
-	r.MachineOrder = append([]int(nil), rt.machineOrder...)
+	r.MachineOrder = make([]int, len(rt.machineOrder))
+	for i, m := range rt.machineOrder {
+		r.MachineOrder[i] = int(m)
+	}
 	r.Blacklisted = append([]bool(nil), rt.blacklisted...)
 	r.MachineFailures = append([]int(nil), rt.machineFailures...)
 	r.FailedJobs = rt.failedJobs

@@ -141,6 +141,7 @@ func TestLinkCapacities(t *testing.T) {
 	c := MustNew(cfg)
 	links := c.Links()
 	up := links[c.MachineUplink(7)]
+	//corralvet:ok floateq exact identity intended: the uplink capacity is the configured bandwidth, copied
 	if up.Capacity != cfg.NICBandwidth {
 		t.Errorf("machine uplink capacity = %g, want %g", up.Capacity, cfg.NICBandwidth)
 	}

@@ -301,7 +301,7 @@ func benchOverloadSweep(b *testing.B, workers int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		rep, err = corral.RunOverloadExperiment(size, 1, []float64{1, 4})
+		rep, err = corral.RunOverloadSweep(corral.OverloadParams{Size: size, Seed: 1, Rates: []float64{1, 4}})
 		if err != nil {
 			b.Fatal(err)
 		}

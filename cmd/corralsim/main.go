@@ -12,9 +12,11 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 
@@ -151,108 +153,50 @@ func main() {
 		return
 	}
 
-	if *fuzzTraces > 0 || *exp == "fuzz" {
-		sz, err := parseSize(*size)
-		if err != nil {
-			fatal(err)
-		}
-		report, err := corral.RunFuzzExperiment(sz, *seed, *fuzzTraces)
-		if err != nil {
-			fatal(err)
-		}
-		if *asJSON {
-			emitJSON(map[string]map[string]float64{"fuzz": report.Values})
-			return
-		}
-		fmt.Println(report)
-		if report.Values["violations"] != 0 {
-			writeTrace()
-			fatal(fmt.Errorf("%g invariant violations", report.Values["violations"]))
-		}
-		return
+	// Every report path funnels into one list of (id, run) pairs, so the
+	// output and the exit gate below are shared. A bare -exp fuzz, scale,
+	// chaos or overload runs the registry entry with the bundled defaults.
+	type run struct {
+		id string
+		fn func(corral.ExperimentSize) (*corral.ExperimentReport, error)
 	}
-
-	// The scale suite exits non-zero when a cell's determinism, resume or
-	// plan wall-clock budget verification fails — that is the CI gate's
-	// red signal.
-	if *machinesList != "" || *exp == "scale" {
-		sz, err := parseSize(*size)
+	var runs []run
+	switch {
+	case *fuzzTraces > 0:
+		runs = []run{{"fuzz", func(sz corral.ExperimentSize) (*corral.ExperimentReport, error) {
+			return corral.RunFuzzExperiment(sz, *seed, *fuzzTraces)
+		}}}
+	case *machinesList != "":
+		machines, err := parseInts(*machinesList, "machine count")
 		if err != nil {
 			fatal(err)
 		}
-		var machines []int
-		if *machinesList != "" {
-			if machines, err = parseInts(*machinesList, "machine count"); err != nil {
-				fatal(err)
-			}
-		}
-		report, err := corral.RunScaleExperiment(sz, *seed, machines)
-		if err != nil {
-			fatal(err)
-		}
-		if *asJSON {
-			emitJSON(map[string]map[string]float64{"scale": report.Values})
-		} else {
-			fmt.Println(report)
-		}
-		if n := report.Values["verification_failures"]; n != 0 {
-			writeTrace()
-			fatal(fmt.Errorf("%g scale cells failed determinism/resume/plan verification", n))
-		}
-		return
-	}
-
-	if *chaosI != "" {
-		sz, err := parseSize(*size)
-		if err != nil {
-			fatal(err)
-		}
+		runs = []run{{"scale", func(sz corral.ExperimentSize) (*corral.ExperimentReport, error) {
+			return corral.RunScaleExperiment(sz, *seed, machines)
+		}}}
+	case *chaosI != "":
 		intensities, err := parseFloats(*chaosI, "intensity")
 		if err != nil {
 			fatal(err)
 		}
-		report, err := corral.RunChaosExperiment(sz, *seed, intensities)
-		if err != nil {
-			fatal(err)
-		}
-		if *asJSON {
-			emitJSON(map[string]map[string]float64{"chaos": report.Values})
-			return
-		}
-		fmt.Println(report)
-		return
-	}
-
-	// The overload sweep gets its own dispatch whenever a knob or the rate
-	// list is set; a bare -exp overload falls through to the registry with
-	// the bundled defaults.
-	if ov.arrivalRates != "" || (*exp == "overload" && ov.knobsSet()) {
-		sz, err := parseSize(*size)
-		if err != nil {
-			fatal(err)
-		}
+		runs = []run{{"chaos", func(sz corral.ExperimentSize) (*corral.ExperimentReport, error) {
+			return corral.RunChaosExperiment(sz, *seed, intensities)
+		}}}
+	case ov.arrivalRates != "" || (*exp == "overload" && ov.knobsSet()):
 		var rates []float64
 		if ov.arrivalRates != "" {
+			var err error
 			if rates, err = parseFloats(ov.arrivalRates, "arrival rate"); err != nil {
 				fatal(err)
 			}
 		}
-		report, err := corral.RunOverloadSweep(corral.OverloadParams{
-			Size: sz, Seed: *seed, Rates: rates,
-			Budget: ov.plannerBudget, Window: ov.replanWindow, AdmissionLimit: ov.admissionLimit,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		if *asJSON {
-			emitJSON(map[string]map[string]float64{"overload": report.Values})
-			return
-		}
-		fmt.Println(report)
-		return
-	}
-
-	if *list || *exp == "" {
+		runs = []run{{"overload", func(sz corral.ExperimentSize) (*corral.ExperimentReport, error) {
+			return corral.RunOverloadSweep(corral.OverloadParams{
+				Size: sz, Seed: *seed, Rates: rates,
+				Budget: ov.plannerBudget, Window: ov.replanWindow, AdmissionLimit: ov.admissionLimit,
+			})
+		}}}
+	case *list || *exp == "":
 		fmt.Println("available experiments:")
 		for _, e := range corral.Experiments() {
 			fmt.Printf("  %-20s %s\n", e.ID, e.Description)
@@ -261,35 +205,76 @@ func main() {
 			fmt.Println("\nrun one with: corralsim -exp <id>")
 		}
 		return
+	default:
+		ids := []string{*exp}
+		if *exp == "all" {
+			ids = ids[:0]
+			for _, e := range corral.Experiments() {
+				ids = append(ids, e.ID)
+			}
+		}
+		for _, id := range ids {
+			runs = append(runs, run{id, func(sz corral.ExperimentSize) (*corral.ExperimentReport, error) {
+				return corral.RunExperiment(id, sz, *seed)
+			}})
+		}
 	}
 
 	sz, err := parseSize(*size)
 	if err != nil {
 		fatal(err)
 	}
-
-	ids := []string{*exp}
-	if *exp == "all" {
-		ids = ids[:0]
-		for _, e := range corral.Experiments() {
-			ids = append(ids, e.ID)
-		}
-	}
-	jsonOut := map[string]map[string]float64{}
-	for _, id := range ids {
-		report, err := corral.RunExperiment(id, sz, *seed)
+	values := map[string]map[string]float64{}
+	for _, r := range runs {
+		report, err := r.fn(sz)
 		if err != nil {
 			fatal(err)
 		}
-		if *asJSON {
-			jsonOut[id] = report.Values
-			continue
+		values[r.id] = report.Values
+		if !*asJSON {
+			fmt.Println(report)
 		}
-		fmt.Println(report)
 	}
 	if *asJSON {
-		emitJSON(jsonOut)
+		emitJSON(values)
 	}
+	if err := failedChecks(values); err != nil {
+		writeTrace()
+		fatal(err)
+	}
+}
+
+// selfChecks are the report values that count a run's failed self-checks:
+// fuzz invariant violations, resume-equivalence mismatches and scale-cell
+// verification failures. Any non-zero one fails the command. Overload's
+// violations_unsuppressed_* values are anti-vacuity proofs that must be
+// non-zero, so they are not checked.
+var selfChecks = []struct{ key, what string }{
+	{"violations", "invariant violations"},
+	{"mismatches", "resumed runs diverged from the uninterrupted run"},
+	{"verification_failures", "scale cells failed determinism/resume/plan verification"},
+}
+
+// failedChecks reports every non-zero self-check value across the reports,
+// keyed by experiment ID, in ID order.
+func failedChecks(values map[string]map[string]float64) error {
+	ids := make([]string, 0, len(values))
+	for id := range values {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	var failed []string
+	for _, id := range ids {
+		for _, c := range selfChecks {
+			if n := values[id][c.key]; n != 0 {
+				failed = append(failed, fmt.Sprintf("%s: %g %s", id, n, c.what))
+			}
+		}
+	}
+	if len(failed) == 0 {
+		return nil
+	}
+	return errors.New(strings.Join(failed, "; "))
 }
 
 func emitJSON(v map[string]map[string]float64) {

@@ -72,6 +72,54 @@ func TestValidateFlagCombos(t *testing.T) {
 	}
 }
 
+func TestFailedChecks(t *testing.T) {
+	cases := []struct {
+		name    string
+		values  map[string]map[string]float64
+		wantErr string // substring; "" = no error
+	}{
+		{name: "no reports"},
+		{name: "clean self-checks", values: map[string]map[string]float64{
+			"fuzz":   {"violations": 0, "traces": 24},
+			"resume": {"mismatches": 0},
+			"scale":  {"verification_failures": 0},
+		}},
+		{name: "reports without self-checks", values: map[string]map[string]float64{
+			"fig6": {"gain": 1.4}, "chaos": {"corral_replan_avg": 120},
+		}},
+		{name: "overload anti-vacuity keys are not gated", values: map[string]map[string]float64{
+			"overload": {"violations_unsuppressed_r04": 7, "violations_budgeted_r04": 0},
+		}},
+		{name: "fuzz violations", values: map[string]map[string]float64{
+			"fuzz": {"violations": 2},
+		}, wantErr: "fuzz: 2 invariant violations"},
+		{name: "resume mismatches", values: map[string]map[string]float64{
+			"resume": {"mismatches": 1},
+		}, wantErr: "resume: 1 resumed runs diverged"},
+		{name: "scale verification failures", values: map[string]map[string]float64{
+			"scale": {"verification_failures": 3},
+		}, wantErr: "scale: 3 scale cells failed"},
+		{name: "all lists every failure in id order", values: map[string]map[string]float64{
+			"scale":  {"verification_failures": 1},
+			"fig6":   {"gain": 1.4},
+			"resume": {"mismatches": 2},
+			"fuzz":   {"violations": 1},
+		}, wantErr: "fuzz: 1 invariant violations; resume: 2 resumed runs diverged from the uninterrupted run; scale: 1 scale cells"},
+	}
+	for _, c := range cases {
+		err := failedChecks(c.values)
+		if c.wantErr == "" {
+			if err != nil {
+				t.Errorf("%s: unexpected error %v", c.name, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+			t.Errorf("%s: err = %v, want %q", c.name, err, c.wantErr)
+		}
+	}
+}
+
 func TestParseInts(t *testing.T) {
 	got, err := parseInts("2000, 5000,10000", "machine count")
 	if err != nil || len(got) != 3 || got[0] != 2000 || got[1] != 5000 || got[2] != 10000 {

@@ -377,13 +377,6 @@ type ExperimentInfo struct {
 	Description string
 }
 
-// ChaosParams configures a chaos sweep; ChaosReport is its outcome.
-type (
-	ChaosParams = experiments.ChaosParams
-	ChaosReport = experiments.ChaosReport
-	ChaosRun    = experiments.ChaosRun
-)
-
 // GenChaosTrace builds a seeded fault trace — transient machine failures
 // plus rack-uplink degradation windows — for the given cluster. The trace
 // is a pure function of the arguments and never removes capacity
@@ -392,11 +385,6 @@ type (
 func GenChaosTrace(cluster ClusterConfig, seed int64, intensity, horizon float64) ([]Failure, []LinkFault) {
 	return experiments.GenChaosTrace(cluster, seed, intensity, horizon)
 }
-
-// RunChaos replays seeded fault traces of increasing intensity against
-// the online W1 workload under Yarn-CS, constraint-drop-only Corral, and
-// Corral with failure-triggered replanning.
-func RunChaos(p ChaosParams) (*ChaosReport, error) { return experiments.RunChaos(p) }
 
 // RunChaosExperiment renders a chaos sweep as an ExperimentReport; nil or
 // empty intensities select the bundled default sweep.
@@ -407,19 +395,6 @@ func RunChaosExperiment(size ExperimentSize, seed int64, intensities []float64) 
 	return experiments.ChaosWithIntensities(experiments.Params{Size: size, Seed: seed}, intensities)
 }
 
-// FuzzParams configures a corralcheck sweep; FuzzReport is its outcome.
-type (
-	FuzzParams = experiments.FuzzParams
-	FuzzReport = experiments.FuzzReport
-)
-
-// RunFuzz executes the corralcheck property fuzzer: seeded randomized
-// workload + fault traces (machine failures, uplink degradation, task
-// crashes, AM kills, DFS corruption) replayed under Yarn-CS,
-// constraint-drop Corral and replanning Corral with the invariant
-// monitor attached. The report is a pure function of the params.
-func RunFuzz(p FuzzParams) (*FuzzReport, error) { return experiments.RunFuzz(p) }
-
 // RunFuzzExperiment renders a corralcheck sweep as an ExperimentReport;
 // traces <= 0 selects the bundled default trace count.
 func RunFuzzExperiment(size ExperimentSize, seed int64, traces int) (*ExperimentReport, error) {
@@ -429,31 +404,12 @@ func RunFuzzExperiment(size ExperimentSize, seed int64, traces int) (*Experiment
 	return experiments.FuzzWithTraces(experiments.Params{Size: size, Seed: seed}, traces)
 }
 
-// OverloadParams configures an overload sweep; OverloadReport is its
-// outcome and OverloadRun one arrival rate's row.
-type (
-	OverloadParams = experiments.OverloadParams
-	OverloadReport = experiments.OverloadReport
-	OverloadRun    = experiments.OverloadRun
-)
+// OverloadParams configures an overload sweep (RunOverloadSweep).
+type OverloadParams = experiments.OverloadParams
 
 // Degradations counts which planner-fallback tiers a budgeted run took
 // (full plan / incremental replan / greedy placement).
 type Degradations = runtime.Degradations
-
-// RunOverload sweeps arrival rates past saturation under a fault storm,
-// comparing Yarn-CS, unhardened replanning Corral (with the replan-rate
-// invariant armed) and budgeted Corral with storm suppression and
-// admission control.
-func RunOverload(p OverloadParams) (*OverloadReport, error) {
-	return experiments.RunOverload(p)
-}
-
-// RunOverloadExperiment renders an overload sweep as an ExperimentReport;
-// nil or empty rates select the bundled default sweep.
-func RunOverloadExperiment(size ExperimentSize, seed int64, rates []float64) (*ExperimentReport, error) {
-	return experiments.OverloadWithRates(experiments.Params{Size: size, Seed: seed}, rates)
-}
 
 // RunOverloadSweep renders an overload sweep with full knob control —
 // arrival rates, planner budget, replan window and admission limit (the
@@ -485,22 +441,6 @@ func PlannerCostFull(jobs, racks, stages int) float64 {
 // commitments-only incremental replan (the middle fallback tier).
 func PlannerCostIncremental(jobs, racks, stages int) float64 {
 	return planner.CostIncremental(jobs, racks, stages)
-}
-
-// ResumeParams configures a crash-resume equivalence sweep; ResumeReport
-// is its outcome.
-type (
-	ResumeParams = experiments.ResumeParams
-	ResumeReport = experiments.ResumeReport
-)
-
-// RunResumeEquivalence runs the crash-resume equivalence sweep for one
-// seed: a fault-heavy monitored baseline is snapshotted at random
-// mid-flight event indices, each captured run is torn down, restored from
-// the serialized snapshot bytes, run to completion, and required to
-// finish with a bit-identical Result and trace export.
-func RunResumeEquivalence(p ResumeParams) (*ResumeReport, error) {
-	return experiments.RunResumeEquivalence(p)
 }
 
 // CaptureScenarioSnapshot captures the crash-resume scenario run for

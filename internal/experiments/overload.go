@@ -233,13 +233,7 @@ func avgCompleted(res *runtime.Result) float64 {
 
 // Overload is the registry entry: the default rate sweep.
 func Overload(p Params) (*Report, error) {
-	return OverloadWithRates(p, nil)
-}
-
-// OverloadWithRates runs the overload sweep at caller-chosen arrival rates
-// (the corralsim -arrival-rates flag) with default hardening knobs.
-func OverloadWithRates(p Params, rates []float64) (*Report, error) {
-	return OverloadSweep(OverloadParams{Size: p.Size, Seed: p.Seed, Rates: rates})
+	return OverloadSweep(OverloadParams{Size: p.Size, Seed: p.Seed})
 }
 
 // OverloadSweep renders an overload sweep with full knob control (the

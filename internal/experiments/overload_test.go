@@ -93,7 +93,7 @@ func TestOverloadWorkerInvariance(t *testing.T) {
 	defer pool.SetWorkers(0)
 	run := func(workers int) *Report {
 		pool.SetWorkers(workers)
-		rep, err := OverloadWithRates(Params{Size: SizeS, Seed: 7}, overloadGateRates)
+		rep, err := OverloadSweep(OverloadParams{Size: SizeS, Seed: 7, Rates: overloadGateRates})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

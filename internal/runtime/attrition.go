@@ -10,24 +10,24 @@ package runtime
 //
 //   - Task attempts crash with probability TaskFailureProb, rolled per
 //     attempt from the runtime's seeded rng. A crashed attempt counts
-//     against the task's attempt budget (MaxTaskAttempts, default 4) and
-//     re-enters the pending queues after a deterministic exponential
-//     backoff: RetryBackoff·2^(k−1) for the k-th crash. Exhausting the
+//     against the task's attempt budget (maxTaskAttempts) and re-enters
+//     the pending queues after a deterministic exponential backoff:
+//     retryBackoff·2^(k−1) for the k-th crash. Exhausting the
 //     budget fails the job terminally, as YARN does.
 //   - Every failed attempt also counts against its machine. A machine
-//     accumulating BlacklistThreshold failures is blacklisted: it keeps
+//     accumulating blacklistThreshold failures is blacklisted: it keeps
 //     its running work but receives no new attempts and is skipped by the
 //     dispatch heartbeat (so delay scheduling does not wait for it).
-//     After BlacklistCooldown it rejoins with its failure count reset.
+//     After blacklistCooldown it rejoins with its failure count reset.
 //   - AMFailures kill a job's application master: all running attempts
 //     are lost and the job stops scheduling until the resource manager
-//     relaunches it AMRestartDelay later. The restarted attempt reuses
+//     relaunches it amRestartDelay later. The restarted attempt reuses
 //     completed map outputs that survive on live machines and recomputes
 //     the rest; a stage that lost any map output rewinds to the map phase
 //     (the rack-aggregated shuffle cannot be partially re-fed). Rack
 //     commitments (allowedRacks, the plan assignment) survive restart —
 //     the plan is a property of the job, not of the AM attempt. The
-//     MaxAMAttempts-th failure is terminal.
+//     maxAMAttempts-th failure is terminal.
 //   - Corruptions flip one replica on a machine to corrupt in the DFS.
 //     Detection is read-driven (checksums): replicaClosest skips corrupt
 //     copies and hands the block to the repair daemon, whose traffic is
@@ -41,24 +41,6 @@ import (
 	"corral/internal/dfs"
 	"corral/internal/trace"
 )
-
-// AMFailure kills job JobID's application master at a point in simulated
-// time. A failure while the job is unsubmitted, already terminal, or
-// already restarting is absorbed.
-type AMFailure struct {
-	At    float64
-	JobID int
-}
-
-// Corruption silently corrupts one DFS block replica held on Machine at a
-// point in simulated time. The replica is chosen deterministically from
-// the runtime's seeded rng among blocks that keep at least one clean live
-// replica elsewhere (a scrubbed DFS never lets silent corruption eat the
-// last copy; modelling that would just wedge the read forever).
-type Corruption struct {
-	At      float64
-	Machine int
-}
 
 // armCrash rolls the injected-crash die for a freshly launched attempt.
 // A doomed attempt crashes partway into its nominal compute time; the
@@ -100,12 +82,12 @@ func (rt *runtime) crashAttempt(tk *runningTask) {
 		attempts = tk.redT.attempts
 	}
 	rt.noteAttemptFailure(tk.machine)
-	if attempts >= rt.opts.MaxTaskAttempts {
+	if attempts >= maxTaskAttempts {
 		rt.abortTask(tk, true, -1)
-		rt.failJob(je, fmt.Sprintf("task attempt budget (%d) exhausted", rt.opts.MaxTaskAttempts))
+		rt.failJob(je, fmt.Sprintf("task attempt budget (%d) exhausted", maxTaskAttempts))
 		return
 	}
-	backoff := rt.opts.RetryBackoff * math.Pow(2, float64(attempts-1))
+	backoff := retryBackoff * math.Pow(2, float64(attempts-1))
 	rt.tr.TaskBackoff(float64(rt.sim.Now()), role, je.job.ID, tk.st.idx, idx, attempts, backoff)
 	rt.abortTask(tk, true, des.Time(backoff))
 }
@@ -113,16 +95,13 @@ func (rt *runtime) crashAttempt(tk *runningTask) {
 // noteAttemptFailure charges a failed attempt to its machine and
 // blacklists it at the threshold.
 func (rt *runtime) noteAttemptFailure(m int) {
-	if rt.opts.BlacklistThreshold < 0 {
-		return
-	}
 	rt.machineFailures[m]++
-	if rt.blacklisted[m] || rt.dead[m] || rt.machineFailures[m] < rt.opts.BlacklistThreshold {
+	if rt.blacklisted[m] || rt.dead[m] || rt.machineFailures[m] < blacklistThreshold {
 		return
 	}
 	rt.blacklisted[m] = true
 	rt.tr.Blacklist(float64(rt.sim.Now()), m)
-	rt.sim.After(des.Time(rt.opts.BlacklistCooldown), func() { rt.unblacklist(m) })
+	rt.sim.After(blacklistCooldown, func() { rt.unblacklist(m) })
 }
 
 // unblacklist returns a machine to the slot pool after its cooldown.
@@ -189,14 +168,14 @@ func (rt *runtime) failAM(jobID int) {
 	}
 	rt.tr.AMFail(float64(rt.sim.Now()), jobID)
 	je.amFailures++
-	if je.amFailures >= rt.opts.MaxAMAttempts {
-		rt.failJob(je, fmt.Sprintf("AM attempt budget (%d) exhausted", rt.opts.MaxAMAttempts))
+	if je.amFailures >= maxAMAttempts {
+		rt.failJob(je, fmt.Sprintf("AM attempt budget (%d) exhausted", maxAMAttempts))
 		return
 	}
 	je.amDown = true
 	je.amAttempt++ // voids backoff requeues armed under the dead AM
 	rt.abortJobAttempts(je)
-	rt.sim.After(des.Time(rt.opts.AMRestartDelay), func() { rt.restartJob(je) })
+	rt.sim.After(amRestartDelay, func() { rt.restartJob(je) })
 }
 
 // restartJob relaunches a job's application master: stages are rebuilt
@@ -314,16 +293,6 @@ func (rt *runtime) applyCorruption(c Corruption) {
 	}
 	b := candidates[rt.rng.Intn(len(candidates))]
 	rt.store.CorruptReplica(b, c.Machine)
-}
-
-// detectCorruption is the read-side checksum path: a reader that skipped
-// a corrupt replica reports the block to the re-replication daemon, which
-// copies a clean replica over the bad one (repair.go).
-func (rt *runtime) detectCorruption(b *dfs.Block) {
-	if rt.opts.DisableReReplication {
-		return
-	}
-	rt.scheduleRepairs([]*dfs.Block{b})
 }
 
 // validateAttrition checks the attrition-related options at startup.

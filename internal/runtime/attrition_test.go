@@ -36,12 +36,10 @@ func (f observerFunc) Observe(e trace.Event) { f(e) }
 
 func attritionOpts(seed int64) Options {
 	return Options{
-		Cluster:           smallTopo(),
-		BlockSize:         64e6,
-		Seed:              seed,
-		TaskFailureProb:   0.25,
-		RetryBackoff:      0.5,
-		BlacklistCooldown: 10,
+		Cluster:         smallTopo(),
+		BlockSize:       64e6,
+		Seed:            seed,
+		TaskFailureProb: 0.25,
 	}
 }
 
@@ -117,7 +115,6 @@ func TestAttemptBudgetFailsJob(t *testing.T) {
 	probe := newCountingProbe(topo.Machines(), topo.SlotsPerMachine)
 	opts := attritionOpts(5)
 	opts.TaskFailureProb = 1 // every attempt crashes
-	opts.MaxTaskAttempts = 3
 	opts.Probe = probe
 	res := mustRun(t, opts, []*job.Job{shuffleJob(1)})
 	jr := res.Jobs[0]
@@ -138,9 +135,7 @@ func TestBlacklistingAndRejoin(t *testing.T) {
 	topo := smallTopo()
 	probe := newCountingProbe(topo.Machines(), topo.SlotsPerMachine)
 	opts := attritionOpts(11)
-	opts.TaskFailureProb = 0.5
-	opts.BlacklistThreshold = 2
-	opts.BlacklistCooldown = 5
+	opts.TaskFailureProb = 0.2
 	opts.Probe = probe
 	res := mustRun(t, opts, []*job.Job{shuffleJob(1), shuffleJob(2)})
 	if res.FailedJobs != 0 {
@@ -148,7 +143,7 @@ func TestBlacklistingAndRejoin(t *testing.T) {
 	}
 	bl := probe.kinds[trace.KBlacklist]
 	if bl == 0 {
-		t.Fatal("no machine was blacklisted at threshold 2 with 50% crashes (vacuous test)")
+		t.Fatalf("no machine was blacklisted at threshold %d with 20%% crashes (vacuous test)", blacklistThreshold)
 	}
 	if probe.kinds[trace.KUnblacklist] != bl {
 		t.Fatalf("blacklist/unblacklist events %d/%d, want pairs",
@@ -202,10 +197,12 @@ func TestAMRestartCompletes(t *testing.T) {
 	}
 }
 
-// The MaxAMAttempts-th AM failure is terminal.
+// The maxAMAttempts-th AM failure is terminal. The second failure lands
+// after the first restart (amRestartDelay later), so the restarted
+// attempt is the one that dies.
 func TestAMBudgetFailsJob(t *testing.T) {
-	opts := Options{Cluster: smallTopo(), BlockSize: 64e6, Seed: 17, MaxAMAttempts: 2, AMRestartDelay: 0.3}
-	opts.AMFailures = []AMFailure{{At: 0.2, JobID: 1}, {At: 0.8, JobID: 1}}
+	opts := Options{Cluster: smallTopo(), BlockSize: 64e6, Seed: 17}
+	opts.AMFailures = []AMFailure{{At: 0.2, JobID: 1}, {At: 0.2 + amRestartDelay + 0.6, JobID: 1}}
 	res := mustRun(t, opts, []*job.Job{shuffleJob(1)})
 	jr := res.Jobs[0]
 	if !jr.Failed || !strings.Contains(jr.FailReason, "AM attempt budget") {

@@ -37,7 +37,7 @@ type jobExec struct {
 	// amDown suspends scheduling while the application master is being
 	// restarted; amAttempt is a generation counter that invalidates backoff
 	// requeues armed under a previous AM incarnation. amFailures counts AM
-	// crashes against Options.MaxAMAttempts.
+	// crashes against maxAMAttempts.
 	amDown     bool
 	amAttempt  int
 	amFailures int
@@ -145,7 +145,7 @@ type mapTask struct {
 	// speculated marks a task whose attempt was killed by the speculation
 	// watchdog: the relaunch runs at nominal speed with no watchdog.
 	speculated bool
-	// attempts counts crashed attempts against Options.MaxTaskAttempts.
+	// attempts counts crashed attempts against maxTaskAttempts.
 	attempts int
 	// doneOn records the machine of the completed attempt (-1 while
 	// pending); AM restart reuses outputs whose machine is still alive.
@@ -355,7 +355,9 @@ func (rt *runtime) replicaClosest(t *mapTask, m int) (int, bool) {
 	}
 	src = pickTiers(usable)
 	if corruptSeen {
-		rt.detectCorruption(t.blk)
+		// The checksum failure hands the block to the re-replication
+		// daemon, which copies a clean replica over the bad one.
+		rt.scheduleRepairs([]*dfs.Block{t.blk})
 		if src < 0 {
 			src = pickTiers(func(r int) bool { return !rt.dead[r] })
 		}

@@ -43,28 +43,19 @@ import (
 
 	"corral/internal/des"
 	"corral/internal/netsim"
+	"corral/internal/snapshot"
 	"corral/internal/trace"
 )
 
-// Failure kills one machine at a point in simulated time. A positive
-// Downtime makes the failure transient: the machine recovers (slots and
-// disk) at At+Downtime. Zero means the machine never comes back.
-type Failure struct {
-	At       float64
-	Machine  int
-	Downtime float64
-}
-
-// LinkFault rescales one rack's uplink and downlink capacity at a point in
-// simulated time. Factor 1 restores the full topology capacity; 0 fails
-// the links outright (flows crossing them park until a later fault with a
-// positive factor). Faults for the same rack apply in time order; the
-// last one wins.
-type LinkFault struct {
-	At     float64
-	Rack   int
-	Factor float64
-}
+// The fault-schedule types are defined once, in the snapshot schema, so
+// a snapshot Spec records a run's schedules as plain slice copies. See
+// there for their semantics.
+type (
+	Failure    = snapshot.Failure
+	LinkFault  = snapshot.LinkFault
+	AMFailure  = snapshot.AMFailure
+	Corruption = snapshot.Corruption
+)
 
 // runningTask tracks one in-flight task attempt so it can be aborted.
 type runningTask struct {

@@ -31,7 +31,7 @@ func exports(t *testing.T, opts Options, jobs []*job.Job) (jsonl, chrome []byte)
 // observes the tracer's stream, it does not add to it.
 func TestProbeLeavesTraceExportsIdentical(t *testing.T) {
 	opts := snapOpts(7)
-	opts.AMFailures = []AMFailure{{At: 12, JobID: 2}}
+	opts.AMFailures = []AMFailure{{At: 7, JobID: 2}}
 	opts.Corruptions = []Corruption{{At: 3, Machine: 5}}
 	plainJSONL, plainChrome := exports(t, opts, snapJobs())
 	for _, ev := range []string{"task_crash", "machine_down", "am_fail", "dfs_corrupt", "sim_end"} {

@@ -16,7 +16,7 @@ package runtime
 //
 // Replan-storm suppression (Options.ReplanWindow): fault-triggered
 // replan requests route through requestReplan(). Each debounce window
-// allows MaxReplansPerWindow immediate replans; further requests in the
+// allows maxReplansPerWindow immediate replans; further requests in the
 // window are coalesced into one pending replan at the window's end, and
 // every saturated window doubles the next window's length (exponential
 // cooldown, capped at 8×). A burst of N rack faults then costs O(log N)
@@ -40,12 +40,6 @@ func validateOverload(opts Options) error {
 	}
 	if opts.ReplanWindow < 0 {
 		return fmt.Errorf("runtime: negative ReplanWindow %g", opts.ReplanWindow)
-	}
-	if opts.MaxReplansPerWindow < 0 {
-		return fmt.Errorf("runtime: negative MaxReplansPerWindow %d", opts.MaxReplansPerWindow)
-	}
-	if opts.MaxReplansPerWindow > 0 && opts.ReplanWindow <= 0 {
-		return fmt.Errorf("runtime: MaxReplansPerWindow requires ReplanWindow > 0")
 	}
 	if opts.AdmissionLimit < 0 {
 		return fmt.Errorf("runtime: negative AdmissionLimit %d", opts.AdmissionLimit)
@@ -148,7 +142,7 @@ func (rt *runtime) requestReplan() {
 		rt.replanWindowEnd = now + w*float64(rt.effectiveCooldown())
 		rt.replansInWindow = 0
 	}
-	if rt.replansInWindow < rt.opts.MaxReplansPerWindow {
+	if rt.replansInWindow < maxReplansPerWindow {
 		rt.replansInWindow++
 		rt.replanOnFailure()
 		return

@@ -22,8 +22,6 @@ func TestValidateOverloadRejects(t *testing.T) {
 	}{
 		{"negative budget", func(o *Options) { o.PlannerBudget = -1 }, "negative PlannerBudget"},
 		{"negative window", func(o *Options) { o.ReplanWindow = -0.5 }, "negative ReplanWindow"},
-		{"negative max replans", func(o *Options) { o.MaxReplansPerWindow = -2 }, "negative MaxReplansPerWindow"},
-		{"max replans without window", func(o *Options) { o.MaxReplansPerWindow = 3 }, "requires ReplanWindow"},
 		{"negative admission limit", func(o *Options) { o.AdmissionLimit = -1 }, "negative AdmissionLimit"},
 		{"negative queue cap", func(o *Options) { o.AdmissionQueueCap = -4 }, "negative AdmissionQueueCap"},
 		{"queue cap without limit", func(o *Options) { o.AdmissionQueueCap = 8 }, "requires AdmissionLimit"},
@@ -47,13 +45,10 @@ func TestValidateOverloadRejects(t *testing.T) {
 func TestReplanSuppressionWindow(t *testing.T) {
 	rt, err := newRuntime(Options{
 		Cluster: smallTopo(), BlockSize: 64e6, Seed: 1,
-		ReplanWindow: 1, // MaxReplansPerWindow defaults to 1
+		ReplanWindow: 1,
 	}, []*job.Job{shuffleJob(1)})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if rt.opts.MaxReplansPerWindow != 1 {
-		t.Fatalf("MaxReplansPerWindow default = %d, want 1", rt.opts.MaxReplansPerWindow)
 	}
 	for _, at := range []float64{1.0, 1.5, 1.7, 2.5, 20} {
 		rt.sim.At(des.Time(at), rt.requestReplan)

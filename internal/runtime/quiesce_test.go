@@ -40,16 +40,4 @@ func TestQuiesceTimeFoldsRepairTail(t *testing.T) {
 		t.Fatalf("QuiesceTime %g does not cover the repair tail after the failure at %g",
 			res.QuiesceTime, late)
 	}
-
-	// With the repair daemon off the tail disappears again.
-	off := mustRun(t, Options{
-		Cluster: topo, BlockSize: 64e6, Seed: 61,
-		Failures:             []Failure{{At: late, Machine: 0}},
-		DisableReReplication: true,
-	}, mk())
-	//corralvet:ok floateq exact identity intended: with re-replication off QuiesceTime is a copy of Makespan
-	if off.QuiesceTime != off.Makespan {
-		t.Fatalf("repairs disabled, yet QuiesceTime %g != Makespan %g",
-			off.QuiesceTime, off.Makespan)
-	}
 }

@@ -33,9 +33,6 @@ type repairOp struct {
 // Iteration is over the append-ordered repairList, never the map, so the
 // cancel/restart order is deterministic.
 func (rt *runtime) onMachineLost(m int) {
-	if rt.opts.DisableReReplication {
-		return
-	}
 	var affected []*dfs.Block
 	for _, op := range rt.repairList {
 		if op.done || op.canceled {

@@ -83,8 +83,11 @@ func ParseKind(s string) (Kind, error) {
 	return 0, fmt.Errorf("runtime: unknown scheduler %q", s)
 }
 
-// Fixed scheduler and write-pipeline parameters. Snapshot specs still
-// record them, and Resume restores no other value.
+// Fixed YARN/HDFS parameters. Corral changes only where tasks are placed
+// (§5), so the rest of the stack runs with one setting each: the stock
+// default where YARN has one, a modelling choice otherwise (DESIGN.md,
+// "Retry & attrition model"). Snapshot specs still record each value, and
+// Resume restores no other.
 const (
 	// heartbeat is the scheduler retry interval in seconds when jobs
 	// decline slots waiting for locality (the delay-scheduling "wait").
@@ -95,6 +98,32 @@ const (
 	// to ad-hoc jobs first (work-conserving both ways). Yarn-CS and
 	// ShuffleWatcher ignore it (single FIFO queue).
 	adhocShare = 0.5
+	// maxTaskAttempts is the per-task attempt budget (YARN's
+	// mapreduce.map/reduce.maxattempts). A task that crashes this many
+	// times fails its job terminally (JobResult.Failed).
+	maxTaskAttempts = 4
+	// retryBackoff is the base retry delay in seconds: a task's k-th
+	// crash waits retryBackoff·2^(k−1) before the task re-enters the
+	// pending queues.
+	retryBackoff = 1.0
+	// blacklistThreshold is how many failed attempts a machine
+	// accumulates before it is blacklisted out of the slot pool and
+	// delay-scheduling consideration (YARN's node-blacklisting
+	// threshold, mapreduce.job.maxtaskfailures.per.tracker).
+	blacklistThreshold = 3
+	// blacklistCooldown is how long in seconds a blacklisted machine sits
+	// out. It rejoins with its failure count reset.
+	blacklistCooldown = 30.0
+	// maxAMAttempts caps application-master attempts per job (YARN's
+	// yarn.resourcemanager.am.max-attempts): the maxAMAttempts-th AM
+	// failure fails the job terminally.
+	maxAMAttempts = 2
+	// amRestartDelay is the resource-manager relaunch delay in seconds
+	// between an AM failure and the restarted attempt.
+	amRestartDelay = 5.0
+	// maxReplansPerWindow caps immediate replans per replan-storm
+	// suppression window (Options.ReplanWindow).
+	maxReplansPerWindow = 1
 )
 
 // outputReplicas is the replica count of terminal stage outputs: one
@@ -143,11 +172,6 @@ type Options struct {
 	// failure), with commitments for unaffected running jobs, instead of
 	// only dropping the affected job's constraints (replan.go).
 	ReplanOnFailure bool
-	// DisableReReplication turns off the DFS repair daemon that re-creates
-	// replicas lost to machine failures (repair.go). Repairs are on by
-	// default because HDFS re-replication is part of the paper's assumed
-	// substrate (§2).
-	DisableReReplication bool
 	// StragglerFraction is the probability that a task's compute phase is
 	// a straggler, running StragglerSlowdown (default 6) times slower —
 	// the "outliers" of §3.3. Zero disables injection.
@@ -176,39 +200,16 @@ type Options struct {
 
 	// TaskFailureProb is the per-attempt probability of an injected
 	// transient task crash (container lost, JVM OOM, disk hiccup). A
-	// crashed attempt counts against the task's attempt budget and is
-	// requeued after a deterministic exponential backoff. Zero disables
-	// injection.
+	// crashed attempt counts against the task's attempt budget
+	// (maxTaskAttempts) and is requeued after a deterministic exponential
+	// backoff. Zero disables injection.
 	TaskFailureProb float64
-	// MaxTaskAttempts is the per-task attempt budget (default 4, YARN's
-	// mapreduce.map/reduce.maxattempts). A task that crashes this many
-	// times fails its job terminally (JobResult.Failed).
-	MaxTaskAttempts int
-	// RetryBackoff is the base retry delay in seconds (default 1): a
-	// task's k-th crash waits RetryBackoff·2^(k−1) before the task
-	// re-enters the pending queues.
-	RetryBackoff float64
-	// BlacklistThreshold is how many failed attempts a machine accumulates
-	// before it is blacklisted out of the slot pool and delay-scheduling
-	// consideration (default 3, YARN's node-blacklisting threshold;
-	// negative disables blacklisting).
-	BlacklistThreshold int
-	// BlacklistCooldown is how long in seconds a blacklisted machine sits
-	// out (default 30). It rejoins with its failure count reset.
-	BlacklistCooldown float64
 	// AMFailures kills job application masters at points in simulated
 	// time. The job's running attempts are lost; a restarted AM attempt
-	// (capped by MaxAMAttempts) reuses completed map outputs that survive
+	// (capped by maxAMAttempts) reuses completed map outputs that survive
 	// on live machines and recomputes the rest, preserving the plan's rack
 	// commitments.
 	AMFailures []AMFailure
-	// MaxAMAttempts caps application-master attempts per job (default 2,
-	// YARN's yarn.resourcemanager.am.max-attempts): the MaxAMAttempts-th
-	// AM failure fails the job terminally.
-	MaxAMAttempts int
-	// AMRestartDelay is the resource-manager relaunch delay in seconds
-	// between an AM failure and the restarted attempt (default 5).
-	AMRestartDelay float64
 	// Corruptions silently corrupt one DFS block replica on a machine at a
 	// simulated time. Reads checksum-detect corruption, fail over to the
 	// next-closest clean replica, and hand the bad replica to the
@@ -228,14 +229,11 @@ type Options struct {
 	PlannerBudget float64
 	// ReplanWindow enables replan-storm suppression: fault bursts within a
 	// debounce window of this many simulated seconds are coalesced, with
-	// at most MaxReplansPerWindow immediate replans per window and an
+	// at most maxReplansPerWindow immediate replans per window and an
 	// exponential cooldown (window length doubles, capped at 8×, while
 	// bursts keep saturating it). Excess requests collapse into a single
 	// pending replan at the window's end. Zero disables suppression.
 	ReplanWindow float64
-	// MaxReplansPerWindow caps immediate replans per suppression window
-	// (default 1 when ReplanWindow > 0; meaningless without it).
-	MaxReplansPerWindow int
 	// AdmissionLimit enables streaming-arrival admission control: at most
 	// this many admitted jobs may be in flight at once. Excess arrivals
 	// wait in a bounded FIFO admission queue (Result.Deferred) and are
@@ -397,7 +395,7 @@ type runtime struct {
 
 	// Attrition state: blacklisted machines keep their slots but receive
 	// no new attempts until the cooldown expires; machineFailures counts
-	// failed attempts per machine toward BlacklistThreshold.
+	// failed attempts per machine toward blacklistThreshold.
 	blacklisted     []bool
 	machineFailures []int
 	failedJobs      int
@@ -478,24 +476,6 @@ func newRuntime(opts Options, jobs []*job.Job) (*runtime, error) {
 	if opts.SpeculationThreshold <= 1 {
 		opts.SpeculationThreshold = 2
 	}
-	if opts.MaxTaskAttempts <= 0 {
-		opts.MaxTaskAttempts = 4
-	}
-	if opts.RetryBackoff <= 0 {
-		opts.RetryBackoff = 1
-	}
-	if opts.BlacklistThreshold == 0 {
-		opts.BlacklistThreshold = 3
-	}
-	if opts.BlacklistCooldown <= 0 {
-		opts.BlacklistCooldown = 30
-	}
-	if opts.MaxAMAttempts <= 0 {
-		opts.MaxAMAttempts = 2
-	}
-	if opts.AMRestartDelay <= 0 {
-		opts.AMRestartDelay = 5
-	}
 	if err := validateFailures(opts.Failures, cluster.Config.Machines()); err != nil {
 		return nil, err
 	}
@@ -510,9 +490,6 @@ func newRuntime(opts Options, jobs []*job.Job) (*runtime, error) {
 	}
 	// Resolve overload defaults before buildSpec records the options, so a
 	// resumed run re-applies them idempotently.
-	if opts.ReplanWindow > 0 && opts.MaxReplansPerWindow <= 0 {
-		opts.MaxReplansPerWindow = 1
-	}
 	if opts.AdmissionLimit > 0 && opts.AdmissionQueueCap <= 0 {
 		opts.AdmissionQueueCap = 4 * opts.AdmissionLimit
 	}

@@ -156,12 +156,9 @@ func TestScheduleLock(t *testing.T) {
 		}
 		o.ReplanOnFailure = true
 	}
-	// Attempt crashes with an aggressive blacklist threshold.
+	// Attempt crashes frequent enough to blacklist machines.
 	blacklist := func(o *Options, _ *planner.Plan) {
 		o.TaskFailureProb = 0.2
-		o.MaxTaskAttempts = 8
-		o.BlacklistThreshold = 2
-		o.BlacklistCooldown = 10
 	}
 	cases := []scenario{
 		{name: "corral-batch", sched: Corral, setup: none, check: ok, want: "88a25ce81ceadb3e"},
@@ -174,8 +171,8 @@ func TestScheduleLock(t *testing.T) {
 		{name: "corral-rack-loss", sched: Corral, setup: rackLoss, check: relaxed, want: "8d964b2150af46c2"},
 		{name: "yarncs-rack-loss", sched: YarnCS, setup: rackLoss, check: relaxed, want: "8244adbe7bccda3b"},
 		{name: "corral-isolate-replan", window: 30, sched: Corral, setup: isolate, check: replanned, want: "bf772d52a5e287d4"},
-		{name: "corral-blacklist", sched: Corral, setup: blacklist, check: blacklisted, want: "f45dbf6683927a62"},
-		{name: "shufflewatcher-blacklist", sched: ShuffleWatcher, setup: blacklist, check: blacklisted, want: "06d48ba097788b0d"},
+		{name: "corral-blacklist", sched: Corral, setup: blacklist, check: blacklisted, want: "8a53861711e5bc67"},
+		{name: "shufflewatcher-blacklist", sched: ShuffleWatcher, setup: blacklist, check: blacklisted, want: "10e6451f34d51381"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -232,7 +232,6 @@ func (rt *runtime) buildSpec() (snapshot.Spec, error) {
 		OutputReplication:    outputReplicas(o.InMemoryInput),
 		Heartbeat:            heartbeat,
 		ReplanOnFailure:      o.ReplanOnFailure,
-		DisableReReplication: o.DisableReReplication,
 		StragglerFraction:    o.StragglerFraction,
 		StragglerSlowdown:    o.StragglerSlowdown,
 		Speculation:          o.Speculation,
@@ -241,35 +240,27 @@ func (rt *runtime) buildSpec() (snapshot.Spec, error) {
 		RemoteStorageInput:   o.RemoteStorageInput,
 		InMemoryInput:        o.InMemoryInput,
 		TaskFailureProb:      o.TaskFailureProb,
-		MaxTaskAttempts:      o.MaxTaskAttempts,
-		RetryBackoff:         o.RetryBackoff,
-		BlacklistThreshold:   o.BlacklistThreshold,
-		BlacklistCooldown:    o.BlacklistCooldown,
-		MaxAMAttempts:        o.MaxAMAttempts,
-		AMRestartDelay:       o.AMRestartDelay,
+		MaxTaskAttempts:      maxTaskAttempts,
+		RetryBackoff:         retryBackoff,
+		BlacklistThreshold:   blacklistThreshold,
+		BlacklistCooldown:    blacklistCooldown,
+		MaxAMAttempts:        maxAMAttempts,
+		AMRestartDelay:       amRestartDelay,
 
 		PlannerBudget:       o.PlannerBudget,
 		ReplanWindow:        o.ReplanWindow,
-		MaxReplansPerWindow: o.MaxReplansPerWindow,
+		MaxReplansPerWindow: specReplansPerWindow(o.ReplanWindow),
 		AdmissionLimit:      o.AdmissionLimit,
 		AdmissionQueueCap:   o.AdmissionQueueCap,
 
 		FailedMachines: append([]int(nil), o.FailedMachines...),
+		Failures:       append([]Failure(nil), o.Failures...),
+		LinkFaults:     append([]LinkFault(nil), o.LinkFaults...),
+		AMFailures:     append([]AMFailure(nil), o.AMFailures...),
+		Corruptions:    append([]Corruption(nil), o.Corruptions...),
 	}
 	for _, je := range rt.jobs {
 		spec.Jobs = append(spec.Jobs, je.job)
-	}
-	for _, f := range o.Failures {
-		spec.Failures = append(spec.Failures, snapshot.Failure{At: f.At, Machine: f.Machine, Downtime: f.Downtime})
-	}
-	for _, lf := range o.LinkFaults {
-		spec.LinkFaults = append(spec.LinkFaults, snapshot.LinkFault{At: lf.At, Rack: lf.Rack, Factor: lf.Factor})
-	}
-	for _, af := range o.AMFailures {
-		spec.AMFailures = append(spec.AMFailures, snapshot.AMFailure{At: af.At, JobID: af.JobID})
-	}
-	for _, c := range o.Corruptions {
-		spec.Corruptions = append(spec.Corruptions, snapshot.Corruption{At: c.At, Machine: c.Machine})
 	}
 	return spec, nil
 }
@@ -291,6 +282,41 @@ func policyByName(name string) (netsim.Policy, error) {
 	return nil, fmt.Errorf("runtime: unknown network policy %q in snapshot spec", name)
 }
 
+// fixedSpecField pairs a Spec field that records a fixed runtime parameter
+// with the one value writers record for it.
+type fixedSpecField struct {
+	name      string
+	got, want any
+}
+
+// fixedSpecFields lists every fixed parameter a Spec records. Two depend
+// on the Spec's own inputs: the output replica count on InMemoryInput,
+// and the replan cap on whether storm suppression is on at all.
+func fixedSpecFields(s *snapshot.Spec) []fixedSpecField {
+	return []fixedSpecField{
+		{"OutputReplication", s.OutputReplication, outputReplicas(s.InMemoryInput)},
+		{"Heartbeat", s.Heartbeat, heartbeat},
+		{"AdhocShare", s.AdhocShare, adhocShare},
+		{"DisableReReplication", s.DisableReReplication, false},
+		{"MaxTaskAttempts", s.MaxTaskAttempts, maxTaskAttempts},
+		{"RetryBackoff", s.RetryBackoff, retryBackoff},
+		{"BlacklistThreshold", s.BlacklistThreshold, blacklistThreshold},
+		{"BlacklistCooldown", s.BlacklistCooldown, blacklistCooldown},
+		{"MaxAMAttempts", s.MaxAMAttempts, maxAMAttempts},
+		{"AMRestartDelay", s.AMRestartDelay, amRestartDelay},
+		{"MaxReplansPerWindow", s.MaxReplansPerWindow, specReplansPerWindow(s.ReplanWindow)},
+	}
+}
+
+// specReplansPerWindow is the MaxReplansPerWindow a Spec records: the
+// fixed cap when replan-storm suppression is on, 0 when it is off.
+func specReplansPerWindow(window float64) int {
+	if window > 0 {
+		return maxReplansPerWindow
+	}
+	return 0
+}
+
 // optionsFromSpec rebuilds the run input a snapshot's Spec records.
 func optionsFromSpec(spec *snapshot.Spec) (Options, []*job.Job, error) {
 	kind, err := ParseKind(spec.Scheduler)
@@ -304,14 +330,10 @@ func optionsFromSpec(spec *snapshot.Spec) (Options, []*job.Job, error) {
 	if spec.FlowEpoch != 0 {
 		return Options{}, nil, fmt.Errorf("runtime: snapshot spec sets FlowEpoch %g; flow-epoch batching was removed, so only FlowEpoch 0 restores", spec.FlowEpoch)
 	}
-	if want := outputReplicas(spec.InMemoryInput); spec.OutputReplication != want {
-		return Options{}, nil, fmt.Errorf("runtime: snapshot spec sets OutputReplication %d; it is fixed, so only %d restores (InMemoryInput %v)", spec.OutputReplication, want, spec.InMemoryInput)
-	}
-	if spec.Heartbeat != heartbeat {
-		return Options{}, nil, fmt.Errorf("runtime: snapshot spec sets Heartbeat %g; it is fixed, so only %g restores", spec.Heartbeat, heartbeat)
-	}
-	if spec.AdhocShare != adhocShare {
-		return Options{}, nil, fmt.Errorf("runtime: snapshot spec sets AdhocShare %g; it is fixed, so only %g restores", spec.AdhocShare, adhocShare)
+	for _, f := range fixedSpecFields(spec) {
+		if f.got != f.want {
+			return Options{}, nil, fmt.Errorf("runtime: snapshot spec sets %s %v; it is fixed, so only %v restores", f.name, f.got, f.want)
+		}
 	}
 	opts := Options{
 		Cluster:   spec.Topology,
@@ -324,7 +346,6 @@ func optionsFromSpec(spec *snapshot.Spec) (Options, []*job.Job, error) {
 		DelayNodeLocal:       spec.DelayNodeLocal,
 		DelayRackLocal:       spec.DelayRackLocal,
 		ReplanOnFailure:      spec.ReplanOnFailure,
-		DisableReReplication: spec.DisableReReplication,
 		StragglerFraction:    spec.StragglerFraction,
 		StragglerSlowdown:    spec.StragglerSlowdown,
 		Speculation:          spec.Speculation,
@@ -332,32 +353,17 @@ func optionsFromSpec(spec *snapshot.Spec) (Options, []*job.Job, error) {
 		RemoteStorageInput:   spec.RemoteStorageInput,
 		InMemoryInput:        spec.InMemoryInput,
 		TaskFailureProb:      spec.TaskFailureProb,
-		MaxTaskAttempts:      spec.MaxTaskAttempts,
-		RetryBackoff:         spec.RetryBackoff,
-		BlacklistThreshold:   spec.BlacklistThreshold,
-		BlacklistCooldown:    spec.BlacklistCooldown,
-		MaxAMAttempts:        spec.MaxAMAttempts,
-		AMRestartDelay:       spec.AMRestartDelay,
 
-		PlannerBudget:       spec.PlannerBudget,
-		ReplanWindow:        spec.ReplanWindow,
-		MaxReplansPerWindow: spec.MaxReplansPerWindow,
-		AdmissionLimit:      spec.AdmissionLimit,
-		AdmissionQueueCap:   spec.AdmissionQueueCap,
+		PlannerBudget:     spec.PlannerBudget,
+		ReplanWindow:      spec.ReplanWindow,
+		AdmissionLimit:    spec.AdmissionLimit,
+		AdmissionQueueCap: spec.AdmissionQueueCap,
 
 		FailedMachines: append([]int(nil), spec.FailedMachines...),
-	}
-	for _, f := range spec.Failures {
-		opts.Failures = append(opts.Failures, Failure{At: f.At, Machine: f.Machine, Downtime: f.Downtime})
-	}
-	for _, lf := range spec.LinkFaults {
-		opts.LinkFaults = append(opts.LinkFaults, LinkFault{At: lf.At, Rack: lf.Rack, Factor: lf.Factor})
-	}
-	for _, af := range spec.AMFailures {
-		opts.AMFailures = append(opts.AMFailures, AMFailure{At: af.At, JobID: af.JobID})
-	}
-	for _, c := range spec.Corruptions {
-		opts.Corruptions = append(opts.Corruptions, Corruption{At: c.At, Machine: c.Machine})
+		Failures:       append([]Failure(nil), spec.Failures...),
+		LinkFaults:     append([]LinkFault(nil), spec.LinkFaults...),
+		AMFailures:     append([]AMFailure(nil), spec.AMFailures...),
+		Corruptions:    append([]Corruption(nil), spec.Corruptions...),
 	}
 	return opts, spec.Jobs, nil
 }

@@ -8,6 +8,7 @@ import (
 
 	"corral/internal/job"
 	"corral/internal/netsim"
+	"corral/internal/planner"
 	"corral/internal/snapshot"
 	"corral/internal/trace"
 )
@@ -21,8 +22,6 @@ func snapOpts(seed int64) Options {
 		BlockSize:         64e6,
 		Seed:              seed,
 		TaskFailureProb:   0.1,
-		RetryBackoff:      0.5,
-		BlacklistCooldown: 10,
 		StragglerFraction: 0.1,
 		StragglerSlowdown: 2,
 		Speculation:       true,
@@ -305,5 +304,75 @@ func TestSnapshotRestoreAuditCatchesCorruption(t *testing.T) {
 		if len(mon.mon.Violations()) == 0 {
 			t.Errorf("State.%s: restore audit failed without an invariant-monitor violation", name)
 		}
+	}
+}
+
+// TestSpecRoundTripsEveryOption: every settable option survives
+// buildSpec → Encode → Decode → optionsFromSpec unchanged. The fixture
+// must set every Options field but the observers and the policy instance
+// to a non-zero value, so an option added without a Spec mapping fails
+// here instead of silently resetting on resume.
+func TestSpecRoundTripsEveryOption(t *testing.T) {
+	topo := smallTopo()
+	topo.RemoteStorageBandwidth = 10 * gbps
+	jobs := snapJobs()
+	opts := Options{
+		Cluster:              topo,
+		Scheduler:            Corral,
+		Plan:                 planFor(t, topo, jobs, planner.MinimizeAvgCompletion),
+		Seed:                 3,
+		BlockSize:            64e6,
+		DelayNodeLocal:       5,
+		DelayRackLocal:       9,
+		Failures:             []Failure{{At: 5, Machine: 3, Downtime: 40}},
+		LinkFaults:           []LinkFault{{At: 8, Rack: 1, Factor: 0.25}},
+		ReplanOnFailure:      true,
+		StragglerFraction:    0.1,
+		StragglerSlowdown:    2,
+		Speculation:          true,
+		SpeculationThreshold: 1.5,
+		FailedMachines:       []int{7},
+		RemoteStorageInput:   true,
+		InMemoryInput:        true,
+		TaskFailureProb:      0.1,
+		AMFailures:           []AMFailure{{At: 7, JobID: 2}},
+		Corruptions:          []Corruption{{At: 3, Machine: 5}},
+		PlannerBudget:        0.5,
+		ReplanWindow:         2,
+		AdmissionLimit:       1,
+		AdmissionQueueCap:    3,
+	}
+	v := reflect.ValueOf(opts)
+	for i := 0; i < v.NumField(); i++ {
+		switch name := v.Type().Field(i).Name; name {
+		case "Probe", "Trace", "Network":
+		default:
+			if v.Field(i).IsZero() {
+				t.Errorf("fixture leaves Options.%s zero; set it so the round trip covers it", name)
+			}
+		}
+	}
+	rt, err := newRuntime(opts, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := rt.buildSpec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := snapshot.Encode(&snapshot.Snapshot{Version: snapshot.Version, Spec: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := snapshot.Decode(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := optionsFromSpec(&dec.Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, opts) {
+		t.Fatalf("options changed across the snapshot round trip:\n got:  %+v\n want: %+v", got, opts)
 	}
 }

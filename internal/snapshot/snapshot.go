@@ -60,28 +60,43 @@ type Meta struct {
 	Label     string
 }
 
-// Failure mirrors runtime.Failure (kept here so the snapshot schema does
-// not depend on the runtime package).
+// The fault schedules a run injects. The runtime uses these types
+// directly (runtime.Failure and the others are aliases), so a Spec
+// records its run's schedules as plain slice copies.
+
+// Failure kills one machine at a point in simulated time. A positive
+// Downtime makes the failure transient: the machine recovers (slots and
+// disk) at At+Downtime. Zero means the machine never comes back.
 type Failure struct {
 	At       float64
 	Machine  int
 	Downtime float64
 }
 
-// LinkFault mirrors runtime.LinkFault.
+// LinkFault rescales one rack's uplink and downlink capacity at a point in
+// simulated time. Factor 1 restores the full topology capacity; 0 fails
+// the links outright (flows crossing them park until a later fault with a
+// positive factor). Faults for the same rack apply in time order; the
+// last one wins.
 type LinkFault struct {
 	At     float64
 	Rack   int
 	Factor float64
 }
 
-// AMFailure mirrors runtime.AMFailure.
+// AMFailure kills job JobID's application master at a point in simulated
+// time. A failure while the job is unsubmitted, already terminal, or
+// already restarting is absorbed.
 type AMFailure struct {
 	At    float64
 	JobID int
 }
 
-// Corruption mirrors runtime.Corruption.
+// Corruption silently corrupts one DFS block replica held on Machine at a
+// point in simulated time. The replica is chosen deterministically from
+// the runtime's seeded rng among blocks that keep at least one clean live
+// replica elsewhere (a scrubbed DFS never lets silent corruption eat the
+// last copy; modelling that would just wedge the read forever).
 type Corruption struct {
 	At      float64
 	Machine int
@@ -110,9 +125,12 @@ type Spec struct {
 	BlockSize      float64
 	DelayNodeLocal int
 	DelayRackLocal int
-	// OutputReplication, Heartbeat and AdhocShare record fixed runtime
-	// parameters (3, or 1 with InMemoryInput; 1 s; 0.5). Writers record
-	// exactly those values and restore rejects any other.
+	// OutputReplication, Heartbeat, AdhocShare, DisableReReplication,
+	// MaxTaskAttempts, RetryBackoff, BlacklistThreshold, BlacklistCooldown,
+	// MaxAMAttempts, AMRestartDelay and MaxReplansPerWindow record fixed
+	// runtime parameters (3, or 1 with InMemoryInput; 1 s; 0.5; false; 4;
+	// 1 s; 3; 30 s; 2; 5 s; 1, or 0 without a ReplanWindow). Writers
+	// record exactly those values and restore rejects any other.
 	OutputReplication    int
 	Heartbeat            float64
 	ReplanOnFailure      bool

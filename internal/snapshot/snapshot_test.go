@@ -64,9 +64,9 @@ func goldenRun() (runtime.Options, []*job.Job) {
 // TestLegacyPolicyNamesResume pins the flow-policy names snapshots have
 // recorded: the default "" and every max-min allocator name ever written
 // must decode and resume to the uninterrupted default run's Result, and a
-// Spec that sets the removed FlowEpoch knob or moves a now-fixed parameter
-// (OutputReplication, Heartbeat, AdhocShare) must be rejected with an
-// error naming the field rather than resume under different semantics.
+// Spec that sets the removed FlowEpoch knob or moves any of the eleven
+// fixed parameters must be rejected with an error naming the field rather
+// than resume under different semantics.
 func TestLegacyPolicyNamesResume(t *testing.T) {
 	want, err := runtime.Run(goldenRun())
 	if err != nil {
@@ -86,6 +86,15 @@ func TestLegacyPolicyNamesResume(t *testing.T) {
 		{tamper: func(s *snapshot.Spec) { s.InMemoryInput = true }, wantErr: "OutputReplication"},
 		{tamper: func(s *snapshot.Spec) { s.Heartbeat = 2 }, wantErr: "Heartbeat"},
 		{tamper: func(s *snapshot.Spec) { s.AdhocShare = 0.25 }, wantErr: "AdhocShare"},
+		{tamper: func(s *snapshot.Spec) { s.DisableReReplication = true }, wantErr: "DisableReReplication"},
+		{tamper: func(s *snapshot.Spec) { s.MaxTaskAttempts = 8 }, wantErr: "MaxTaskAttempts"},
+		{tamper: func(s *snapshot.Spec) { s.RetryBackoff = 0.5 }, wantErr: "RetryBackoff"},
+		{tamper: func(s *snapshot.Spec) { s.BlacklistThreshold = -1 }, wantErr: "BlacklistThreshold"},
+		{tamper: func(s *snapshot.Spec) { s.BlacklistCooldown = 10 }, wantErr: "BlacklistCooldown"},
+		{tamper: func(s *snapshot.Spec) { s.MaxAMAttempts = 3 }, wantErr: "MaxAMAttempts"},
+		{tamper: func(s *snapshot.Spec) { s.AMRestartDelay = 0.3 }, wantErr: "AMRestartDelay"},
+		{tamper: func(s *snapshot.Spec) { s.MaxReplansPerWindow = 1 }, wantErr: "MaxReplansPerWindow"},
+		{tamper: func(s *snapshot.Spec) { s.ReplanWindow = 5 }, wantErr: "MaxReplansPerWindow"},
 	} {
 		snap := goldenSnapshot(t)
 		snap.Spec.Policy = tc.policy

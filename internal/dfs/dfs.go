@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"corral/internal/topology"
@@ -69,15 +70,16 @@ func (v *View) RackBytes(r int) float64 { return v.rackBytes[r] }
 func (v *View) Alive(m int) bool { return v.alive[m] }
 
 // LeastLoadedMachineInRack returns the live machine in rack r with the
-// fewest stored bytes, excluding machines in the exclude set (pass nil for
-// none). If every live machine is excluded — or the whole rack is dead —
-// it falls back to load order over dead machines so placement at upload
-// time never dangles; repair planning re-checks liveness itself.
-func (v *View) LeastLoadedMachineInRack(r int, exclude map[int]bool) int {
+// fewest stored bytes, excluding the machines listed in exclude (pass nil
+// for none; callers hold a few entries, so a linear scan beats a set). If
+// every live machine is excluded — or the whole rack is dead — it falls
+// back to load order over dead machines so placement at upload time never
+// dangles; repair planning re-checks liveness itself.
+func (v *View) LeastLoadedMachineInRack(r int, exclude []int) int {
 	lo, hi := v.Cluster.MachinesInRack(r)
 	best, bestBytes := -1, math.Inf(1)
 	for m := lo; m < hi; m++ {
-		if exclude[m] || !v.alive[m] {
+		if !v.alive[m] || slices.Contains(exclude, m) {
 			continue
 		}
 		if v.machineBytes[m] < bestBytes {
@@ -88,7 +90,7 @@ func (v *View) LeastLoadedMachineInRack(r int, exclude map[int]bool) int {
 		return best
 	}
 	for m := lo; m < hi; m++ {
-		if exclude[m] {
+		if slices.Contains(exclude, m) {
 			continue
 		}
 		if v.machineBytes[m] < bestBytes {
@@ -98,12 +100,12 @@ func (v *View) LeastLoadedMachineInRack(r int, exclude map[int]bool) int {
 	return best
 }
 
-// LeastLoadedRack returns the rack with the fewest stored bytes, excluding
-// racks in the exclude set.
-func (v *View) LeastLoadedRack(exclude map[int]bool) int {
+// LeastLoadedRack returns the rack other than skip with the fewest stored
+// bytes, the lowest index on ties (pass -1 to skip none).
+func (v *View) LeastLoadedRack(skip int) int {
 	best, bestBytes := -1, math.Inf(1)
 	for r := 0; r < v.Cluster.Config.Racks; r++ {
-		if exclude[r] {
+		if r == skip {
 			continue
 		}
 		if v.rackBytes[r] < bestBytes {
@@ -433,12 +435,8 @@ func (s *Store) PlanRepairs(b *Block, busy func(slot int) (dst int, ok bool)) []
 func (s *Store) repairTarget(holders, avoid []int) int {
 	racks := s.cluster.Config.Racks
 	cnt := make([]int, racks)
-	exclude := make(map[int]bool, len(avoid))
 	for _, m := range holders {
 		cnt[s.cluster.RackOf(m)]++
-	}
-	for _, m := range avoid {
-		exclude[m] = true
 	}
 	holderRacks, firstRack := 0, -1
 	for r := 0; r < racks; r++ {
@@ -453,13 +451,13 @@ func (s *Store) repairTarget(holders, avoid []int) int {
 	if holderRacks == 1 && racks > 1 {
 		// All holders on one rack: re-establish the cross-rack copy on the
 		// least-loaded live rack elsewhere.
-		target = s.leastLoadedLiveRack(firstRack, exclude)
+		target = s.leastLoadedLiveRack(firstRack, avoid)
 	}
 	if target < 0 {
 		// Spread already spans racks (or no other rack is usable): add to
 		// the holder rack with the fewest replicas, lower index on ties.
 		for r := 0; r < racks; r++ {
-			if cnt[r] == 0 || !s.rackUsable(r, exclude) {
+			if cnt[r] == 0 || !s.rackUsable(r, avoid) {
 				continue
 			}
 			if target < 0 || cnt[r] < cnt[target] {
@@ -469,12 +467,12 @@ func (s *Store) repairTarget(holders, avoid []int) int {
 	}
 	if target < 0 {
 		// Holder racks are full of holders/dead machines: any usable rack.
-		target = s.leastLoadedLiveRack(-1, exclude)
+		target = s.leastLoadedLiveRack(-1, avoid)
 	}
 	if target < 0 {
 		return -1
 	}
-	m := s.view.LeastLoadedMachineInRack(target, exclude)
+	m := s.view.LeastLoadedMachineInRack(target, avoid)
 	if m < 0 || !s.view.alive[m] {
 		return -1
 	}
@@ -482,10 +480,10 @@ func (s *Store) repairTarget(holders, avoid []int) int {
 }
 
 // rackUsable reports whether rack r has a live machine outside exclude.
-func (s *Store) rackUsable(r int, exclude map[int]bool) bool {
+func (s *Store) rackUsable(r int, exclude []int) bool {
 	lo, hi := s.cluster.MachinesInRack(r)
 	for m := lo; m < hi; m++ {
-		if s.view.alive[m] && !exclude[m] {
+		if s.view.alive[m] && !slices.Contains(exclude, m) {
 			return true
 		}
 	}
@@ -494,7 +492,7 @@ func (s *Store) rackUsable(r int, exclude map[int]bool) bool {
 
 // leastLoadedLiveRack returns the rack (≠ skip) with the fewest stored
 // bytes among racks holding a live non-excluded machine, or -1.
-func (s *Store) leastLoadedLiveRack(skip int, exclude map[int]bool) int {
+func (s *Store) leastLoadedLiveRack(skip int, exclude []int) int {
 	best, bestBytes := -1, math.Inf(1)
 	for r := 0; r < s.cluster.Config.Racks; r++ {
 		if r == skip || !s.rackUsable(r, exclude) {

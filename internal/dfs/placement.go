@@ -79,7 +79,7 @@ func (p CorralPlacement) Place(view *View, rng *rand.Rand) []int {
 	if view.Cluster.Config.Racks == 1 {
 		remoteRack = primaryRack
 	} else {
-		remoteRack = view.LeastLoadedRack(map[int]bool{primaryRack: true})
+		remoteRack = view.LeastLoadedRack(primaryRack)
 	}
 	return assignReplicas(view, n, primaryRack, remoteRack)
 }
@@ -91,14 +91,13 @@ func (p CorralPlacement) Place(view *View, rng *rand.Rand) []int {
 // "two on one rack, one on another" with the roles swapped).
 func assignReplicas(view *View, n, primaryRack, remoteRack int) []int {
 	replicas := make([]int, 0, n)
-	used := make(map[int]bool, n)
 	pick := func(rack int) {
-		m := view.LeastLoadedMachineInRack(rack, used)
+		// The machines already chosen are the exclusions.
+		m := view.LeastLoadedMachineInRack(rack, replicas)
 		if m < 0 {
 			// Rack exhausted (more replicas than machines); reuse allowed.
 			m = view.LeastLoadedMachineInRack(rack, nil)
 		}
-		used[m] = true
 		replicas = append(replicas, m)
 	}
 	pick(primaryRack)

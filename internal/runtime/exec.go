@@ -596,11 +596,11 @@ func (rt *runtime) writeOutput(tk *runningTask, coflow netsim.CoflowID, m int, b
 	if rt.cluster.Config.Racks > 1 {
 		remoteRack = rt.pickRemoteRack(myRack)
 	}
-	r2 := view.LeastLoadedMachineInRack(remoteRack, map[int]bool{m: true})
+	r2 := view.LeastLoadedMachineInRack(remoteRack, []int{m})
 	if r2 < 0 {
 		r2 = m
 	}
-	r3 := view.LeastLoadedMachineInRack(remoteRack, map[int]bool{m: true, r2: true})
+	r3 := view.LeastLoadedMachineInRack(remoteRack, []int{m, r2})
 	if r3 < 0 {
 		r3 = r2
 	}

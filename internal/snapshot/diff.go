@@ -7,8 +7,20 @@ package snapshot
 //
 // The walk is generic reflection: structs by field name, slices by index,
 // maps by sorted key, pointers dereferenced. Leaves compare with
-// reflect.DeepEqual — floats differ only when their bits differ, which is
-// exactly the bit-identical contract the equivalence harness pins.
+// reflect.DeepEqual, which compares floats with ==, not by bits: +0
+// equals -0, and NaN differs from everything, itself included. A snapshot
+// file cannot hold a NaN (encoding/json refuses to write one), so on
+// decoded states the only bit difference the walk misses is a zero's sign.
+//
+// Both entry points first test reflect.DeepEqual on the whole value and
+// walk only when it fails; the walk is what builds the per-field paths,
+// and building them for every element of a matching state dominated the
+// restore audit. DeepEqual holding implies the walk reports nothing: it
+// also checks the unexported fields the walk skips, and the walk's leaves
+// use DeepEqual themselves. When DeepEqual fails only on what the walk
+// ignores (nil versus empty slices), the walk still reports nothing. The
+// one divergence is a NaN in memory both sides share, which DeepEqual
+// treats as equal without looking; decoded states hold no NaN.
 
 import (
 	"fmt"
@@ -23,12 +35,23 @@ const MaxDiffs = 40
 // Diff returns human-readable field paths that differ between two
 // snapshots (nil-safe; a nil vs non-nil pair is one difference).
 func Diff(a, b *Snapshot) []string {
+	if reflect.DeepEqual(a, b) {
+		return nil
+	}
 	return diffValues("", reflect.ValueOf(a), reflect.ValueOf(b))
 }
 
 // DiffStates diffs just the State sections — the restore-audit entry
 // point.
 func DiffStates(a, b *State) []string {
+	if reflect.DeepEqual(a, b) {
+		return nil
+	}
+	return walkStates(a, b)
+}
+
+// walkStates is DiffStates without the DeepEqual fast path.
+func walkStates(a, b *State) []string {
 	return diffValues("state", reflect.ValueOf(a), reflect.ValueOf(b))
 }
 

@@ -1,10 +1,6 @@
 package netsim
 
-import (
-	"slices"
-
-	"corral/internal/topology"
-)
+import "corral/internal/topology"
 
 // grouped is the full max-min pass IncrementalMaxMin runs on a cold cache
 // and on fallback rounds, and whose per-component fill it reuses for dirty
@@ -43,8 +39,9 @@ type grouped struct {
 
 	// Per-link scratch. cnt[l] (unfrozen member flows on link l) and
 	// linkGroups[l] (indices of groups whose path crosses l) are only
-	// meaningful when cstamp[l] == round. used holds the id-sorted links
-	// with any members, so the fill loop never scans the full link table.
+	// meaningful when cstamp[l] == round. used holds the links with any
+	// members in first-seen order, so the fill loop never scans the full
+	// link table.
 	cnt        []int
 	linkGroups [][]int32
 	cstamp     []int32
@@ -52,8 +49,8 @@ type grouped struct {
 
 	// Connected-component scratch, valid per round like cnt. parent is the
 	// union-find forest over used links; compOf[l] is link l's dense
-	// component ordinal (assigned in ascending-link-id order, so ordinals
-	// are deterministic); compLinks[c] lists component c's links ascending;
+	// component ordinal (assigned in used order, so ordinals are
+	// deterministic); compLinks[c] lists component c's links in used order;
 	// gcomp[gi] is group gi's component; compGroups[c]/compRate[c] hold the
 	// component's group count and final fill accumulator.
 	parent     []int32
@@ -115,7 +112,7 @@ func (g *grouped) build(flows []*Flow, nLinks int) {
 	}
 
 	// Per-link unfrozen member counts, per-link group membership, and the
-	// sorted used-link list.
+	// used-link list.
 	if len(g.cnt) < nLinks {
 		g.cnt = make([]int, nLinks)
 		g.cstamp = make([]int32, nLinks)
@@ -150,9 +147,6 @@ func (g *grouped) build(flows []*Flow, nLinks int) {
 			}
 		}
 	}
-	// Ascending link ids make the bottleneck scan pick the same link as the
-	// reference's full-table scan (strict < keeps the lowest id on ties).
-	slices.Sort(g.used)
 }
 
 // find resolves link l's union-find root with path compression. Only valid
@@ -165,9 +159,9 @@ func (g *grouped) find(l int32) int32 {
 	return l
 }
 
-// partition assigns dense component ordinals to the used links (in
-// ascending-link-id order, hence deterministic), collects each component's
-// link list, and tags every group with its component.
+// partition assigns dense component ordinals to the used links (in used
+// order, hence deterministic), collects each component's link list, and
+// tags every group with its component.
 //
 //corral:hotpath
 func (g *grouped) partition() {
@@ -224,7 +218,10 @@ func (g *grouped) fillComponent(ci int, remaining []float64) {
 				continue
 			}
 			lv := level + remaining[l]/float64(c)
-			if bottleneck == -1 || lv < bottleneckLevel {
+			// The lowest link id wins a tie, as in the reference's
+			// full-table scan, whatever order the links were seen in.
+			//corralvet:ok floateq exact identity intended: bit-equal fill levels are a tie broken by link id; any difference, however small, picks the lower level
+			if bottleneck == -1 || lv < bottleneckLevel || lv == bottleneckLevel && l < bottleneck {
 				bottleneck = l
 				bottleneckLevel = lv
 			}

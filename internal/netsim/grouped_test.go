@@ -269,3 +269,34 @@ func TestGroupedAllocateSteadyStateZeroAlloc(t *testing.T) {
 		t.Fatalf("steady-state Allocate performs %.1f allocations per call, want 0", avg)
 	}
 }
+
+// TestGroupedBottleneckTieLowestLinkID pins the fill's tie-break without
+// any link ordering: the first path seen crosses link 5 before link 1,
+// both links reach the same fill level, and the rates must still match
+// the per-flow oracle, which scans the link table in id order and so
+// saturates link 1 first. The capacities leave rounding dust on the link
+// charged second, so the pick is visible: flows on link 1 alone freeze
+// one ulp below flows on link 5 alone.
+func TestGroupedBottleneckTieLowestLinkID(t *testing.T) {
+	mk := func() []*Flow {
+		flows := []*Flow{{ID: 1, path: []topology.LinkID{5, 1}, pathID: 1}}
+		for i := 0; i < 4; i++ {
+			flows = append(flows,
+				&Flow{ID: int64(2 + 2*i), path: []topology.LinkID{5}, pathID: 2},
+				&Flow{ID: int64(3 + 2*i), path: []topology.LinkID{1}, pathID: 3})
+		}
+		return flows
+	}
+	caps := []float64{0, 1.7, 0, 0, 0, 1.7}
+	ref, got := mk(), mk()
+	MaxMinFair{}.Allocate(ref, caps, make([]float64, len(caps)))
+	NewIncrementalMaxMin().Allocate(got, caps, make([]float64, len(caps)))
+	for i := range ref {
+		if math.Float64bits(ref[i].rate) != math.Float64bits(got[i].rate) {
+			t.Fatalf("flow %d (path %v): grouped rate %v, oracle %v", ref[i].ID, ref[i].path, got[i].rate, ref[i].rate)
+		}
+	}
+	if onLink1, onLink5 := ref[2].rate, ref[1].rate; !(onLink1 < onLink5) {
+		t.Fatalf("oracle rates %v on link 1, %v on link 5: the tie leaves no trace, test is vacuous", onLink1, onLink5)
+	}
+}

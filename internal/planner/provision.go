@@ -27,18 +27,35 @@ package planner
 //     (time, count) runs, replacing the legacy scheduler's O(R)-per-job
 //     flat merge and per-job rack-set sort with a few group operations.
 //
+//  3. The state of a prioritization pass before order position p — the
+//     live availability runs, makespan and completion sum — depends only on
+//     order[:p], those jobs' widths and the initial availability. Widening
+//     one job moves only that job in the order, so every position below d,
+//     the smaller of its old and new positions, keeps its job and width. The
+//     evaluator saves the pass state every ckStride positions and resumes
+//     each candidate from the last checkpoint at or below d. The suffix
+//     repeats the same float operations in the same order as a pass from
+//     position 0, so the objective is bit-identical; online, where jobs
+//     are ordered by arrival, about half of each pass is skipped.
+//
+// The chain is built with a max-heap of the jobs that can still widen,
+// keyed by (current estimate descending, job index ascending): each step
+// pops the legacy scan's pick in O(log J) instead of scanning all J jobs.
+//
 // The legacy serial engine (the scheduler evaluated once per candidate,
 // exactly the pre-fast-path code) lives in provision_test.go as the
-// differential reference — the same playbook that keeps netsim's max-min
-// allocator honest: TestProvisionFastMatchesSerial proves the two choose
-// identical widths across seeded random workloads, objectives,
-// commitments and a scale-suite cell.
+// differential reference, beside the linear-scan chain rule — the same
+// playbook that keeps netsim's max-min allocator honest:
+// TestProvisionFastMatchesSerial proves the two choose identical widths
+// across seeded random workloads, objectives, commitments and a
+// scale-suite cell.
 //
 // Determinism obligations: candidate objectives are pure functions of
 // (jobs, cluster, widths); block decomposition and worker scheduling feed
 // neither the values nor the reduction order.
 
 import (
+	"container/heap"
 	"sort"
 
 	"corral/internal/job"
@@ -50,31 +67,67 @@ import (
 // chain[t] is the job widened to produce candidate t+1 (candidate 0 is
 // all-ones). The rule is verbatim the legacy loop's — widen the job with
 // the longest current estimate among those not yet cluster-wide, first
-// index on ties — so the precomputed chain visits exactly the allocations
-// the serial path visits, in the same order.
+// index on ties, and only estimates strictly above −1 (NaN never
+// qualifies) — so the precomputed chain visits exactly the allocations the
+// serial path visits, in the same order. The heap holds the jobs that
+// qualify; a job leaves it at rj == R or when its estimate stops
+// qualifying, since its width, and so its estimate, never changes again.
 func buildChain(resp []model.ResponseFunc, J, R int) []int {
 	chain := make([]int, 0, J*(R-1))
 	rj := make([]int, J)
+	h := make(chainHeap, 0, J)
 	for i := range rj {
 		rj[i] = 1
+		if R > 1 {
+			if l := resp[i].At(1); l > -1 {
+				h = append(h, chainEntry{lat: l, job: i})
+			}
+		}
 	}
-	for {
-		longest, longestLat := -1, -1.0
-		for i := range rj {
-			if rj[i] >= R {
+	heap.Init(&h)
+	for len(h) > 0 {
+		w := h[0].job
+		rj[w]++
+		chain = append(chain, w)
+		if rj[w] < R {
+			if l := resp[w].At(rj[w]); l > -1 {
+				h[0].lat = l
+				heap.Fix(&h, 0)
 				continue
 			}
-			if l := resp[i].At(rj[i]); l > longestLat {
-				longest, longestLat = i, l
-			}
 		}
-		if longest == -1 {
-			break
-		}
-		rj[longest]++
-		chain = append(chain, longest)
+		heap.Pop(&h)
 	}
 	return chain
+}
+
+// chainEntry is one widenable job and its current estimate.
+type chainEntry struct {
+	lat float64 // resp[job].At(rj[job])
+	job int
+}
+
+// chainHeap is buildChain's max-heap: the root is the job the legacy
+// linear scan would pick, the longest estimate with the lowest index on
+// ties. Estimates in the heap are never NaN, so the order is total.
+type chainHeap []chainEntry
+
+func (h chainHeap) Len() int { return len(h) }
+func (h chainHeap) Less(a, b int) bool {
+	// Equal estimates are a tie that falls to the index, as under the
+	// linear scan's strict `>`.
+	if h[a].lat != h[b].lat {
+		return h[a].lat > h[b].lat
+	}
+	return h[a].job < h[b].job
+}
+func (h chainHeap) Swap(a, b int) { h[a], h[b] = h[b], h[a] }
+func (h *chainHeap) Push(x any)   { *h = append(*h, x.(chainEntry)) }
+func (h *chainHeap) Pop() any {
+	old := *h
+	x := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return x
 }
 
 // fGroup is a maximal run of racks sharing one availability time in the
@@ -130,6 +183,17 @@ func jobLess(online bool, jobs []*job.Job, resp []model.ResponseFunc, rj []int, 
 	return jobs[a].ID < jobs[b].ID
 }
 
+// ckStride is the spacing, in prioritization-order positions, of the pass
+// state checkpoints the objective resumes from (fact 3 above).
+const ckStride = 16
+
+// checkpoint is the pass state before one order position: the live runs
+// are groups[head:n], stored in the evaluator's ckRuns.
+type checkpoint struct {
+	head, n       int
+	makespan, sum float64
+}
+
 // evaluator computes one candidate objective per call, reusing per-worker
 // scratch so steady-state evaluation allocates nothing (pinned by
 // TestEvaluatorSteadyStateZeroAlloc and corralvet's hotalloc check via
@@ -142,11 +206,17 @@ type evaluator struct {
 	order      []int // job indices in prioritization order, maintained incrementally
 	initGroups []fGroup
 	groups     []fGroup // scratch: rack availability as sorted (time, count) runs
+
+	// ck[c] is the pass state before order position c·ckStride, its live
+	// runs at ckRuns[c·ckWidth:]. ck[0] is the initial state.
+	ck      []checkpoint
+	ckRuns  []fGroup
+	ckWidth int // most live runs a pass can hold: one per rack at most
 }
 
 func newEvaluator(in Input, resp []model.ResponseFunc, initGroups []fGroup) *evaluator {
 	J := len(in.Jobs)
-	return &evaluator{
+	e := &evaluator{
 		jobs:       in.Jobs,
 		resp:       resp,
 		online:     in.Objective == MinimizeAvgCompletion,
@@ -155,11 +225,22 @@ func newEvaluator(in Input, resp []model.ResponseFunc, initGroups []fGroup) *eva
 		initGroups: initGroups,
 		groups:     make([]fGroup, len(initGroups)+J+1),
 	}
+	racks := 0
+	for _, g := range initGroups {
+		racks += g.n
+	}
+	e.ckWidth = min(racks, len(e.groups))
+	nck := J/ckStride + 1
+	e.ck = make([]checkpoint, nck)
+	e.ckRuns = make([]fGroup, nck*e.ckWidth)
+	e.ck[0] = checkpoint{n: len(initGroups)}
+	copy(e.ckRuns, initGroups)
+	return e
 }
 
 // reset seeds the evaluator at the candidate with widths rj: one full
 // stable sort at block entry; widen maintains the order incrementally
-// from there.
+// from there. The next objective call must start at position 0.
 func (e *evaluator) reset(rj []int) {
 	copy(e.rj, rj)
 	for i := range e.order {
@@ -170,40 +251,53 @@ func (e *evaluator) reset(rj []int) {
 	})
 }
 
-// widen applies rj[w]++ and repositions w in the prioritization order: a
-// one-element deletion plus binary-search reinsertion (an O(J) memmove)
-// in place of the full J·log J re-sort — consecutive provisioning
+// widen applies rj[w]++, repositions w in the prioritization order and
+// returns d, the first order position that changed: the smaller of w's
+// old and new positions. The new position comes from a binary search
+// over the other J−1 jobs, and only the slots between the two positions
+// shift — in place of the full J·log J re-sort. Consecutive provisioning
 // candidates differ in exactly this one key, and jobLess is a strict
 // total order, so the repositioned sequence is the unique sorted
 // permutation the full sort would produce.
 //
 //corral:hotpath widen runs once per provisioning candidate, J·(R−1) times per plan.
-func (e *evaluator) widen(w int) {
+func (e *evaluator) widen(w int) int {
 	e.rj[w]++
 	order := e.order
-	J := len(order)
 	i := 0
 	for order[i] != w {
 		i++
 	}
-	copy(order[i:], order[i+1:])
-	rest := order[:J-1]
-	lo, hi := 0, len(rest)
+	// Search the order with w removed: slot m holds order[m] below i and
+	// order[m+1] from i on.
+	lo, hi := 0, len(order)-1
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if jobLess(e.online, e.jobs, e.resp, e.rj, w, rest[mid]) {
+		o := mid
+		if mid >= i {
+			o++
+		}
+		if jobLess(e.online, e.jobs, e.resp, e.rj, w, order[o]) {
 			hi = mid
 		} else {
 			lo = mid + 1
 		}
 	}
-	copy(order[lo+1:], order[lo:J-1])
+	if lo < i {
+		copy(order[lo+1:i+1], order[lo:i])
+	} else {
+		copy(order[i:lo], order[i+1:lo+1])
+	}
 	order[lo] = w
+	return min(i, lo)
 }
 
-// objective runs one prioritization pass over the current widths and
-// returns the candidate's objective value, bit-identical to
-// scheduler.run(rj).objective(in.Objective).
+// objective runs the prioritization pass over the current widths from
+// the last checkpoint at or below order position d and returns the
+// candidate's objective value, bit-identical to
+// scheduler.run(rj).objective(in.Objective). The caller guarantees that
+// order[:d] and those jobs' widths are unchanged since the previous call
+// (d = 0 after reset); the pass saves fresh checkpoints as it goes.
 //
 // Bit-identity argument: a job's start time is the k-th smallest rack
 // availability (legacy: rackF[k-1].f), which depends only on the sorted
@@ -216,66 +310,80 @@ func (e *evaluator) widen(w int) {
 // float operations. Equal-time runs merge; where the legacy flat list
 // interleaves equal-time racks by ID, any prefix drawn from the combined
 // run removes the same multiset of times regardless of the interleaving.
+// A restored checkpoint reproduces the groups layout, head and both
+// accumulators exactly as the pass from position 0 left them there.
 //
 //corral:hotpath objective runs once per provisioning candidate, J·(R−1)+1 times per plan.
-func (e *evaluator) objective() float64 {
-	groups := e.groups[:len(e.initGroups)]
-	copy(groups, e.initGroups)
-	head := 0 // groups[head:] is live; the prefix is consumed scratch
-	makespan, sum := 0.0, 0.0
-	for _, idx := range e.order {
-		k := e.rj[idx]
-		lat := e.resp[idx].At(k)
-		arr := 0.0
-		if e.online {
-			arr = e.jobs[idx].Arrival
-		}
-		// start = availability of the k-th earliest rack: walk the runs.
-		need := k
-		gi := head
-		for groups[gi].n < need {
-			need -= groups[gi].n
-			gi++
-		}
-		start := groups[gi].f
-		if arr > start {
-			start = arr
-		}
-		finish := start + lat
-		// Consume the k earliest racks: drop whole runs, shrink the last.
-		groups[gi].n -= need
-		if groups[gi].n == 0 {
-			gi++
-		}
-		head = gi
-		// Reinsert them as one run at finish, keeping groups sorted.
-		lo, hi := head, len(groups)
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if groups[mid].f > finish {
-				hi = mid
-			} else {
-				lo = mid + 1
+func (e *evaluator) objective(d int) float64 {
+	c := d / ckStride
+	s := e.ck[c]
+	groups := e.groups[:s.n]
+	copy(groups[s.head:], e.ckRuns[c*e.ckWidth:c*e.ckWidth+s.n-s.head])
+	head := s.head // groups[head:] is live; the prefix is consumed scratch
+	makespan, sum := s.makespan, s.sum
+	J := len(e.order)
+	for p := c * ckStride; p < J; {
+		end := min(p+ckStride, J)
+		for ; p < end; p++ {
+			idx := e.order[p]
+			k := e.rj[idx]
+			lat := e.resp[idx].At(k)
+			arr := 0.0
+			if e.online {
+				arr = e.jobs[idx].Arrival
 			}
+			// start = availability of the k-th earliest rack: walk the runs.
+			need := k
+			gi := head
+			for groups[gi].n < need {
+				need -= groups[gi].n
+				gi++
+			}
+			start := groups[gi].f
+			if arr > start {
+				start = arr
+			}
+			finish := start + lat
+			// Consume the k earliest racks: drop whole runs, shrink the last.
+			groups[gi].n -= need
+			if groups[gi].n == 0 {
+				gi++
+			}
+			head = gi
+			// Reinsert them as one run at finish, keeping groups sorted.
+			lo, hi := head, len(groups)
+			for lo < hi {
+				mid := int(uint(lo+hi) >> 1)
+				if groups[mid].f > finish {
+					hi = mid
+				} else {
+					lo = mid + 1
+				}
+			}
+			//corralvet:ok floateq exact identity intended: a run carrying the bit-identical finish time absorbs the reassigned racks; rack identities never reach the objective
+			if lo > head && groups[lo-1].f == finish {
+				groups[lo-1].n += k
+			} else if head > 0 {
+				// Slide the (short) live prefix left into the consumed slot.
+				copy(groups[head-1:], groups[head:lo])
+				groups[lo-1] = fGroup{f: finish, n: k}
+				head--
+			} else {
+				// No consumed slot free: grow at the tail.
+				groups = groups[:len(groups)+1]
+				copy(groups[lo+1:], groups[lo:len(groups)-1])
+				groups[lo] = fGroup{f: finish, n: k}
+			}
+			if finish > makespan {
+				makespan = finish
+			}
+			sum += finish - arr
 		}
-		//corralvet:ok floateq exact identity intended: a run carrying the bit-identical finish time absorbs the reassigned racks; rack identities never reach the objective
-		if lo > head && groups[lo-1].f == finish {
-			groups[lo-1].n += k
-		} else if head > 0 {
-			// Slide the (short) live prefix left into the consumed slot.
-			copy(groups[head-1:], groups[head:lo])
-			groups[lo-1] = fGroup{f: finish, n: k}
-			head--
-		} else {
-			// No consumed slot free: grow at the tail.
-			groups = groups[:len(groups)+1]
-			copy(groups[lo+1:], groups[lo:len(groups)-1])
-			groups[lo] = fGroup{f: finish, n: k}
+		if p < J {
+			c = p / ckStride
+			e.ck[c] = checkpoint{head: head, n: len(groups), makespan: makespan, sum: sum}
+			copy(e.ckRuns[c*e.ckWidth:], groups[head:])
 		}
-		if finish > makespan {
-			makespan = finish
-		}
-		sum += finish - arr
 	}
 	if e.online {
 		return sum / float64(len(e.jobs))
@@ -318,10 +426,9 @@ func provision(in Input, resp []model.ResponseFunc, initF []float64) []int {
 			rj[chain[t]]++
 		}
 		ev.reset(rj)
-		out[0] = ev.objective()
+		out[0] = ev.objective(0)
 		for t := lo + 1; t < hi; t++ {
-			ev.widen(chain[t-1])
-			out[t-lo] = ev.objective()
+			out[t-lo] = ev.objective(ev.widen(chain[t-1]))
 		}
 		return nil
 	})

@@ -8,6 +8,7 @@ package planner
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -69,16 +70,22 @@ func TestProvisionFastMatchesSerial(t *testing.T) {
 		}
 	}
 
-	// The scale suite's 2k cell at seed 1 (experiments.scaleTopo and
-	// scaleWorkload): 50 racks of 40 machines, a 200-job online W1 stream.
-	topo := topology.Config{Racks: 50, MachinesPerRack: 40, SlotsPerMachine: 2, NICBandwidth: 10 * gbps, Oversubscription: 5}
+	check("2k scale cell", scaleCellInput(2000), nil)
+}
+
+// scaleCellInput is the planner input of the scale suite's cell at seed 1
+// (experiments.scaleTopo and scaleWorkload): racks of 40 machines and an
+// online W1 stream of 160 + machines/50 jobs — 50 racks and 200 jobs at
+// 2k, 250 racks and 360 jobs at 10k.
+func scaleCellInput(machines int) Input {
+	topo := topology.Config{Racks: machines / 40, MachinesPerRack: 40, SlotsPerMachine: 2, NICBandwidth: 10 * gbps, Oversubscription: 5}
 	var planned []*job.Job
-	for _, j := range workload.W1(workload.Config{Seed: 1, Jobs: 200, Scale: 1.0 / 8, TaskScale: 1.0 / 8, ArrivalWindow: 100}) {
+	for _, j := range workload.W1(workload.Config{Seed: 1, Jobs: 160 + machines/50, Scale: 1.0 / 8, TaskScale: 1.0 / 8, ArrivalWindow: float64(machines) / 20}) {
 		if !j.AdHoc {
 			planned = append(planned, j)
 		}
 	}
-	check("2k scale cell", Input{Cluster: model.FromTopology(topo), Jobs: planned, Alpha: -1, Objective: MinimizeAvgCompletion}, nil)
+	return Input{Cluster: model.FromTopology(topo), Jobs: planned, Alpha: -1, Objective: MinimizeAvgCompletion}
 }
 
 // TestProvisionWorkerCountInvariance pins the determinism contract: the
@@ -125,23 +132,76 @@ func TestProvisionSeedsDiffer(t *testing.T) {
 }
 
 // TestBuildChainMatchesSerialWidening replays both widening rules side by
-// side: the precomputed chain must visit exactly the widths the serial
-// loop visits, in order.
+// side: the heap-ordered chain must visit exactly the widths the serial
+// loop's linear scan (buildChainLinear) visits, in order — on seeded
+// random workloads, the 10k scale cell, forced equal-estimate ties and
+// non-monotone response tables that hold NaN, −1 and ±Inf.
 func TestBuildChainMatchesSerialWidening(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	in := Input{Cluster: testClusterModel(), Jobs: randomJobs(rng, 15), Alpha: -1}
-	J, R := len(in.Jobs), in.Cluster.Racks
-	resp := responseFuncs(t, in)
-
-	chain := buildChain(resp, J, R)
-	if want := J * (R - 1); len(chain) != want {
-		t.Fatalf("chain length %d, want %d", len(chain), want)
+	check := func(label string, resp []model.ResponseFunc, R int) {
+		t.Helper()
+		got, want := buildChain(resp, len(resp), R), buildChainLinear(resp, len(resp), R)
+		if len(got) != len(want) {
+			t.Fatalf("%s: chain length %d, linear scan %d", label, len(got), len(want))
+		}
+		for step := range want {
+			if got[step] != want[step] {
+				t.Fatalf("%s: step %d: chain widens job %d, linear scan widens %d", label, step, got[step], want[step])
+			}
+		}
 	}
+
+	random := func(seed int64, n int) {
+		t.Helper()
+		in := Input{Cluster: testClusterModel(), Jobs: randomJobs(rand.New(rand.NewSource(seed)), n), Alpha: -1}
+		resp := responseFuncs(t, in)
+		if J, R := len(in.Jobs), in.Cluster.Racks; len(buildChain(resp, J, R)) != J*(R-1) {
+			t.Fatalf("seed %d, %d jobs: chain length %d, want %d", seed, n, len(buildChain(resp, J, R)), J*(R-1))
+		}
+		check(fmt.Sprintf("seed %d, %d jobs", seed, n), resp, in.Cluster.Racks)
+	}
+	random(3, 15)
+	for seed := int64(1); seed <= 8; seed++ {
+		random(seed, 5*int(seed))
+	}
+
+	in := scaleCellInput(10000)
+	check("10k scale cell", responseFuncs(t, in), in.Cluster.Racks)
+
+	// Identical jobs: every step is an equal-estimate tie.
+	same := make([]*job.Job, 25)
+	for i := range same {
+		same[i] = mkJob(i+1, 100, 50, 10, 40, 10)
+	}
+	in = Input{Cluster: testClusterModel(), Jobs: same, Alpha: -1}
+	check("equal estimates", responseFuncs(t, in), in.Cluster.Racks)
+
+	// Hand-made tables drawn from a small value set, so ties, rises and
+	// non-qualifying estimates (NaN, −1, below −1) all occur mid-chain.
+	vals := []float64{math.NaN(), math.Inf(-1), -3, -1, math.Copysign(0, -1), 0, 1, 2, 2, 5, math.Inf(1)}
+	for seed := int64(1); seed <= 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		J, R := rng.Intn(30)+1, rng.Intn(9)+1
+		resp := make([]model.ResponseFunc, J)
+		for i := range resp {
+			resp[i] = make(model.ResponseFunc, R)
+			for r := range resp[i] {
+				resp[i][r] = vals[rng.Intn(len(vals))]
+			}
+		}
+		check(fmt.Sprintf("table seed %d", seed), resp, R)
+	}
+}
+
+// buildChainLinear is the legacy widening rule, verbatim from the serial
+// loop: scan every job for the longest estimate strictly above −1 among
+// those not yet cluster-wide, first index on ties.
+func buildChainLinear(resp []model.ResponseFunc, J, R int) []int {
+	chain := make([]int, 0, J*(R-1))
 	rj := make([]int, J)
 	for i := range rj {
 		rj[i] = 1
 	}
-	for step, w := range chain {
+	for {
 		longest, longestLat := -1, -1.0
 		for i := range rj {
 			if rj[i] >= R {
@@ -151,11 +211,115 @@ func TestBuildChainMatchesSerialWidening(t *testing.T) {
 				longest, longestLat = i, l
 			}
 		}
-		if longest != w {
-			t.Fatalf("step %d: chain widens job %d, serial rule widens %d", step, w, longest)
+		if longest == -1 {
+			break
 		}
-		rj[w]++
+		rj[longest]++
+		chain = append(chain, longest)
 	}
+	return chain
+}
+
+// checkCheckpointedObjectives walks in's whole widening chain in three
+// blocks, as provision does, and requires every checkpointed objective to
+// equal, bit for bit, a pass from position 0 over the same widths on a
+// second evaluator.
+func checkCheckpointedObjectives(t *testing.T, label string, in Input, initF []float64) {
+	t.Helper()
+	resp := responseFuncs(t, in)
+	J, R := len(in.Jobs), in.Cluster.Racks
+	chain := buildChain(resp, J, R)
+	initGroups := groupsFromInitF(initF, R)
+	ev, ref := newEvaluator(in, resp, initGroups), newEvaluator(in, resp, initGroups)
+	ones := make([]int, J)
+	for i := range ones {
+		ones[i] = 1
+	}
+	ref.reset(ones)
+	C := len(chain) + 1
+	for b := 0; b < 3; b++ {
+		lo, hi := b*C/3, (b+1)*C/3
+		rj := append([]int(nil), ones...)
+		for c := 0; c < lo; c++ {
+			rj[chain[c]]++
+		}
+		for c := lo; c < hi; c++ {
+			var got float64
+			if c == lo {
+				ev.reset(rj)
+				got = ev.objective(0)
+			} else {
+				got = ev.objective(ev.widen(chain[c-1]))
+			}
+			if c > 0 {
+				ref.widen(chain[c-1])
+			}
+			if want := ref.objective(0); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: candidate %d: checkpointed objective %v, full pass %v", label, c, got, want)
+			}
+			if c > 0 && c%97 == 0 { // spot-check the incremental order against a full sort
+				sorted := newEvaluator(in, resp, initGroups)
+				sorted.reset(ev.rj)
+				if !reflect.DeepEqual(ev.order, sorted.order) {
+					t.Fatalf("%s: candidate %d: incremental order %v, full sort %v", label, c, ev.order, sorted.order)
+				}
+			}
+		}
+	}
+}
+
+// TestProvisionCheckpointMatchesFullPass pins fact 3 of provision.go: for
+// every candidate of the chain, the objective resumed from a checkpoint
+// equals the pass from position 0, across batch × online × {fresh plan,
+// replan with commitments}, with J below, at multiples of and off
+// multiples of ckStride, and on the 2k scale cell.
+func TestProvisionCheckpointMatchesFullPass(t *testing.T) {
+	sizes := []int{1, 5, ckStride - 1, ckStride, ckStride + 1, 2 * ckStride, 3*ckStride + 7}
+	for si, J := range sizes {
+		for _, obj := range []Objective{MinimizeMakespan, MinimizeAvgCompletion} {
+			rng := rand.New(rand.NewSource(int64(si + 1)))
+			in := Input{Cluster: testClusterModel(), Jobs: randomJobs(rng, J), Alpha: -1, Objective: obj}
+			checkCheckpointedObjectives(t, fmt.Sprintf("J=%d %s", J, obj), in, nil)
+
+			now := rng.Float64() * 2000
+			initF, err := commitmentAvailability(in.Cluster.Racks, now, randomCommitments(rng, in.Cluster.Racks, now))
+			if err != nil {
+				t.Fatal(err)
+			}
+			re := in
+			re.Jobs = clampArrivals(in.Jobs, now)
+			checkCheckpointedObjectives(t, fmt.Sprintf("J=%d %s replan", J, obj), re, initF)
+		}
+	}
+	checkCheckpointedObjectives(t, "2k scale cell", scaleCellInput(2000), nil)
+}
+
+// FuzzProvisionMatchesFullPass is TestProvisionCheckpointMatchesFullPass
+// over fuzzed seeds, job counts, objectives and commitments. Plain go test
+// runs the seed corpus; -fuzz searches further.
+func FuzzProvisionMatchesFullPass(f *testing.F) {
+	f.Add(int64(1), uint8(5), false, false)
+	f.Add(int64(2), uint8(ckStride), true, false)
+	f.Add(int64(3), uint8(2*ckStride+3), true, true)
+	f.Add(int64(4), uint8(40), false, true)
+	f.Fuzz(func(t *testing.T, seed int64, n uint8, online, replan bool) {
+		rng := rand.New(rand.NewSource(seed))
+		in := Input{Cluster: testClusterModel(), Jobs: randomJobs(rng, int(n)%64+1), Alpha: -1}
+		if online {
+			in.Objective = MinimizeAvgCompletion
+		}
+		var initF []float64
+		if replan {
+			now := rng.Float64() * 2000
+			var err error
+			initF, err = commitmentAvailability(in.Cluster.Racks, now, randomCommitments(rng, in.Cluster.Racks, now))
+			if err != nil {
+				t.Fatal(err)
+			}
+			in.Jobs = clampArrivals(in.Jobs, now)
+		}
+		checkCheckpointedObjectives(t, fmt.Sprintf("seed %d n %d", seed, n), in, initF)
+	})
 }
 
 // TestEvaluatorSteadyStateZeroAlloc pins the per-candidate hot path
@@ -174,11 +338,10 @@ func TestEvaluatorSteadyStateZeroAlloc(t *testing.T) {
 		rj[i] = 1
 	}
 	ev.reset(rj)
-	sink := ev.objective()
+	sink := ev.objective(0)
 	step := 0
 	allocs := testing.AllocsPerRun(100, func() {
-		ev.widen(chain[step])
-		sink += ev.objective()
+		sink += ev.objective(ev.widen(chain[step]))
 		step++
 	})
 	if step >= len(chain) {

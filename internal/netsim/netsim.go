@@ -132,10 +132,14 @@ type Network struct {
 	Trace *trace.Tracer
 
 	// Tracer state, lazily allocated on first traced recompute: last
-	// reported per-link utilization (emit-on-change) and a per-link load
-	// accumulator reused across recomputes.
-	prevUtil  []float64
-	traceLoad []float64
+	// reported per-link utilization (emit-on-change).
+	prevUtil []float64
+
+	// linkLoad is the per-link load accumulator of AuditFeasibility and
+	// traceAllocation, allocated by whichever runs first and cleared by
+	// each; they run one after the other, never interleaved. It cannot be
+	// the policy's scratch, which is unsafe to reuse mid-audit.
+	linkLoad []float64
 
 	// Accounting.
 	totalCross  float64
@@ -494,7 +498,7 @@ func (n *Network) recompute() {
 // invariant monitor.
 func (n *Network) AuditFeasibility(slack float64) error {
 	const absEps = 1e-3 // bytes/sec; rates are O(1e8), rounding is far below
-	load := n.scratchLoad()
+	load := n.clearedLinkLoad()
 	for _, f := range n.flows {
 		if f.canceled {
 			continue
@@ -514,10 +518,13 @@ func (n *Network) AuditFeasibility(slack float64) error {
 	return nil
 }
 
-// scratchLoad returns a zeroed per-link accumulator (reusing the policy
-// scratch buffer is unsafe mid-audit, so this allocates).
-func (n *Network) scratchLoad() []float64 {
-	return make([]float64, len(n.caps))
+// clearedLinkLoad returns linkLoad zeroed, allocating it on first use.
+func (n *Network) clearedLinkLoad() []float64 {
+	if n.linkLoad == nil {
+		n.linkLoad = make([]float64, len(n.caps))
+	}
+	clear(n.linkLoad)
+	return n.linkLoad
 }
 
 // LinkBytes returns the bytes carried so far by the given link.
@@ -534,11 +541,8 @@ func (n *Network) traceAllocation() {
 	now := float64(n.sim.Now())
 	if n.prevUtil == nil {
 		n.prevUtil = make([]float64, len(n.caps))
-		n.traceLoad = make([]float64, len(n.caps))
 	}
-	for l := range n.traceLoad {
-		n.traceLoad[l] = 0
-	}
+	linkLoad := n.clearedLinkLoad()
 	for _, f := range n.flows {
 		//corralvet:ok floateq emit-on-change gate: exact rate identity means "nothing to report", near-equal rates are real changes
 		if f.rate != f.lastRate {
@@ -546,10 +550,10 @@ func (n *Network) traceAllocation() {
 			f.lastRate = f.rate
 		}
 		for _, l := range f.path {
-			n.traceLoad[l] += f.rate
+			linkLoad[l] += f.rate
 		}
 	}
-	for l, load := range n.traceLoad {
+	for l, load := range linkLoad {
 		util := 0.0
 		if n.caps[l] > 0 {
 			util = load / n.caps[l]

@@ -1,13 +1,17 @@
 package netsim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"corral/internal/des"
 	"corral/internal/topology"
+	"corral/internal/trace"
 )
 
 const gbps = 1e9 / 8
@@ -408,5 +412,90 @@ func TestBackgroundTrafficSlowsCrossRack(t *testing.T) {
 	withBG := run(4 * gbps) // halves the 8 Gbps uplink
 	if math.Abs(float64(withBG)/float64(noBG)-2.0) > 1e-6 {
 		t.Fatalf("background traffic slowdown = %g, want 2x", float64(withBG)/float64(noBG))
+	}
+}
+
+// TestAuditFeasibilityReusesBuffer: the audit allocates nothing once warm,
+// clears its accumulator per call (a failed or aborted audit leaves no
+// load behind), and an infeasible allocation is reported at the first
+// violating link in link order, with the same message.
+func TestAuditFeasibilityReusesBuffer(t *testing.T) {
+	sim, n := newNet(t, NewIncrementalMaxMin())
+	a := n.Start(0, 4, 4*gbps, 0, 1, nil)
+	b := n.Start(1, 5, 4*gbps, 0, 2, nil)
+	n.Start(8, 2, 4*gbps, 0, 3, nil)
+	sim.Step()
+	if a.rate <= 0 || b.rate <= 0 {
+		t.Fatalf("rates %g, %g after the first recompute, want both positive", a.rate, b.rate)
+	}
+	audit := func() error { return n.AuditFeasibility(1e-6) }
+	if err := audit(); err != nil {
+		t.Fatalf("feasible allocation: %v", err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = audit() }); allocs != 0 {
+		t.Fatalf("AuditFeasibility allocates %v objects per call, want 0", allocs)
+	}
+
+	// Flow a at 100 Gbps overloads every link on its path; the first in
+	// link order is the lowest id on it.
+	rate := a.rate
+	a.rate = 100 * gbps
+	first := slices.Min(a.path)
+	var sum float64
+	for _, f := range n.flows {
+		if slices.Contains(f.path, first) {
+			sum += f.rate
+		}
+	}
+	want := fmt.Sprintf("netsim audit: link %d carries %g B/s, capacity %g", first, sum, n.caps[first])
+	for pass := 0; pass < 2; pass++ {
+		if err := audit(); err == nil || err.Error() != want {
+			t.Fatalf("pass %d: overloaded allocation audit = %v, want %q", pass, err, want)
+		}
+	}
+	a.rate = rate
+	if err := audit(); err != nil {
+		t.Fatalf("after restoring the rate: %v (stale load from the failed audit?)", err)
+	}
+
+	// A negative rate aborts the scan with the accumulator half filled.
+	rate = b.rate
+	b.rate = -1
+	if err := audit(); err == nil || err.Error() != fmt.Sprintf("netsim audit: flow %d has negative rate -1", b.ID) {
+		t.Fatalf("negative rate audit = %v", err)
+	}
+	b.rate = rate
+	if err := audit(); err != nil {
+		t.Fatalf("after restoring the negative rate: %v", err)
+	}
+}
+
+// TestAuditSharesLoadBufferWithTrace: AuditFeasibility and the tracer's
+// utilization scan share one per-link load buffer, so a traced run that
+// audits every recompute must emit exactly the trace of one that does not.
+func TestAuditSharesLoadBufferWithTrace(t *testing.T) {
+	run := func(audit bool) []trace.Event {
+		sim, n := newNet(t, NewIncrementalMaxMin())
+		n.Trace = trace.New("audit")
+		if audit {
+			n.OnAllocate = func() {
+				if err := n.AuditFeasibility(1e-6); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		n.Start(0, 4, 4*gbps, 0, 1, nil)
+		n.Start(1, 5, 2*gbps, 0, 2, nil)
+		sim.After(0.25, func() { n.Start(8, 2, 3*gbps, 0, 3, nil) })
+		sim.After(0.5, func() { n.Start(4, 0, 1*gbps, 0, 4, nil) })
+		sim.Run()
+		return n.Trace.Events()
+	}
+	plain, audited := run(false), run(true)
+	if len(plain) == 0 {
+		t.Fatal("traced run emitted no events (vacuous)")
+	}
+	if !reflect.DeepEqual(plain, audited) {
+		t.Fatalf("auditing changed the trace: %d events without, %d with", len(plain), len(audited))
 	}
 }

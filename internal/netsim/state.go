@@ -5,8 +5,9 @@ package netsim
 // into a snapshot for offline inspection (corralsnap), and recomputed after
 // a deterministic replay to audit that the restored network is
 // field-identical to the captured one. Tracer-dependent fields
-// (Flow.lastRate, prevUtil/traceLoad) are deliberately excluded — tracing
-// must never perturb a run, so it must never perturb a snapshot either.
+// (Flow.lastRate, prevUtil) are deliberately excluded — tracing must never
+// perturb a run, so it must never perturb a snapshot either — and so is
+// the linkLoad scratch, which holds nothing between calls.
 
 import "sort"
 

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -11,9 +12,9 @@ import (
 )
 
 // randIntnShuffle is the heartbeat shuffle as it was written against
-// math/rand: Fisher-Yates through rand.Rand.Intn. It is the oracle the
-// direct-draw shuffleMachineOrder must match value for value and draw for
-// draw.
+// math/rand: Fisher-Yates through rand.Rand.Intn. Over a refSource it is
+// the oracle the fused shuffleMachineOrder must match value for value and
+// draw for draw.
 func randIntnShuffle(rng *rand.Rand, order []int32) {
 	for i := len(order) - 1; i > 0; i-- {
 		j := rng.Intn(i + 1)
@@ -29,48 +30,102 @@ func identityOrder(n int) []int32 {
 	return o
 }
 
+// checkShuffle runs one shuffleMachineOrder on rt and the oracle shuffle
+// on want, and fails unless both the permutations and the draw counts
+// agree.
+func checkShuffle(t *testing.T, rt *runtime, ref *refSource, oracle *rand.Rand, want []int32, what string) {
+	t.Helper()
+	rt.shuffleMachineOrder()
+	randIntnShuffle(oracle, want)
+	if !slices.Equal(rt.machineOrder, want) {
+		t.Fatalf("%s: permutation differs from rand.Intn Fisher-Yates", what)
+	}
+	if rt.rngSrc.draws != ref.draws {
+		t.Fatalf("%s: %d draws, rand.Intn took %d", what, rt.rngSrc.draws, ref.draws)
+	}
+}
+
 func TestShuffleMatchesRandIntn(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 8, 40, 56, 2000, 10000} {
 		for _, seed := range []int64{1, 7, 42, 1<<40 + 3} {
 			rt := &runtime{rngSrc: newCountingSource(seed), machineOrder: identityOrder(n)}
-			oracleSrc := newCountingSource(seed)
-			oracle, want := rand.New(oracleSrc), identityOrder(n)
+			ref := newRefSource(seed)
+			oracle, want := rand.New(ref), identityOrder(n)
 			// Consecutive shuffles on one source: a skipped or extra draw in
 			// one pass shifts every later permutation.
 			for pass := 0; pass < 3; pass++ {
-				rt.shuffleMachineOrder()
-				randIntnShuffle(oracle, want)
-				if !slices.Equal(rt.machineOrder, want) {
-					t.Fatalf("n=%d seed=%d pass %d: permutation differs from rand.Intn Fisher-Yates", n, seed, pass)
-				}
-				if rt.rngSrc.draws != oracleSrc.draws {
-					t.Fatalf("n=%d seed=%d pass %d: %d draws, rand.Intn took %d",
-						n, seed, pass, rt.rngSrc.draws, oracleSrc.draws)
-				}
+				checkShuffle(t, rt, ref, oracle, want, fmt.Sprintf("n=%d seed=%d pass %d", n, seed, pass))
+			}
+		}
+	}
+	// A pass refills the ring wherever the stream position puts the end of
+	// it: consuming k draws first moves that refill to every offset within
+	// a pass, and two passes over n=2000 cross several refills each.
+	for _, n := range []int{700, 2000} {
+		for k := 0; k < rngLen; k++ {
+			rt := &runtime{rngSrc: newCountingSource(5), machineOrder: identityOrder(n)}
+			ref := newRefSource(5)
+			oracle, want := rand.New(ref), identityOrder(n)
+			for d := 0; d < k; d++ {
+				rt.rngSrc.Uint64()
+				ref.Uint64()
+			}
+			for pass := 0; pass < 2; pass++ {
+				checkShuffle(t, rt, ref, oracle, want, fmt.Sprintf("n=%d after %d draws, pass %d", n, k, pass))
 			}
 		}
 	}
 	// Shuffle sizes never reach the rejection branch in practice (at 10k
-	// machines a draw is rejected with probability ~1e-6), so check int31n
-	// against Int31n directly on bounds where rejection is common.
+	// machines a draw is rejected with probability ~1e-6), so check the
+	// shared redrawAbove, through the int31n test helper, against Int31n
+	// on bounds where rejection is common.
 	for _, c := range []struct {
 		n      int32
 		reject bool // a draw is rejected with probability >= 1/4
 	}{{1, false}, {3, false}, {1 << 20, false}, {1<<30 + 1, true}, {3 << 29, true}} {
-		src, oracleSrc := newCountingSource(9), newCountingSource(9)
-		oracle := rand.New(oracleSrc)
+		src, ref := newCountingSource(9), newRefSource(9)
+		oracle := rand.New(ref)
 		const calls = 2000
 		for k := 0; k < calls; k++ {
 			if got, want := src.int31n(c.n), oracle.Int31n(c.n); got != want {
 				t.Fatalf("int31n(%d) call %d = %d, Int31n = %d", c.n, k, got, want)
 			}
 		}
-		if src.draws != oracleSrc.draws {
-			t.Fatalf("int31n(%d): %d draws, Int31n took %d", c.n, src.draws, oracleSrc.draws)
+		if src.draws != ref.draws {
+			t.Fatalf("int31n(%d): %d draws, Int31n took %d", c.n, src.draws, ref.draws)
 		}
 		if c.reject && src.draws == calls {
 			t.Fatalf("int31n(%d): no draw was rejected in %d calls (vacuous)", c.n, calls)
 		}
+	}
+}
+
+// TestShuffleRejectionMatchesRandIntn drives the fused shuffle's rejection
+// branch, which a real stream reaches about once per 200 10k-machine
+// passes. Planted all-ones ring entries read as MaxInt32, above the
+// rejection bound of every bound that is not a power of two: two
+// back-to-back rejections early in the pass, and one on the ring's last
+// entry, whose redraw refills the ring. The oracle is rand.Intn over a
+// copy of the planted source.
+func TestShuffleRejectionMatchesRandIntn(t *testing.T) {
+	const n = 1000
+	src := newCountingSource(3)
+	src.ring[5], src.ring[6], src.ring[rngLen-1] = ^uint64(0), ^uint64(0), ^uint64(0)
+	planted := *src
+	rt := &runtime{rngSrc: src, machineOrder: identityOrder(n)}
+	oracle, want := rand.New(&planted), identityOrder(n)
+	for pass := 0; pass < 2; pass++ {
+		rt.shuffleMachineOrder()
+		randIntnShuffle(oracle, want)
+		if !slices.Equal(rt.machineOrder, want) {
+			t.Fatalf("pass %d: permutation differs from rand.Intn Fisher-Yates", pass)
+		}
+		if src.draws != planted.draws {
+			t.Fatalf("pass %d: %d draws, rand.Intn took %d", pass, src.draws, planted.draws)
+		}
+	}
+	if rejected := src.draws - 2*(n-1); rejected != 3 {
+		t.Fatalf("%d draws rejected, want the 3 planted ones", rejected)
 	}
 }
 

@@ -18,8 +18,9 @@ import (
 // 24-rack cluster: the full Result plus the RNG draw count, hashed. Any
 // change to dispatch — which slots it offers, in which order, and how
 // many heartbeat-shuffle draws it consumes — moves a digest. The digests
-// were generated before the rack-demand filter and the direct-draw
-// shuffle went in, so they prove both optimizations bit-identical.
+// were generated before the rack-demand filter, the direct-draw shuffle
+// and the block-refilled draw source went in, so they prove all three
+// optimizations bit-identical.
 
 // lockTopo is 24 racks x 5 machines x 2 slots: enough racks that planned
 // jobs leave most of the cluster outside their rack sets.

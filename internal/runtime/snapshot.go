@@ -32,31 +32,75 @@ import (
 	"corral/internal/trace"
 )
 
-// countingSource wraps the seeded RNG source, counting draws without
-// changing the value stream. The draw count is observable state: a
-// replayed run must consume exactly as many values as the original.
+// rngLen and rngTap are the lags of math/rand's additive lagged
+// Fibonacci generator: after its first rngLen outputs, output n is
+// x[n-rngLen] + x[n-rngTap] (mod 2^64).
+const (
+	rngLen = 607
+	rngTap = 273
+)
+
+// countingSource is the runtime's seeded RNG stream: exactly the values
+// rand.NewSource(seed) would produce, with every draw counted. The draw
+// count is observable state: a replayed run must consume exactly as many
+// values as the original.
+//
+// math/rand only seeds it. The first rngLen outputs of rand.NewSource(seed)
+// fill ring; output n lives at ring[n%rngLen], and refill advances the
+// whole ring by rngLen outputs with the generator's own recurrence. Reads
+// are then an array load and an index bump, with no interface call and no
+// per-draw feed/tap bookkeeping.
 type countingSource struct {
-	src   rand.Source64
+	ring  [rngLen]uint64
+	pos   uint // ring index of the next output; rngLen means refill first
 	draws uint64
 }
 
 func newCountingSource(seed int64) *countingSource {
-	return &countingSource{src: rand.NewSource(seed).(rand.Source64)}
+	c := &countingSource{}
+	c.Seed(seed)
+	return c
 }
 
-func (c *countingSource) Int63() int64 {
-	c.draws++
-	return c.src.Int63()
+// Seed restarts the stream at rand.NewSource(seed)'s first output.
+func (c *countingSource) Seed(seed int64) {
+	src := rand.NewSource(seed).(rand.Source64)
+	for i := range c.ring {
+		c.ring[i] = src.Uint64()
+	}
+	c.pos, c.draws = 0, 0
+}
+
+// refill replaces the ring's outputs n-rngLen..n-1 with outputs
+// n..n+rngLen-1, the next of which is then ring[0]; the caller resets its
+// position. Output n+k is x[n+k-rngLen] + x[n+k-rngTap]: the old ring[k]
+// plus, for k < rngTap, the not yet replaced ring[k+rngLen-rngTap], and
+// for k >= rngTap the already replaced ring[k-rngTap].
+//
+//corral:hotpath
+func (c *countingSource) refill() {
+	r := &c.ring
+	for k := 0; k < rngTap; k++ {
+		r[k] += r[k+rngLen-rngTap]
+	}
+	for k := rngTap; k < rngLen; k++ {
+		r[k] += r[k-rngTap]
+	}
 }
 
 func (c *countingSource) Uint64() uint64 {
+	pos := c.pos
+	if pos >= rngLen {
+		c.refill()
+		pos = 0
+	}
+	c.pos = pos + 1
 	c.draws++
-	return c.src.Uint64()
+	return c.ring[pos]
 }
 
-func (c *countingSource) Seed(seed int64) {
-	c.draws = 0
-	c.src.Seed(seed)
+func (c *countingSource) Int63() int64 {
+	return int64(c.Uint64() & (1<<63 - 1))
 }
 
 // CheckpointTarget names one point to snapshot at: after EventIndex fired

@@ -22,41 +22,47 @@ import "corral/internal/topology"
 // differential tests enforce this bit-for-bit.
 //
 // Filling is component-local: used links are partitioned into connected
-// components via the groups' paths, and each component is filled with its
-// own level/accumulator against its own links only. A component's rates
-// are therefore a pure function of its (path, member-count) multiset and
-// its links' capacities — the invariant IncrementalMaxMin exploits to
-// reuse cached rates for components whose inputs did not change.
+// components by walking the link → group → link lists build fills, and
+// each component is filled with its own level/accumulator against its own
+// links only. A component's rates are therefore a pure function of its
+// (path, member-count) multiset and its links' capacities — the invariant
+// IncrementalMaxMin exploits to reuse cached rates for components whose
+// inputs did not change. Within a component each fill level's bottleneck
+// scan drops drained links from the component's link list (counts only
+// fall within a round), so a level scans and charges only links that
+// still carry unfrozen groups. Bottleneck ties break on the lowest link
+// id, so the order links are listed in never shows in the rates.
 //
 // The scratch is keyed by pathID and link id, with round-stamping instead
 // of clearing, so steady-state rounds do not allocate.
 type grouped struct {
 	// Per-pathID scratch, grown as new paths are interned. groupOf[id] is
-	// only meaningful when gstamp[id] == round.
+	// only meaningful when gstamp[id] == round. paths[id] is the interned
+	// link path of pathID id, written whenever the id forms a group, so it
+	// also serves the cache's vanished-path rule the round after.
 	groupOf []int32
 	gstamp  []int32
+	paths   [][]topology.LinkID
 	groups  []pathGroup
 
-	// Per-link scratch. cnt[l] (unfrozen member flows on link l) and
-	// linkGroups[l] (indices of groups whose path crosses l) are only
+	// Per-link scratch. cnt[l] (unfrozen member flows on link l),
+	// linkGroups[l] (indices of groups whose path crosses l) and compOf[l]
+	// (link l's component ordinal, -1 until the walk reaches it) are only
 	// meaningful when cstamp[l] == round. used holds the links with any
-	// members in first-seen order, so the fill loop never scans the full
-	// link table.
+	// members in first-seen order, so no pass scans the full link table.
 	cnt        []int
 	linkGroups [][]int32
+	compOf     []int32
 	cstamp     []int32
 	used       []int
 
-	// Connected-component scratch, valid per round like cnt. parent is the
-	// union-find forest over used links; compOf[l] is link l's dense
-	// component ordinal (assigned in used order, so ordinals are
-	// deterministic); compLinks[c] lists component c's links in used order;
-	// gcomp[gi] is group gi's component; compGroups[c]/compRate[c] hold the
-	// component's group count and final fill accumulator.
-	parent     []int32
-	compOf     []int32
+	// Per-component scratch, valid per round like cnt. Ordinals follow
+	// the first used link of each component, so they are deterministic.
+	// compLinks[c] lists component c's links in walk order until
+	// fillComponent compacts it to the links still carrying unfrozen
+	// groups; compGroups[c]/compRate[c] hold the component's group count
+	// and final fill accumulator.
 	compLinks  [][]int32
-	gcomp      []int32
 	compGroups []int32
 	compRate   []float64
 	numComps   int
@@ -65,17 +71,16 @@ type grouped struct {
 }
 
 type pathGroup struct {
-	path   []topology.LinkID
 	id     int32 // interned pathID: the group's stable identity across rounds
+	comp   int32 // component ordinal; -1 until partition labels it
 	count  int   // member flows
 	rate   float64
 	frozen bool
 }
 
-// build groups the flows by interned pathID, recomputes the per-link
-// member counts, group lists and used-link set, and unions links sharing a
-// group into the component forest. Round-stamped scratch keeps it
-// allocation-free in the steady state.
+// build groups the flows by interned pathID and recomputes the per-link
+// member counts, group lists and used-link set. Round-stamped scratch
+// keeps it allocation-free in the steady state.
 //
 //corral:hotpath
 func (g *grouped) build(flows []*Flow, nLinks int) {
@@ -99,13 +104,16 @@ func (g *grouped) build(flows []*Flow, nLinks int) {
 			panic("netsim: IncrementalMaxMin requires flows started via Network.StartPath (pathID unset)")
 		}
 		if id >= len(g.groupOf) {
-			g.groupOf = append(g.groupOf, make([]int32, id+1-len(g.groupOf))...)
-			g.gstamp = append(g.gstamp, make([]int32, id+1-len(g.gstamp))...)
+			grow := id + 1 - len(g.groupOf)
+			g.groupOf = append(g.groupOf, make([]int32, grow)...)
+			g.gstamp = append(g.gstamp, make([]int32, grow)...)
+			g.paths = append(g.paths, make([][]topology.LinkID, grow)...)
 		}
 		if g.gstamp[id] != g.round {
 			g.gstamp[id] = g.round
 			g.groupOf[id] = int32(len(g.groups))
-			g.groups = append(g.groups, pathGroup{path: f.path, id: f.pathID, count: 1})
+			g.paths[id] = f.path
+			g.groups = append(g.groups, pathGroup{id: f.pathID, comp: -1, count: 1})
 		} else {
 			g.groups[g.groupOf[id]].count++
 		}
@@ -116,7 +124,6 @@ func (g *grouped) build(flows []*Flow, nLinks int) {
 	if len(g.cnt) < nLinks {
 		g.cnt = make([]int, nLinks)
 		g.cstamp = make([]int32, nLinks)
-		g.parent = make([]int32, nLinks)
 		g.compOf = make([]int32, nLinks)
 		lg := make([][]int32, nLinks)
 		copy(lg, g.linkGroups) // keep already-grown member slices
@@ -125,71 +132,60 @@ func (g *grouped) build(flows []*Flow, nLinks int) {
 	g.used = g.used[:0]
 	for gi := range g.groups {
 		grp := &g.groups[gi]
-		for _, l := range grp.path {
+		for _, l := range g.paths[grp.id] {
 			li := int(l)
 			if g.cstamp[li] != g.round {
 				g.cstamp[li] = g.round
 				g.cnt[li] = 0
 				g.linkGroups[li] = g.linkGroups[li][:0]
-				g.parent[li] = int32(li)
 				g.compOf[li] = -1
 				g.used = append(g.used, li)
 			}
 			g.cnt[li] += grp.count
 			g.linkGroups[li] = append(g.linkGroups[li], int32(gi))
 		}
-		// Union the group's links into one component.
-		r0 := g.find(int32(grp.path[0]))
-		for _, l := range grp.path[1:] {
-			r := g.find(int32(l))
-			if r != r0 {
-				g.parent[r] = r0
-			}
-		}
 	}
 }
 
-// find resolves link l's union-find root with path compression. Only valid
-// for links stamped in the current round.
-func (g *grouped) find(l int32) int32 {
-	for g.parent[l] != l {
-		g.parent[l] = g.parent[g.parent[l]]
-		l = g.parent[l]
-	}
-	return l
-}
-
-// partition assigns dense component ordinals to the used links (in used
-// order, hence deterministic), collects each component's link list, and
-// tags every group with its component.
+// partition labels the connected components. Each used link not yet
+// labelled (in used order, hence deterministic ordinals) seeds a walk
+// over the link → group → link lists, with the component's own link list
+// as the queue; every group and link reached joins the component.
 //
 //corral:hotpath
 func (g *grouped) partition() {
 	g.numComps = 0
-	for _, l := range g.used {
-		r := g.find(int32(l))
-		c := g.compOf[r]
-		if c < 0 {
-			c = int32(g.numComps)
-			g.compOf[r] = c
-			if g.numComps < len(g.compLinks) {
-				g.compLinks[g.numComps] = g.compLinks[g.numComps][:0]
-				g.compGroups[g.numComps] = 0
-			} else {
-				g.compLinks = append(g.compLinks, nil)
-				g.compGroups = append(g.compGroups, 0)
-				g.compRate = append(g.compRate, 0)
-			}
-			g.numComps++
+	for _, seed := range g.used {
+		if g.compOf[seed] >= 0 {
+			continue
 		}
-		g.compOf[l] = c
-		g.compLinks[c] = append(g.compLinks[c], int32(l))
-	}
-	g.gcomp = g.gcomp[:0]
-	for gi := range g.groups {
-		c := g.compOf[int(g.groups[gi].path[0])]
-		g.gcomp = append(g.gcomp, c)
-		g.compGroups[c]++
+		c := int32(g.numComps)
+		if g.numComps == len(g.compLinks) {
+			g.compLinks = append(g.compLinks, nil)
+			g.compGroups = append(g.compGroups, 0)
+			g.compRate = append(g.compRate, 0)
+		}
+		g.numComps++
+		g.compGroups[c] = 0
+		g.compOf[seed] = c
+		links := append(g.compLinks[c][:0], int32(seed))
+		for i := 0; i < len(links); i++ {
+			for _, gi := range g.linkGroups[links[i]] {
+				grp := &g.groups[gi]
+				if grp.comp >= 0 {
+					continue
+				}
+				grp.comp = c
+				g.compGroups[c]++
+				for _, l := range g.paths[grp.id] {
+					if g.compOf[l] < 0 {
+						g.compOf[l] = c
+						links = append(links, int32(l))
+					}
+				}
+			}
+		}
+		g.compLinks[c] = links
 	}
 }
 
@@ -204,40 +200,40 @@ func (g *grouped) partition() {
 //
 //corral:hotpath
 func (g *grouped) fillComponent(ci int, remaining []float64) {
-	links := g.compLinks[ci]
+	live := g.compLinks[ci]
 	unfrozen := int(g.compGroups[ci])
 	level := 0.0
 	rateAcc := 0.0
 	for unfrozen > 0 {
 		bottleneck := -1
 		bottleneckLevel := 0.0
-		for _, l32 := range links {
+		w := 0
+		for _, l32 := range live {
 			l := int(l32)
 			c := g.cnt[l]
 			if c == 0 {
 				continue
 			}
+			live[w] = l32
+			w++
 			lv := level + remaining[l]/float64(c)
 			// The lowest link id wins a tie, as in the reference's
-			// full-table scan, whatever order the links were seen in.
+			// full-table scan, whatever order the links are listed in.
 			//corralvet:ok floateq exact identity intended: bit-equal fill levels are a tie broken by link id; any difference, however small, picks the lower level
 			if bottleneck == -1 || lv < bottleneckLevel || lv == bottleneckLevel && l < bottleneck {
 				bottleneck = l
 				bottleneckLevel = lv
 			}
 		}
+		live = live[:w]
 		if bottleneck == -1 {
 			break
 		}
 		delta := bottleneckLevel - level
 		rateAcc += delta
-		for _, l32 := range links {
+		for _, l32 := range live {
 			l := int(l32)
-			c := g.cnt[l]
-			if c == 0 {
-				continue
-			}
-			remaining[l] -= delta * float64(c)
+			remaining[l] -= delta * float64(g.cnt[l])
 			if remaining[l] < 0 {
 				remaining[l] = 0 // numerical dust
 			}
@@ -251,7 +247,7 @@ func (g *grouped) fillComponent(ci int, remaining []float64) {
 			grp.frozen = true
 			grp.rate = rateAcc
 			unfrozen--
-			for _, l2 := range grp.path {
+			for _, l2 := range g.paths[grp.id] {
 				g.cnt[int(l2)] -= grp.count
 			}
 		}
@@ -270,7 +266,7 @@ func (g *grouped) assignRates(flows []*Flow) {
 	for gi := range g.groups {
 		grp := &g.groups[gi]
 		if !grp.frozen {
-			grp.rate = g.compRate[g.gcomp[gi]]
+			grp.rate = g.compRate[grp.comp]
 		}
 	}
 	for _, f := range flows {

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -78,9 +79,40 @@ type rateSnap struct {
 type runLog struct {
 	snaps       []rateSnap
 	completions map[int64]des.Time
+	links       []uint64 // every link's LinkBytes, bit-exact, by link id
 	cross       uint64
 	total       uint64
 	served      int64
+	// sent[l] sums Bytes − Remaining over the flows crossing link l, as
+	// they stand at the end; nil under pooling, where handles are reused.
+	sent []float64
+}
+
+// diffLogs returns "" when got matches the reference log bit for bit, and
+// otherwise a description of the first divergence.
+func diffLogs(ref, got runLog) string {
+	if len(ref.snaps) != len(got.snaps) {
+		return fmt.Sprintf("%d allocations, want %d", len(got.snaps), len(ref.snaps))
+	}
+	for i := range ref.snaps {
+		if !reflect.DeepEqual(ref.snaps[i], got.snaps[i]) {
+			return fmt.Sprintf("allocation %d diverges:\n want: %+v\n got:  %+v", i, ref.snaps[i], got.snaps[i])
+		}
+	}
+	if !reflect.DeepEqual(ref.completions, got.completions) {
+		return "completion times diverge"
+	}
+	for l := range ref.links {
+		if ref.links[l] != got.links[l] {
+			return fmt.Sprintf("link %d carried %v bytes, want %v", l,
+				math.Float64frombits(got.links[l]), math.Float64frombits(ref.links[l]))
+		}
+	}
+	if ref.cross != got.cross || ref.total != got.total || ref.served != got.served {
+		return fmt.Sprintf("accounting diverges: cross %x total %x served %d, want cross %x total %x served %d",
+			got.cross, got.total, got.served, ref.cross, ref.total, ref.served)
+	}
+	return ""
 }
 
 // replay runs the script against a fresh simulator/network under p and
@@ -150,6 +182,17 @@ func replayWith(c *topology.Cluster, ops []scriptOp, p Policy, pooling bool) run
 		}
 	})
 	sim.Run()
+	for l := 0; l < c.NumLinks(); l++ {
+		log.links = append(log.links, math.Float64bits(n.LinkBytes(topology.LinkID(l))))
+	}
+	if !pooling {
+		log.sent = make([]float64, c.NumLinks())
+		for _, f := range handles {
+			for _, l := range f.path {
+				log.sent[l] += f.Bytes - f.Remaining()
+			}
+		}
+	}
 	log.cross = math.Float64bits(n.CrossRackBytes())
 	log.total = math.Float64bits(n.TotalBytes())
 	log.served = n.FlowsServed()
@@ -172,7 +215,8 @@ func (f *fullPass) Allocate(flows []*Flow, caps []float64, scratch []float64) {
 // full grouped pass: across seeded randomized scripts mixing in-rack,
 // cross-rack, loopback and rack-aggregated flows with mid-transfer cancels
 // and link faults, every allocation's rates, every completion time and all
-// byte accounting must match the MaxMinFair oracle bit for bit.
+// byte accounting, every link's byte count included, must match the
+// MaxMinFair oracle bit for bit.
 func TestGroupedBitIdenticalToMaxMinFair(t *testing.T) {
 	c := topology.MustNew(topology.Config{
 		Racks:            4,
@@ -185,20 +229,38 @@ func TestGroupedBitIdenticalToMaxMinFair(t *testing.T) {
 		ops := genScript(rand.New(rand.NewSource(seed)), c, 300)
 		ref := replay(c, ops, MaxMinFair{})
 		got := replay(c, ops, newFullPass())
-		if len(ref.snaps) != len(got.snaps) {
-			t.Fatalf("seed %d: %d allocations under maxmin, %d under grouped", seed, len(ref.snaps), len(got.snaps))
+		if d := diffLogs(ref, got); d != "" {
+			t.Fatalf("seed %d: grouped diverges from maxmin: %s", seed, d)
 		}
-		for i := range ref.snaps {
-			if !reflect.DeepEqual(ref.snaps[i], got.snaps[i]) {
-				t.Fatalf("seed %d: allocation %d diverges:\n maxmin:  %+v\n grouped: %+v", seed, i, ref.snaps[i], got.snaps[i])
+	}
+}
+
+// TestLinkBytesMatchFlowBytes checks the per-link byte counts the
+// recompute charges interval by interval against what each flow finally
+// sent: every link's LinkBytes must equal, up to rounding, the sum of
+// Bytes − Remaining over the flows crossing it, canceled flows included.
+func TestLinkBytesMatchFlowBytes(t *testing.T) {
+	c := topology.MustNew(topology.Config{
+		Racks:            4,
+		MachinesPerRack:  5,
+		SlotsPerMachine:  2,
+		NICBandwidth:     10 * gbps,
+		Oversubscription: 5,
+	})
+	for seed := int64(1); seed <= 4; seed++ {
+		log := replay(c, genScript(rand.New(rand.NewSource(seed)), c, 300), NewIncrementalMaxMin())
+		busy := 0
+		for l, want := range log.sent {
+			got := math.Float64frombits(log.links[l])
+			if math.Abs(got-want) > 1e-9*math.Max(1, want) {
+				t.Fatalf("seed %d: link %d carried %v bytes, its flows sent %v", seed, l, got, want)
+			}
+			if want > 0 {
+				busy++
 			}
 		}
-		if !reflect.DeepEqual(ref.completions, got.completions) {
-			t.Fatalf("seed %d: completion times diverge", seed)
-		}
-		if ref.cross != got.cross || ref.total != got.total || ref.served != got.served {
-			t.Fatalf("seed %d: accounting diverges: maxmin (cross %x total %x served %d) grouped (cross %x total %x served %d)",
-				seed, ref.cross, ref.total, ref.served, got.cross, got.total, got.served)
+		if busy == 0 {
+			t.Fatalf("seed %d: no link carried any bytes: test is vacuous", seed)
 		}
 	}
 }

@@ -1,7 +1,5 @@
 package netsim
 
-import "corral/internal/topology"
-
 // IncrementalMaxMin is the max-min fair allocator that emulates TCP (the
 // paper's §6.6 "max-min fair bandwidth allocation mechanism"). Instead of
 // re-waterfilling the whole network on every recompute, it diffs the
@@ -36,15 +34,19 @@ import "corral/internal/topology"
 // When the dirty set exceeds a quarter of all groups the allocator runs
 // the plain full grouped pass (same fill code, so trivially bit-identical)
 // — diffing overhead is only paid when it buys real work reduction. The
-// cache is rebuilt after every non-empty round either way.
+// diff counts each component's groups as the component turns dirty and
+// stops at the first rule application that crosses the threshold, since
+// the dirty set only grows. The cache is rebuilt after every non-empty
+// round either way.
 //
 // The cache is keyed by path IDs, which each Network assigns from 1, so
-// it is only valid for the Network it was built on; Allocate drops it
-// when it sees another Network's capacity slice. An instance may therefore
-// serve simulations run one after another, but never two running
-// concurrently. The cache participates in snapshot/resume without
-// serialization because restore replays the event history, rebuilding the
-// cache through the same allocation sequence.
+// it is only valid for the Network it was built on; Allocate drops it,
+// and the per-pathID path table with it, when it sees another Network's
+// capacity slice. An instance may therefore serve simulations run one
+// after another, but never two running concurrently. The cache
+// participates in snapshot/resume without serialization because restore
+// replays the event history, rebuilding the cache through the same
+// allocation sequence.
 type IncrementalMaxMin struct {
 	grouped
 
@@ -54,20 +56,21 @@ type IncrementalMaxMin struct {
 	fallbackFrac float64
 
 	// Cache of the previous non-empty round, keyed by interned pathID.
-	// prevCount[id] == 0 means the path was absent. prevCaps is refreshed
-	// only for links used in a round; stale entries are harmless because a
-	// link that re-enters use always does so under a new or changed group
-	// (see the dirty rules above). cacheCaps is the capacity slice of the
-	// Network the cache was built on.
+	// prevCount[id] == 0 means the path was absent; a vanished path's
+	// links come from grouped.paths, which still holds them. prevCaps is
+	// refreshed only for links used in a round; stale entries are harmless
+	// because a link that re-enters use always does so under a new or
+	// changed group (see the dirty rules above). cacheCaps is the capacity
+	// slice of the Network the cache was built on.
 	prevCount []int
 	prevRate  []float64
-	prevPath  [][]topology.LinkID
 	prevIDs   []int32
 	prevCaps  []float64
 	cacheCaps []float64
 	haveCache bool
 
-	// compDirty is per-round scratch sized to numComps.
+	// compDirty is per-round scratch sized to numComps; it is complete
+	// only in rounds that take the incremental path.
 	compDirty []bool
 
 	// incRounds/fullRounds count Allocate calls served by the incremental
@@ -111,24 +114,20 @@ func (inc *IncrementalMaxMin) Allocate(flows []*Flow, caps []float64, scratch []
 		return
 	}
 	if inc.haveCache && &caps[0] != &inc.cacheCaps[0] {
-		inc.haveCache = false // another Network: its path IDs mean other paths
+		// Another Network: its path IDs mean other paths.
+		inc.haveCache = false
+		clear(g.paths) // release the old Network's paths
 	}
 	g.build(flows, len(remaining))
 	g.partition()
 
-	useInc := false
-	if inc.haveCache {
-		dirtyGroups := inc.markDirty(caps)
-		useInc = float64(dirtyGroups) <= inc.fallbackFrac*float64(len(g.groups))
-	}
-
-	if useInc {
+	if inc.haveCache && inc.markDirty(caps) {
 		inc.incRounds++
 		// Clean components: freeze every group at its cached rate, exactly
 		// what a full fill would produce for identical inputs.
 		for gi := range g.groups {
-			if !inc.compDirty[g.gcomp[gi]] {
-				grp := &g.groups[gi]
+			grp := &g.groups[gi]
+			if !inc.compDirty[grp.comp] {
 				grp.frozen = true
 				grp.rate = inc.prevRate[grp.id]
 			}
@@ -152,12 +151,15 @@ func (inc *IncrementalMaxMin) Allocate(flows []*Flow, caps []float64, scratch []
 	inc.updateCache(caps)
 }
 
-// markDirty applies the three dirty rules against the cache and returns
-// the number of groups living in dirty components (the work a dirty-set
-// re-fill must do, compared against fallbackFrac by the caller).
+// markDirty applies the three dirty rules against the cache, adding a
+// component's groups to the dirty count when the component first turns
+// dirty. It reports whether the dirty groups stay within fallbackFrac of
+// all groups, and returns false as soon as they exceed it: the dirty set
+// only grows, so the rest of the diff cannot change the answer, and the
+// full pass the caller then runs reads no dirty marks.
 //
 //corral:hotpath
-func (inc *IncrementalMaxMin) markDirty(caps []float64) int {
+func (inc *IncrementalMaxMin) markDirty(caps []float64) bool {
 	g := &inc.grouped
 	if len(inc.compDirty) < g.numComps {
 		inc.compDirty = make([]bool, g.numComps)
@@ -166,18 +168,19 @@ func (inc *IncrementalMaxMin) markDirty(caps []float64) int {
 			inc.compDirty[ci] = false
 		}
 	}
+	limit := inc.fallbackFrac * float64(len(g.groups))
+	dirtyGroups := 0
 
 	// Rule: capacity changed on a used link. Stale prevCaps entries (link
 	// unused in the cached round) at worst over-mark: such a link's
 	// component is dirty via the new-group rule anyway.
 	for _, l := range g.used {
-		if l < len(inc.prevCaps) {
-			//corralvet:ok floateq exact identity intended: cached-capacity diff; near-equal capacities are real changes that must dirty the component
-			if caps[l] != inc.prevCaps[l] {
-				inc.compDirty[g.compOf[l]] = true
-			}
-		} else {
-			inc.compDirty[g.compOf[l]] = true
+		//corralvet:ok floateq exact identity intended: cached-capacity diff; near-equal capacities are real changes that must dirty the component
+		if l < len(inc.prevCaps) && caps[l] == inc.prevCaps[l] {
+			continue
+		}
+		if inc.markComp(g.compOf[l], &dirtyGroups, limit) {
+			return false
 		}
 	}
 
@@ -185,8 +188,11 @@ func (inc *IncrementalMaxMin) markDirty(caps []float64) int {
 	for gi := range g.groups {
 		grp := &g.groups[gi]
 		id := int(grp.id)
-		if id >= len(inc.prevCount) || inc.prevCount[id] != grp.count {
-			inc.compDirty[g.gcomp[gi]] = true
+		if id < len(inc.prevCount) && inc.prevCount[id] == grp.count {
+			continue
+		}
+		if inc.markComp(grp.comp, &dirtyGroups, limit) {
+			return false
 		}
 	}
 
@@ -198,21 +204,24 @@ func (inc *IncrementalMaxMin) markDirty(caps []float64) int {
 		if id < len(g.gstamp) && g.gstamp[id] == g.round {
 			continue // still active
 		}
-		for _, l := range inc.prevPath[id] {
+		for _, l := range g.paths[id] {
 			li := int(l)
-			if g.cstamp[li] == g.round {
-				inc.compDirty[g.compOf[li]] = true
+			if g.cstamp[li] == g.round && inc.markComp(g.compOf[li], &dirtyGroups, limit) {
+				return false
 			}
 		}
 	}
+	return true
+}
 
-	dirtyGroups := 0
-	for gi := range g.groups {
-		if inc.compDirty[g.gcomp[gi]] {
-			dirtyGroups++
-		}
+// markComp marks component c dirty, adding its groups to *dirtyGroups the
+// first time, and reports whether *dirtyGroups now exceeds limit.
+func (inc *IncrementalMaxMin) markComp(c int32, dirtyGroups *int, limit float64) bool {
+	if !inc.compDirty[c] {
+		inc.compDirty[c] = true
+		*dirtyGroups += int(inc.compGroups[c])
 	}
-	return dirtyGroups
+	return float64(*dirtyGroups) > limit
 }
 
 // updateCache records this round's groups, rates and used-link capacities
@@ -231,11 +240,9 @@ func (inc *IncrementalMaxMin) updateCache(caps []float64) {
 		if id >= len(inc.prevCount) {
 			inc.prevCount = append(inc.prevCount, make([]int, id+1-len(inc.prevCount))...)
 			inc.prevRate = append(inc.prevRate, make([]float64, id+1-len(inc.prevRate))...)
-			inc.prevPath = append(inc.prevPath, make([][]topology.LinkID, id+1-len(inc.prevPath))...)
 		}
 		inc.prevCount[id] = grp.count
 		inc.prevRate[id] = grp.rate
-		inc.prevPath[id] = grp.path
 		inc.prevIDs = append(inc.prevIDs, grp.id)
 	}
 	if len(inc.prevCaps) < len(caps) {

@@ -46,7 +46,10 @@ func assertSameAsFresh(t *testing.T, label string, flows []*Flow, caps []float64
 // full-recompute threshold from both sides: with fallbackFrac 0.25 over 8
 // single-link groups the boundary is 2 dirty groups, so rounds dirtying
 // 1 and 2 groups must take the incremental path and a round dirtying 3
-// must fall back — with bit-identical rates throughout.
+// must fall back — with bit-identical rates throughout. A second
+// allocator pins the diff's early exit both ways: a round whose first
+// rule alone crosses the threshold falls back, and a round that reaches
+// the threshold exactly only through all three rules stays incremental.
 func TestIncrementalFallbackBoundary(t *testing.T) {
 	const nGroups = 8
 	caps := make([]float64, nGroups)
@@ -91,6 +94,47 @@ func TestIncrementalFallbackBoundary(t *testing.T) {
 	addFlow(5)                         //
 	round("3 dirty > 2", 2, 2)         // over threshold: full fallback
 	round("0 dirty (no change)", 3, 2) // clean cache hit: incremental
+
+	// 16 single-link groups on links 0..15 plus a bridge over links 14
+	// and 15 (pathID 17), which joins their groups into one component.
+	// Without the bridge the boundary is 0.25·16 = 4 dirty groups.
+	const nSingles = 16
+	caps2 := make([]float64, nSingles)
+	for i := range caps2 {
+		caps2[i] = float64(i+1) * gbps
+	}
+	scratch2 := make([]float64, nSingles)
+	var singles []*Flow
+	for k := 0; k < nSingles; k++ {
+		singles = append(singles, incFlow(int64(100+k), int32(k+1), []topology.LinkID{topology.LinkID(k)}))
+	}
+	bridge := incFlow(200, nSingles+1, []topology.LinkID{14, 15})
+	withBridge := append(append([]*Flow(nil), singles...), bridge)
+
+	inc2 := NewIncrementalMaxMin()
+	round2 := func(label string, flows []*Flow, wantInc, wantFull int) {
+		t.Helper()
+		inc2.Allocate(flows, caps2, scratch2)
+		assertSameAsFresh(t, label, flows, caps2)
+		if gotInc, gotFull := inc2.Rounds(); gotInc != wantInc || gotFull != wantFull {
+			t.Fatalf("%s: rounds (inc %d, full %d), want (inc %d, full %d)",
+				label, gotInc, gotFull, wantInc, wantFull)
+		}
+	}
+	round2("bridge cold cache", withBridge, 0, 1)
+	// Rule 1 alone: capacity changes on links 0..4 dirty 5 of 17 groups
+	// (> 4.25) before any group count is compared.
+	for l := 0; l < 5; l++ {
+		caps2[l] /= 2
+	}
+	round2("capacity rule alone > 4.25", withBridge, 0, 2)
+	// All three rules, 4 dirty groups of 16: a capacity change on link 0
+	// (1 group), a member joining group 2 on link 1 (1 group), and the
+	// vanished bridge, whose links 14 and 15 now lie in two components
+	// of 1 group each (2 groups).
+	caps2[0] /= 2
+	flows2 := append(append([]*Flow(nil), singles...), incFlow(300, 2, []topology.LinkID{1}))
+	round2("three rules = 4", flows2, 1, 2)
 }
 
 // TestIncrementalDirtyRules exercises each cache-invalidation rule in
@@ -160,21 +204,8 @@ func TestIncrementalBitIdenticalToGrouped(t *testing.T) {
 		for _, frac := range []float64{0.25, 1} {
 			inc := &IncrementalMaxMin{fallbackFrac: frac}
 			got := replay(c, ops, inc)
-			if len(ref.snaps) != len(got.snaps) {
-				t.Fatalf("seed %d frac %v: %d allocations under grouped, %d under incremental",
-					seed, frac, len(ref.snaps), len(got.snaps))
-			}
-			for i := range ref.snaps {
-				if !reflect.DeepEqual(ref.snaps[i], got.snaps[i]) {
-					t.Fatalf("seed %d frac %v: allocation %d diverges:\n grouped:     %+v\n incremental: %+v",
-						seed, frac, i, ref.snaps[i], got.snaps[i])
-				}
-			}
-			if !reflect.DeepEqual(ref.completions, got.completions) {
-				t.Fatalf("seed %d frac %v: completion times diverge", seed, frac)
-			}
-			if ref.cross != got.cross || ref.total != got.total || ref.served != got.served {
-				t.Fatalf("seed %d frac %v: accounting diverges", seed, frac)
+			if d := diffLogs(ref, got); d != "" {
+				t.Fatalf("seed %d frac %v: incremental diverges from grouped: %s", seed, frac, d)
 			}
 			gotInc, _ := inc.Rounds()
 			totalInc += gotInc
@@ -183,6 +214,69 @@ func TestIncrementalBitIdenticalToGrouped(t *testing.T) {
 	if totalInc == 0 {
 		t.Fatal("incremental path never ran across any seed: differential test is vacuous")
 	}
+}
+
+// TestIncrementalStampWrap replays a script across the wrap of the
+// round-stamp counter: the allocator starts three rounds below
+// math.MaxInt32, so its fourth build resets every stamp. Component
+// labels, link lists and the cache must come through the reset with
+// every allocation still bit-identical to the MaxMinFair oracle.
+func TestIncrementalStampWrap(t *testing.T) {
+	c := topology.MustNew(topology.Config{
+		Racks:            4,
+		MachinesPerRack:  5,
+		SlotsPerMachine:  2,
+		NICBandwidth:     10 * gbps,
+		Oversubscription: 5,
+	})
+	const start = math.MaxInt32 - 3
+	for seed := int64(1); seed <= 3; seed++ {
+		ops := genScript(rand.New(rand.NewSource(seed)), c, 300)
+		ref := replay(c, ops, MaxMinFair{})
+		for _, frac := range []float64{0.25, 1} {
+			inc := &IncrementalMaxMin{fallbackFrac: frac}
+			inc.round = start
+			got := replay(c, ops, inc)
+			if d := diffLogs(ref, got); d != "" {
+				t.Fatalf("seed %d frac %v: incremental across the stamp wrap diverges from maxmin: %s", seed, frac, d)
+			}
+			if inc.round <= 0 || inc.round >= start {
+				t.Fatalf("seed %d frac %v: round counter ended at %d: the stamps never wrapped", seed, frac, inc.round)
+			}
+			if gotInc, _ := inc.Rounds(); gotInc == 0 {
+				t.Fatalf("seed %d frac %v: incremental path never ran: wrap test is vacuous", seed, frac)
+			}
+		}
+	}
+}
+
+// FuzzIncrementalMatchesMaxMinFair replays a generated script (seed, op
+// count, rack count) on IncrementalMaxMin, with a fallback fraction of 0,
+// 0.25 or 1, and on the MaxMinFair oracle, and requires bit-identical
+// logs: rates, completions, per-link bytes and accounting. Plain go test
+// runs the seed corpus.
+func FuzzIncrementalMatchesMaxMinFair(f *testing.F) {
+	f.Add(int64(1), uint16(300), uint8(4), uint8(0))
+	f.Add(int64(2), uint16(300), uint8(4), uint8(1))
+	f.Add(int64(3), uint16(150), uint8(1), uint8(2))
+	f.Add(int64(4), uint16(400), uint8(6), uint8(1))
+	f.Add(int64(-5), uint16(60), uint8(2), uint8(2))
+	f.Fuzz(func(t *testing.T, seed int64, nOps uint16, racks uint8, fracSel uint8) {
+		c := topology.MustNew(topology.Config{
+			Racks:            1 + int(racks%6),
+			MachinesPerRack:  4,
+			SlotsPerMachine:  2,
+			NICBandwidth:     10 * gbps,
+			Oversubscription: 5,
+		})
+		frac := []float64{0, 0.25, 1}[fracSel%3]
+		ops := genScript(rand.New(rand.NewSource(seed)), c, int(nOps%500))
+		ref := replay(c, ops, MaxMinFair{})
+		got := replay(c, ops, &IncrementalMaxMin{fallbackFrac: frac})
+		if d := diffLogs(ref, got); d != "" {
+			t.Fatalf("frac %v: incremental diverges from maxmin: %s", frac, d)
+		}
+	})
 }
 
 // TestIncrementalBitIdenticalUnderPooling runs the differential scripts
@@ -200,14 +294,8 @@ func TestIncrementalBitIdenticalUnderPooling(t *testing.T) {
 		ops := genScript(rand.New(rand.NewSource(seed)), c, 300)
 		ref := replay(c, ops, newFullPass())
 		got := replayWith(c, ops, NewIncrementalMaxMin(), true)
-		if !reflect.DeepEqual(ref.snaps, got.snaps) {
-			t.Fatalf("seed %d: allocations diverge between the full pass and pooled incremental", seed)
-		}
-		if !reflect.DeepEqual(ref.completions, got.completions) {
-			t.Fatalf("seed %d: completion times diverge under pooling", seed)
-		}
-		if ref.cross != got.cross || ref.total != got.total || ref.served != got.served {
-			t.Fatalf("seed %d: accounting diverges under pooling", seed)
+		if d := diffLogs(ref, got); d != "" {
+			t.Fatalf("seed %d: pooled incremental diverges from the full pass: %s", seed, d)
 		}
 	}
 }

@@ -340,26 +340,6 @@ func (n *Network) scheduleRecompute() {
 	n.recomputeEv = n.sim.After(0, n.recompute)
 }
 
-// advance charges elapsed time against every active flow's remaining bytes.
-func (n *Network) advance() {
-	now := n.sim.Now()
-	dt := float64(now - n.lastAdvance)
-	if dt > 0 {
-		for _, f := range n.flows {
-			moved := f.rate * dt
-			f.remaining -= moved
-			if f.remaining < 0 {
-				moved += f.remaining // clamp the overshoot
-				f.remaining = 0
-			}
-			for _, l := range f.path {
-				n.linkBytes[l] += moved
-			}
-		}
-	}
-	n.lastAdvance = now
-}
-
 const completionEpsilon = 1e-3 // bytes; below this a flow is done
 
 // recompute advances flows, completes finished ones, reallocates rates and
@@ -370,16 +350,31 @@ func (n *Network) recompute() {
 	// instant would see a stale recomputeEv with At() == Now() and wrongly
 	// skip scheduling, leaving flows without rates or completion events.
 	n.recomputeEv = nil
-	n.advance()
+	now := n.sim.Now()
+	dt := float64(now - n.lastAdvance)
+	n.lastAdvance = now
 
-	// Complete finished flows and drop canceled ones. Completion callbacks
-	// may start new flows; those schedule another recompute event rather
-	// than recursing. The survivor filter runs in place (write index trails
-	// read index) and finished flows land in a reused scratch slice, so a
-	// steady-state recompute performs no slice allocations.
+	// One pass charges the elapsed time to each flow and its links, then
+	// completes finished flows and drops canceled ones. Completion
+	// callbacks may start new flows; those schedule another recompute
+	// event rather than recursing. The survivor filter runs in place
+	// (write index trails read index) and finished flows land in a reused
+	// scratch slice, so a steady-state recompute performs no slice
+	// allocations.
 	completed := n.completedScratch[:0]
 	w := 0
 	for _, f := range n.flows {
+		if dt > 0 {
+			moved := f.rate * dt
+			f.remaining -= moved
+			if f.remaining < 0 {
+				moved += f.remaining // clamp the overshoot
+				f.remaining = 0
+			}
+			for _, l := range f.path {
+				n.linkBytes[l] += moved
+			}
+		}
 		switch {
 		case f.canceled:
 			// Account what actually crossed the wire before the abort.

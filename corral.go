@@ -106,7 +106,8 @@ func PlanOnline(cluster ClusterConfig, jobs []*Job) (*Plan, error) {
 func plannable(jobs []*Job) []*Job {
 	out := make([]*Job, 0, len(jobs))
 	for _, j := range jobs {
-		if !j.AdHoc {
+		// A nil job stays in, for the planner's validation to reject.
+		if j == nil || !j.AdHoc {
 			out = append(out, j)
 		}
 	}

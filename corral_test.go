@@ -194,3 +194,28 @@ func ExamplePlanBatch() {
 	fmt.Println("jobs isolated:", len(a.Racks) == 1 && len(b.Racks) == 1 && a.Racks[0] != b.Racks[0])
 	// Output: jobs isolated: true
 }
+
+// TestRejectsNilAndDuplicateJobs: a nil job is an error, not a panic, on
+// every entry point that takes jobs, and the planner rejects two jobs
+// sharing an ID instead of planning one of them.
+func TestRejectsNilAndDuplicateJobs(t *testing.T) {
+	cluster := smallCluster()
+	withNil := append(smallWorkload(1), nil)
+	if _, err := corral.PlanBatch(cluster, withNil); err == nil || err.Error() != "job: nil job" {
+		t.Fatalf("PlanBatch with a nil job: error %v, want job: nil job", err)
+	}
+	if _, err := corral.PlanOnline(cluster, withNil); err == nil || err.Error() != "job: nil job" {
+		t.Fatalf("PlanOnline with a nil job: error %v, want job: nil job", err)
+	}
+	_, err := corral.Simulate(corral.SimConfig{Cluster: cluster, Scheduler: corral.SchedulerYarnCS, Seed: 1}, withNil)
+	if err == nil || err.Error() != "job: nil job" {
+		t.Fatalf("Simulate with a nil job: error %v, want job: nil job", err)
+	}
+
+	jobs := smallWorkload(1)[:4]
+	jobs[3].ID = jobs[1].ID
+	want := fmt.Sprintf("planner: duplicate job ID %d", jobs[1].ID)
+	if p, err := corral.PlanOnline(cluster, jobs); err == nil || err.Error() != want {
+		t.Fatalf("PlanOnline with a duplicate ID: plan %v, error %v, want %q", p, err, want)
+	}
+}

@@ -8,6 +8,7 @@
 package job
 
 import (
+	"errors"
 	"fmt"
 )
 
@@ -86,6 +87,9 @@ func MapReduce(id int, name string, p Profile) *Job {
 // Validate checks profile validity and that the DAG is topologically
 // ordered with in-range upstream references.
 func (j *Job) Validate() error {
+	if j == nil {
+		return errors.New("job: nil job")
+	}
 	if len(j.Stages) == 0 {
 		return fmt.Errorf("job %d: no stages", j.ID)
 	}

@@ -15,6 +15,11 @@ package planner
 //   - A full (re)plan's provisioning phase explores the widening chain of
 //     J·(R−1)+1 allocations, and each prioritization pass costs
 //     O(J log J + J·R) — approximated here as (J+R) units per pass.
+//     This is the paper's unpruned chain. The planner's own engine
+//     (provision.go) resumes passes from checkpoints and prunes the
+//     candidates that can no longer win, but CostFull must not follow it:
+//     it sets simulated time, so changing it would change every replan's
+//     outcome.
 //   - An incremental replan keeps every job's provisioned width and runs
 //     a single prioritization pass over the commitments.
 //   - Both pay a per-stage term for re-estimating response functions.

@@ -12,9 +12,10 @@
 //     evaluated with the prioritization phase, and the best one wins.
 //     At datacenter scale this phase dominates planning wall-clock, so it
 //     has a fast engine (provision.go: precomputed widening chain,
-//     parallel candidate evaluation, group-compressed objective) that is
-//     bit-identical to the straightforward serial loop kept in the tests
-//     as the differential reference.
+//     parallel candidate evaluation, group-compressed objective, pruning
+//     of candidates that can no longer win) that chooses exactly the
+//     widths of the straightforward serial loop kept in the tests as the
+//     differential reference.
 //
 //   - Prioritization (Fig 4): an extension of LPT/LIST scheduling. Jobs
 //     are sorted (batch: widest first, then longest; online: by arrival,
@@ -154,10 +155,8 @@ func planTwoPhase(in Input, now float64, initF []float64) (*Plan, error) {
 	}
 	// Validate every job before emitting plan_start so a rejected input
 	// cannot leave an unbalanced trace (plan_start with no plan_done).
-	for _, j := range in.Jobs {
-		if err := j.Validate(); err != nil {
-			return nil, err
-		}
+	if err := validateJobs(in.Jobs, plan.Assignments); err != nil {
+		return nil, err
 	}
 	tr := in.tracer()
 	tr.PlanStart(now, J, in.Objective.String())
@@ -193,6 +192,24 @@ func planTwoPhase(in Input, now float64, initF []float64) (*Plan, error) {
 	plan.AvgCompletion = final.avgCompletion
 	traceAssignments(tr, now, plan)
 	return plan, nil
+}
+
+// validateJobs checks every job and that no two share an ID: plans are
+// keyed by job ID, and jobLess needs unique IDs to be a strict total
+// order, on which the evaluator's incremental reposition and its pruning
+// both rely. byID is the plan's empty assignment map: each job's ID is
+// claimed there with a nil entry, which materialization then fills.
+func validateJobs(jobs []*job.Job, byID map[int]*Assignment) error {
+	for _, j := range jobs {
+		if err := j.Validate(); err != nil {
+			return err
+		}
+		if _, dup := byID[j.ID]; dup {
+			return fmt.Errorf("planner: duplicate job ID %d", j.ID)
+		}
+		byID[j.ID] = nil
+	}
+	return nil
 }
 
 // schedResult captures one prioritization run.

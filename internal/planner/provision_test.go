@@ -220,66 +220,132 @@ func buildChainLinear(resp []model.ResponseFunc, J, R int) []int {
 	return chain
 }
 
-// checkCheckpointedObjectives walks in's whole widening chain in three
-// blocks, as provision does, and requires every checkpointed objective to
-// equal, bit for bit, a pass from position 0 over the same widths on a
-// second evaluator.
-func checkCheckpointedObjectives(t *testing.T, label string, in Input, initF []float64) {
+// checkCheckpointedObjectives is checkChainObjectives over in's own
+// response functions.
+func checkCheckpointedObjectives(t *testing.T, label string, in Input, initF []float64) (evalWork, int) {
 	t.Helper()
-	resp := responseFuncs(t, in)
+	return checkChainObjectives(t, label, in, responseFuncs(t, in), initF)
+}
+
+// checkChainObjectives walks the whole widening chain in three blocks, as
+// scoreChain does, twice. Unbounded, every checkpointed objective must
+// equal, bit for bit, a pass from position 0 over the same widths on a
+// second evaluator. With scoreChain's running bound — candidate 0's
+// objective, tightened within each block — every candidate the walk does
+// not prune must equal that pass too, every pruned candidate's full-pass
+// objective must lie strictly above the bound it was pruned against and
+// so above the chain minimum, and the walk's argmin must be the full
+// passes' earliest minimum. It returns the bounded walk's work counters
+// and the number of candidates whose objective ties the chain minimum.
+func checkChainObjectives(t *testing.T, label string, in Input, resp []model.ResponseFunc, initF []float64) (evalWork, int) {
+	t.Helper()
 	J, R := len(in.Jobs), in.Cluster.Racks
 	chain := buildChain(resp, J, R)
 	initGroups := groupsFromInitF(initF, R)
-	ev, ref := newEvaluator(in, resp, initGroups), newEvaluator(in, resp, initGroups)
 	ones := make([]int, J)
 	for i := range ones {
 		ones[i] = 1
 	}
-	ref.reset(ones)
 	C := len(chain) + 1
-	for b := 0; b < 3; b++ {
-		lo, hi := b*C/3, (b+1)*C/3
-		rj := append([]int(nil), ones...)
-		for c := 0; c < lo; c++ {
-			rj[chain[c]]++
+	full := make([]float64, C)
+	ref := newEvaluator(in, resp, initGroups)
+	ref.reset(ones)
+	for c := range full {
+		if c > 0 {
+			ref.widen(chain[c-1])
 		}
-		for c := lo; c < hi; c++ {
-			var got float64
-			if c == lo {
-				ev.reset(rj)
-				got = ev.objective(0)
-			} else {
-				got = ev.objective(ev.widen(chain[c-1]))
+		full[c] = ref.objective(0, math.Inf(1))
+	}
+	argmin := func(objs []float64) int {
+		best := 0
+		for c := 1; c < len(objs); c++ {
+			if objs[c] < objs[best] {
+				best = c
 			}
-			if c > 0 {
-				ref.widen(chain[c-1])
+		}
+		return best
+	}
+	bestFull := argmin(full)
+	ties := 0
+	for _, v := range full {
+		//corralvet:ok floateq exact identity intended: counts candidates bit-equal to the minimum, the ties the earliest-wins rule decides
+		if v == full[bestFull] {
+			ties++
+		}
+	}
+
+	var work evalWork
+	for _, bounded := range []bool{false, true} {
+		ev := newEvaluator(in, resp, initGroups)
+		objs := make([]float64, C)
+		for b := 0; b < 3; b++ {
+			lo, hi := b*C/3, (b+1)*C/3
+			rj := append([]int(nil), ones...)
+			for c := 0; c < lo; c++ {
+				rj[chain[c]]++
 			}
-			if want := ref.objective(0); math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("%s: candidate %d: checkpointed objective %v, full pass %v", label, c, got, want)
+			bound := math.Inf(1)
+			if bounded && b > 0 {
+				bound = full[0]
 			}
-			if c > 0 && c%97 == 0 { // spot-check the incremental order against a full sort
-				sorted := newEvaluator(in, resp, initGroups)
-				sorted.reset(ev.rj)
-				if !reflect.DeepEqual(ev.order, sorted.order) {
-					t.Fatalf("%s: candidate %d: incremental order %v, full sort %v", label, c, ev.order, sorted.order)
+			for c := lo; c < hi; c++ {
+				before := ev.work
+				if c == lo {
+					ev.reset(rj)
+					objs[c] = ev.objective(0, bound)
+				} else {
+					objs[c] = ev.objective(ev.widen(chain[c-1]), bound)
+				}
+				got, want := objs[c], full[c]
+				if ev.work.prunedShared+ev.work.prunedPartial > before.prunedShared+before.prunedPartial {
+					if !bounded {
+						t.Fatalf("%s: candidate %d: pruned under an infinite bound", label, c)
+					}
+					// The bound is an earlier candidate's objective, so
+					// above it is above the chain minimum too.
+					if !math.IsInf(got, 1) || !(want > bound) || !(want > full[bestFull]) {
+						t.Fatalf("%s: candidate %d: pruned to %v with full-pass objective %v, bound %v, chain minimum %v", label, c, got, want, bound, full[bestFull])
+					}
+				} else if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s: candidate %d (bounded %v): checkpointed objective %v, full pass %v", label, c, bounded, got, want)
+				}
+				if bounded && got < bound {
+					bound = got
+				}
+				if c > 0 && c%97 == 0 { // spot-check the incremental order against a full sort
+					sorted := newEvaluator(in, resp, initGroups)
+					sorted.reset(ev.rj)
+					if !reflect.DeepEqual(ev.order, sorted.order) || !reflect.DeepEqual(ev.posOf, sorted.posOf) {
+						t.Fatalf("%s: candidate %d: incremental order %v (index %v), full sort %v (index %v)", label, c, ev.order, ev.posOf, sorted.order, sorted.posOf)
+					}
 				}
 			}
 		}
+		if best := argmin(objs); best != bestFull {
+			t.Fatalf("%s (bounded %v): walk chooses candidate %d (%v), full passes candidate %d (%v)", label, bounded, best, objs[best], bestFull, full[bestFull])
+		}
+		work = ev.work
 	}
+	return work, ties
 }
 
-// TestProvisionCheckpointMatchesFullPass pins fact 3 of provision.go: for
-// every candidate of the chain, the objective resumed from a checkpoint
-// equals the pass from position 0, across batch × online × {fresh plan,
-// replan with commitments}, with J below, at multiples of and off
-// multiples of ckStride, and on the 2k scale cell.
+// TestProvisionCheckpointMatchesFullPass pins facts 3 and 4 of
+// provision.go: for every candidate of the chain, the objective resumed
+// from a checkpoint equals the pass from position 0, and the bounded walk
+// prunes only candidates that cannot win, across batch × online × {fresh
+// plan, replan with commitments}, with J below, at multiples of and off
+// multiples of ckStride, and on the 2k scale cell. Two planted cases
+// follow: identical jobs, where many candidates tie at the minimum and
+// the earliest must win, and response tables with +Inf entries.
 func TestProvisionCheckpointMatchesFullPass(t *testing.T) {
+	var work evalWork
+	add := func(w evalWork, _ int) { work.add(w) }
 	sizes := []int{1, 5, ckStride - 1, ckStride, ckStride + 1, 2 * ckStride, 3*ckStride + 7}
 	for si, J := range sizes {
 		for _, obj := range []Objective{MinimizeMakespan, MinimizeAvgCompletion} {
 			rng := rand.New(rand.NewSource(int64(si + 1)))
 			in := Input{Cluster: testClusterModel(), Jobs: randomJobs(rng, J), Alpha: -1, Objective: obj}
-			checkCheckpointedObjectives(t, fmt.Sprintf("J=%d %s", J, obj), in, nil)
+			add(checkCheckpointedObjectives(t, fmt.Sprintf("J=%d %s", J, obj), in, nil))
 
 			now := rng.Float64() * 2000
 			initF, err := commitmentAvailability(in.Cluster.Racks, now, randomCommitments(rng, in.Cluster.Racks, now))
@@ -288,10 +354,62 @@ func TestProvisionCheckpointMatchesFullPass(t *testing.T) {
 			}
 			re := in
 			re.Jobs = clampArrivals(in.Jobs, now)
-			checkCheckpointedObjectives(t, fmt.Sprintf("J=%d %s replan", J, obj), re, initF)
+			add(checkCheckpointedObjectives(t, fmt.Sprintf("J=%d %s replan", J, obj), re, initF))
 		}
 	}
-	checkCheckpointedObjectives(t, "2k scale cell", scaleCellInput(2000), nil)
+	add(checkCheckpointedObjectives(t, "2k scale cell", scaleCellInput(2000), nil))
+
+	for _, obj := range []Objective{MinimizeMakespan, MinimizeAvgCompletion} {
+		same := make([]*job.Job, 3*ckStride+5)
+		for i := range same {
+			same[i] = mkJob(i+1, 100, 50, 10, 40, 10)
+		}
+		in := Input{Cluster: testClusterModel(), Jobs: same, Alpha: -1, Objective: obj}
+		add(checkCheckpointedObjectives(t, fmt.Sprintf("identical jobs %s", obj), in, nil))
+
+		// Perfect speedup, L(r) = R/r on R = 2J racks: the makespan ties
+		// its minimum whenever every job has the same power-of-two width
+		// ≥ 2, so tied candidates sit in several blocks and the first
+		// must win.
+		for _, J := range []int{2 * ckStride, 3*ckStride + 5} {
+			c := testClusterModel()
+			c.Racks = 2 * J
+			jobs := make([]*job.Job, J)
+			resp := make([]model.ResponseFunc, J)
+			for i := range jobs {
+				jobs[i] = mkJob(i+1, 100, 50, 10, 40, 10)
+				resp[i] = make(model.ResponseFunc, c.Racks)
+				for r := range resp[i] {
+					resp[i][r] = float64(c.Racks) / float64(r+1)
+				}
+			}
+			w, ties := checkChainObjectives(t, fmt.Sprintf("speedup table J=%d %s", J, obj), Input{Cluster: c, Jobs: jobs, Objective: obj}, resp, nil)
+			add(w, ties)
+			if obj == MinimizeMakespan && ties < 2 {
+				t.Fatalf("speedup table J=%d: %d candidates at the minimum, want ties", J, ties)
+			}
+		}
+
+		// +Inf estimates: some jobs cannot finish at narrow widths, so the
+		// chain opens on infinite objectives and the bound starts at +Inf.
+		for seed := int64(1); seed <= 4; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			in := Input{Cluster: testClusterModel(), Jobs: randomJobs(rng, 2*ckStride+rng.Intn(2*ckStride)), Alpha: -1, Objective: obj}
+			resp := responseFuncs(t, in)
+			resp[0][0] = math.Inf(1) // candidate 0 scores +Inf
+			for _, f := range resp {
+				if rng.Intn(4) == 0 {
+					for r := range f[:rng.Intn(len(f))] {
+						f[r] = math.Inf(1)
+					}
+				}
+			}
+			add(checkChainObjectives(t, fmt.Sprintf("+Inf entries seed %d %s", seed, obj), in, resp, nil))
+		}
+	}
+	if work.prunedShared == 0 || work.prunedPartial == 0 {
+		t.Fatalf("bounded walks pruned %d candidates in a shared prefix and %d after a partial pass; want both paths taken", work.prunedShared, work.prunedPartial)
+	}
 }
 
 // FuzzProvisionMatchesFullPass is TestProvisionCheckpointMatchesFullPass
@@ -323,11 +441,13 @@ func FuzzProvisionMatchesFullPass(f *testing.F) {
 }
 
 // TestEvaluatorSteadyStateZeroAlloc pins the per-candidate hot path
-// (widen + objective) at zero allocations; corralvet's hotalloc check
-// guards the same property statically via the //corral:hotpath markers.
+// (widen + objective) at zero allocations under a finite bound that
+// prunes both ways — inside a pruned prefix and after a partial pass;
+// corralvet's hotalloc check guards the same property statically via the
+// //corral:hotpath markers.
 func TestEvaluatorSteadyStateZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	in := Input{Cluster: testClusterModel(), Jobs: randomJobs(rng, 30), Alpha: -1, Objective: MinimizeAvgCompletion}
+	in := Input{Cluster: testClusterModel(), Jobs: randomJobs(rng, 3*ckStride), Alpha: -1, Objective: MinimizeAvgCompletion}
 	J, R := len(in.Jobs), in.Cluster.Racks
 	resp := responseFuncs(t, in)
 	chain := buildChain(resp, J, R)
@@ -337,20 +457,68 @@ func TestEvaluatorSteadyStateZeroAlloc(t *testing.T) {
 	for i := range rj {
 		rj[i] = 1
 	}
+	// The bound is the chain's minimum objective, so every candidate
+	// strictly above it can be pruned.
 	ev.reset(rj)
-	sink := ev.objective(0)
+	bound := ev.objective(0, math.Inf(1))
+	for _, w := range chain {
+		bound = min(bound, ev.objective(ev.widen(w), math.Inf(1)))
+	}
+	ev.reset(rj)
+	ev.work = evalWork{}
+	sink := ev.objective(0, bound)
 	step := 0
 	allocs := testing.AllocsPerRun(100, func() {
-		sink += ev.objective(ev.widen(chain[step]))
+		sink += ev.objective(ev.widen(chain[step]), bound)
 		step++
 	})
+	_ = sink
 	if step >= len(chain) {
 		t.Fatalf("alloc run exhausted the %d-step chain", len(chain))
 	}
 	if allocs != 0 {
 		t.Fatalf("evaluator steady state allocates %.1f objects per candidate, want 0", allocs)
 	}
-	_ = sink
+	if ev.work.prunedShared == 0 || ev.work.prunedPartial == 0 {
+		t.Fatalf("alloc run pruned %d candidates in a shared prefix and %d after a partial pass; want both paths taken", ev.work.prunedShared, ev.work.prunedPartial)
+	}
+}
+
+// TestProvisionPrunesMostWork is the anti-vacuity guard for fact 4 of
+// provision.go, by count rather than wall clock: on the 2k scale cell
+// the bounded walk must prune at least 90% of the candidates and walk at
+// most a tenth of the order positions the same walk takes unbounded. The
+// worker bound is fixed because the block count moves the counts.
+func TestProvisionPrunesMostWork(t *testing.T) {
+	defer pool.SetWorkers(0)
+	pool.SetWorkers(2)
+	in := scaleCellInput(2000)
+	resp := responseFuncs(t, in)
+	J, R := len(in.Jobs), in.Cluster.Racks
+	chain := buildChain(resp, J, R)
+	_, work := scoreChain(in, resp, nil, chain)
+
+	ev := newEvaluator(in, resp, groupsFromInitF(nil, R))
+	rj := make([]int, J)
+	for i := range rj {
+		rj[i] = 1
+	}
+	ev.reset(rj)
+	ev.objective(0, math.Inf(1))
+	for _, w := range chain {
+		ev.objective(ev.widen(w), math.Inf(1))
+	}
+
+	C := len(chain) + 1
+	pruned := work.prunedShared + work.prunedPartial
+	t.Logf("%d of %d candidates pruned (%d in a shared prefix); %d positions walked, %d unbounded",
+		pruned, C, work.prunedShared, work.walked, ev.work.walked)
+	if 10*pruned < 9*C {
+		t.Fatalf("pruned %d of %d candidates, want at least 90%%", pruned, C)
+	}
+	if 10*work.walked > ev.work.walked {
+		t.Fatalf("walked %d order positions, want at most a tenth of the unbounded walk's %d", work.walked, ev.work.walked)
+	}
 }
 
 // responseFuncs tabulates the test input's response functions the way

@@ -57,7 +57,8 @@ func clampArrivals(jobs []*job.Job, now float64) []*job.Job {
 	out := jobs
 	copied := false
 	for i, j := range jobs {
-		if j.Arrival >= now {
+		// A nil job passes through for planTwoPhase's validation to reject.
+		if j == nil || j.Arrival >= now {
 			continue
 		}
 		if !copied {
@@ -112,10 +113,8 @@ func ReplanIncremental(in Input, now float64, commitments []Commitment, widths m
 	}
 	// Validate every job before emitting plan_start so a rejected input
 	// cannot leave an unbalanced trace (plan_start with no plan_done).
-	for _, j := range in.Jobs {
-		if err := j.Validate(); err != nil {
-			return nil, err
-		}
+	if err := validateJobs(in.Jobs, plan.Assignments); err != nil {
+		return nil, err
 	}
 	in.Jobs = clampArrivals(in.Jobs, now)
 	tr := in.tracer()

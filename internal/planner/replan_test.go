@@ -3,6 +3,7 @@ package planner
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -198,41 +199,54 @@ func TestMergePlansCarriesAvgCompletion(t *testing.T) {
 	}
 }
 
-// Regression: New, Replan and ReplanIncremental used to emit plan_start
-// before validating jobs, so a rejected input left an unbalanced trace
-// (plan_start with no plan_done). Validation now runs first: an erroring
-// plan emits nothing.
+// TestPlanTraceBalancedOnValidationError feeds every planning entry point
+// inputs it must reject — an invalid profile, a nil job and two jobs
+// sharing an ID — and requires the named error with no plan_start, so
+// the trace stays balanced.
 func TestPlanTraceBalancedOnValidationError(t *testing.T) {
 	c := testClusterModel()
 	bad := mkJob(1, 10, 10, 10, 10, 10)
 	bad.Stages[0].Profile.MapTasks = 0
+	inputs := []struct {
+		name string
+		jobs []*job.Job
+		msg  string
+	}{
+		{"invalid profile", jobsOf(bad), "job 1 stage 0"},
+		{"nil job", jobsOf(mkJob(1, 10, 10, 10, 10, 10), nil), "job: nil job"},
+		{"duplicate ID", jobsOf(mkJob(1, 10, 10, 10, 10, 10), mkJob(2, 20, 10, 10, 10, 10), mkJob(3, 30, 10, 10, 10, 10), mkJob(2, 40, 10, 10, 10, 10)), "duplicate job ID 2"},
+	}
 
 	calls := []func(in Input) error{
 		func(in Input) error { _, err := New(in); return err },
 		func(in Input) error { _, err := Replan(in, 100, nil); return err },
 		func(in Input) error { _, err := ReplanIncremental(in, 100, nil, nil); return err },
 	}
-	for i, call := range calls {
-		tr := trace.New("test")
-		err := call(Input{Cluster: c, Jobs: jobsOf(bad), Trace: tr})
-		if err == nil {
-			t.Fatalf("call %d: invalid job not rejected", i)
-		}
-		starts, dones := 0, 0
-		for _, e := range tr.Events() {
-			switch e.Kind {
-			case trace.KPlanStart:
-				starts++
-			case trace.KPlanDone:
-				dones++
+	for _, obj := range []Objective{MinimizeMakespan, MinimizeAvgCompletion} {
+		for _, bad := range inputs {
+			for i, call := range calls {
+				tr := trace.New("test")
+				err := call(Input{Cluster: c, Jobs: bad.jobs, Objective: obj, Trace: tr})
+				if err == nil || !strings.Contains(err.Error(), bad.msg) {
+					t.Fatalf("%s %s call %d: error %v, want one containing %q", obj, bad.name, i, err, bad.msg)
+				}
+				starts, dones := 0, 0
+				for _, e := range tr.Events() {
+					switch e.Kind {
+					case trace.KPlanStart:
+						starts++
+					case trace.KPlanDone:
+						dones++
+					}
+				}
+				if starts != dones {
+					t.Fatalf("%s %s call %d: unbalanced trace after validation error: %d plan_start, %d plan_done",
+						obj, bad.name, i, starts, dones)
+				}
+				if starts != 0 {
+					t.Fatalf("%s %s call %d: erroring plan emitted %d plan_start events, want 0", obj, bad.name, i, starts)
+				}
 			}
-		}
-		if starts != dones {
-			t.Fatalf("call %d: unbalanced trace after validation error: %d plan_start, %d plan_done",
-				i, starts, dones)
-		}
-		if starts != 0 {
-			t.Fatalf("call %d: erroring plan emitted %d plan_start events, want 0", i, starts)
 		}
 	}
 }

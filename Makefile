@@ -1,18 +1,17 @@
 # Mirrors .github/workflows/ci.yml: `make ci-local` runs the same gates as
-# the CI job matrix (fast-gate, test, race, chaos-fuzz, bench-regression),
-# serially. `make check` is the historical alias without the bench gate.
+# the CI job matrix (fast-gate, test, race, chaos-fuzz, scale), serially.
+# `make check` is the historical alias without the scale gate.
 
 GO ?= go
 
 .PHONY: check ci-local fast-gate build vet fmt-check test race corralvet \
-	chaos fuzz overload trace-determinism resume-determinism bench bench-compare \
-	scale scale-bench-compare scale-nightly
+	chaos fuzz overload trace-determinism resume-determinism scale scale-nightly
 
 check: build vet fmt-check test race chaos fuzz overload trace-determinism resume-determinism
 	@echo "check: all gates passed"
 
 # One target per CI job, in the workflow's job order.
-ci-local: fast-gate test trace-determinism resume-determinism race chaos fuzz overload bench-compare scale scale-bench-compare
+ci-local: fast-gate test trace-determinism resume-determinism race chaos fuzz overload scale
 	@echo "ci-local: all CI jobs passed"
 
 fast-gate: build vet fmt-check
@@ -37,6 +36,10 @@ fmt-check:
 		exit 1; \
 	fi
 
+# go test ./... includes TestReportGolden, the reproduction gate: every
+# registry experiment's report values at size s, seed 1, bit for bit
+# against testdata/report_golden.json. Regenerate it only for a deliberate
+# change of outcomes: UPDATE_REPORT_GOLDEN=1 go test -run TestReportGolden .
 # The bench/ module has its own go.mod, so ./... above skips it; it is the
 # one consumer of the public API outside this module.
 test:
@@ -108,41 +111,9 @@ trace-determinism:
 scale:
 	$(GO) run ./cmd/corralsim -exp scale -size m -seed 1 -json > scale-report.json
 
-# Scale benchmark comparison: the recompute micro-benchmarks, the
-# datacenter-scale planning benchmarks (2k + 10k cell shapes) and the
-# end-to-end scale sweep, diffed against the full committed baseline in
-# -subset mode (baseline-only entries are skipped, semantic drift and new
-# benchmarks still fail). `make bench` remains the only producer of
-# BENCH_baseline.json.
-scale-bench-compare:
-	$(GO) test -run '^$$' -bench 'BenchmarkScaleSweep|BenchmarkPlan2k|BenchmarkPlan10k' -benchtime 1x . \
-		| $(GO) run ./cmd/corralbench -o scale-fresh.json -compare BENCH_baseline.json -tol 50 -subset
-	$(GO) test -run '^$$' -bench 'BenchmarkRecompute' -benchtime 1x ./internal/netsim \
-		| $(GO) run ./cmd/corralbench -compare BENCH_baseline.json -tol 50 -subset
-
 # Nightly ladder: the full 2k/5k/10k sweep (minutes of wall time) plus
 # extended fuzz and resume sweeps; see .github/workflows/nightly.yml.
 scale-nightly:
 	$(GO) run ./cmd/corralsim -exp scale -size l -seed 1 -json > scale-report.json
 	$(GO) run ./cmd/corralsim -fuzz-traces 100 -size s -seed 1
 	$(GO) test ./internal/experiments -run 'TestResume' -count=1
-
-# Perf baseline: every benchmark once on the fast "s" profile — the
-# experiment harness in the repo root, the netsim allocator
-# micro-benchmarks, the 10k-machine heartbeat dispatch pass and the
-# tracer's emit/export overhead — captured as
-# machine-readable JSON for trajectory tracking. Rerun this (and commit
-# the result) whenever a semantic metric or the benchmark set
-# intentionally changes.
-bench:
-	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/netsim ./internal/runtime ./internal/trace ./internal/analysis \
-		| $(GO) run ./cmd/corralbench -o BENCH_baseline.json
-
-# Benchmark-regression gate: rerun the same benchmarks and diff against
-# the committed baseline. Semantic metrics must match bit for bit;
-# timing metrics (ns/op, B/op, ...) are machine-dependent and only warn
-# past the tolerance. The fresh JSON lands in bench-fresh.json (uploaded
-# as a CI artifact) for inspection.
-bench-compare:
-	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/netsim ./internal/runtime ./internal/trace ./internal/analysis \
-		| $(GO) run ./cmd/corralbench -o bench-fresh.json -compare BENCH_baseline.json -tol 50

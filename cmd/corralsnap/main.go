@@ -68,7 +68,7 @@ func inspect(s *snapshot.Snapshot) {
 	fmt.Printf("scheduler:  %s (seed %d)\n", s.Spec.Scheduler, s.Spec.Seed)
 	policy := s.Spec.Policy
 	if policy == "" {
-		policy = "default (grouped max-min)"
+		policy = "default (maxmin-incremental)"
 	}
 	fmt.Printf("network:    %s\n", policy)
 	t := s.Spec.Topology

@@ -35,6 +35,29 @@ func main() {
 	)
 	flag.Parse()
 
+	// The generators would panic on a negative job count and silently
+	// replace a non-positive scale, database size or cluster shape with a
+	// default, so reject such values here. The negated comparisons also
+	// reject NaN.
+	switch {
+	case *jobs < 0:
+		fatal(fmt.Errorf("-jobs %d: must be >= 0 (0 = workload default)", *jobs))
+	case !(*scale > 0):
+		fatal(fmt.Errorf("-scale %g: must be > 0", *scale))
+	case !(*window >= 0):
+		fatal(fmt.Errorf("-window %g: must be >= 0 (0 = batch)", *window))
+	case !(*dbGB > 0):
+		fatal(fmt.Errorf("-tpch-db-gb %g: must be > 0", *dbGB))
+	case !(*intensity >= 0):
+		fatal(fmt.Errorf("-intensity %g: must be >= 0", *intensity))
+	case !(*horizon > 0):
+		fatal(fmt.Errorf("-horizon %g: must be > 0", *horizon))
+	case *racks < 0:
+		fatal(fmt.Errorf("-racks %d: must be >= 0 (0 = default cluster)", *racks))
+	case *perRack < 0:
+		fatal(fmt.Errorf("-machines-per-rack %d: must be >= 0 (0 = default cluster)", *perRack))
+	}
+
 	if *trace {
 		cluster := corral.DefaultCluster()
 		if *racks > 0 {
@@ -65,8 +88,7 @@ func main() {
 	case "tpch":
 		out = corral.TPCH(cfg, *dbGB*1e9)
 	default:
-		fmt.Fprintf(os.Stderr, "workloadgen: unknown workload %q\n", *name)
-		os.Exit(1)
+		fatal(fmt.Errorf("unknown workload %q", *name))
 	}
 
 	emit(out)
@@ -76,7 +98,11 @@ func emit(v any) {
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(v); err != nil {
-		fmt.Fprintln(os.Stderr, "workloadgen:", err)
-		os.Exit(1)
+		fatal(err)
 	}
+}
+
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "workloadgen:", err)
+	os.Exit(1)
 }

@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -127,18 +128,68 @@ func TestLoadOnRealRepoFindsAnnotatedSites(t *testing.T) {
 		t.Skip("loads the whole module")
 	}
 	// The repo itself must stay corralvet-clean, test files included; this
-	// is the same invariant CI enforces via `corralvet -tests ./...`.
+	// is the same invariant CI enforces via `corralvet -tests ./...`. The
+	// loader must visit every package of the module to make that claim.
+	moduleDirs := goPackageDirs(t, "../..")
 	for _, tests := range []bool{false, true} {
 		pkgs, err := Load(LoadConfig{Dir: "../..", Tests: tests}, "./...")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(pkgs) < 10 {
-			t.Fatalf("expected to load the full module, got %d packages", len(pkgs))
+		loaded := map[string]bool{}
+		for _, p := range pkgs {
+			dir, err := filepath.Abs(p.Dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			loaded[dir] = true
+		}
+		for _, dir := range moduleDirs {
+			if !loaded[dir] {
+				t.Errorf("tests=%v: loader skipped module package %s", tests, dir)
+			}
 		}
 		diags := RunAnalyzers(pkgs, Analyzers())
 		for _, d := range diags {
 			t.Errorf("tests=%v: unexpected finding: %s", tests, d)
 		}
 	}
+}
+
+// goPackageDirs lists, as absolute paths, every directory of the module
+// rooted at root that holds a Go file, by the go tool's rules for ./...:
+// testdata and directories starting with "." or "_" are skipped, and so
+// is any nested module.
+func goPackageDirs(t *testing.T, root string) []string {
+	t.Helper()
+	root, err := filepath.Abs(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dirs []string
+	err = filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if path != root {
+			name := d.Name()
+			if name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				return filepath.SkipDir
+			}
+		}
+		if matches, _ := filepath.Glob(filepath.Join(path, "*.go")); len(matches) > 0 {
+			dirs = append(dirs, path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(dirs) < 10 {
+		t.Fatalf("found only %d package directories under %s", len(dirs), root)
+	}
+	return dirs
 }

@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check ci-local fast-gate build vet fmt-check test race corralvet \
+.PHONY: check ci-local fast-gate build vet fmt-check fma-check test race corralvet \
 	chaos fuzz overload trace-determinism resume-determinism scale scale-nightly
 
 check: build vet fmt-check test race chaos fuzz overload trace-determinism resume-determinism
@@ -14,7 +14,7 @@ check: build vet fmt-check test race chaos fuzz overload trace-determinism resum
 ci-local: fast-gate test trace-determinism resume-determinism race chaos fuzz overload scale
 	@echo "ci-local: all CI jobs passed"
 
-fast-gate: build vet fmt-check
+fast-gate: build vet fmt-check fma-check
 
 build:
 	$(GO) build ./...
@@ -33,6 +33,25 @@ fmt-check:
 	if [ -n "$$out" ]; then \
 		echo "gofmt needed on:" >&2; \
 		echo "$$out" >&2; \
+		exit 1; \
+	fi
+
+# No fused multiply-adds in internal/netsim: the Go spec lets arm64 (and
+# ppc64le, s390x) fuse x*y + z, which rounds once where amd64 rounds twice
+# and so changes rates and byte counts. An explicit float64(...) around
+# the product prevents the fusion. This compiles the package for arm64,
+# reads its assembly and fails on any FMADD/FMSUB/FNMADD/FNMSUB; it also
+# fails if no assembly came out at all, so an empty listing cannot pass.
+fma-check:
+	@asm="$$(GOARCH=arm64 $(GO) build -gcflags='corral/internal/netsim=-S' ./internal/netsim 2>&1)" || { echo "$$asm" >&2; exit 1; }; \
+	if ! printf '%s\n' "$$asm" | grep -q 'TEXT.*corral/internal/netsim'; then \
+		echo "fma-check: no assembly listing for internal/netsim" >&2; \
+		exit 1; \
+	fi; \
+	fused="$$(printf '%s\n' "$$asm" | grep -E '[[:space:]]F(N?)M(ADD|SUB)[SD][[:space:]]' || true)"; \
+	if [ -n "$$fused" ]; then \
+		echo "fma-check: fused multiply-adds in internal/netsim (arm64):" >&2; \
+		echo "$$fused" >&2; \
 		exit 1; \
 	fi
 

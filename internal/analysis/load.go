@@ -147,7 +147,10 @@ func findModule(dir string) (modDir, modPath string, err error) {
 }
 
 // expandPatterns resolves patterns to a sorted, de-duplicated list of
-// directories containing Go files.
+// directories containing Go files. A "..." pattern walks the tree the way
+// the go tool does: it skips testdata and directories starting with "." or
+// "_", and it never enters a nested module (a directory below the root
+// that holds its own go.mod).
 func expandPatterns(base string, patterns []string) ([]string, error) {
 	seen := map[string]bool{}
 	var dirs []string
@@ -170,6 +173,11 @@ func expandPatterns(base string, patterns []string) ([]string, error) {
 				name := d.Name()
 				if path != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
 					return filepath.SkipDir
+				}
+				if path != root {
+					if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+						return filepath.SkipDir
+					}
 				}
 				if hasGoFiles(path) {
 					add(path)

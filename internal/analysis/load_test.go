@@ -129,7 +129,8 @@ func TestLoadOnRealRepoFindsAnnotatedSites(t *testing.T) {
 	}
 	// The repo itself must stay corralvet-clean, test files included; this
 	// is the same invariant CI enforces via `corralvet -tests ./...`. The
-	// loader must visit every package of the module to make that claim.
+	// loader must visit exactly the module's packages to make that claim:
+	// every one of them, and nothing from a nested module such as bench/.
 	moduleDirs := goPackageDirs(t, "../..")
 	for _, tests := range []bool{false, true} {
 		pkgs, err := Load(LoadConfig{Dir: "../..", Tests: tests}, "./...")
@@ -144,9 +145,16 @@ func TestLoadOnRealRepoFindsAnnotatedSites(t *testing.T) {
 			}
 			loaded[dir] = true
 		}
+		inModule := map[string]bool{}
 		for _, dir := range moduleDirs {
+			inModule[dir] = true
 			if !loaded[dir] {
 				t.Errorf("tests=%v: loader skipped module package %s", tests, dir)
+			}
+		}
+		for dir := range loaded {
+			if !inModule[dir] {
+				t.Errorf("tests=%v: loader entered %s, which is not a package of the module", tests, dir)
 			}
 		}
 		diags := RunAnalyzers(pkgs, Analyzers())

@@ -65,7 +65,7 @@ func BenchmarkRecomputeGrouped10k(b *testing.B) { benchmarkAllocate(b, newFullPa
 // benchmarkAllocateChurn measures the recompute-under-churn regime the
 // incremental allocator is built for: every iteration one rack uplink's
 // capacity flips (a link fault toggling), dirtying that component only, and
-// the allocator recomputes. For the stateful allocators the cache is warm —
+// the allocator recomputes. For the stateful allocators the table is warm —
 // this is the per-event cost a long simulation actually pays, as opposed to
 // benchmarkAllocate's identical-input rounds.
 func benchmarkAllocateChurn(b *testing.B, p Policy, nFlows int) {

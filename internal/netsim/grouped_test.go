@@ -199,17 +199,26 @@ func replayWith(c *topology.Cluster, ops []scriptOp, p Policy, pooling bool) run
 	return log
 }
 
-// fullPass is IncrementalMaxMin with its cache dropped before every
-// round, so each Allocate runs the full grouped pass the allocator falls
-// back to.
-type fullPass struct{ IncrementalMaxMin }
-
-func newFullPass() *fullPass { return &fullPass{} }
-
-func (f *fullPass) Allocate(flows []*Flow, caps []float64, scratch []float64) {
-	f.haveCache = false
-	f.IncrementalMaxMin.Allocate(flows, caps, scratch)
+// coldEvery is IncrementalMaxMin with its table emptied before every
+// k-th call (never for k = 0), so a script replays across cold restarts
+// at arbitrary points of the flow history.
+type coldEvery struct {
+	IncrementalMaxMin
+	k, calls int
 }
+
+func (p *coldEvery) Allocate(flows []*Flow, caps []float64, scratch []float64) {
+	p.calls++
+	if p.k > 0 && p.calls%p.k == 0 {
+		p.caps = nil
+	}
+	p.IncrementalMaxMin.Allocate(flows, caps, scratch)
+}
+
+// newFullPass returns the allocator with its table emptied before every
+// call, so each Allocate rebuilds every group and component from the
+// flow list and fills them all: the full pass.
+func newFullPass() *coldEvery { return &coldEvery{k: 1} }
 
 // TestGroupedBitIdenticalToMaxMinFair is the differential gate for the
 // full grouped pass: across seeded randomized scripts mixing in-rack,
@@ -298,6 +307,37 @@ func TestGroupedRequiresInternedFlows(t *testing.T) {
 	f := &Flow{ID: 1, Bytes: 1, remaining: 1, path: []topology.LinkID{0, 1}}
 	caps := []float64{gbps, gbps}
 	NewIncrementalMaxMin().Allocate([]*Flow{f}, caps, make([]float64, 2))
+}
+
+// TestIncrementalRequiresIncreasingIDs documents the flow-order contract:
+// the merge finds started and ended flows by walking two ID-ordered
+// lists, so a list out of order, a repeated ID or an ID that changed its
+// path must panic rather than silently miscount a group.
+func TestIncrementalRequiresIncreasingIDs(t *testing.T) {
+	caps := []float64{gbps, gbps}
+	p0, p1 := []topology.LinkID{0}, []topology.LinkID{1}
+	for _, tc := range []struct {
+		name  string
+		calls [][]*Flow // every call but the last must be accepted
+	}{
+		{"decreasing", [][]*Flow{{incFlow(2, 1, p0), incFlow(1, 2, p1)}}},
+		{"repeated", [][]*Flow{{incFlow(1, 1, p0), incFlow(1, 2, p1)}}},
+		{"path changed", [][]*Flow{{incFlow(1, 1, p0)}, {incFlow(1, 2, p1)}}},
+	} {
+		inc := NewIncrementalMaxMin()
+		last := len(tc.calls) - 1
+		for _, flows := range tc.calls[:last] {
+			inc.Allocate(flows, caps, make([]float64, 2))
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: IncrementalMaxMin accepted the flows", tc.name)
+				}
+			}()
+			inc.Allocate(tc.calls[last], caps, make([]float64, 2))
+		}()
+	}
 }
 
 // TestGroupedAllocateSteadyStateZeroAlloc pins the zero-alloc contract for

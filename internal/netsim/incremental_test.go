@@ -1,9 +1,11 @@
 package netsim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"corral/internal/des"
@@ -42,105 +44,10 @@ func assertSameAsFresh(t *testing.T, label string, flows []*Flow, caps []float64
 	}
 }
 
-// TestIncrementalFallbackBoundary drives the dirty set across the
-// full-recompute threshold from both sides: with fallbackFrac 0.25 over 8
-// single-link groups the boundary is 2 dirty groups, so rounds dirtying
-// 1 and 2 groups must take the incremental path and a round dirtying 3
-// must fall back — with bit-identical rates throughout. A second
-// allocator pins the diff's early exit both ways: a round whose first
-// rule alone crosses the threshold falls back, and a round that reaches
-// the threshold exactly only through all three rules stays incremental.
-func TestIncrementalFallbackBoundary(t *testing.T) {
-	const nGroups = 8
-	caps := make([]float64, nGroups)
-	for i := range caps {
-		caps[i] = float64(i+1) * gbps // distinct caps so rates are distinct
-	}
-	scratch := make([]float64, nGroups)
-	// paths[k] is the single-link path of group k (pathID k+1).
-	paths := make([][]topology.LinkID, nGroups)
-	for k := range paths {
-		paths[k] = []topology.LinkID{topology.LinkID(k)}
-	}
-	var flows []*Flow
-	nextID := int64(1)
-	addFlow := func(group int) {
-		flows = append(flows, incFlow(nextID, int32(group+1), paths[group]))
-		nextID++
-	}
-	for k := 0; k < nGroups; k++ {
-		addFlow(k)
-	}
-
-	inc := NewIncrementalMaxMin()
-	round := func(label string, wantInc, wantFull int) {
-		t.Helper()
-		inc.Allocate(flows, caps, scratch)
-		assertSameAsFresh(t, label, flows, caps)
-		if gotInc, gotFull := inc.Rounds(); gotInc != wantInc || gotFull != wantFull {
-			t.Fatalf("%s: rounds (inc %d, full %d), want (inc %d, full %d)",
-				label, gotInc, gotFull, wantInc, wantFull)
-		}
-	}
-
-	round("cold cache", 0, 1)          // no cache: full pass
-	addFlow(0)                         // group 1 count 1→2
-	round("1 dirty ≤ 2", 1, 1)         // under threshold: incremental
-	addFlow(1)                         // groups 2,3 change
-	addFlow(2)                         //
-	round("2 dirty ≤ 2", 2, 1)         // exactly at threshold: incremental
-	addFlow(3)                         // groups 4,5,6 change
-	addFlow(4)                         //
-	addFlow(5)                         //
-	round("3 dirty > 2", 2, 2)         // over threshold: full fallback
-	round("0 dirty (no change)", 3, 2) // clean cache hit: incremental
-
-	// 16 single-link groups on links 0..15 plus a bridge over links 14
-	// and 15 (pathID 17), which joins their groups into one component.
-	// Without the bridge the boundary is 0.25·16 = 4 dirty groups.
-	const nSingles = 16
-	caps2 := make([]float64, nSingles)
-	for i := range caps2 {
-		caps2[i] = float64(i+1) * gbps
-	}
-	scratch2 := make([]float64, nSingles)
-	var singles []*Flow
-	for k := 0; k < nSingles; k++ {
-		singles = append(singles, incFlow(int64(100+k), int32(k+1), []topology.LinkID{topology.LinkID(k)}))
-	}
-	bridge := incFlow(200, nSingles+1, []topology.LinkID{14, 15})
-	withBridge := append(append([]*Flow(nil), singles...), bridge)
-
-	inc2 := NewIncrementalMaxMin()
-	round2 := func(label string, flows []*Flow, wantInc, wantFull int) {
-		t.Helper()
-		inc2.Allocate(flows, caps2, scratch2)
-		assertSameAsFresh(t, label, flows, caps2)
-		if gotInc, gotFull := inc2.Rounds(); gotInc != wantInc || gotFull != wantFull {
-			t.Fatalf("%s: rounds (inc %d, full %d), want (inc %d, full %d)",
-				label, gotInc, gotFull, wantInc, wantFull)
-		}
-	}
-	round2("bridge cold cache", withBridge, 0, 1)
-	// Rule 1 alone: capacity changes on links 0..4 dirty 5 of 17 groups
-	// (> 4.25) before any group count is compared.
-	for l := 0; l < 5; l++ {
-		caps2[l] /= 2
-	}
-	round2("capacity rule alone > 4.25", withBridge, 0, 2)
-	// All three rules, 4 dirty groups of 16: a capacity change on link 0
-	// (1 group), a member joining group 2 on link 1 (1 group), and the
-	// vanished bridge, whose links 14 and 15 now lie in two components
-	// of 1 group each (2 groups).
-	caps2[0] /= 2
-	flows2 := append(append([]*Flow(nil), singles...), incFlow(300, 2, []topology.LinkID{1}))
-	round2("three rules = 4", flows2, 1, 2)
-}
-
-// TestIncrementalDirtyRules exercises each cache-invalidation rule in
-// isolation — capacity change, vanished bridging path, and pure cache
-// reuse — with fallbackFrac 1 so the incremental path always runs when a
-// cache exists, and verifies rates stay bit-identical to a full pass.
+// TestIncrementalDirtyRules exercises each refill trigger in isolation —
+// a vanished bridging path, a capacity change, and no change at all — and
+// verifies rates stay bit-identical to a full pass, with the components
+// no trigger touched keeping their rates.
 func TestIncrementalDirtyRules(t *testing.T) {
 	caps := []float64{2 * gbps, 3 * gbps, 5 * gbps, 7 * gbps}
 	scratch := make([]float64, len(caps))
@@ -153,7 +60,7 @@ func TestIncrementalDirtyRules(t *testing.T) {
 	fC := incFlow(3, 3, pathC)
 	fD := incFlow(4, 4, pathD)
 
-	inc := &IncrementalMaxMin{fallbackFrac: 1}
+	inc := NewIncrementalMaxMin()
 
 	all := []*Flow{fA, fB, fC, fD}
 	inc.Allocate(all, caps, scratch)
@@ -170,25 +77,24 @@ func TestIncrementalDirtyRules(t *testing.T) {
 	inc.Allocate(noBridge, caps, scratch)
 	assertSameAsFresh(t, "capacity change", noBridge, caps)
 
-	// No change at all: pure cache reuse must reproduce the same rates.
+	// No change at all: every component keeps its rates.
 	before := ratesBits(noBridge)
 	inc.Allocate(noBridge, caps, scratch)
 	if !reflect.DeepEqual(before, ratesBits(noBridge)) {
-		t.Fatal("clean cache reuse changed rates")
+		t.Fatal("clean components changed rates")
 	}
 	assertSameAsFresh(t, "clean reuse", noBridge, caps)
 
-	if gotInc, _ := inc.Rounds(); gotInc != 3 {
-		t.Fatalf("incremental path ran %d times, want 3 (vanish, caps, reuse)", gotInc)
+	if gotInc, gotFull := inc.Rounds(); gotInc != 3 || gotFull != 1 {
+		t.Fatalf("rounds (inc %d, full %d), want (3, 1): only the cold call re-fills everything", gotInc, gotFull)
 	}
 }
 
 // TestIncrementalBitIdenticalToGrouped is the differential gate for the
 // incremental path: the randomized scripts (starts, cancels, link faults,
-// rack-aggregated paths) replayed under the full grouped pass and the
-// incremental allocator must produce bit-identical allocations,
-// completions and accounting — at the default fallback threshold and with
-// the fallback disabled (fallbackFrac 1, maximum incremental coverage).
+// rack-aggregated paths) replayed under the full pass and the incremental
+// allocator must produce bit-identical allocations, completions and
+// accounting.
 func TestIncrementalBitIdenticalToGrouped(t *testing.T) {
 	c := topology.MustNew(topology.Config{
 		Racks:            4,
@@ -201,60 +107,24 @@ func TestIncrementalBitIdenticalToGrouped(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		ops := genScript(rand.New(rand.NewSource(seed)), c, 300)
 		ref := replay(c, ops, newFullPass())
-		for _, frac := range []float64{0.25, 1} {
-			inc := &IncrementalMaxMin{fallbackFrac: frac}
-			got := replay(c, ops, inc)
-			if d := diffLogs(ref, got); d != "" {
-				t.Fatalf("seed %d frac %v: incremental diverges from grouped: %s", seed, frac, d)
-			}
-			gotInc, _ := inc.Rounds()
-			totalInc += gotInc
+		inc := NewIncrementalMaxMin()
+		got := replay(c, ops, inc)
+		if d := diffLogs(ref, got); d != "" {
+			t.Fatalf("seed %d: incremental diverges from the full pass: %s", seed, d)
 		}
+		gotInc, _ := inc.Rounds()
+		totalInc += gotInc
 	}
 	if totalInc == 0 {
 		t.Fatal("incremental path never ran across any seed: differential test is vacuous")
 	}
 }
 
-// TestIncrementalStampWrap replays a script across the wrap of the
-// round-stamp counter: the allocator starts three rounds below
-// math.MaxInt32, so its fourth build resets every stamp. Component
-// labels, link lists and the cache must come through the reset with
-// every allocation still bit-identical to the MaxMinFair oracle.
-func TestIncrementalStampWrap(t *testing.T) {
-	c := topology.MustNew(topology.Config{
-		Racks:            4,
-		MachinesPerRack:  5,
-		SlotsPerMachine:  2,
-		NICBandwidth:     10 * gbps,
-		Oversubscription: 5,
-	})
-	const start = math.MaxInt32 - 3
-	for seed := int64(1); seed <= 3; seed++ {
-		ops := genScript(rand.New(rand.NewSource(seed)), c, 300)
-		ref := replay(c, ops, MaxMinFair{})
-		for _, frac := range []float64{0.25, 1} {
-			inc := &IncrementalMaxMin{fallbackFrac: frac}
-			inc.round = start
-			got := replay(c, ops, inc)
-			if d := diffLogs(ref, got); d != "" {
-				t.Fatalf("seed %d frac %v: incremental across the stamp wrap diverges from maxmin: %s", seed, frac, d)
-			}
-			if inc.round <= 0 || inc.round >= start {
-				t.Fatalf("seed %d frac %v: round counter ended at %d: the stamps never wrapped", seed, frac, inc.round)
-			}
-			if gotInc, _ := inc.Rounds(); gotInc == 0 {
-				t.Fatalf("seed %d frac %v: incremental path never ran: wrap test is vacuous", seed, frac)
-			}
-		}
-	}
-}
-
 // FuzzIncrementalMatchesMaxMinFair replays a generated script (seed, op
-// count, rack count) on IncrementalMaxMin, with a fallback fraction of 0,
-// 0.25 or 1, and on the MaxMinFair oracle, and requires bit-identical
-// logs: rates, completions, per-link bytes and accounting. Plain go test
-// runs the seed corpus.
+// count, rack count) on IncrementalMaxMin, emptying its table never,
+// every call or every third call (fracSel), and on the MaxMinFair oracle,
+// and requires bit-identical logs: rates, completions, per-link bytes and
+// accounting. Plain go test runs the seed corpus.
 func FuzzIncrementalMatchesMaxMinFair(f *testing.F) {
 	f.Add(int64(1), uint16(300), uint8(4), uint8(0))
 	f.Add(int64(2), uint16(300), uint8(4), uint8(1))
@@ -269,12 +139,12 @@ func FuzzIncrementalMatchesMaxMinFair(f *testing.F) {
 			NICBandwidth:     10 * gbps,
 			Oversubscription: 5,
 		})
-		frac := []float64{0, 0.25, 1}[fracSel%3]
+		k := []int{0, 1, 3}[fracSel%3]
 		ops := genScript(rand.New(rand.NewSource(seed)), c, int(nOps%500))
 		ref := replay(c, ops, MaxMinFair{})
-		got := replay(c, ops, &IncrementalMaxMin{fallbackFrac: frac})
+		got := replay(c, ops, &coldEvery{k: k})
 		if d := diffLogs(ref, got); d != "" {
-			t.Fatalf("frac %v: incremental diverges from maxmin: %s", frac, d)
+			t.Fatalf("cold every %d calls: incremental diverges from maxmin: %s", k, d)
 		}
 	})
 }
@@ -353,9 +223,10 @@ func TestFlowPoolingRecyclesObjects(t *testing.T) {
 }
 
 // TestIncrementalAllocateSteadyStateZeroAlloc pins the zero-alloc
-// contract for the incremental path: once cache and scratch are warm,
-// recomputes — diff, clean-component reuse and cache refresh included —
-// allocate nothing.
+// contract under churn: once the table and scratch are warm, calls in
+// which a group appears (merging two components), a group vanishes
+// (splitting them again) and the other components keep their rates
+// allocate nothing — merge, relabel and fill included.
 func TestIncrementalAllocateSteadyStateZeroAlloc(t *testing.T) {
 	c := topology.MustNew(topology.Config{
 		Racks:            4,
@@ -366,25 +237,289 @@ func TestIncrementalAllocateSteadyStateZeroAlloc(t *testing.T) {
 	})
 	sim := des.New()
 	n := New(sim, c, NewIncrementalMaxMin())
-	for dst := 0; dst < 20; dst++ {
-		for src := 0; src < 20; src++ {
-			if src != dst {
-				n.Start(src, dst, 100*gbps, 0, 0, nil)
+	// All-pairs traffic inside each rack: one component per rack.
+	for r := 0; r < 4; r++ {
+		for a := 5 * r; a < 5*r+5; a++ {
+			for b := 5 * r; b < 5*r+5; b++ {
+				if a != b {
+					n.Start(a, b, 100*gbps, 0, 0, nil)
+				}
 			}
 		}
 	}
+	n.Start(0, 5, 100*gbps, 0, 0, nil) // cross-rack: bridges racks 0 and 1
 	for sim.Step() && n.ActiveFlows() == 0 {
 	}
+	withBridge := append([]*Flow(nil), n.flows...)
+	base := withBridge[:len(withBridge)-1]
 	inc := NewIncrementalMaxMin()
-	inc.Allocate(n.flows, n.caps, n.scratch) // cold full pass, grows scratch
-	inc.Allocate(n.flows, n.caps, n.scratch) // first diff, grows compDirty
-	avg := testing.AllocsPerRun(100, func() {
-		inc.Allocate(n.flows, n.caps, n.scratch)
+	for i := 0; i < 3; i++ { // grow every slice the cycle needs
+		inc.Allocate(base, n.caps, n.scratch)
+		inc.Allocate(withBridge, n.caps, n.scratch)
+	}
+	inc.Allocate(base, n.caps, n.scratch)
+	inc0, full0 := inc.Rounds()
+	const runs = 100
+	avg := testing.AllocsPerRun(runs, func() {
+		inc.Allocate(withBridge, n.caps, n.scratch) // bridge appears
+		inc.Allocate(base, n.caps, n.scratch)       // bridge vanishes
 	})
 	if avg != 0 {
-		t.Fatalf("steady-state Allocate performs %.1f allocations per call, want 0", avg)
+		t.Fatalf("Allocate under churn performs %.1f allocations per appear/vanish cycle, want 0", avg)
 	}
-	if gotInc, _ := inc.Rounds(); gotInc == 0 {
-		t.Fatal("incremental path never ran: zero-alloc test is vacuous")
+	// AllocsPerRun adds one warm-up run to the measured ones.
+	if gotInc, gotFull := inc.Rounds(); gotInc-inc0 != 2*(runs+1) || gotFull != full0 {
+		t.Fatalf("churn rounds (inc +%d, full +%d), want every one incremental: racks 2 and 3 keep their rates",
+			gotInc-inc0, gotFull-full0)
+	}
+	assertSameAsFresh(t, "after churn", base, n.caps)
+}
+
+// tableMatchesFlows checks the allocator's persistent table against the
+// flows it last allocated: every link's base count is the number of flows
+// crossing it, and two used links share a component label exactly when
+// the flows connect them (by union-find over the flows' paths). It returns
+// the number of components.
+func tableMatchesFlows(t *testing.T, inc *IncrementalMaxMin, flows []*Flow, nLinks int) int {
+	t.Helper()
+	parent := make([]int, nLinks)
+	for i := range parent {
+		parent[i] = i
+	}
+	find := func(x int) int {
+		for parent[x] != x {
+			x = parent[x]
+		}
+		return x
+	}
+	count := make([]int, nLinks)
+	for _, f := range flows {
+		r0 := find(int(f.path[0]))
+		for _, l := range f.path {
+			count[l]++
+			if r := find(int(l)); r != r0 {
+				parent[r] = r0
+			}
+		}
+	}
+	labelOfRoot := map[int]int32{}
+	rootOfLabel := map[int32]int{}
+	for l := 0; l < nLinks; l++ {
+		if int(inc.base[l]) != count[l] {
+			t.Fatalf("link %d: base count %d, %d flows cross it", l, inc.base[l], count[l])
+		}
+		c := inc.compOf[l]
+		if count[l] == 0 {
+			if c != -1 {
+				t.Fatalf("unused link %d labelled %d", l, c)
+			}
+			continue
+		}
+		if c < 0 || !inc.comps[c].inUse {
+			t.Fatalf("used link %d has label %d, not a live component", l, c)
+		}
+		r := find(l)
+		if lc, ok := labelOfRoot[r]; ok && lc != c {
+			t.Fatalf("link %d: label %d, a connected link has %d", l, c, lc)
+		}
+		if lr, ok := rootOfLabel[c]; ok && lr != r {
+			t.Fatalf("link %d: label %d is shared with an unconnected link", l, c)
+		}
+		labelOfRoot[r], rootOfLabel[c] = c, r
+	}
+	live := 0
+	for c := range inc.comps {
+		if inc.comps[c].inUse {
+			live++
+		}
+	}
+	if live != len(labelOfRoot) {
+		t.Fatalf("%d live components, the flows form %d", live, len(labelOfRoot))
+	}
+	return live
+}
+
+// TestIncrementalLocalRelabel drives the persistent table through a
+// seeded stream in which bridging paths between otherwise separate
+// islands repeatedly appear (merging components) and vanish (splitting
+// them), mixed with member-count changes and capacity changes. Every
+// round must match a cold pass and MaxMinFair by Float64bits, and the
+// table must describe the flows' true components. Anti-vacuity: some
+// rounds that relabelled still kept other components' rates, and both
+// merges and splits happened.
+func TestIncrementalLocalRelabel(t *testing.T) {
+	const islands = 8 // island k owns links 2k and 2k+1
+	const nLinks = 2 * islands
+	var paths [][]topology.LinkID
+	for k := 0; k < islands; k++ {
+		paths = append(paths,
+			[]topology.LinkID{topology.LinkID(2 * k)},
+			[]topology.LinkID{topology.LinkID(2 * k), topology.LinkID(2*k + 1)})
+	}
+	firstBridge := len(paths)
+	for k := 0; k+1 < islands; k++ { // bridge k joins islands k and k+1
+		paths = append(paths, []topology.LinkID{topology.LinkID(2*k + 1), topology.LinkID(2*k + 2)})
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		caps := make([]float64, nLinks)
+		for l := range caps {
+			caps[l] = float64(1+rng.Intn(7)) * gbps
+		}
+		scratch := make([]float64, nLinks)
+		var flows []*Flow
+		nextID := int64(1)
+		add := func(p int) {
+			flows = append(flows, incFlow(nextID, int32(p+1), paths[p]))
+			nextID++
+		}
+		removeAll := func(p int) {
+			flows = slices.DeleteFunc(flows, func(f *Flow) bool { return f.pathID == int32(p+1) })
+		}
+		for p := 0; p < firstBridge; p++ {
+			add(p)
+		}
+		inc := NewIncrementalMaxMin()
+		inc.Allocate(flows, caps, scratch)
+		comps := tableMatchesFlows(t, inc, flows, nLinks)
+		merges, splits, keptWhileRelabel := 0, 0, 0
+		for round := 0; round < 300; round++ {
+			bridge := -1
+			switch r := rng.Float64(); {
+			case r < 0.45:
+				bridge = firstBridge + rng.Intn(islands-1)
+				if slices.ContainsFunc(flows, func(f *Flow) bool { return f.pathID == int32(bridge+1) }) {
+					removeAll(bridge)
+				} else {
+					for i := 1 + rng.Intn(2); i > 0; i-- {
+						add(bridge)
+					}
+				}
+			case r < 0.7:
+				add(rng.Intn(firstBridge))
+			case r < 0.85:
+				if i := rng.Intn(len(flows)); flows[i].pathID <= int32(firstBridge) {
+					flows = slices.Delete(flows, i, i+1)
+				}
+			case r < 0.92:
+				caps[rng.Intn(nLinks)] = float64(rng.Intn(4)) * gbps
+			}
+			inc0, _ := inc.Rounds()
+			inc.Allocate(flows, caps, scratch)
+			label := fmt.Sprintf("seed %d round %d", seed, round)
+			assertSameAsFresh(t, label, flows, caps)
+			now := tableMatchesFlows(t, inc, flows, nLinks)
+			if bridge >= 0 {
+				switch {
+				case now < comps:
+					merges++
+				case now > comps:
+					splits++
+				}
+				if inc1, _ := inc.Rounds(); inc1 > inc0 && now != comps {
+					keptWhileRelabel++
+				}
+			}
+			comps = now
+		}
+		if merges == 0 || splits == 0 || keptWhileRelabel == 0 {
+			t.Fatalf("seed %d: %d merges, %d splits, %d relabelling rounds that kept clean components: test is vacuous",
+				seed, merges, splits, keptWhileRelabel)
+		}
+	}
+}
+
+// orderCheck wraps a policy and fails the test the first time a Network
+// passes flows out of strictly increasing ID order, or a flow ID shows up
+// with another path than before.
+type orderCheck struct {
+	Policy
+	t     *testing.T
+	path  map[int64]int32
+	calls int
+}
+
+func (p *orderCheck) Allocate(flows []*Flow, caps []float64, scratch []float64) {
+	p.calls++
+	for i, f := range flows {
+		if i > 0 && f.ID <= flows[i-1].ID {
+			p.t.Fatalf("call %d: flow %d at position %d follows flow %d", p.calls, f.ID, i, flows[i-1].ID)
+		}
+		if id, ok := p.path[f.ID]; ok && id != f.pathID {
+			p.t.Fatalf("call %d: flow %d moved from path %d to %d", p.calls, f.ID, id, f.pathID)
+		}
+		p.path[f.ID] = f.pathID
+	}
+	p.Policy.Allocate(flows, caps, scratch)
+}
+
+// TestNetworkPassesFlowsInIDOrder checks the Policy flow-order contract
+// from the Network's side, across starts, cancels, flows started from
+// done callbacks, flow pooling and link faults.
+func TestNetworkPassesFlowsInIDOrder(t *testing.T) {
+	c := topology.MustNew(topology.Config{
+		Racks:            4,
+		MachinesPerRack:  5,
+		SlotsPerMachine:  2,
+		NICBandwidth:     10 * gbps,
+		Oversubscription: 5,
+	})
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		sim := des.New()
+		p := &orderCheck{Policy: NewIncrementalMaxMin(), t: t, path: map[int64]int32{}}
+		n := New(sim, c, p)
+		n.SetFlowPooling(true)
+		machines := c.Config.Racks * c.Config.MachinesPerRack
+		var live []*Flow // handles still valid under pooling
+		seen := map[*Flow]bool{}
+		reused, chained, cancels := 0, 0, 0
+		var start func(depth int)
+		start = func(depth int) {
+			src, dst := rng.Intn(machines), rng.Intn(machines)
+			var f *Flow
+			f = n.Start(src, dst, rng.Float64()*2*gbps, 0, 0, func(*Flow) {
+				live = slices.DeleteFunc(live, func(g *Flow) bool { return g == f })
+				if depth < 3 && rng.Intn(2) == 0 {
+					chained++
+					start(depth + 1)
+				}
+			})
+			if src == dst {
+				return // loopback: never pooled, never passed to the policy
+			}
+			if seen[f] {
+				reused++
+			}
+			seen[f] = true
+			live = append(live, f)
+		}
+		for i := 0; i < 200; i++ {
+			sim.At(des.Time(rng.Float64()*3), func() {
+				switch r := rng.Float64(); {
+				case r < 0.7:
+					start(0)
+				case r < 0.85:
+					if len(live) > 0 {
+						k := rng.Intn(len(live))
+						n.Cancel(live[k])
+						live = slices.Delete(live, k, k+1)
+						cancels++
+					}
+				default:
+					n.SetLinkCapacityFactor(topology.LinkID(rng.Intn(c.NumLinks())), []float64{0, 0.5, 1}[rng.Intn(3)])
+				}
+			})
+		}
+		sim.At(4, func() {
+			for l := 0; l < c.NumLinks(); l++ {
+				n.SetLinkCapacityFactor(topology.LinkID(l), 1)
+			}
+		})
+		sim.Run()
+		if p.calls == 0 || reused == 0 || chained == 0 || cancels == 0 {
+			t.Fatalf("seed %d: %d calls, %d pooled reuses, %d chained starts, %d cancels: test is vacuous",
+				seed, p.calls, reused, chained, cancels)
+		}
 	}
 }

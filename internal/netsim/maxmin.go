@@ -65,7 +65,7 @@ func maxMinFill(flows []*Flow, remaining []float64, base func(*Flow) float64) {
 			if cnt == 0 {
 				continue
 			}
-			remaining[l] -= delta * float64(cnt)
+			remaining[l] -= float64(delta * float64(cnt)) // no fused multiply-subtract
 			if remaining[l] < 0 {
 				remaining[l] = 0 // numerical dust
 			}

@@ -68,6 +68,14 @@ func (f *Flow) Rate() float64 { return f.rate }
 // Policy allocates rates to the active flows. Implementations must fill
 // f.rate for every flow, never exceed any link capacity in aggregate, and
 // never assign a negative rate.
+//
+// Flow order contract: a Network passes its flows in strictly increasing
+// ID order on every call (it appends new flows with the next ID and drops
+// finished ones in place), and a flow ID keeps one path for the flow's
+// life, even when the Flow object is pooled and reused under a new ID. A
+// policy may therefore keep state between calls keyed on IDs:
+// IncrementalMaxMin merges each call's list with the previous one to find
+// the flows that started or ended, and panics when the order is broken.
 type Policy interface {
 	// Allocate assigns rates to flows. caps[linkID] is each link's
 	// capacity; scratch is a reusable buffer of the same length holding
@@ -293,7 +301,9 @@ func (n *Network) internPath(path []topology.LinkID) int32 {
 }
 
 // NumPaths returns how many distinct link paths the network has seen — the
-// upper bound on IncrementalMaxMin's equivalence-class count.
+// upper bound on IncrementalMaxMin's equivalence-class count and on the
+// highest index of its per-pathID group table, which it keeps between
+// calls.
 func (n *Network) NumPaths() int { return int(n.numPaths) }
 
 // Cancel aborts an in-flight flow: its bandwidth is released at the next
@@ -365,7 +375,10 @@ func (n *Network) recompute() {
 	w := 0
 	for _, f := range n.flows {
 		if dt > 0 {
-			moved := f.rate * dt
+			// The conversion rounds the product on its own, so neither
+			// the charge nor the clamp below fuses with it into a
+			// multiply-add on any architecture.
+			moved := float64(f.rate * dt)
 			f.remaining -= moved
 			if f.remaining < 0 {
 				moved += f.remaining // clamp the overshoot
@@ -506,7 +519,7 @@ func (n *Network) AuditFeasibility(slack float64) error {
 		}
 	}
 	for l, sum := range load {
-		if sum > n.caps[l]*(1+slack)+absEps {
+		if sum > float64(n.caps[l]*(1+slack))+absEps { // no fused multiply-add
 			return fmt.Errorf("netsim audit: link %d carries %g B/s, capacity %g", l, sum, n.caps[l])
 		}
 	}

@@ -36,24 +36,30 @@ fmt-check:
 		exit 1; \
 	fi
 
-# No fused multiply-adds in internal/netsim: the Go spec lets arm64 (and
-# ppc64le, s390x) fuse x*y + z, which rounds once where amd64 rounds twice
-# and so changes rates and byte counts. An explicit float64(...) around
-# the product prevents the fusion. This compiles the package for arm64,
-# reads its assembly and fails on any FMADD/FMSUB/FNMADD/FNMSUB; it also
-# fails if no assembly came out at all, so an empty listing cannot pass.
+# No fused multiply-adds in the simulation packages: the Go spec lets arm64
+# (and ppc64le, s390x) fuse x*y + z, which rounds once where amd64 rounds
+# twice and so changes rates, byte counts and times. An explicit
+# float64(...) around the product prevents the fusion. This compiles each
+# package below for arm64, reads its assembly and fails on any
+# FMADD/FMSUB/FNMADD/FNMSUB; it also fails if a package yields no assembly
+# at all, so an empty listing cannot pass.
+FMA_PKGS = des dfs invariants job model netsim planner runtime snapshot topology trace
+
 fma-check:
-	@asm="$$(GOARCH=arm64 $(GO) build -gcflags='corral/internal/netsim=-S' ./internal/netsim 2>&1)" || { echo "$$asm" >&2; exit 1; }; \
-	if ! printf '%s\n' "$$asm" | grep -q 'TEXT.*corral/internal/netsim'; then \
-		echo "fma-check: no assembly listing for internal/netsim" >&2; \
-		exit 1; \
-	fi; \
-	fused="$$(printf '%s\n' "$$asm" | grep -E '[[:space:]]F(N?)M(ADD|SUB)[SD][[:space:]]' || true)"; \
-	if [ -n "$$fused" ]; then \
-		echo "fma-check: fused multiply-adds in internal/netsim (arm64):" >&2; \
-		echo "$$fused" >&2; \
-		exit 1; \
-	fi
+	@for p in $(FMA_PKGS); do \
+		pkg=corral/internal/$$p; \
+		asm="$$(GOARCH=arm64 $(GO) build -gcflags="$$pkg=-S" ./internal/$$p 2>&1)" || { echo "$$asm" >&2; exit 1; }; \
+		if ! printf '%s\n' "$$asm" | grep -q "TEXT.*$$pkg"; then \
+			echo "fma-check: no assembly listing for internal/$$p" >&2; \
+			exit 1; \
+		fi; \
+		fused="$$(printf '%s\n' "$$asm" | grep -E '[[:space:]]F(N?)M(ADD|SUB)[SD][[:space:]]' || true)"; \
+		if [ -n "$$fused" ]; then \
+			echo "fma-check: fused multiply-adds in internal/$$p (arm64):" >&2; \
+			echo "$$fused" >&2; \
+			exit 1; \
+		fi; \
+	done
 
 # go test ./... includes TestReportGolden, the reproduction gate: every
 # registry experiment's report values at size s, seed 1, bit for bit

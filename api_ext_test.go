@@ -81,7 +81,7 @@ func TestStragglersAndSpeculationViaAPI(t *testing.T) {
 	cluster := smallCluster()
 	base := corral.SimConfig{
 		Cluster: cluster, Scheduler: corral.SchedulerYarnCS, Seed: 44,
-		StragglerFraction: 0.3, StragglerSlowdown: 15,
+		StragglerFraction: 0.3,
 	}
 	slow, err := corral.Simulate(base, smallWorkload(44))
 	if err != nil {

@@ -340,10 +340,10 @@ func validateFlagCombos(exp, snapshotAt, snapshotOut, resume, machines string, o
 	if snapshotOut != "" && snapshotAt == "" {
 		return fmt.Errorf("-snapshot-out requires -snapshot-at")
 	}
-	if ov.plannerBudget < 0 {
+	if !(ov.plannerBudget >= 0) {
 		return fmt.Errorf("-planner-budget must be non-negative (simulated seconds; 0 = default)")
 	}
-	if ov.replanWindow < 0 {
+	if !(ov.replanWindow >= 0) {
 		return fmt.Errorf("-replan-window must be non-negative (simulated seconds; 0 = default)")
 	}
 	if ov.admissionLimit < 0 {
@@ -379,7 +379,7 @@ func parseTarget(s string) (corral.CheckpointTarget, error) {
 		return corral.CheckpointTarget{EventIndex: n}, nil
 	case strings.HasPrefix(s, "t:"):
 		v, err := strconv.ParseFloat(s[len("t:"):], 64)
-		if err != nil || v < 0 {
+		if err != nil || !(v >= 0) {
 			return corral.CheckpointTarget{}, fmt.Errorf("bad -snapshot-at %q: want a non-negative time in seconds", s)
 		}
 		return corral.CheckpointTarget{SimTime: v}, nil

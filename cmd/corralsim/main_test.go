@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -31,6 +32,10 @@ func TestValidateFlagCombos(t *testing.T) {
 		{name: "negative budget", exp: "overload", ov: overloadFlags{plannerBudget: -1},
 			wantErr: "-planner-budget must be non-negative"},
 		{name: "negative window", exp: "overload", ov: overloadFlags{replanWindow: -0.1},
+			wantErr: "-replan-window must be non-negative"},
+		{name: "NaN budget", exp: "overload", ov: overloadFlags{plannerBudget: math.NaN()},
+			wantErr: "-planner-budget must be non-negative"},
+		{name: "NaN window", ov: overloadFlags{arrivalRates: "4", replanWindow: math.NaN()},
 			wantErr: "-replan-window must be non-negative"},
 		{name: "negative limit", exp: "overload", ov: overloadFlags{admissionLimit: -2},
 			wantErr: "-admission-limit must be non-negative"},
@@ -146,6 +151,7 @@ func TestParseTarget(t *testing.T) {
 		{in: "ev:0", wantErr: true},
 		{in: "0", wantErr: true},
 		{in: "t:-1", wantErr: true},
+		{in: "t:nan", wantErr: true},
 		{in: "ev:abc", wantErr: true},
 		{in: "whenever", wantErr: true},
 		{in: "", wantErr: true},

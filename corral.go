@@ -215,16 +215,9 @@ type CheckpointTarget = runtime.CheckpointTarget
 // snapshot deliberately excludes.
 type ResumeOptions = runtime.ResumeOptions
 
-// SimulateWithSnapshots runs like Simulate but captures a snapshot at each
-// target, passing it to fn between event firings; fn returning false
-// stops the simulation immediately. Targets the run never reaches make
-// the result come back with an error naming them.
-func SimulateWithSnapshots(cfg SimConfig, jobs []*Job, targets []CheckpointTarget, fn func(*Snapshot) bool) (*Result, error) {
-	return runtime.RunWithSnapshots(cfg, jobs, targets, fn)
-}
-
 // CaptureSnapshot runs the simulation until the target and returns the
-// snapshot captured there, tearing the run down immediately after.
+// snapshot captured there, tearing the run down immediately after. A
+// target the run never reaches is an error naming it.
 func CaptureSnapshot(cfg SimConfig, jobs []*Job, target CheckpointTarget) (*Snapshot, error) {
 	return runtime.CaptureAt(cfg, jobs, target)
 }

@@ -320,7 +320,7 @@ func (s *Store) RackCoV() float64 {
 	variance := 0.0
 	for _, b := range s.view.rackBytes {
 		d := b - mean
-		variance += d * d
+		variance += float64(d * d)
 	}
 	variance /= n
 	return math.Sqrt(variance) / mean

@@ -13,6 +13,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"corral/internal/metrics"
@@ -96,7 +97,13 @@ type ChaosReport struct {
 // time wins live (Fig 8/9) — and the realistic setting for chaos: faults
 // hit an operating cluster, not a one-shot batch. The fault horizon is
 // the clean Corral makespan, so traces stress the whole nominal run.
+// Every intensity must be finite and non-negative.
 func RunChaos(p ChaosParams) (*ChaosReport, error) {
+	for _, x := range p.Intensities {
+		if !(x >= 0) || math.IsInf(x, 1) {
+			return nil, fmt.Errorf("chaos: fault intensity %g must be finite and non-negative", x)
+		}
+	}
 	prof := profileFor(p.Size)
 	topo := prof.topo
 	jobs, err := genOnlineWorkload("W1", prof, p.Seed)
@@ -165,10 +172,6 @@ func RunChaos(p ChaosParams) (*ChaosReport, error) {
 // DefaultChaosIntensities is the bundled sweep: mild to severe.
 var DefaultChaosIntensities = []float64{0.1, 0.3, 0.5}
 
-func avgCompletion(res *runtime.Result) float64 {
-	return res.AvgCompletionTime()
-}
-
 // Chaos is the registry entry: the default sweep rendered as a table of
 // average job completion times and slowdowns relative to the clean run.
 func Chaos(p Params) (*Report, error) {
@@ -183,7 +186,7 @@ func ChaosWithIntensities(p Params, intensities []float64) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	cleanAvg := avgCompletion(rep.Clean)
+	cleanAvg := rep.Clean.AvgCompletionTime()
 	t := &metrics.Table{
 		Title: fmt.Sprintf("online W1, fault horizon %.1fs; avg completion (s) and slowdown vs clean Corral",
 			rep.Horizon),
@@ -193,7 +196,7 @@ func ChaosWithIntensities(p Params, intensities []float64) (*Report, error) {
 	r.set("clean_avg_completion", cleanAvg)
 	r.set("clean_p95_completion", metrics.P95(rep.Clean.CompletionTimes()))
 	for _, run := range rep.Runs {
-		y, d, pl := avgCompletion(run.Yarn), avgCompletion(run.CorralDrop), avgCompletion(run.CorralReplan)
+		y, d, pl := run.Yarn.AvgCompletionTime(), run.CorralDrop.AvgCompletionTime(), run.CorralReplan.AvgCompletionTime()
 		ct := run.CorralReplan.CompletionTimes()
 		// Slowdown is +Inf when the clean baseline completed no jobs
 		// (cleanAvg 0); F renders that as "+Inf", keeping the row valid.

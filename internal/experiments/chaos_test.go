@@ -80,7 +80,7 @@ func TestChaosGracefulDegradation(t *testing.T) {
 	}
 	const eps = 1e-9
 	for _, run := range rep.Runs {
-		y, d, pl := avgCompletion(run.Yarn), avgCompletion(run.CorralDrop), avgCompletion(run.CorralReplan)
+		y, d, pl := run.Yarn.AvgCompletionTime(), run.CorralDrop.AvgCompletionTime(), run.CorralReplan.AvgCompletionTime()
 		if pl > d+eps {
 			t.Errorf("intensity %g: replanning degraded Corral: %.3f > drop-only %.3f",
 				run.Intensity, pl, d)

@@ -139,47 +139,22 @@ func RunFuzz(p FuzzParams) (*FuzzReport, error) {
 	if err := pool.For(p.Traces, func(i int) error {
 		out := &outs[i]
 		traceSeed := p.Seed + int64(i)*7919
-		wrng := rand.New(rand.NewSource(traceSeed))
-		// Randomized workload: a small W1 sample with arrivals spread
-		// over a window the fuzzer also varies.
-		nJobs := 3 + wrng.Intn(5)
-		window := 20 + 60*wrng.Float64()
-		jobs := workload.W1(prof.wcfg(traceSeed, nJobs, window))
-		plan, err := planJobs(topo, jobs, planner.MinimizeAvgCompletion)
+		// Randomized workload and fault trace: the crash-resume scenario,
+		// whose options are the corral-replan configuration.
+		replanOpts, jobs, err := resumeScenario(prof, traceSeed)
 		if err != nil {
-			return fmt.Errorf("fuzz trace %d: plan: %w", i, err)
+			return fmt.Errorf("fuzz trace %d: %w", i, err)
 		}
-		clean, err := runtime.Run(runtime.Options{
-			Cluster: topo, Scheduler: runtime.Corral, Plan: plan, Seed: traceSeed,
-		}, workload.Clone(jobs))
-		if err != nil {
-			return fmt.Errorf("fuzz trace %d: clean run: %w", i, err)
-		}
-		ids := make([]int, len(jobs))
-		for k, j := range jobs {
-			ids[k] = j.ID
-		}
-		tr := genFuzzTrace(prof, traceSeed, clean.Makespan, ids)
-
 		var replanRes *runtime.Result
-		var replanOpts runtime.Options
 		for _, sc := range fuzzSchedulers {
 			mon := invariants.NewMonitor(topo.Machines(), topo.SlotsPerMachine)
-			opts := runtime.Options{
-				Cluster:         topo,
-				Scheduler:       sc.kind,
-				Seed:            traceSeed,
-				Failures:        tr.Failures,
-				LinkFaults:      tr.LinkFaults,
-				ReplanOnFailure: sc.replan,
-				TaskFailureProb: tr.TaskFailureProb,
-				AMFailures:      tr.AMFailures,
-				Corruptions:     tr.Corruptions,
-				Probe:           mon,
+			opts := replanOpts
+			opts.Scheduler = sc.kind
+			opts.ReplanOnFailure = sc.replan
+			if !sc.plan {
+				opts.Plan = nil
 			}
-			if sc.plan {
-				opts.Plan = plan
-			}
+			opts.Probe = mon
 			res, err := runtime.Run(opts, workload.Clone(jobs))
 			out.runs++
 			label := fmt.Sprintf("trace %d (seed %d) %s", i, traceSeed, sc.name)
@@ -196,9 +171,6 @@ func RunFuzz(p FuzzParams) (*FuzzReport, error) {
 			}
 			if sc.replan {
 				replanRes = res
-				o := opts
-				o.Probe = nil
-				replanOpts = o
 			}
 			for k := range res.Jobs {
 				jr := &res.Jobs[k]

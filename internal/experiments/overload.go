@@ -22,6 +22,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 
 	"corral/internal/invariants"
 	"corral/internal/metrics"
@@ -112,11 +113,23 @@ type OverloadReport struct {
 
 // RunOverload runs the overload sweep. The clean rate-1 Corral run fixes
 // the horizon; the same storm trace then replays at every rate so rows
-// differ only in arrival pressure.
+// differ only in arrival pressure. Every rate must be finite and positive,
+// and Budget and Window non-negative (not NaN).
 func RunOverload(p OverloadParams) (*OverloadReport, error) {
 	rates := p.Rates
 	if len(rates) == 0 {
 		rates = DefaultOverloadRates
+	}
+	for _, r := range rates {
+		if !(r > 0) || math.IsInf(r, 1) {
+			return nil, fmt.Errorf("overload: arrival rate %g must be finite and positive", r)
+		}
+	}
+	if !(p.Budget >= 0) {
+		return nil, fmt.Errorf("overload: planner budget %g must be non-negative", p.Budget)
+	}
+	if !(p.Window >= 0) {
+		return nil, fmt.Errorf("overload: replan window %g must be non-negative", p.Window)
 	}
 	prof := profileFor(p.Size)
 	topo := prof.topo

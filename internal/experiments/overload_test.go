@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"testing"
 
@@ -176,6 +177,34 @@ func TestOverloadResumeEquivalence(t *testing.T) {
 		}
 		if !bytes.Equal(buf.Bytes(), baseTrace) {
 			t.Fatalf("resume from event %d: trace export differs (%d vs %d bytes)", idx, buf.Len(), len(baseTrace))
+		}
+	}
+}
+
+// TestSweepsRejectInvalidValues: a sweep value outside its domain is an
+// error before any simulation runs. A zero or negative arrival rate used
+// to panic in the simulator, a NaN one to hang, and NaN or infinite chaos
+// intensities, NaN budgets and NaN windows to run as if they were valid.
+func TestSweepsRejectInvalidValues(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, p := range []OverloadParams{
+		{Rates: []float64{0}},
+		{Rates: []float64{1, -1}},
+		{Rates: []float64{nan}},
+		{Rates: []float64{inf}},
+		{Budget: nan},
+		{Budget: -1},
+		{Window: nan},
+		{Window: -0.5},
+	} {
+		p.Size, p.Seed = SizeS, 1
+		if _, err := RunOverload(p); err == nil {
+			t.Errorf("RunOverload(rates %v, budget %g, window %g): no error", p.Rates, p.Budget, p.Window)
+		}
+	}
+	for _, x := range []float64{-0.5, nan, inf, math.Inf(-1)} {
+		if _, err := RunChaos(ChaosParams{Size: SizeS, Seed: 1, Intensities: []float64{0.1, x}}); err == nil {
+			t.Errorf("RunChaos(intensity %g): no error", x)
 		}
 	}
 }

@@ -30,15 +30,14 @@ import (
 	"corral/internal/workload"
 )
 
-// DefaultResumePoints is how many mid-flight snapshot points each seed is
+// resumePoints is how many mid-flight snapshot points each seed is
 // checked at.
-const DefaultResumePoints = 3
+const resumePoints = 3
 
 // ResumeParams configures a crash-resume equivalence sweep.
 type ResumeParams struct {
-	Size   Size
-	Seed   int64
-	Points int // snapshot points; <=0 selects DefaultResumePoints
+	Size Size
+	Seed int64
 }
 
 // ResumePoint is one snapshot-and-resume check.
@@ -71,10 +70,12 @@ func (r *ResumeReport) Mismatches() []string {
 	return out
 }
 
-// resumeScenario builds the fault-heavy run the harness snapshots: the
+// resumeScenario builds the fault-heavy run the harness snapshots: a
+// small W1 sample with arrivals over a randomized window, under the
 // corral-replan fuzz configuration (plan + failure-triggered replanning +
 // machine/link/AM/corruption faults + task crashes), which touches every
-// state category a snapshot must carry.
+// state category a snapshot must carry. RunFuzz derives its three
+// scheduler configurations from the same options.
 func resumeScenario(prof profile, seed int64) (runtime.Options, []*job.Job, error) {
 	topo := prof.topo
 	wrng := rand.New(rand.NewSource(seed))
@@ -166,9 +167,6 @@ func tracedBaseline(opts runtime.Options, jobs []*job.Job, label string) (*runti
 // error; equivalence violations are reported as mismatched points so the
 // caller can render and persist them.
 func RunResumeEquivalence(p ResumeParams) (*ResumeReport, error) {
-	if p.Points <= 0 {
-		p.Points = DefaultResumePoints
-	}
 	prof := profileFor(p.Size)
 	opts, jobs, err := resumeScenario(prof, p.Seed)
 	if err != nil {
@@ -182,17 +180,17 @@ func RunResumeEquivalence(p ResumeParams) (*ResumeReport, error) {
 	if base.Events < 10 {
 		return nil, fmt.Errorf("resume seed %d: baseline fired only %d events", p.Seed, base.Events)
 	}
-	rep := &ResumeReport{Seed: p.Seed, Events: base.Events, Points: make([]ResumePoint, p.Points)}
+	rep := &ResumeReport{Seed: p.Seed, Events: base.Events, Points: make([]ResumePoint, resumePoints)}
 	// Random mid-flight indices, drawn from their own stream so point k is
 	// independent of the point count.
 	prng := rand.New(rand.NewSource(p.Seed ^ 0x5eed))
-	indices := make([]uint64, p.Points)
+	indices := make([]uint64, resumePoints)
 	for i := range indices {
 		indices[i] = 1 + uint64(prng.Int63n(int64(base.Events-1)))
 	}
 	// Each point is an independent capture + resume: fan out over the
 	// sweep worker pool and collect in point order (see internal/pool).
-	if err := pool.For(p.Points, func(i int) error {
+	if err := pool.For(resumePoints, func(i int) error {
 		pt := &rep.Points[i]
 		pt.EventIndex = indices[i]
 		c := trace.NewCollector()
@@ -245,7 +243,7 @@ func ScenarioSnapshot(size Size, seed int64, target runtime.CheckpointTarget) (*
 var DefaultResumeSeeds = []int64{1, 42}
 
 // Resume is the registry entry: the crash-resume equivalence sweep over
-// the default seeds, DefaultResumePoints random mid-flight snapshot points
+// the default seeds, resumePoints random mid-flight snapshot points
 // each. Any mismatch surfaces in the report; the CI gate fails on it.
 func Resume(p Params) (*Report, error) {
 	r := newReport("resume: crash-resume equivalence of snapshotted runs")
@@ -256,8 +254,7 @@ func Resume(p Params) (*Report, error) {
 	mismatches := 0
 	points := 0
 	for _, seed := range DefaultResumeSeeds {
-		rp := ResumeParams{Size: p.Size, Seed: p.Seed + seed, Points: DefaultResumePoints}
-		rep, err := RunResumeEquivalence(rp)
+		rep, err := RunResumeEquivalence(ResumeParams{Size: p.Size, Seed: p.Seed + seed})
 		if err != nil {
 			return nil, err
 		}

@@ -27,7 +27,7 @@ func resumeSweep(t *testing.T, seed int64, workers int) *ResumeReport {
 	t.Helper()
 	pool.SetWorkers(workers)
 	defer pool.SetWorkers(0)
-	rep, err := RunResumeEquivalence(ResumeParams{Size: SizeS, Seed: seed, Points: 3})
+	rep, err := RunResumeEquivalence(ResumeParams{Size: SizeS, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}

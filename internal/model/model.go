@@ -36,15 +36,6 @@ type Cluster struct {
 	SlotsPerMachine  int     // s: simultaneous tasks per machine
 	NICBandwidth     float64 // B, bytes/sec
 	Oversubscription float64 // V (> 1 for an oversubscribed core)
-
-	// OutputReplicas models the replicated DFS write of terminal-stage
-	// outputs: with ρ ≥ 2 replicas, one copy of each reduce task's output
-	// crosses the core, which adds w_reduce·(D^O/N^R)/(B/V) to the reduce
-	// latency. The paper's §4.3 model omits writes; this extension keeps
-	// the planner's estimates consistent with an HDFS-like execution layer
-	// (see DESIGN.md). Zero selects 3 (the HDFS default); 1 disables the
-	// term (no remote copies).
-	OutputReplicas int
 }
 
 // FromTopology extracts model parameters from a topology config.
@@ -80,15 +71,14 @@ func (c Cluster) ReduceLatency(p job.Profile, r int) float64 {
 }
 
 // WriteLatency returns the replicated-output-write extension for terminal
-// stages: each reduce task pushes one copy of its output across the core
-// at the machine's core share B/V (the in-rack forwarding copy overlaps
-// and is not the bottleneck). Zero when OutputReplicas <= 1.
+// stages. The paper's §4.3 model omits writes; this term keeps the
+// planner's estimates consistent with an HDFS-like execution layer (see
+// DESIGN.md). Outputs are written with HDFS's 3 replicas, so each reduce
+// task pushes one copy of its output across the core at the machine's
+// core share B/V (the in-rack forwarding copy overlaps and is not the
+// bottleneck), adding w_reduce·(D^O/N^R)/(B/V) to the reduce latency.
 func (c Cluster) WriteLatency(p job.Profile, r int) float64 {
-	replicas := c.OutputReplicas
-	if replicas == 0 {
-		replicas = 3
-	}
-	if replicas <= 1 || p.ReduceTasks == 0 || p.OutputBytes <= 0 {
+	if p.ReduceTasks == 0 || p.OutputBytes <= 0 {
 		return 0
 	}
 	perTask := p.OutputBytes / float64(p.ReduceTasks)

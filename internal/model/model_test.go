@@ -178,12 +178,6 @@ func TestWriteLatency(t *testing.T) {
 	if got := c.WriteLatency(p, 1); math.Abs(got-want) > 1e-9 {
 		t.Fatalf("WriteLatency = %g, want %g", got, want)
 	}
-	// Disabled with replication 1.
-	c.OutputReplicas = 1
-	if got := c.WriteLatency(p, 1); got != 0 {
-		t.Fatalf("WriteLatency with 1 replica = %g, want 0", got)
-	}
-	c.OutputReplicas = 0
 	pm := p
 	pm.ReduceTasks = 0
 	if got := c.WriteLatency(pm, 1); got != 0 {

@@ -123,11 +123,6 @@ type Network struct {
 	completionEv *des.Event
 	recomputeEv  *des.Event
 
-	// LoopbackRate is the transfer rate for src==dst "flows" (data that
-	// never touches the network, e.g. a local disk read). Defaults to
-	// effectively instantaneous.
-	LoopbackRate float64
-
 	// OnAllocate, if set, runs after every rate recomputation — the hook
 	// the invariant monitor uses to audit each allocation the moment it is
 	// made (AuditFeasibility). It observes state only; it must not start,
@@ -176,9 +171,8 @@ func New(sim *des.Simulator, cluster *topology.Cluster, policy Policy) *Network 
 		pathIDs:   make(map[string]int32),
 		pathsByID: [][]topology.LinkID{nil}, // index 0: the un-interned id
 
-		LoopbackRate: 1e12, // ~instantaneous local copy
-		crossByJob:   make(map[int]float64),
-		linkBytes:    make([]float64, len(links)),
+		crossByJob: make(map[int]float64),
+		linkBytes:  make([]float64, len(links)),
 	}
 }
 
@@ -225,7 +219,7 @@ func (n *Network) Start(src, dst int, bytes float64, coflow CoflowID, jobID int,
 // StartPath begins a transfer over an explicit link path. The execution
 // engine uses this for rack-aggregated shuffle transfers whose "source" is
 // a set of machines rather than one NIC. An empty path is a loopback copy
-// at LoopbackRate, outside network sharing.
+// at loopbackRate, outside network sharing.
 func (n *Network) StartPath(path []topology.LinkID, crossRack bool, bytes float64, coflow CoflowID, jobID int, done func(*Flow)) *Flow {
 	return n.startPath(path, crossRack, bytes, coflow, jobID, -1, -1, done)
 }
@@ -261,7 +255,7 @@ func (n *Network) startPath(path []topology.LinkID, crossRack bool, bytes float6
 	}
 	if len(path) == 0 {
 		// Local copy: fixed loopback rate, not subject to network sharing.
-		d := des.Time(bytes / n.LoopbackRate)
+		d := des.Time(bytes / loopbackRate)
 		n.sim.After(d, func() {
 			if f.canceled {
 				return
@@ -351,6 +345,11 @@ func (n *Network) scheduleRecompute() {
 }
 
 const completionEpsilon = 1e-3 // bytes; below this a flow is done
+
+// loopbackRate is the transfer rate in bytes/sec of src==dst "flows"
+// (data that never touches the network, e.g. a local disk read): an
+// effectively instantaneous local copy.
+const loopbackRate = 1e12
 
 // recompute advances flows, completes finished ones, reallocates rates and
 // schedules the next completion event.

@@ -44,7 +44,7 @@ func CostFull(jobs, racks, stages int) float64 {
 		racks = 1
 	}
 	passes := jobs*(racks-1) + 1
-	return costBase + costEval*float64(passes)*float64(jobs+racks) + costStage*float64(stages)
+	return costBase + float64(costEval*float64(passes)*float64(jobs+racks)) + float64(costStage*float64(stages))
 }
 
 // CostIncremental returns the simulated latency of a commitments-only
@@ -56,5 +56,5 @@ func CostIncremental(jobs, racks, stages int) float64 {
 	if racks < 1 {
 		racks = 1
 	}
-	return costBase/5 + costEval*float64(jobs+racks) + costStage*float64(stages)
+	return costBase/5 + float64(costEval*float64(jobs+racks)) + float64(costStage*float64(stages))
 }

@@ -70,11 +70,9 @@ type Input struct {
 	Objective Objective
 	// Trace, if set, receives plan_start/plan_assign/plan_done events for
 	// this invocation. When nil, New and Replan ask the process-wide trace
-	// collector for a run tracer (nil again keeps tracing disabled).
-	// TraceTime stamps the events: 0 for offline planning, the current
-	// simulated time for failure-triggered replans.
-	Trace     *trace.Tracer
-	TraceTime float64
+	// collector for a run tracer (nil again keeps tracing disabled). New
+	// stamps the events at time 0, Replan at its now argument.
+	Trace *trace.Tracer
 }
 
 // tracer resolves the invocation's tracer: the explicit Input.Trace, else
@@ -139,15 +137,17 @@ func New(in Input) (*Plan, error) {
 	if in.Cluster.Racks <= 0 {
 		return nil, fmt.Errorf("planner: cluster has %d racks", in.Cluster.Racks)
 	}
-	return planTwoPhase(in, in.TraceTime, nil)
+	return planTwoPhase(in, 0, nil, nil)
 }
 
-// planTwoPhase is the shared core behind New, Replan and the public
-// wrappers: validate, provision, run the final prioritization,
-// materialize. initF seeds per-rack availability
-// times (Replan commitments); nil means every rack free at time zero. now
-// stamps trace events.
-func planTwoPhase(in Input, now float64, initF []float64) (*Plan, error) {
+// planTwoPhase is the shared core behind New, Replan, ReplanIncremental
+// and the public wrappers: validate, provision, run the final
+// prioritization, materialize. initF seeds per-rack availability times
+// (Replan commitments); nil means every rack free at time zero. widths,
+// keyed by job ID, fixes each job's rack count in place of provisioning
+// (a job without an entry gets one rack, clamped to the cluster); nil
+// provisions. now stamps trace events.
+func planTwoPhase(in Input, now float64, initF []float64, widths map[int]int) (*Plan, error) {
 	J := len(in.Jobs)
 	plan := &Plan{Assignments: make(map[int]*Assignment, J), Objective: in.Objective}
 	if J == 0 {
@@ -171,8 +171,18 @@ func planTwoPhase(in Input, now float64, initF []float64) (*Plan, error) {
 		resp[i] = in.Cluster.Response(j, alpha)
 	}
 
-	// Provisioning phase: explore the J·(R−1)+1 allocation prefix chain.
-	bestRj := provision(in, resp, initF)
+	// Provisioning phase: explore the J·(R−1)+1 allocation prefix chain,
+	// unless the caller fixed the widths.
+	var bestRj []int
+	if widths == nil {
+		bestRj = provision(in, resp, initF)
+	} else {
+		bestRj = make([]int, J)
+		for i, j := range in.Jobs {
+			// Keyed map reads are deterministic; only range order is not.
+			bestRj[i] = min(max(widths[j.ID], 1), in.Cluster.Racks)
+		}
+	}
 
 	// Materialize the winning schedule with one final prioritization run.
 	sched := newScheduler(in, resp)

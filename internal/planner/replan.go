@@ -16,7 +16,6 @@ import (
 	"sort"
 
 	"corral/internal/job"
-	"corral/internal/model"
 )
 
 // Commitment reserves a set of racks until an expected completion time —
@@ -77,16 +76,7 @@ func clampArrivals(jobs []*job.Job, now float64) []*job.Job {
 // times earlier than now are treated as now; the caller's jobs are never
 // mutated.
 func Replan(in Input, now float64, commitments []Commitment) (*Plan, error) {
-	R := in.Cluster.Racks
-	if R <= 0 {
-		return nil, fmt.Errorf("planner: cluster has %d racks", R)
-	}
-	initF, err := commitmentAvailability(R, now, commitments)
-	if err != nil {
-		return nil, err
-	}
-	in.Jobs = clampArrivals(in.Jobs, now)
-	return planTwoPhase(in, now, initF)
+	return replan(in, now, commitments, nil)
 }
 
 // ReplanIncremental is the budget-constrained middle tier of the fallback
@@ -97,7 +87,15 @@ func Replan(in Input, now float64, commitments []Commitment) (*Plan, error) {
 // CostFull — one pass instead of J·(R−1)+1. Like Replan, it never
 // mutates the caller's jobs.
 func ReplanIncremental(in Input, now float64, commitments []Commitment, widths map[int]int) (*Plan, error) {
-	J := len(in.Jobs)
+	if widths == nil {
+		widths = map[int]int{} // a nil map would select provisioning
+	}
+	return replan(in, now, commitments, widths)
+}
+
+// replan is Replan and ReplanIncremental: planTwoPhase from the
+// commitments' rack availability, with arrivals clamped to now.
+func replan(in Input, now float64, commitments []Commitment, widths map[int]int) (*Plan, error) {
 	R := in.Cluster.Racks
 	if R <= 0 {
 		return nil, fmt.Errorf("planner: cluster has %d racks", R)
@@ -106,55 +104,8 @@ func ReplanIncremental(in Input, now float64, commitments []Commitment, widths m
 	if err != nil {
 		return nil, err
 	}
-
-	plan := &Plan{Assignments: make(map[int]*Assignment, J), Objective: in.Objective}
-	if J == 0 {
-		return plan, nil
-	}
-	// Validate every job before emitting plan_start so a rejected input
-	// cannot leave an unbalanced trace (plan_start with no plan_done).
-	if err := validateJobs(in.Jobs, plan.Assignments); err != nil {
-		return nil, err
-	}
 	in.Jobs = clampArrivals(in.Jobs, now)
-	tr := in.tracer()
-	tr.PlanStart(now, J, in.Objective.String())
-	alpha := in.Alpha
-	if alpha < 0 {
-		alpha = in.Cluster.DefaultAlpha()
-	}
-	resp := make([]model.ResponseFunc, J)
-	rj := make([]int, J)
-	for i, j := range in.Jobs {
-		resp[i] = in.Cluster.Response(j, alpha)
-		// Keyed map reads are deterministic; only range order is not.
-		w := widths[j.ID]
-		if w < 1 {
-			w = 1
-		}
-		if w > R {
-			w = R
-		}
-		rj[i] = w
-	}
-
-	sched := newScheduler(in, resp)
-	sched.initF = initF
-	final := sched.run(rj)
-	for rank, idx := range final.order {
-		j := in.Jobs[idx]
-		plan.Assignments[j.ID] = &Assignment{
-			JobID:      j.ID,
-			Racks:      append([]int(nil), final.racks[idx]...),
-			Start:      final.start[idx],
-			Priority:   rank,
-			EstLatency: resp[idx].At(rj[idx]),
-		}
-	}
-	plan.Makespan = final.makespan
-	plan.AvgCompletion = final.avgCompletion
-	traceAssignments(tr, now, plan)
-	return plan, nil
+	return planTwoPhase(in, now, initF, widths)
 }
 
 // MergePlans overlays a replan onto an existing plan: assignments for jobs

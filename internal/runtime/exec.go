@@ -517,7 +517,6 @@ func (rt *runtime) runReduce(st *stageExec, rT *reduceTask, m int) {
 	}
 
 	write := func() {
-		tk.endCompute()
 		outBytes := p.OutputBytes / float64(p.ReduceTasks)
 		if outBytes <= 0 || !rt.isTerminal(st) || rt.opts.InMemoryInput {
 			finish()

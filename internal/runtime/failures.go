@@ -30,8 +30,8 @@ package runtime
 //
 // Stragglers (§3.3 lists "failures, outliers" as the runtime factors the
 // offline model ignores): with probability StragglerFraction a task's
-// compute phase runs StragglerSlowdown times slower. With speculation
-// enabled, a watchdog fires once the task has run SpeculationThreshold
+// compute phase runs stragglerSlowdown times slower. With speculation
+// enabled, a watchdog fires once the task has run speculationThreshold
 // times its expected duration and relaunches it — modelling the backup
 // copy overtaking the straggler. Each task gets at most one speculative
 // relaunch, and the relaunched attempt runs at nominal speed (the backup
@@ -59,18 +59,17 @@ type (
 
 // runningTask tracks one in-flight task attempt so it can be aborted.
 type runningTask struct {
-	je       *jobExec
-	st       *stageExec
-	mapT     *mapTask    // nil for reduce attempts
-	redT     *reduceTask // nil for map attempts
-	machine  int
-	started  des.Time
-	aborted  bool
-	done     bool
-	noSpec   bool // speculative relaunch: nominal speed, no watchdog
-	watchdog *des.Event
-	events   []*des.Event
-	flows    []*netsim.Flow
+	je      *jobExec
+	st      *stageExec
+	mapT    *mapTask    // nil for reduce attempts
+	redT    *reduceTask // nil for map attempts
+	machine int
+	started des.Time
+	aborted bool
+	done    bool
+	noSpec  bool // speculative relaunch: nominal speed, no watchdog
+	events  []*des.Event
+	flows   []*netsim.Flow
 }
 
 // ident returns the attempt's trace identity (role, task index, attempt).
@@ -329,17 +328,7 @@ func (rt *runtime) failMachine(m int) {
 		if je.allowedRacks == nil || je.done() {
 			continue
 		}
-		total, deadIn := 0, 0
-		for _, r := range je.allowedRacks {
-			lo, hi := rt.cluster.MachinesInRack(r)
-			for mm := lo; mm < hi; mm++ {
-				total++
-				if rt.dead[mm] {
-					deadIn++
-				}
-			}
-		}
-		if deadIn*2 > total {
+		if rt.majorityDead(je.allowedRacks) {
 			je.allowedRacks = nil
 			if je.assignment != nil {
 				replanNeeded = true
@@ -350,6 +339,23 @@ func (rt *runtime) failMachine(m int) {
 		rt.requestReplan()
 	}
 	rt.requestDispatch()
+}
+
+// majorityDead reports whether more than half the machines of a rack set
+// are dead: the §3.1 rule under which Corral drops a job's placement
+// constraints.
+func (rt *runtime) majorityDead(racks []int) bool {
+	total, deadIn := 0, 0
+	for _, r := range racks {
+		lo, hi := rt.cluster.MachinesInRack(r)
+		for m := lo; m < hi; m++ {
+			total++
+			if rt.dead[m] {
+				deadIn++
+			}
+		}
+	}
+	return deadIn*2 > total
 }
 
 // applyLinkFault rescales a rack's uplink and downlink. A full failure
@@ -420,18 +426,20 @@ func validateLinkFaults(faults []LinkFault, racks int) error {
 // time and arms the speculation watchdog if enabled. A speculative
 // relaunch (noSpec) runs at nominal speed with no watchdog — it models the
 // backup copy that overtook the straggler, and caps each task at one
-// speculative relaunch so a StragglerFraction of 1 cannot livelock.
+// speculative relaunch so a StragglerFraction of 1 cannot livelock. The
+// watchdog is due at speculationThreshold × nominal, before the straggling
+// compute ends at stragglerSlowdown × nominal, so it fires unless the
+// attempt is aborted first; it never reaches a reduce's output write.
 func (rt *runtime) computeDuration(tk *runningTask, nominal float64) float64 {
 	if tk.noSpec {
 		return nominal
 	}
 	dur := nominal
 	if rt.opts.StragglerFraction > 0 && rt.rng.Float64() < rt.opts.StragglerFraction {
-		dur *= rt.opts.StragglerSlowdown
+		dur *= stragglerSlowdown
 	}
 	if rt.opts.Speculation && dur > nominal {
-		threshold := rt.opts.SpeculationThreshold
-		watch := des.Time(nominal * threshold)
+		watch := des.Time(nominal * speculationThreshold)
 		ev := rt.sim.After(watch, func() {
 			if tk.aborted {
 				return
@@ -441,21 +449,8 @@ func (rt *runtime) computeDuration(tk *runningTask, nominal float64) float64 {
 			rt.abortSpeculative(tk)
 		})
 		tk.events = append(tk.events, ev)
-		tk.watchdog = ev
 	}
 	return dur
-}
-
-// endCompute cancels the speculation watchdog when the monitored compute
-// phase ends. Straggler slowdown is injected into compute only, and the
-// watchdog threshold is scaled to the compute nominal — letting it run into
-// a reduce's output-write phase would kill healthy attempts whose write is
-// merely contended.
-func (tk *runningTask) endCompute() {
-	if tk.watchdog != nil {
-		tk.watchdog.Cancel()
-		tk.watchdog = nil
-	}
 }
 
 // abortSpeculative kills a straggling attempt and marks its task so the

@@ -86,7 +86,7 @@ func TestStragglersSlowJobsDown(t *testing.T) {
 	clean := mustRun(t, Options{Cluster: topo, BlockSize: 64e6, Seed: 24}, mk())
 	slow := mustRun(t, Options{
 		Cluster: topo, BlockSize: 64e6, Seed: 24,
-		StragglerFraction: 0.5, StragglerSlowdown: 10,
+		StragglerFraction: 0.5,
 	}, mk())
 	if slow.Makespan <= clean.Makespan {
 		t.Fatalf("stragglers did not slow the job: %g vs %g", slow.Makespan, clean.Makespan)
@@ -98,7 +98,7 @@ func TestSpeculationMitigatesStragglers(t *testing.T) {
 	mk := func() []*job.Job { return []*job.Job{shuffleJob(1)} }
 	base := Options{
 		Cluster: topo, BlockSize: 64e6, Seed: 25,
-		StragglerFraction: 0.3, StragglerSlowdown: 20,
+		StragglerFraction: 0.3,
 	}
 	noSpec := mustRun(t, base, mk())
 	withSpec := base

@@ -136,10 +136,10 @@ func (rt *runtime) requestReplan() {
 	if now >= rt.replanWindowEnd {
 		// Opening a fresh window. A full cooldown span of quiet since the
 		// last window decays the escalation back to baseline.
-		if rt.replanCooldown > 1 && now >= rt.replanWindowEnd+w*float64(rt.replanCooldown) {
+		if rt.replanCooldown > 1 && now >= rt.replanWindowEnd+float64(w*float64(rt.replanCooldown)) {
 			rt.replanCooldown = 0
 		}
-		rt.replanWindowEnd = now + w*float64(rt.effectiveCooldown())
+		rt.replanWindowEnd = now + float64(w*float64(rt.effectiveCooldown()))
 		rt.replansInWindow = 0
 	}
 	if rt.replansInWindow < maxReplansPerWindow {
@@ -172,7 +172,7 @@ func (rt *runtime) firePendingReplan() {
 	}
 	rt.replanPending = false
 	now := float64(rt.sim.Now())
-	rt.replanWindowEnd = now + rt.opts.ReplanWindow*float64(rt.effectiveCooldown())
+	rt.replanWindowEnd = now + float64(rt.opts.ReplanWindow*float64(rt.effectiveCooldown()))
 	rt.replansInWindow = 1
 	rt.replanOnFailure()
 }

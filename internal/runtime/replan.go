@@ -79,7 +79,6 @@ func (rt *runtime) replanOnFailure() {
 		return
 	}
 	in.Trace = rt.tr
-	in.TraceTime = now
 
 	budget := rt.opts.PlannerBudget
 	if budget <= 0 {
@@ -172,20 +171,12 @@ func (rt *runtime) adoptReplan(replanJobs []*jobExec, next *planner.Plan) {
 // to: a majority of its machines alive and no rack isolated by a failed
 // uplink.
 func (rt *runtime) racksUsable(racks []int) bool {
-	total, deadIn := 0, 0
 	for _, r := range racks {
 		if rt.rackLinkFactor[r] == 0 {
 			return false
 		}
-		lo, hi := rt.cluster.MachinesInRack(r)
-		for m := lo; m < hi; m++ {
-			total++
-			if rt.dead[m] {
-				deadIn++
-			}
-		}
 	}
-	return deadIn*2 <= total
+	return !rt.majorityDead(racks)
 }
 
 // rackBlockedUntil estimates when rack r becomes (and stays) usable: the

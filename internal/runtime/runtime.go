@@ -124,6 +124,14 @@ const (
 	// maxReplansPerWindow caps immediate replans per replan-storm
 	// suppression window (Options.ReplanWindow).
 	maxReplansPerWindow = 1
+	// stragglerSlowdown is how many times slower a straggling compute
+	// phase runs (the "outliers" of §3.3).
+	stragglerSlowdown = 6.0
+	// speculationThreshold is the multiple of its expected duration a
+	// straggler runs before the speculation watchdog relaunches it. It is
+	// below stragglerSlowdown, so the watchdog of a straggler fires unless
+	// the attempt is aborted first.
+	speculationThreshold = 2.0
 )
 
 // outputReplicas is the replica count of terminal stage outputs: one
@@ -173,15 +181,13 @@ type Options struct {
 	// only dropping the affected job's constraints (replan.go).
 	ReplanOnFailure bool
 	// StragglerFraction is the probability that a task's compute phase is
-	// a straggler, running StragglerSlowdown (default 6) times slower —
-	// the "outliers" of §3.3. Zero disables injection.
+	// a straggler, running stragglerSlowdown (6) times slower — the
+	// "outliers" of §3.3. Zero disables injection.
 	StragglerFraction float64
-	StragglerSlowdown float64
 	// Speculation enables the speculative-execution watchdog: a task
-	// running longer than SpeculationThreshold (default 2) times its
-	// expected duration is relaunched.
-	Speculation          bool
-	SpeculationThreshold float64
+	// running longer than speculationThreshold (2) times its expected
+	// duration is relaunched.
+	Speculation bool
 	// FailedMachines are dead from time zero: no slots, and DFS replicas
 	// on them are unreadable. If more than half the machines of a planned
 	// job's rack set are dead, Corral drops the job's placement
@@ -470,12 +476,6 @@ func newRuntime(opts Options, jobs []*job.Job) (*runtime, error) {
 	if opts.DelayRackLocal == 0 {
 		opts.DelayRackLocal = 2 * m
 	}
-	if opts.StragglerSlowdown <= 1 {
-		opts.StragglerSlowdown = 6
-	}
-	if opts.SpeculationThreshold <= 1 {
-		opts.SpeculationThreshold = 2
-	}
 	if err := validateFailures(opts.Failures, cluster.Config.Machines()); err != nil {
 		return nil, err
 	}
@@ -634,21 +634,9 @@ func (rt *runtime) prepareJob(j *job.Job) (*jobExec, error) {
 	}
 	// Rack-failure fallback (§3.1): if a majority of the machines in the
 	// assigned racks are unreachable, ignore the guidelines.
-	if je.allowedRacks != nil && rt.deadCount > 0 {
-		total, deadIn := 0, 0
-		for _, r := range je.allowedRacks {
-			lo, hi := rt.cluster.MachinesInRack(r)
-			for m := lo; m < hi; m++ {
-				total++
-				if rt.dead[m] {
-					deadIn++
-				}
-			}
-		}
-		if deadIn*2 > total {
-			je.allowedRacks = nil
-			usePlanData = false
-		}
+	if je.allowedRacks != nil && rt.deadCount > 0 && rt.majorityDead(je.allowedRacks) {
+		je.allowedRacks = nil
+		usePlanData = false
 	}
 
 	// Upload input files for source stages (skipped entirely when input

@@ -126,16 +126,12 @@ type ResumeOptions struct {
 	Trace *trace.Tracer
 }
 
-// RunWithSnapshots runs like Run but captures a snapshot at each target,
-// passing it to fn between event firings. fn returning false stops the
-// simulation immediately (RunWithSnapshots then returns (nil, nil)).
-// Targets a drained simulation never reaches make the run's Result come
-// back with an error naming them.
-func RunWithSnapshots(opts Options, jobs []*job.Job, targets []CheckpointTarget, fn func(*snapshot.Snapshot) bool) (*Result, error) {
-	for _, t := range targets {
-		if t.EventIndex == 0 && t.SimTime < 0 {
-			return nil, fmt.Errorf("runtime: invalid snapshot target %v: negative SimTime", t)
-		}
+// CaptureAt runs until the target and returns the snapshot taken there,
+// tearing the run down immediately after. A target the drained simulation
+// never reached is an error naming it.
+func CaptureAt(opts Options, jobs []*job.Job, target CheckpointTarget) (*snapshot.Snapshot, error) {
+	if target.EventIndex == 0 && !(target.SimTime >= 0) {
+		return nil, fmt.Errorf("runtime: invalid snapshot target %v: SimTime must be non-negative", target)
 	}
 	rt, err := newRuntime(opts, jobs)
 	if err != nil {
@@ -146,58 +142,22 @@ func RunWithSnapshots(opts Options, jobs []*job.Job, targets []CheckpointTarget,
 		return nil, err
 	}
 	rt.start()
-	met := make([]bool, len(targets))
 	for rt.sim.Step() {
-		for i, t := range targets {
-			if met[i] {
+		if target.EventIndex > 0 {
+			if rt.sim.Fired() < target.EventIndex {
 				continue
 			}
-			if t.EventIndex > 0 {
-				if rt.sim.Fired() < t.EventIndex {
-					continue
-				}
-			} else if float64(rt.sim.Now()) < t.SimTime {
-				continue
-			}
-			met[i] = true
-			if !fn(rt.buildSnapshot(spec)) {
-				return nil, nil
-			}
+		} else if float64(rt.sim.Now()) < target.SimTime {
+			continue
 		}
+		return rt.buildSnapshot(spec), nil
 	}
 	res, err := rt.finish()
 	if err != nil {
 		return nil, err
 	}
-	for i, t := range targets {
-		if !met[i] {
-			return res, fmt.Errorf("runtime: snapshot target %v not reached: simulation ended after %d events at t=%g",
-				t, res.Events, float64(rt.sim.Now()))
-		}
-	}
-	return res, nil
-}
-
-// CaptureAt runs until the target and returns the snapshot taken there,
-// tearing the run down immediately after. Reaching simulation end first is
-// an error.
-func CaptureAt(opts Options, jobs []*job.Job, target CheckpointTarget) (*snapshot.Snapshot, error) {
-	var snap *snapshot.Snapshot
-	res, err := RunWithSnapshots(opts, jobs, []CheckpointTarget{target}, func(s *snapshot.Snapshot) bool {
-		snap = s
-		return false
-	})
-	if err != nil {
-		return nil, err
-	}
-	if snap == nil {
-		var events uint64
-		if res != nil {
-			events = res.Events
-		}
-		return nil, fmt.Errorf("runtime: snapshot target %v past simulation end (%d events)", target, events)
-	}
-	return snap, nil
+	return nil, fmt.Errorf("runtime: snapshot target %v not reached: simulation ended after %d events at t=%g",
+		target, res.Events, float64(rt.sim.Now()))
 }
 
 // Resume reconstitutes a snapshotted run and continues it to completion.
@@ -277,9 +237,9 @@ func (rt *runtime) buildSpec() (snapshot.Spec, error) {
 		Heartbeat:            heartbeat,
 		ReplanOnFailure:      o.ReplanOnFailure,
 		StragglerFraction:    o.StragglerFraction,
-		StragglerSlowdown:    o.StragglerSlowdown,
+		StragglerSlowdown:    stragglerSlowdown,
 		Speculation:          o.Speculation,
-		SpeculationThreshold: o.SpeculationThreshold,
+		SpeculationThreshold: speculationThreshold,
 		AdhocShare:           adhocShare,
 		RemoteStorageInput:   o.RemoteStorageInput,
 		InMemoryInput:        o.InMemoryInput,
@@ -341,6 +301,8 @@ func fixedSpecFields(s *snapshot.Spec) []fixedSpecField {
 		{"OutputReplication", s.OutputReplication, outputReplicas(s.InMemoryInput)},
 		{"Heartbeat", s.Heartbeat, heartbeat},
 		{"AdhocShare", s.AdhocShare, adhocShare},
+		{"StragglerSlowdown", s.StragglerSlowdown, stragglerSlowdown},
+		{"SpeculationThreshold", s.SpeculationThreshold, speculationThreshold},
 		{"DisableReReplication", s.DisableReReplication, false},
 		{"MaxTaskAttempts", s.MaxTaskAttempts, maxTaskAttempts},
 		{"RetryBackoff", s.RetryBackoff, retryBackoff},
@@ -386,17 +348,15 @@ func optionsFromSpec(spec *snapshot.Spec) (Options, []*job.Job, error) {
 		Seed:      spec.Seed,
 		Plan:      spec.Plan,
 
-		BlockSize:            spec.BlockSize,
-		DelayNodeLocal:       spec.DelayNodeLocal,
-		DelayRackLocal:       spec.DelayRackLocal,
-		ReplanOnFailure:      spec.ReplanOnFailure,
-		StragglerFraction:    spec.StragglerFraction,
-		StragglerSlowdown:    spec.StragglerSlowdown,
-		Speculation:          spec.Speculation,
-		SpeculationThreshold: spec.SpeculationThreshold,
-		RemoteStorageInput:   spec.RemoteStorageInput,
-		InMemoryInput:        spec.InMemoryInput,
-		TaskFailureProb:      spec.TaskFailureProb,
+		BlockSize:          spec.BlockSize,
+		DelayNodeLocal:     spec.DelayNodeLocal,
+		DelayRackLocal:     spec.DelayRackLocal,
+		ReplanOnFailure:    spec.ReplanOnFailure,
+		StragglerFraction:  spec.StragglerFraction,
+		Speculation:        spec.Speculation,
+		RemoteStorageInput: spec.RemoteStorageInput,
+		InMemoryInput:      spec.InMemoryInput,
+		TaskFailureProb:    spec.TaskFailureProb,
 
 		PlannerBudget:     spec.PlannerBudget,
 		ReplanWindow:      spec.ReplanWindow,

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -23,7 +24,6 @@ func snapOpts(seed int64) Options {
 		Seed:              seed,
 		TaskFailureProb:   0.1,
 		StragglerFraction: 0.1,
-		StragglerSlowdown: 2,
 		Speculation:       true,
 		Failures:          []Failure{{At: 5, Machine: 3, Downtime: 40}},
 		LinkFaults:        []LinkFault{{At: 8, Rack: 1, Factor: 0.25}},
@@ -141,6 +141,14 @@ func TestSnapshotTargetPastEnd(t *testing.T) {
 	_, err = CaptureAt(snapOpts(7), snapJobs(), CheckpointTarget{SimTime: 1e12})
 	if err == nil || !strings.Contains(err.Error(), "not reached") {
 		t.Fatalf("SimTime capture past sim end: err = %v, want 'not reached'", err)
+	}
+	// A target no event time can meet is rejected before the run; a NaN
+	// one used to capture at the first event.
+	for _, at := range []float64{-1, math.NaN()} {
+		_, err = CaptureAt(snapOpts(7), snapJobs(), CheckpointTarget{SimTime: at})
+		if err == nil || !strings.Contains(err.Error(), "must be non-negative") {
+			t.Fatalf("SimTime %g capture: err = %v, want 'must be non-negative'", at, err)
+		}
 	}
 }
 
@@ -317,30 +325,28 @@ func TestSpecRoundTripsEveryOption(t *testing.T) {
 	topo.RemoteStorageBandwidth = 10 * gbps
 	jobs := snapJobs()
 	opts := Options{
-		Cluster:              topo,
-		Scheduler:            Corral,
-		Plan:                 planFor(t, topo, jobs, planner.MinimizeAvgCompletion),
-		Seed:                 3,
-		BlockSize:            64e6,
-		DelayNodeLocal:       5,
-		DelayRackLocal:       9,
-		Failures:             []Failure{{At: 5, Machine: 3, Downtime: 40}},
-		LinkFaults:           []LinkFault{{At: 8, Rack: 1, Factor: 0.25}},
-		ReplanOnFailure:      true,
-		StragglerFraction:    0.1,
-		StragglerSlowdown:    2,
-		Speculation:          true,
-		SpeculationThreshold: 1.5,
-		FailedMachines:       []int{7},
-		RemoteStorageInput:   true,
-		InMemoryInput:        true,
-		TaskFailureProb:      0.1,
-		AMFailures:           []AMFailure{{At: 7, JobID: 2}},
-		Corruptions:          []Corruption{{At: 3, Machine: 5}},
-		PlannerBudget:        0.5,
-		ReplanWindow:         2,
-		AdmissionLimit:       1,
-		AdmissionQueueCap:    3,
+		Cluster:            topo,
+		Scheduler:          Corral,
+		Plan:               planFor(t, topo, jobs, planner.MinimizeAvgCompletion),
+		Seed:               3,
+		BlockSize:          64e6,
+		DelayNodeLocal:     5,
+		DelayRackLocal:     9,
+		Failures:           []Failure{{At: 5, Machine: 3, Downtime: 40}},
+		LinkFaults:         []LinkFault{{At: 8, Rack: 1, Factor: 0.25}},
+		ReplanOnFailure:    true,
+		StragglerFraction:  0.1,
+		Speculation:        true,
+		FailedMachines:     []int{7},
+		RemoteStorageInput: true,
+		InMemoryInput:      true,
+		TaskFailureProb:    0.1,
+		AMFailures:         []AMFailure{{At: 7, JobID: 2}},
+		Corruptions:        []Corruption{{At: 3, Machine: 5}},
+		PlannerBudget:      0.5,
+		ReplanWindow:       2,
+		AdmissionLimit:     1,
+		AdmissionQueueCap:  3,
 	}
 	v := reflect.ValueOf(opts)
 	for i := 0; i < v.NumField(); i++ {

@@ -125,10 +125,11 @@ type Spec struct {
 	BlockSize      float64
 	DelayNodeLocal int
 	DelayRackLocal int
-	// OutputReplication, Heartbeat, AdhocShare, DisableReReplication,
-	// MaxTaskAttempts, RetryBackoff, BlacklistThreshold, BlacklistCooldown,
-	// MaxAMAttempts, AMRestartDelay and MaxReplansPerWindow record fixed
-	// runtime parameters (3, or 1 with InMemoryInput; 1 s; 0.5; false; 4;
+	// OutputReplication, Heartbeat, AdhocShare, StragglerSlowdown,
+	// SpeculationThreshold, DisableReReplication, MaxTaskAttempts,
+	// RetryBackoff, BlacklistThreshold, BlacklistCooldown, MaxAMAttempts,
+	// AMRestartDelay and MaxReplansPerWindow record fixed runtime
+	// parameters (3, or 1 with InMemoryInput; 1 s; 0.5; 6; 2; false; 4;
 	// 1 s; 3; 30 s; 2; 5 s; 1, or 0 without a ReplanWindow). Writers
 	// record exactly those values and restore rejects any other.
 	OutputReplication    int

@@ -64,7 +64,7 @@ func goldenRun() (runtime.Options, []*job.Job) {
 // TestLegacyPolicyNamesResume pins the flow-policy names snapshots have
 // recorded: the default "" and every max-min allocator name ever written
 // must decode and resume to the uninterrupted default run's Result, and a
-// Spec that sets the removed FlowEpoch knob or moves any of the eleven
+// Spec that sets the removed FlowEpoch knob or moves any of the thirteen
 // fixed parameters must be rejected with an error naming the field rather
 // than resume under different semantics.
 func TestLegacyPolicyNamesResume(t *testing.T) {
@@ -86,6 +86,8 @@ func TestLegacyPolicyNamesResume(t *testing.T) {
 		{tamper: func(s *snapshot.Spec) { s.InMemoryInput = true }, wantErr: "OutputReplication"},
 		{tamper: func(s *snapshot.Spec) { s.Heartbeat = 2 }, wantErr: "Heartbeat"},
 		{tamper: func(s *snapshot.Spec) { s.AdhocShare = 0.25 }, wantErr: "AdhocShare"},
+		{tamper: func(s *snapshot.Spec) { s.StragglerSlowdown = 10 }, wantErr: "StragglerSlowdown"},
+		{tamper: func(s *snapshot.Spec) { s.SpeculationThreshold = 1.5 }, wantErr: "SpeculationThreshold"},
 		{tamper: func(s *snapshot.Spec) { s.DisableReReplication = true }, wantErr: "DisableReReplication"},
 		{tamper: func(s *snapshot.Spec) { s.MaxTaskAttempts = 8 }, wantErr: "MaxTaskAttempts"},
 		{tamper: func(s *snapshot.Spec) { s.RetryBackoff = 0.5 }, wantErr: "RetryBackoff"},

@@ -32,6 +32,13 @@ import (
 // GB is 10^9 bytes.
 const GB = 1e9
 
+// mapRate and reduceRate are every generated task's processing rate in
+// bytes/sec (Profile.MapRate and ReduceRate): 100 MB/s.
+const (
+	mapRate    = 100e6
+	reduceRate = 100e6
+)
+
 // Config controls generation.
 type Config struct {
 	// Scale multiplies all byte sizes (default 1.0). Experiments use
@@ -44,9 +51,6 @@ type Config struct {
 	// ArrivalWindow spreads arrivals uniformly over [0, window] seconds
 	// (the paper uses 60 min for §6.2.2). Zero means batch (all at 0).
 	ArrivalWindow float64
-	// MapRate/ReduceRate are per-task processing rates; defaults 100 MB/s.
-	MapRate    float64
-	ReduceRate float64
 	// TaskScale multiplies W1's class-defined task counts (default 1).
 	// Experiments use sub-1 values together with proportionally smaller
 	// clusters, preserving the job-size : rack-slots ratio.
@@ -56,12 +60,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Scale <= 0 {
 		c.Scale = 1
-	}
-	if c.MapRate <= 0 {
-		c.MapRate = 100e6
-	}
-	if c.ReduceRate <= 0 {
-		c.ReduceRate = 100e6
 	}
 	if c.TaskScale <= 0 {
 		c.TaskScale = 1
@@ -93,8 +91,8 @@ func mr(cfg Config, id int, name string, in, shuffle, out float64, rng *rand.Ran
 		OutputBytes:  out,
 		MapTasks:     maps,
 		ReduceTasks:  reduces,
-		MapRate:      cfg.MapRate,
-		ReduceRate:   cfg.ReduceRate,
+		MapRate:      mapRate,
+		ReduceRate:   reduceRate,
 	})
 	if cfg.ArrivalWindow > 0 {
 		j.Arrival = rng.Float64() * cfg.ArrivalWindow
@@ -148,8 +146,8 @@ func W1(cfg Config) []*job.Job {
 			OutputBytes:  out,
 			MapTasks:     maps,
 			ReduceTasks:  reduces,
-			MapRate:      cfg.MapRate,
-			ReduceRate:   cfg.ReduceRate,
+			MapRate:      mapRate,
+			ReduceRate:   reduceRate,
 		})
 		if cfg.ArrivalWindow > 0 {
 			j.Arrival = rng.Float64() * cfg.ArrivalWindow
@@ -264,8 +262,8 @@ func TPCH(cfg Config, dbBytes float64) []*job.Job {
 				OutputBytes:  out,
 				MapTasks:     taskCount(in, perTask, 2000),
 				ReduceTasks:  taskCount(math.Max(shuffle, out), 2*perTask, 500),
-				MapRate:      cfg.MapRate,
-				ReduceRate:   cfg.ReduceRate,
+				MapRate:      mapRate,
+				ReduceRate:   reduceRate,
 			},
 			Upstream: up,
 		}

@@ -25,25 +25,13 @@ import (
 
 func main() {
 	var (
-		exp    = flag.String("exp", "", "experiment ID (see -list), or \"all\"")
-		size   = flag.String("size", "m", "experiment scale: s, m or l")
-		seed   = flag.Int64("seed", 1, "random seed")
-		list   = flag.Bool("list", false, "list available experiments")
-		asJSON = flag.Bool("json", false, "emit key outcome values as JSON")
-		chaosI = flag.String("chaos-intensities", "",
-			"comma-separated fault intensities for the chaos sweep (implies -exp chaos)")
+		exp        = flag.String("exp", "", "experiment ID (see -list), or \"all\"")
+		size       = flag.String("size", "m", "experiment scale: s, m or l")
+		seed       = flag.Int64("seed", 1, "random seed")
+		list       = flag.Bool("list", false, "list available experiments")
+		asJSON     = flag.Bool("json", false, "emit key outcome values as JSON")
 		fuzzTraces = flag.Int("fuzz-traces", 0,
 			"trace count for the corralcheck fuzzer (implies -exp fuzz; 0 = bundled default)")
-		arrivalRates = flag.String("arrival-rates", "",
-			"comma-separated arrival-rate multipliers for the overload sweep (implies -exp overload)")
-		plannerBudget = flag.Float64("planner-budget", 0,
-			"planner deadline budget in simulated seconds for the overload sweep (0 = bundled default)")
-		replanWindow = flag.Float64("replan-window", 0,
-			"replan-storm suppression window in simulated seconds for the overload sweep (0 = bundled default)")
-		admissionLimit = flag.Int("admission-limit", 0,
-			"max concurrently admitted jobs for the overload sweep (0 = bundled default)")
-		machinesList = flag.String("machines", "",
-			"comma-separated machine counts for the datacenter-scale suite, e.g. 2000,10000 (implies -exp scale; empty = the size's ladder)")
 		workers = flag.Int("workers", 0,
 			"worker pool bound for parallel experiment sweeps (0 = GOMAXPROCS, 1 = serial; results are identical for any value)")
 		tracePath = flag.String("trace", "",
@@ -56,13 +44,7 @@ func main() {
 			"resume a snapshot file written by -snapshot-at: restore, audit, run to completion and print the outcome")
 	)
 	flag.Parse()
-	ov := overloadFlags{
-		arrivalRates:   *arrivalRates,
-		plannerBudget:  *plannerBudget,
-		replanWindow:   *replanWindow,
-		admissionLimit: *admissionLimit,
-	}
-	if err := validateFlagCombos(*exp, *snapshotAt, *snapshotOut, *resumePath, *machinesList, ov); err != nil {
+	if err := validateFlagCombos(*exp, *snapshotAt, *snapshotOut, *resumePath, *list, *fuzzTraces); err != nil {
 		fmt.Fprintln(os.Stderr, "corralsim:", err)
 		flag.Usage()
 		os.Exit(2)
@@ -154,8 +136,7 @@ func main() {
 	}
 
 	// Every report path funnels into one list of (id, run) pairs, so the
-	// output and the exit gate below are shared. A bare -exp fuzz, scale,
-	// chaos or overload runs the registry entry with the bundled defaults.
+	// output and the exit gate below are shared.
 	type run struct {
 		id string
 		fn func(corral.ExperimentSize) (*corral.ExperimentReport, error)
@@ -165,36 +146,6 @@ func main() {
 	case *fuzzTraces > 0:
 		runs = []run{{"fuzz", func(sz corral.ExperimentSize) (*corral.ExperimentReport, error) {
 			return corral.RunFuzzExperiment(sz, *seed, *fuzzTraces)
-		}}}
-	case *machinesList != "":
-		machines, err := parseInts(*machinesList, "machine count")
-		if err != nil {
-			fatal(err)
-		}
-		runs = []run{{"scale", func(sz corral.ExperimentSize) (*corral.ExperimentReport, error) {
-			return corral.RunScaleExperiment(sz, *seed, machines)
-		}}}
-	case *chaosI != "":
-		intensities, err := parseFloats(*chaosI, "intensity")
-		if err != nil {
-			fatal(err)
-		}
-		runs = []run{{"chaos", func(sz corral.ExperimentSize) (*corral.ExperimentReport, error) {
-			return corral.RunChaosExperiment(sz, *seed, intensities)
-		}}}
-	case ov.arrivalRates != "" || (*exp == "overload" && ov.knobsSet()):
-		var rates []float64
-		if ov.arrivalRates != "" {
-			var err error
-			if rates, err = parseFloats(ov.arrivalRates, "arrival rate"); err != nil {
-				fatal(err)
-			}
-		}
-		runs = []run{{"overload", func(sz corral.ExperimentSize) (*corral.ExperimentReport, error) {
-			return corral.RunOverloadSweep(corral.OverloadParams{
-				Size: sz, Seed: *seed, Rates: rates,
-				Budget: ov.plannerBudget, Window: ov.replanWindow, AdmissionLimit: ov.admissionLimit,
-			})
 		}}}
 	case *list || *exp == "":
 		fmt.Println("available experiments:")
@@ -297,35 +248,22 @@ func parseSize(s string) (corral.ExperimentSize, error) {
 	return 0, fmt.Errorf("unknown size %q (want s, m or l)", s)
 }
 
-// overloadFlags bundles the overload-sweep knobs for validation and
-// dispatch.
-type overloadFlags struct {
-	arrivalRates   string
-	plannerBudget  float64
-	replanWindow   float64
-	admissionLimit int
-}
-
-// knobsSet reports whether any hardening knob deviates from its default.
-func (f overloadFlags) knobsSet() bool {
-	return f.plannerBudget > 0 || f.replanWindow > 0 || f.admissionLimit > 0
-}
-
 // validateFlagCombos rejects flag combinations with no coherent meaning;
 // the caller prints usage and exits non-zero.
-func validateFlagCombos(exp, snapshotAt, snapshotOut, resume, machines string, ov overloadFlags) error {
-	if machines != "" {
-		if exp != "" && exp != "scale" {
-			return fmt.Errorf("-machines implies -exp scale and cannot be combined with -exp %s", exp)
-		}
-		if resume != "" {
-			return fmt.Errorf("-resume cannot be combined with -machines")
-		}
-		if snapshotAt != "" {
-			return fmt.Errorf("-snapshot-at cannot be combined with -machines")
-		}
-		if ov.arrivalRates != "" || ov.knobsSet() {
-			return fmt.Errorf("-machines cannot be combined with overload sweep flags")
+func validateFlagCombos(exp, snapshotAt, snapshotOut, resume string, list bool, fuzzTraces int) error {
+	if fuzzTraces < 0 {
+		return fmt.Errorf("-fuzz-traces must be non-negative (0 = bundled default)")
+	}
+	if fuzzTraces > 0 {
+		switch {
+		case exp != "" && exp != "fuzz":
+			return fmt.Errorf("-fuzz-traces implies -exp fuzz and cannot be combined with -exp %s", exp)
+		case list:
+			return fmt.Errorf("-fuzz-traces cannot be combined with -list")
+		case resume != "":
+			return fmt.Errorf("-resume cannot be combined with -fuzz-traces")
+		case snapshotAt != "":
+			return fmt.Errorf("-snapshot-at cannot be combined with -fuzz-traces")
 		}
 	}
 	if resume != "" && exp != "" {
@@ -339,29 +277,6 @@ func validateFlagCombos(exp, snapshotAt, snapshotOut, resume, machines string, o
 	}
 	if snapshotOut != "" && snapshotAt == "" {
 		return fmt.Errorf("-snapshot-out requires -snapshot-at")
-	}
-	if !(ov.plannerBudget >= 0) {
-		return fmt.Errorf("-planner-budget must be non-negative (simulated seconds; 0 = default)")
-	}
-	if !(ov.replanWindow >= 0) {
-		return fmt.Errorf("-replan-window must be non-negative (simulated seconds; 0 = default)")
-	}
-	if ov.admissionLimit < 0 {
-		return fmt.Errorf("-admission-limit must be non-negative (0 = default)")
-	}
-	if ov.arrivalRates != "" && exp != "" && exp != "overload" {
-		return fmt.Errorf("-arrival-rates implies -exp overload and cannot be combined with -exp %s", exp)
-	}
-	if ov.knobsSet() && ov.arrivalRates == "" && exp != "overload" {
-		return fmt.Errorf("-planner-budget, -replan-window and -admission-limit configure the overload sweep: add -exp overload or -arrival-rates")
-	}
-	if ov.arrivalRates != "" || ov.knobsSet() {
-		if resume != "" {
-			return fmt.Errorf("-resume cannot be combined with overload sweep flags")
-		}
-		if snapshotAt != "" {
-			return fmt.Errorf("-snapshot-at cannot be combined with overload sweep flags")
-		}
 	}
 	return nil
 }
@@ -390,30 +305,6 @@ func parseTarget(s string) (corral.CheckpointTarget, error) {
 		}
 		return corral.CheckpointTarget{EventIndex: n}, nil
 	}
-}
-
-func parseInts(s, noun string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("bad %s %q: want a positive integer", noun, part)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-func parseFloats(s, noun string) ([]float64, error) {
-	var out []float64
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad %s %q: %v", noun, part, err)
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }
 
 func fatal(err error) {

@@ -1,17 +1,17 @@
 package main
 
 import (
-	"math"
 	"strings"
 	"testing"
 )
 
 func TestValidateFlagCombos(t *testing.T) {
 	cases := []struct {
-		name                                           string
-		exp, snapshotAt, snapshotOut, resume, machines string
-		ov                                             overloadFlags
-		wantErr                                        string
+		name                                 string
+		exp, snapshotAt, snapshotOut, resume string
+		list                                 bool
+		fuzzTraces                           int
+		wantErr                              string
 	}{
 		{name: "plain experiment", exp: "fig6"},
 		{name: "snapshot alone", snapshotAt: "ev:100"},
@@ -22,49 +22,22 @@ func TestValidateFlagCombos(t *testing.T) {
 		{name: "snapshot with exp", exp: "fig6", snapshotAt: "ev:5", wantErr: "-snapshot-at cannot be combined with -exp"},
 		{name: "out without at", snapshotOut: "s.json", wantErr: "-snapshot-out requires -snapshot-at"},
 
-		// Overload sweep flags.
-		{name: "overload alone", exp: "overload"},
-		{name: "overload with knobs", exp: "overload",
-			ov: overloadFlags{plannerBudget: 0.5, replanWindow: 10, admissionLimit: 4}},
-		{name: "rates imply overload", ov: overloadFlags{arrivalRates: "1,4"}},
-		{name: "rates with explicit overload", exp: "overload", ov: overloadFlags{arrivalRates: "1,2,4"}},
-		{name: "rates with knobs only", ov: overloadFlags{arrivalRates: "4", admissionLimit: 2}},
-		{name: "negative budget", exp: "overload", ov: overloadFlags{plannerBudget: -1},
-			wantErr: "-planner-budget must be non-negative"},
-		{name: "negative window", exp: "overload", ov: overloadFlags{replanWindow: -0.1},
-			wantErr: "-replan-window must be non-negative"},
-		{name: "NaN budget", exp: "overload", ov: overloadFlags{plannerBudget: math.NaN()},
-			wantErr: "-planner-budget must be non-negative"},
-		{name: "NaN window", ov: overloadFlags{arrivalRates: "4", replanWindow: math.NaN()},
-			wantErr: "-replan-window must be non-negative"},
-		{name: "negative limit", exp: "overload", ov: overloadFlags{admissionLimit: -2},
-			wantErr: "-admission-limit must be non-negative"},
-		{name: "rates with other exp", exp: "fig6", ov: overloadFlags{arrivalRates: "1,4"},
-			wantErr: "-arrival-rates implies -exp overload"},
-		{name: "knobs without overload", exp: "fig6", ov: overloadFlags{plannerBudget: 0.5},
-			wantErr: "configure the overload sweep"},
-		{name: "knobs with nothing else", ov: overloadFlags{admissionLimit: 3},
-			wantErr: "configure the overload sweep"},
-		{name: "rates with resume", resume: "s.json", ov: overloadFlags{arrivalRates: "1,4"},
-			wantErr: "-resume cannot be combined with overload sweep flags"},
-		{name: "rates with snapshot", snapshotAt: "ev:5", ov: overloadFlags{arrivalRates: "1,4"},
-			wantErr: "-snapshot-at cannot be combined with overload sweep flags"},
-
-		// Scale suite flags.
-		{name: "scale alone", exp: "scale"},
-		{name: "machines implies scale", machines: "2000"},
-		{name: "machines with explicit scale", exp: "scale", machines: "2000,10000"},
-		{name: "machines with other exp", exp: "fig6", machines: "2000",
-			wantErr: "-machines implies -exp scale"},
-		{name: "machines with resume", resume: "s.json", machines: "2000",
-			wantErr: "-resume cannot be combined with -machines"},
-		{name: "machines with snapshot", snapshotAt: "ev:5", machines: "2000",
-			wantErr: "-snapshot-at cannot be combined with -machines"},
-		{name: "machines with rates", machines: "2000", ov: overloadFlags{arrivalRates: "1,4"},
-			wantErr: "-machines cannot be combined with overload sweep flags"},
+		// -fuzz-traces: nightly CI runs it bare.
+		{name: "fuzz traces imply fuzz", fuzzTraces: 100},
+		{name: "fuzz traces with explicit fuzz", exp: "fuzz", fuzzTraces: 100},
+		{name: "fuzz traces with other exp", exp: "fig6", fuzzTraces: 1,
+			wantErr: "-fuzz-traces implies -exp fuzz and cannot be combined with -exp fig6"},
+		{name: "fuzz traces with list", list: true, fuzzTraces: 1,
+			wantErr: "-fuzz-traces cannot be combined with -list"},
+		{name: "fuzz traces with resume", resume: "s.json", fuzzTraces: 1,
+			wantErr: "-resume cannot be combined with -fuzz-traces"},
+		{name: "fuzz traces with snapshot", snapshotAt: "ev:5", fuzzTraces: 1,
+			wantErr: "-snapshot-at cannot be combined with -fuzz-traces"},
+		{name: "negative fuzz traces", exp: "fuzz", fuzzTraces: -3,
+			wantErr: "-fuzz-traces must be non-negative"},
 	}
 	for _, c := range cases {
-		err := validateFlagCombos(c.exp, c.snapshotAt, c.snapshotOut, c.resume, c.machines, c.ov)
+		err := validateFlagCombos(c.exp, c.snapshotAt, c.snapshotOut, c.resume, c.list, c.fuzzTraces)
 		if c.wantErr == "" {
 			if err != nil {
 				t.Errorf("%s: unexpected error %v", c.name, err)
@@ -121,18 +94,6 @@ func TestFailedChecks(t *testing.T) {
 		}
 		if err == nil || !strings.Contains(err.Error(), c.wantErr) {
 			t.Errorf("%s: err = %v, want %q", c.name, err, c.wantErr)
-		}
-	}
-}
-
-func TestParseInts(t *testing.T) {
-	got, err := parseInts("2000, 5000,10000", "machine count")
-	if err != nil || len(got) != 3 || got[0] != 2000 || got[1] != 5000 || got[2] != 10000 {
-		t.Errorf("parseInts = %v, %v; want [2000 5000 10000]", got, err)
-	}
-	for _, bad := range []string{"", "abc", "2000,-5", "0", "1.5"} {
-		if _, err := parseInts(bad, "machine count"); err == nil {
-			t.Errorf("parseInts(%q): no error", bad)
 		}
 	}
 }

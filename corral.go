@@ -380,15 +380,6 @@ func GenChaosTrace(cluster ClusterConfig, seed int64, intensity, horizon float64
 	return experiments.GenChaosTrace(cluster, seed, intensity, horizon)
 }
 
-// RunChaosExperiment renders a chaos sweep as an ExperimentReport; nil or
-// empty intensities select the bundled default sweep.
-func RunChaosExperiment(size ExperimentSize, seed int64, intensities []float64) (*ExperimentReport, error) {
-	if len(intensities) == 0 {
-		intensities = experiments.DefaultChaosIntensities
-	}
-	return experiments.ChaosWithIntensities(experiments.Params{Size: size, Seed: seed}, intensities)
-}
-
 // RunFuzzExperiment renders a corralcheck sweep as an ExperimentReport;
 // traces <= 0 selects the bundled default trace count.
 func RunFuzzExperiment(size ExperimentSize, seed int64, traces int) (*ExperimentReport, error) {
@@ -398,30 +389,9 @@ func RunFuzzExperiment(size ExperimentSize, seed int64, traces int) (*Experiment
 	return experiments.FuzzWithTraces(experiments.Params{Size: size, Seed: seed}, traces)
 }
 
-// OverloadParams configures an overload sweep (RunOverloadSweep).
-type OverloadParams = experiments.OverloadParams
-
 // Degradations counts which planner-fallback tiers a budgeted run took
 // (full plan / incremental replan / greedy placement).
 type Degradations = runtime.Degradations
-
-// RunOverloadSweep renders an overload sweep with full knob control —
-// arrival rates, planner budget, replan window and admission limit (the
-// corralsim overload flags). Zero knob values keep the bundled defaults.
-func RunOverloadSweep(p OverloadParams) (*ExperimentReport, error) {
-	return experiments.OverloadSweep(p)
-}
-
-// RunScaleExperiment renders the datacenter-scale fast-path sweep as an
-// ExperimentReport (the corralsim -exp scale / -machines path). Each cell
-// in machines is a synthetic cluster of that many machines (40 per rack)
-// streaming an online W1 window under Corral, reporting wall-clock, heap
-// allocations and events/sec alongside the semantic Result metrics, and
-// re-verifying determinism and snapshot/resume equivalence at that scale.
-// nil machines selects the Size's ladder (s: 2k; m: 2k/5k; l: 2k/5k/10k).
-func RunScaleExperiment(size ExperimentSize, seed int64, machines []int) (*ExperimentReport, error) {
-	return experiments.ScaleWithMachines(experiments.Params{Size: size, Seed: seed}, machines)
-}
 
 // PlannerCostFull returns the simulated latency charged for a full
 // two-phase plan over jobs jobs, racks racks and stages total stages —

@@ -16,6 +16,7 @@ import (
 	"math"
 	"math/rand"
 
+	"corral/internal/job"
 	"corral/internal/metrics"
 	"corral/internal/planner"
 	"corral/internal/pool"
@@ -69,6 +70,35 @@ func GenChaosTrace(topo topology.Config, seed int64, intensity, horizon float64)
 	return failures, faults
 }
 
+// onlineBaseline is the fault-free starting point the chaos and overload
+// sweeps share: the online W1 workload, its average-completion plan and
+// the clean Corral run whose makespan sets their fault horizon.
+type onlineBaseline struct {
+	topo  topology.Config
+	jobs  []*job.Job
+	plan  *planner.Plan
+	clean *runtime.Result
+}
+
+func newOnlineBaseline(size Size, seed int64) (*onlineBaseline, error) {
+	prof := profileFor(size)
+	jobs, err := genOnlineWorkload("W1", prof, seed)
+	if err != nil {
+		return nil, err
+	}
+	plan, err := planJobs(prof.topo, jobs, planner.MinimizeAvgCompletion)
+	if err != nil {
+		return nil, err
+	}
+	clean, err := runtime.Run(runtime.Options{
+		Cluster: prof.topo, Scheduler: runtime.Corral, Plan: plan, Seed: seed,
+	}, workload.Clone(jobs))
+	if err != nil {
+		return nil, err
+	}
+	return &onlineBaseline{topo: prof.topo, jobs: jobs, plan: plan, clean: clean}, nil
+}
+
 // ChaosParams configures a chaos sweep.
 type ChaosParams struct {
 	Size        Size
@@ -104,23 +134,12 @@ func RunChaos(p ChaosParams) (*ChaosReport, error) {
 			return nil, fmt.Errorf("chaos: fault intensity %g must be finite and non-negative", x)
 		}
 	}
-	prof := profileFor(p.Size)
-	topo := prof.topo
-	jobs, err := genOnlineWorkload("W1", prof, p.Seed)
+	base, err := newOnlineBaseline(p.Size, p.Seed)
 	if err != nil {
 		return nil, err
 	}
-	plan, err := planJobs(topo, jobs, planner.MinimizeAvgCompletion)
-	if err != nil {
-		return nil, err
-	}
-	clean, err := runtime.Run(runtime.Options{
-		Cluster: topo, Scheduler: runtime.Corral, Plan: plan, Seed: p.Seed,
-	}, workload.Clone(jobs))
-	if err != nil {
-		return nil, err
-	}
-	rep := &ChaosReport{Horizon: clean.Makespan, Clean: clean}
+	topo, jobs, plan := base.topo, base.jobs, base.plan
+	rep := &ChaosReport{Horizon: base.clean.Makespan, Clean: base.clean}
 	// Every (intensity, scheduler config) cell is an independent simulation:
 	// precompute the traces, fan the cells out over the sweep worker pool,
 	// and assemble Runs in intensity order afterwards (see internal/pool for
@@ -175,14 +194,8 @@ var DefaultChaosIntensities = []float64{0.1, 0.3, 0.5}
 // Chaos is the registry entry: the default sweep rendered as a table of
 // average job completion times and slowdowns relative to the clean run.
 func Chaos(p Params) (*Report, error) {
-	return ChaosWithIntensities(p, DefaultChaosIntensities)
-}
-
-// ChaosWithIntensities runs the chaos sweep at caller-chosen intensities
-// (the corralsim -chaos-intensities flag).
-func ChaosWithIntensities(p Params, intensities []float64) (*Report, error) {
 	r := newReport("Chaos: graceful degradation under machine and uplink faults")
-	rep, err := RunChaos(ChaosParams{Size: p.Size, Seed: p.Seed, Intensities: intensities})
+	rep, err := RunChaos(ChaosParams{Size: p.Size, Seed: p.Seed, Intensities: DefaultChaosIntensities})
 	if err != nil {
 		return nil, err
 	}

@@ -44,19 +44,6 @@ const (
 	SizeL
 )
 
-// ParseSize maps "s"/"m"/"l" to a Size.
-func ParseSize(s string) (Size, error) {
-	switch strings.ToLower(s) {
-	case "s", "small":
-		return SizeS, nil
-	case "m", "medium", "":
-		return SizeM, nil
-	case "l", "large", "full":
-		return SizeL, nil
-	}
-	return 0, fmt.Errorf("experiments: unknown size %q (want s/m/l)", s)
-}
-
 // Params configures an experiment run.
 type Params struct {
 	Size Size

@@ -44,27 +44,6 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
-func TestParseSize(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Size
-		ok   bool
-	}{
-		{"s", SizeS, true}, {"small", SizeS, true},
-		{"m", SizeM, true}, {"", SizeM, true},
-		{"l", SizeL, true}, {"full", SizeL, true},
-		{"xl", 0, false},
-	} {
-		got, err := ParseSize(tc.in)
-		if tc.ok && (err != nil || got != tc.want) {
-			t.Fatalf("ParseSize(%q) = %v, %v", tc.in, got, err)
-		}
-		if !tc.ok && err == nil {
-			t.Fatalf("ParseSize(%q) did not error", tc.in)
-		}
-	}
-}
-
 func TestFig1Predictability(t *testing.T) {
 	r := run(t, Fig1)
 	mape := r.Values["prediction_mape_pct"]

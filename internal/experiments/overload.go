@@ -72,17 +72,13 @@ func genFlapStorm(topo topology.Config, window, horizon float64) []runtime.LinkF
 	return out
 }
 
-// OverloadParams configures an overload sweep. The three knob fields
-// mirror the corralsim flags; zero keeps the bundled default, which is
-// sized off the clean-run horizon.
+// OverloadParams configures an overload sweep. The budgeted configuration
+// always runs with the bundled hardening: planner budget overloadBudget,
+// replan window horizon/overloadWindowDiv and admission limit 2*racks.
 type OverloadParams struct {
 	Size  Size
 	Seed  int64
 	Rates []float64 // arrival-window compression factors; nil = defaults
-
-	Budget         float64 // planner deadline (sim s); 0 = overloadBudget
-	Window         float64 // replan window (sim s); 0 = horizon/overloadWindowDiv
-	AdmissionLimit int     // concurrent admitted jobs; 0 = 2*racks
 }
 
 // OverloadRun is one arrival rate's outcome under the three configurations.
@@ -100,8 +96,8 @@ type OverloadRun struct {
 }
 
 // OverloadReport is the full sweep outcome. PlannerBudget, ReplanWindow
-// and AdmissionLimit record the knob values the budgeted configuration
-// actually ran with (defaults resolved).
+// and AdmissionLimit record the values the budgeted configuration ran
+// with.
 type OverloadReport struct {
 	Horizon        float64 // clean Corral makespan at rate 1; storm spans it
 	PlannerBudget  float64
@@ -113,8 +109,7 @@ type OverloadReport struct {
 
 // RunOverload runs the overload sweep. The clean rate-1 Corral run fixes
 // the horizon; the same storm trace then replays at every rate so rows
-// differ only in arrival pressure. Every rate must be finite and positive,
-// and Budget and Window non-negative (not NaN).
+// differ only in arrival pressure. Every rate must be finite and positive.
 func RunOverload(p OverloadParams) (*OverloadReport, error) {
 	rates := p.Rates
 	if len(rates) == 0 {
@@ -125,43 +120,17 @@ func RunOverload(p OverloadParams) (*OverloadReport, error) {
 			return nil, fmt.Errorf("overload: arrival rate %g must be finite and positive", r)
 		}
 	}
-	if !(p.Budget >= 0) {
-		return nil, fmt.Errorf("overload: planner budget %g must be non-negative", p.Budget)
-	}
-	if !(p.Window >= 0) {
-		return nil, fmt.Errorf("overload: replan window %g must be non-negative", p.Window)
-	}
-	prof := profileFor(p.Size)
-	topo := prof.topo
-	jobs, err := genOnlineWorkload("W1", prof, p.Seed)
+	base, err := newOnlineBaseline(p.Size, p.Seed)
 	if err != nil {
 		return nil, err
 	}
-	plan, err := planJobs(topo, jobs, planner.MinimizeAvgCompletion)
-	if err != nil {
-		return nil, err
-	}
-	clean, err := runtime.Run(runtime.Options{
-		Cluster: topo, Scheduler: runtime.Corral, Plan: plan, Seed: p.Seed,
-	}, workload.Clone(jobs))
-	if err != nil {
-		return nil, err
-	}
+	topo, jobs, plan := base.topo, base.jobs, base.plan
 	rep := &OverloadReport{
-		Horizon:        clean.Makespan,
-		PlannerBudget:  p.Budget,
-		ReplanWindow:   p.Window,
-		AdmissionLimit: p.AdmissionLimit,
-		Clean:          clean,
-	}
-	if rep.PlannerBudget <= 0 {
-		rep.PlannerBudget = overloadBudget
-	}
-	if rep.ReplanWindow <= 0 {
-		rep.ReplanWindow = clean.Makespan / overloadWindowDiv
-	}
-	if rep.AdmissionLimit <= 0 {
-		rep.AdmissionLimit = 2 * topo.Racks
+		Horizon:        base.clean.Makespan,
+		PlannerBudget:  overloadBudget,
+		ReplanWindow:   base.clean.Makespan / overloadWindowDiv,
+		AdmissionLimit: 2 * topo.Racks,
+		Clean:          base.clean,
 	}
 	failures, _ := GenChaosTrace(topo, p.Seed, overloadStorm, rep.Horizon)
 	faults := genFlapStorm(topo, rep.ReplanWindow, rep.Horizon)
@@ -246,14 +215,8 @@ func avgCompleted(res *runtime.Result) float64 {
 
 // Overload is the registry entry: the default rate sweep.
 func Overload(p Params) (*Report, error) {
-	return OverloadSweep(OverloadParams{Size: p.Size, Seed: p.Seed})
-}
-
-// OverloadSweep renders an overload sweep with full knob control (the
-// corralsim -planner-budget, -replan-window and -admission-limit flags).
-func OverloadSweep(op OverloadParams) (*Report, error) {
 	r := newReport("Overload: graceful degradation under streaming arrivals + fault storm")
-	rep, err := RunOverload(op)
+	rep, err := RunOverload(OverloadParams{Size: p.Size, Seed: p.Seed})
 	if err != nil {
 		return nil, err
 	}

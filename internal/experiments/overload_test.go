@@ -92,9 +92,9 @@ func TestOverloadDeterminism(t *testing.T) {
 // bit-identical serial and with 8 workers.
 func TestOverloadWorkerInvariance(t *testing.T) {
 	defer pool.SetWorkers(0)
-	run := func(workers int) *Report {
+	run := func(workers int) *OverloadReport {
 		pool.SetWorkers(workers)
-		rep, err := OverloadSweep(OverloadParams{Size: SizeS, Seed: 7, Rates: overloadGateRates})
+		rep, err := RunOverload(OverloadParams{Size: SizeS, Seed: 7, Rates: overloadGateRates})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -184,7 +184,7 @@ func TestOverloadResumeEquivalence(t *testing.T) {
 // TestSweepsRejectInvalidValues: a sweep value outside its domain is an
 // error before any simulation runs. A zero or negative arrival rate used
 // to panic in the simulator, a NaN one to hang, and NaN or infinite chaos
-// intensities, NaN budgets and NaN windows to run as if they were valid.
+// intensities to run as if they were valid.
 func TestSweepsRejectInvalidValues(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	for _, p := range []OverloadParams{
@@ -192,14 +192,10 @@ func TestSweepsRejectInvalidValues(t *testing.T) {
 		{Rates: []float64{1, -1}},
 		{Rates: []float64{nan}},
 		{Rates: []float64{inf}},
-		{Budget: nan},
-		{Budget: -1},
-		{Window: nan},
-		{Window: -0.5},
 	} {
 		p.Size, p.Seed = SizeS, 1
 		if _, err := RunOverload(p); err == nil {
-			t.Errorf("RunOverload(rates %v, budget %g, window %g): no error", p.Rates, p.Budget, p.Window)
+			t.Errorf("RunOverload(rates %v): no error", p.Rates)
 		}
 	}
 	for _, x := range []float64{-0.5, nan, inf, math.Inf(-1)} {

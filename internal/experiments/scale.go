@@ -69,8 +69,8 @@ func ScaleLadder(size Size) []int {
 type ScaleParams struct {
 	Size Size
 	Seed int64
-	// Machines overrides the Size's ladder with explicit cell sizes (the
-	// corralsim -machines flag); nil selects ScaleLadder(Size).
+	// Machines overrides the Size's ladder with explicit cell sizes; nil
+	// selects ScaleLadder(Size).
 	Machines []int
 	// SkipVerify drops the determinism-rerun and snapshot/resume checks,
 	// leaving only the timed run — for pure measurement sweeps.
@@ -280,14 +280,18 @@ func RunScale(p ScaleParams) (*ScaleReport, error) {
 	return rep, nil
 }
 
-// ScaleWithMachines renders a scale sweep as an ExperimentReport for an
-// explicit cell list (the corralsim -machines flag); nil machines selects
-// the Size's ladder.
-func ScaleWithMachines(p Params, machines []int) (*Report, error) {
-	rep, err := RunScale(ScaleParams{Size: p.Size, Seed: p.Seed, Machines: machines})
+// Scale is the registry entry: the Size's full ladder.
+func Scale(p Params) (*Report, error) {
+	rep, err := RunScale(ScaleParams{Size: p.Size, Seed: p.Seed})
 	if err != nil {
 		return nil, err
 	}
+	return scaleReport(rep), nil
+}
+
+// scaleReport renders a scale sweep as a Report: semantic keys per cell,
+// host measurements under wallclock_ keys, and the verification count.
+func scaleReport(rep *ScaleReport) *Report {
 	r := newReport("scale: datacenter-scale fast path (wall-clock, allocs, events/sec)")
 	t := &metrics.Table{
 		Title:   "online W1 stream under Corral; verification = same-seed rerun + mid-flight snapshot/resume + plan budget",
@@ -333,8 +337,5 @@ func ScaleWithMachines(p Params, machines []int) (*Report, error) {
 	r.table(t)
 	r.set("cells", float64(len(rep.Cells)))
 	r.set("verification_failures", float64(failures))
-	return r, nil
+	return r
 }
-
-// Scale is the registry entry: the Size's full ladder.
-func Scale(p Params) (*Report, error) { return ScaleWithMachines(p, nil) }

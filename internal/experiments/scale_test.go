@@ -117,11 +117,11 @@ func TestScaleWorkerCountInvariance(t *testing.T) {
 	run := func(workers int) *Report {
 		t.Helper()
 		pool.SetWorkers(workers)
-		r, err := ScaleWithMachines(Params{Size: SizeS, Seed: 3}, []int{scaleTestCell})
+		rep, err := RunScale(ScaleParams{Seed: 3, Machines: []int{scaleTestCell}})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		return r
+		return scaleReport(rep)
 	}
 	serial, parallel := run(1), run(8)
 	if got := serial.Values["verification_failures"]; got != 0 {

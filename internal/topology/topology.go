@@ -217,17 +217,6 @@ func (c *Cluster) IsRackBoundary(id LinkID) bool {
 	return id >= firstRackLink && (c.storage < 0 || id != c.storage)
 }
 
-// RackOfLink maps a rack uplink or downlink back to its rack index.
-// ok is false for machine NICs and the storage interconnect.
-func (c *Cluster) RackOfLink(id LinkID) (rack int, uplink bool, ok bool) {
-	firstRackLink := LinkID(2 * c.Config.Machines())
-	if id < firstRackLink || (c.storage >= 0 && id == c.storage) {
-		return 0, false, false
-	}
-	off := int(id - firstRackLink)
-	return off / 2, off%2 == 0, true
-}
-
 // StorageLink returns the storage interconnect link and whether remote
 // storage is configured.
 func (c *Cluster) StorageLink() (LinkID, bool) {

@@ -44,7 +44,7 @@ func main() {
 			"resume a snapshot file written by -snapshot-at: restore, audit, run to completion and print the outcome")
 	)
 	flag.Parse()
-	if err := validateFlagCombos(*exp, *snapshotAt, *snapshotOut, *resumePath, *list, *fuzzTraces); err != nil {
+	if err := validateFlagCombos(*exp, *snapshotAt, *snapshotOut, *resumePath, *tracePath, *list, *asJSON, *fuzzTraces); err != nil {
 		fmt.Fprintln(os.Stderr, "corralsim:", err)
 		flag.Usage()
 		os.Exit(2)
@@ -203,7 +203,7 @@ func main() {
 var selfChecks = []struct{ key, what string }{
 	{"violations", "invariant violations"},
 	{"mismatches", "resumed runs diverged from the uninterrupted run"},
-	{"verification_failures", "scale cells failed determinism/resume/plan verification"},
+	{"verification_failures", "scale cells failed determinism/resume verification"},
 }
 
 // failedChecks reports every non-zero self-check value across the reports,
@@ -250,7 +250,7 @@ func parseSize(s string) (corral.ExperimentSize, error) {
 
 // validateFlagCombos rejects flag combinations with no coherent meaning;
 // the caller prints usage and exits non-zero.
-func validateFlagCombos(exp, snapshotAt, snapshotOut, resume string, list bool, fuzzTraces int) error {
+func validateFlagCombos(exp, snapshotAt, snapshotOut, resume, trace string, list, asJSON bool, fuzzTraces int) error {
 	if fuzzTraces < 0 {
 		return fmt.Errorf("-fuzz-traces must be non-negative (0 = bundled default)")
 	}
@@ -277,6 +277,30 @@ func validateFlagCombos(exp, snapshotAt, snapshotOut, resume string, list bool, 
 	}
 	if snapshotOut != "" && snapshotAt == "" {
 		return fmt.Errorf("-snapshot-out requires -snapshot-at")
+	}
+	// Only report runs emit JSON; -trace records any simulation, captured
+	// and resumed runs too. With -list, or with no run named at all, the
+	// command only prints the list.
+	listing := list || exp == "" && fuzzTraces == 0 && resume == "" && snapshotAt == ""
+	if asJSON {
+		switch {
+		case snapshotAt != "":
+			return fmt.Errorf("-json cannot be combined with -snapshot-at: it writes a snapshot file, not a report")
+		case resume != "":
+			return fmt.Errorf("-json cannot be combined with -resume: it prints one outcome line, not a report")
+		case list:
+			return fmt.Errorf("-json cannot be combined with -list")
+		case listing:
+			return fmt.Errorf("-json requires -exp")
+		}
+	}
+	if trace != "" {
+		switch {
+		case list:
+			return fmt.Errorf("-trace cannot be combined with -list")
+		case listing:
+			return fmt.Errorf("-trace requires a run: -exp, -snapshot-at or -resume")
+		}
 	}
 	return nil
 }

@@ -7,11 +7,11 @@ import (
 
 func TestValidateFlagCombos(t *testing.T) {
 	cases := []struct {
-		name                                 string
-		exp, snapshotAt, snapshotOut, resume string
-		list                                 bool
-		fuzzTraces                           int
-		wantErr                              string
+		name                                        string
+		exp, snapshotAt, snapshotOut, resume, trace string
+		list, json                                  bool
+		fuzzTraces                                  int
+		wantErr                                     string
 	}{
 		{name: "plain experiment", exp: "fig6"},
 		{name: "snapshot alone", snapshotAt: "ev:100"},
@@ -35,9 +35,28 @@ func TestValidateFlagCombos(t *testing.T) {
 			wantErr: "-snapshot-at cannot be combined with -fuzz-traces"},
 		{name: "negative fuzz traces", exp: "fuzz", fuzzTraces: -3,
 			wantErr: "-fuzz-traces must be non-negative"},
+
+		// -json only applies to report runs.
+		{name: "json with exp", exp: "all", json: true},
+		{name: "json with fuzz traces", fuzzTraces: 100, json: true},
+		{name: "json with snapshot", snapshotAt: "ev:5", json: true,
+			wantErr: "-json cannot be combined with -snapshot-at"},
+		{name: "json with resume", resume: "s.json", json: true,
+			wantErr: "-json cannot be combined with -resume"},
+		{name: "json with list", list: true, json: true,
+			wantErr: "-json cannot be combined with -list"},
+		{name: "json without exp", json: true, wantErr: "-json requires -exp"},
+
+		// -trace records report, captured and resumed runs.
+		{name: "trace with exp", exp: "fig6", trace: "t.json"},
+		{name: "trace with snapshot", snapshotAt: "ev:5", trace: "t.json"},
+		{name: "trace with resume", resume: "s.json", trace: "t.json"},
+		{name: "trace with list", list: true, trace: "t.json",
+			wantErr: "-trace cannot be combined with -list"},
+		{name: "trace without a run", trace: "t.json", wantErr: "-trace requires a run"},
 	}
 	for _, c := range cases {
-		err := validateFlagCombos(c.exp, c.snapshotAt, c.snapshotOut, c.resume, c.list, c.fuzzTraces)
+		err := validateFlagCombos(c.exp, c.snapshotAt, c.snapshotOut, c.resume, c.trace, c.list, c.json, c.fuzzTraces)
 		if c.wantErr == "" {
 			if err != nil {
 				t.Errorf("%s: unexpected error %v", c.name, err)

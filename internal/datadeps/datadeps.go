@@ -170,7 +170,7 @@ func Place(in Input) (*Placement, error) {
 			frac[best] += take
 			remaining -= take
 			if capLeft[best] > 0 {
-				capLeft[best] -= take * d.Bytes
+				capLeft[best] -= float64(take * d.Bytes)
 				if capLeft[best] < 1e-9 {
 					capLeft[best] = 0
 				}
@@ -195,7 +195,7 @@ func CrossRackReadBytes(in Input, p *Placement) float64 {
 		if local > 1 {
 			local = 1
 		}
-		cross += rd.Bytes * (1 - local)
+		cross += float64(rd.Bytes * (1 - local))
 	}
 	return cross
 }

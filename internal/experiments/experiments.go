@@ -1,8 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§2 motivation plots, §4 planner quality/scaling, §6
 // cluster/simulation results). Each experiment is a pure function from
-// Params to a Report, shared by the corralsim CLI, the benchmark harness
-// in the repository root, and the integration tests.
+// Params to a Report, shared by the corralsim CLI, the reproduction gate
+// in the repository root (TestReportGolden), and the integration tests.
 //
 // Simulations run at a configurable Size. Absolute seconds differ from the
 // paper (the workloads are byte- and task-scaled to keep runs fast); the
@@ -133,7 +133,7 @@ func Registry() []struct {
 		{"attrition", "attrition: task retries + blacklisting under rising crash rates", Attrition},
 		{"fuzz", "corralcheck: randomized fault traces under the invariant monitor", Fuzz},
 		{"resume", "resume: crash-resume equivalence of snapshotted runs", Resume},
-		{"scale", "scale: datacenter-scale fast path (wall-clock, allocs, events/sec at 2k-10k machines)", Scale},
+		{"scale", "scale: online W1 at 2k-10k machines, each cell verified by a same-seed rerun and snapshot/resume", Scale},
 	}
 }
 

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"corral/internal/planner"
@@ -24,24 +23,20 @@ const scaleTestCell = 200
 // mistakes a single seed would hide.
 func TestScaleDeterminism(t *testing.T) {
 	for _, seed := range []int64{1, 42} {
-		p := ScaleParams{Seed: seed, Machines: []int{scaleTestCell}}
-		first, err := RunScale(p)
+		a, err := runScaleCell(seed, scaleTestCell)
 		if err != nil {
-			t.Fatalf("seed %d: first sweep: %v", seed, err)
+			t.Fatalf("seed %d: first run: %v", seed, err)
 		}
-		second, err := RunScale(p)
+		b, err := runScaleCell(seed, scaleTestCell)
 		if err != nil {
-			t.Fatalf("seed %d: second sweep: %v", seed, err)
+			t.Fatalf("seed %d: second run: %v", seed, err)
 		}
-		for i := range first.Cells {
-			a, b := first.Cells[i], second.Cells[i]
-			if !a.DeterminismOK || !a.ResumeOK {
-				t.Errorf("seed %d: cell %d machines failed verification: %s", seed, a.Machines, a.Detail)
-			}
-			if !reflect.DeepEqual(a.Result, b.Result) {
-				t.Errorf("seed %d: %d machines not reproducible across sweeps:\n run1: %+v\n run2: %+v",
-					seed, a.Machines, summarize(a.Result), summarize(b.Result))
-			}
+		if a.rerun != "" || a.resume != "" {
+			t.Errorf("seed %d: cell failed verification: rerun %q, resume %q", seed, a.rerun, a.resume)
+		}
+		if !reflect.DeepEqual(a.res, b.res) {
+			t.Errorf("seed %d: cell not reproducible across runs:\n run1: %+v\n run2: %+v",
+				seed, summarize(a.res), summarize(b.res))
 		}
 	}
 }
@@ -49,15 +44,15 @@ func TestScaleDeterminism(t *testing.T) {
 // TestScaleSeedsActuallyDiffer guards the vacuous-pass direction: distinct
 // seeds must change the workload, or TestScaleDeterminism proves nothing.
 func TestScaleSeedsActuallyDiffer(t *testing.T) {
-	a, err := RunScale(ScaleParams{Seed: 1, Machines: []int{scaleTestCell}, SkipVerify: true})
+	a, err := runScaleCell(1, scaleTestCell)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunScale(ScaleParams{Seed: 42, Machines: []int{scaleTestCell}, SkipVerify: true})
+	b, err := runScaleCell(42, scaleTestCell)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reflect.DeepEqual(a.Cells[0].Result, b.Cells[0].Result) {
+	if reflect.DeepEqual(a.res, b.res) {
 		t.Error("seeds 1 and 42 produced identical scale results; the seed is not reaching the simulation")
 	}
 }
@@ -66,16 +61,16 @@ func TestScaleSeedsActuallyDiffer(t *testing.T) {
 // cell's level: every policy name a snapshot may carry ("" and the legacy
 // maxmin, maxmin-grouped and maxmin-incremental, all now the one max-min
 // allocator) must resume a mid-flight capture of the 200-machine cell to
-// the same Result RunScale reports — same events, same completions, same
+// the same Result runScaleCell reports — same events, same completions, same
 // makespan. The differential against the per-flow MaxMinFair oracle on
 // this cell is netsim_test's TestRunResultMatchesMaxMinFair.
 func TestScalePolicyEquivalence(t *testing.T) {
 	const seed = 7
-	rep, err := RunScale(ScaleParams{Seed: seed, Machines: []int{scaleTestCell}, SkipVerify: true})
+	cell, err := runScaleCell(seed, scaleTestCell)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := rep.Cells[0].Result
+	base := cell.res
 	topo := scaleTopo(scaleTestCell)
 	jobs := scaleWorkload(scaleTestCell, seed)
 	plan, err := planJobs(topo, jobs, planner.MinimizeAvgCompletion)
@@ -109,42 +104,33 @@ func TestScalePolicyEquivalence(t *testing.T) {
 }
 
 // TestScaleWorkerCountInvariance pins the sweep-pool contract for the
-// report path: every semantic key (everything not wallclock_-prefixed) is
-// identical whether the intra-cell verification fans out over 1 or 8
-// workers.
+// scale cell: everything the report is rendered from (the Result, job and
+// rack counts, plan objective and both verification verdicts) is identical
+// whether the intra-cell verification fans out over 1 or 8 workers.
 func TestScaleWorkerCountInvariance(t *testing.T) {
 	defer pool.SetWorkers(0)
-	run := func(workers int) *Report {
+	run := func(workers int) scaleCell {
 		t.Helper()
 		pool.SetWorkers(workers)
-		rep, err := RunScale(ScaleParams{Seed: 3, Machines: []int{scaleTestCell}})
+		c, err := runScaleCell(3, scaleTestCell)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		return scaleReport(rep)
+		return c
 	}
 	serial, parallel := run(1), run(8)
-	if got := serial.Values["verification_failures"]; got != 0 {
-		t.Fatalf("verification_failures = %v, want 0", got)
+	if serial.rerun != "" || serial.resume != "" {
+		t.Fatalf("cell failed verification: rerun %q, resume %q", serial.rerun, serial.resume)
 	}
-	for _, k := range serial.Keys() {
-		if strings.HasPrefix(k, "wallclock_") {
-			continue
-		}
-		//corralvet:ok floateq exact identity intended: the worker count must not change a single bit of any report value
-		if serial.Values[k] != parallel.Values[k] {
-			t.Errorf("key %q differs across worker counts: serial %v, parallel %v",
-				k, serial.Values[k], parallel.Values[k])
-		}
-	}
-	if len(serial.Keys()) != len(parallel.Keys()) {
-		t.Errorf("key sets differ: serial %d keys, parallel %d", len(serial.Keys()), len(parallel.Keys()))
+	if !reflect.DeepEqual(serial, parallel) {
+		t.Errorf("cell differs across worker counts:\n serial:   %+v\n parallel: %+v",
+			summarize(serial.res), summarize(parallel.res))
 	}
 }
 
-// TestScaleParamErrors covers the sweep's input validation.
+// TestScaleParamErrors covers the cell's input validation.
 func TestScaleParamErrors(t *testing.T) {
-	if _, err := RunScale(ScaleParams{Machines: []int{10}}); err == nil {
+	if _, err := runScaleCell(1, 10); err == nil {
 		t.Error("sub-rack cell accepted; want error")
 	}
 }
@@ -159,8 +145,8 @@ func TestScaleLadder(t *testing.T) {
 		{SizeM, []int{2000, 5000}},
 		{SizeL, []int{2000, 5000, 10000}},
 	} {
-		if got := ScaleLadder(tc.size); !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("ScaleLadder(%v) = %v, want %v", tc.size, got, tc.want)
+		if got := scaleLadder(tc.size); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("scaleLadder(%v) = %v, want %v", tc.size, got, tc.want)
 		}
 	}
 }

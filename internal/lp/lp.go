@@ -148,7 +148,7 @@ func minWork(f model.ResponseFunc, T float64) float64 {
 			}
 			// x on r1, 1-x on r2, with mean latency exactly T.
 			x := (l2 - T) / (l2 - l1)
-			w := x*l1*float64(r1) + (1-x)*l2*float64(r2)
+			w := float64(x*l1*float64(r1)) + float64((1-x)*l2*float64(r2))
 			if w < best {
 				best = w
 			}
@@ -224,7 +224,7 @@ func fluidSRPT(items []item, rate float64) float64 {
 		finishAt := now + pool[sel].remaining/rate
 		if next < len(items) && items[next].arrival < finishAt {
 			dt := items[next].arrival - now
-			pool[sel].remaining -= dt * rate
+			pool[sel].remaining -= float64(dt * rate)
 			now = items[next].arrival
 			continue
 		}

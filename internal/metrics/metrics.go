@@ -31,14 +31,14 @@ func Percentile(values []float64, q float64) float64 {
 	if q >= 1 {
 		return sorted[len(sorted)-1]
 	}
-	idx := q * float64(len(sorted)-1)
+	idx := float64(q * float64(len(sorted)-1))
 	lo := int(math.Floor(idx))
 	hi := int(math.Ceil(idx))
 	if lo == hi {
 		return sorted[lo]
 	}
 	frac := idx - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return float64(sorted[lo]*(1-frac)) + float64(sorted[hi]*frac)
 }
 
 // P50 returns the median. Shorthand for Percentile(values, 0.50).
@@ -99,7 +99,7 @@ func CoV(values []float64) float64 {
 	variance := 0.0
 	for _, v := range values {
 		d := v - mean
-		variance += d * d
+		variance += float64(d * d)
 	}
 	variance /= float64(len(values))
 	return math.Sqrt(variance) / mean

@@ -83,30 +83,47 @@ race:
 corralvet:
 	$(GO) run ./cmd/corralvet -tests -report corralvet.json ./...
 
-# Chaos gate: two-seed determinism of the full fault-injection sweep plus
-# the graceful-degradation acceptance (replan <= drop <= yarn on the
-# bundled trace). -count=1 defeats the test cache so the sweep really runs.
+# gotest runs `go test $(1)` and also fails when a -run pattern matched no
+# test in a package: go test prints "no tests to run" for that and exits 0,
+# so a renamed or deleted test would leave its gate green while checking
+# nothing. The output is printed when the run ends.
+gotest = out="$$($(GO) test $(1) 2>&1)"; status=$$?; printf '%s\n' "$$out"; \
+	[ $$status -eq 0 ] || exit $$status; \
+	if printf '%s\n' "$$out" | grep -q 'no tests to run'; then \
+		echo "$@: a -run pattern matched no test: go test $(1)" >&2; \
+		exit 1; \
+	fi
+
+# Chaos gate: the registry's chaos sweep (three fault intensities, each
+# under Yarn-CS, constraint-drop Corral and replanning Corral) is
+# bit-identical across two replays of two seeds, and it meets the
+# graceful-degradation acceptance (replan <= drop <= yarn at every
+# intensity). -count=1 defeats the test cache so the sweep really runs.
 chaos:
-	$(GO) test ./internal/experiments -run 'TestChaos' -count=1 -v
+	@$(call gotest,./internal/experiments -run 'TestChaos' -count=1 -v)
 
-# corralcheck gate: the fixed-seed fuzzer replays the bundled randomized
-# workload+fault traces (task crashes, machine/link faults, AM kills, DFS
-# corruption) under all three schedulers with the invariant monitor
-# attached, plus the attrition-sweep acceptance (every job completes at
-# every bundled crash rate, completion degrades monotonically).
+# corralcheck gate: the registry's fixed-seed fuzz sweep replays its 25
+# randomized workload+fault traces (task crashes, machine/link faults, AM
+# kills, DFS corruption) under all three schedulers with the invariant
+# monitor attached, and resumes each trace's replanning run from a
+# mid-flight snapshot (runs = 3 x traces + resumed traces); plus the
+# attrition-sweep acceptance (every job completes at every bundled crash
+# rate, completion degrades monotonically) and the snapshot corpus.
 fuzz:
-	$(GO) test ./internal/experiments -run 'TestFuzz|TestAttritionSweep' -count=1 -v
+	@$(call gotest,./internal/experiments -run 'TestFuzz|TestAttritionSweep' -count=1 -v)
 
-# Overload gate: at 4x the saturating arrival rate under a fault storm,
-# budgeted Corral (planner deadline budget + replan-storm suppression +
-# admission control) must finish with the armed replan-rate and
-# admission-queue bounds clean and every job completed or shed, while the
-# unhardened replanning configuration demonstrably trips the replan-rate
-# bound (anti-vacuity); the sweep is bit-identical across seeds, worker
-# counts and a mid-storm snapshot/resume. -count=1 defeats the test cache.
+# Overload gate: the registry's overload sweep (arrival rates 1x to 8x the
+# saturating rate under a fault storm): budgeted Corral (planner deadline
+# budget + replan-storm suppression + admission control) finishes every
+# rate with the armed replan-rate and admission-queue bounds clean and
+# every job completed or shed, engaging its hardening from 4x on, while
+# the unhardened replanning configuration demonstrably trips the
+# replan-rate bound (anti-vacuity); the sweep is bit-identical across
+# seeds and worker counts, and its budgeted 4x cell across a mid-storm
+# snapshot/resume. -count=1 defeats the test cache.
 overload:
-	$(GO) test ./internal/experiments -run 'TestOverload' -count=1 -v
-	$(GO) test ./internal/runtime -run 'TestReplanSuppression|TestPlannerBudget|TestAdmission|TestOverload' -count=1
+	@$(call gotest,./internal/experiments -run 'TestOverload' -count=1 -v)
+	@$(call gotest,./internal/runtime -run 'TestReplanSuppression|TestPlannerBudget|TestAdmission|TestOverload' -count=1)
 
 # Resume-determinism gate: runs restored from mid-flight snapshots must
 # finish with a bit-identical Result and trace export at any sweep worker
@@ -116,8 +133,8 @@ overload:
 # internal/experiments/resume-failure.snap.json (uploaded as a CI
 # artifact) for corralsnap inspection. -count=1 defeats the test cache.
 resume-determinism:
-	$(GO) test ./internal/experiments -run 'TestResume' -count=1 -v
-	$(GO) test ./internal/runtime -run 'TestSnapshot' -count=1
+	@$(call gotest,./internal/experiments -run 'TestResume' -count=1 -v)
+	@$(call gotest,./internal/runtime -run 'TestSnapshot' -count=1)
 	$(GO) test ./internal/snapshot -count=1
 
 # Trace-determinism gate: replaying a traced suite must reproduce the
@@ -125,7 +142,7 @@ resume-determinism:
 # sweep worker count and registration order — and the disabled tracer must
 # stay allocation-free. -count=1 defeats the test cache.
 trace-determinism:
-	$(GO) test ./internal/experiments -run 'TestTrace|TestTracing' -count=1 -v
+	@$(call gotest,./internal/experiments -run 'TestTrace|TestTracing' -count=1 -v)
 	$(GO) test ./internal/trace -count=1
 
 # Datacenter-scale gate: the 2k + 5k cells of the scale suite with full
@@ -141,4 +158,4 @@ scale:
 scale-nightly:
 	$(GO) run ./cmd/corralsim -exp scale -size l -seed 1 -json > scale-report.json
 	$(GO) run ./cmd/corralsim -fuzz-traces 100 -size s -seed 1
-	$(GO) test ./internal/experiments -run 'TestResume' -count=1
+	@$(call gotest,./internal/experiments -run 'TestResume' -count=1)

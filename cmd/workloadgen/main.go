@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"corral"
@@ -38,20 +39,22 @@ func main() {
 	// The generators would panic on a negative job count and silently
 	// replace a non-positive scale, database size or cluster shape with a
 	// default, so reject such values here. The negated comparisons also
-	// reject NaN.
+	// reject NaN. An infinite value fails too: +Inf sizes cannot be
+	// encoded as JSON, an infinite horizon yields an empty fault trace, and
+	// an infinite intensity fails every machine back to back.
 	switch {
 	case *jobs < 0:
 		fatal(fmt.Errorf("-jobs %d: must be >= 0 (0 = workload default)", *jobs))
-	case !(*scale > 0):
-		fatal(fmt.Errorf("-scale %g: must be > 0", *scale))
-	case !(*window >= 0):
-		fatal(fmt.Errorf("-window %g: must be >= 0 (0 = batch)", *window))
-	case !(*dbGB > 0):
-		fatal(fmt.Errorf("-tpch-db-gb %g: must be > 0", *dbGB))
-	case !(*intensity >= 0):
-		fatal(fmt.Errorf("-intensity %g: must be >= 0", *intensity))
-	case !(*horizon > 0):
-		fatal(fmt.Errorf("-horizon %g: must be > 0", *horizon))
+	case !(*scale > 0) || math.IsInf(*scale, 1):
+		fatal(fmt.Errorf("-scale %g: must be finite and > 0", *scale))
+	case !(*window >= 0) || math.IsInf(*window, 1):
+		fatal(fmt.Errorf("-window %g: must be finite and >= 0 (0 = batch)", *window))
+	case !(*dbGB > 0) || math.IsInf(*dbGB, 1):
+		fatal(fmt.Errorf("-tpch-db-gb %g: must be finite and > 0", *dbGB))
+	case !(*intensity >= 0) || math.IsInf(*intensity, 1):
+		fatal(fmt.Errorf("-intensity %g: must be finite and >= 0", *intensity))
+	case !(*horizon > 0) || math.IsInf(*horizon, 1):
+		fatal(fmt.Errorf("-horizon %g: must be finite and > 0", *horizon))
 	case *racks < 0:
 		fatal(fmt.Errorf("-racks %d: must be >= 0 (0 = default cluster)", *racks))
 	case *perRack < 0:

@@ -40,8 +40,9 @@ func run(t *testing.T, args ...string) (stdout, stderr string, code int) {
 	return out.String(), errb.String(), code
 }
 
-// TestBadFlagsExitWithError: a value the generators would crash on or
-// silently replace with a default is reported as one line on stderr with
+// TestBadFlagsExitWithError: a value the generators would crash on,
+// silently replace with a default or turn into an unusable output (an
+// infinite size, horizon or intensity) is reported as one line on stderr with
 // exit status 1, and nothing is emitted.
 func TestBadFlagsExitWithError(t *testing.T) {
 	for _, tc := range []struct {
@@ -58,6 +59,11 @@ func TestBadFlagsExitWithError(t *testing.T) {
 		{[]string{"-fault-trace", "-machines-per-rack", "-1"}, "-machines-per-rack"},
 		{[]string{"-fault-trace", "-intensity", "-1"}, "-intensity"},
 		{[]string{"-fault-trace", "-horizon", "-10"}, "-horizon"},
+		{[]string{"-scale", "+Inf"}, "-scale"},
+		{[]string{"-window", "+Inf"}, "-window"},
+		{[]string{"-workload", "tpch", "-tpch-db-gb", "+Inf"}, "-tpch-db-gb"},
+		{[]string{"-fault-trace", "-intensity", "+Inf"}, "-intensity"},
+		{[]string{"-fault-trace", "-horizon", "+Inf"}, "-horizon"},
 		{[]string{"-workload", "w9"}, "unknown workload"},
 	} {
 		stdout, stderr, code := run(t, tc.args...)

@@ -6,16 +6,16 @@ package experiments
 // batch under three configurations — the Yarn-CS baseline, Corral with the
 // paper's constraint-drop fallback only, and Corral with failure-triggered
 // replanning — to measure how gracefully each degrades as fault intensity
-// grows. Everything is a pure function of the parameters: traces come from
+// grows. Everything is a pure function of (size, seed): traces come from
 // one seeded rng walked in index order, and the runs themselves are
-// deterministic, so identical ChaosParams reproduce identical ChaosReports
-// bit for bit (TestChaosDeterminism).
+// deterministic, so a rerun reproduces every Result bit for bit
+// (TestChaosDeterminism).
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
+	"corral/internal/invariants"
 	"corral/internal/job"
 	"corral/internal/metrics"
 	"corral/internal/planner"
@@ -24,6 +24,10 @@ import (
 	"corral/internal/topology"
 	"corral/internal/workload"
 )
+
+// chaosIntensities is the bundled sweep of fault intensities: mild to
+// severe.
+var chaosIntensities = [...]float64{0.1, 0.3, 0.5}
 
 // chaosFactors are the uplink degradation levels a window can apply: full
 // outage, or capacity cut to a quarter or half. Every window is closed by
@@ -70,9 +74,26 @@ func GenChaosTrace(topo topology.Config, seed int64, intensity, horizon float64)
 	return failures, faults
 }
 
-// onlineBaseline is the fault-free starting point the chaos and overload
-// sweeps share: the online W1 workload, its average-completion plan and
-// the clean Corral run whose makespan sets their fault horizon.
+// faultSchedulers are the three configurations the chaos and fuzz sweeps
+// run every fault trace under, in this order: the Yarn-CS baseline, Corral
+// with the paper's constraint-drop fallback only, and Corral with
+// failure-triggered replanning.
+var faultSchedulers = [...]struct {
+	name   string
+	kind   runtime.Kind
+	plan   bool
+	replan bool
+}{
+	{"yarn-cs", runtime.YarnCS, false, false},
+	{"corral-drop", runtime.Corral, true, false},
+	{"corral-replan", runtime.Corral, true, true},
+}
+
+// onlineBaseline is the fault-free starting point the chaos, overload and
+// attrition sweeps share: the online W1 workload, its average-completion
+// plan and the clean Corral run. The clean makespan sets the chaos and
+// overload fault horizons, and the clean run is attrition's zero-crash
+// level, so the invariant monitor watches it.
 type onlineBaseline struct {
 	topo  topology.Config
 	jobs  []*job.Job
@@ -90,139 +111,106 @@ func newOnlineBaseline(size Size, seed int64) (*onlineBaseline, error) {
 	if err != nil {
 		return nil, err
 	}
+	mon := invariants.NewMonitor(prof.topo.Machines(), prof.topo.SlotsPerMachine)
 	clean, err := runtime.Run(runtime.Options{
-		Cluster: prof.topo, Scheduler: runtime.Corral, Plan: plan, Seed: seed,
+		Cluster: prof.topo, Scheduler: runtime.Corral, Plan: plan, Seed: seed, Probe: mon,
 	}, workload.Clone(jobs))
 	if err != nil {
 		return nil, err
 	}
+	if n := mon.ViolationCount(); n != 0 {
+		return nil, fmt.Errorf("clean online W1 run: %d invariant violations: %v", n, mon.Violations())
+	}
 	return &onlineBaseline{topo: prof.topo, jobs: jobs, plan: plan, clean: clean}, nil
 }
 
-// ChaosParams configures a chaos sweep.
-type ChaosParams struct {
-	Size        Size
-	Seed        int64
-	Intensities []float64
+// chaosSweep is the chaos sweep's outcome: the clean run, whose makespan
+// is the fault horizon, and one Result per (intensity, scheduler) cell,
+// at index i*len(faultSchedulers)+k for chaosIntensities[i] under
+// faultSchedulers[k].
+type chaosSweep struct {
+	clean *runtime.Result
+	runs  []*runtime.Result
 }
 
-// ChaosRun is one intensity level's outcome under the three schedulers.
-type ChaosRun struct {
-	Intensity    float64
-	Yarn         *runtime.Result
-	CorralDrop   *runtime.Result // Corral, constraint-drop fallback only
-	CorralReplan *runtime.Result // Corral with failure-triggered replanning
-}
-
-// ChaosReport is the full sweep outcome.
-type ChaosReport struct {
-	Horizon float64 // clean Corral makespan; fault traces span it
-	Clean   *runtime.Result
-	Runs    []ChaosRun
-}
-
-// RunChaos runs the online W1 workload under each fault intensity and
-// scheduler configuration. The online regime (arrivals spread over the
+// runChaos runs the online W1 workload under each bundled fault intensity
+// and each of faultSchedulers. The online regime (arrivals spread over the
 // run, planned for average completion) is where the paper's completion-
 // time wins live (Fig 8/9) — and the realistic setting for chaos: faults
 // hit an operating cluster, not a one-shot batch. The fault horizon is
 // the clean Corral makespan, so traces stress the whole nominal run.
-// Every intensity must be finite and non-negative.
-func RunChaos(p ChaosParams) (*ChaosReport, error) {
-	for _, x := range p.Intensities {
-		if !(x >= 0) || math.IsInf(x, 1) {
-			return nil, fmt.Errorf("chaos: fault intensity %g must be finite and non-negative", x)
-		}
-	}
-	base, err := newOnlineBaseline(p.Size, p.Seed)
+func runChaos(size Size, seed int64) (*chaosSweep, error) {
+	base, err := newOnlineBaseline(size, seed)
 	if err != nil {
 		return nil, err
 	}
-	topo, jobs, plan := base.topo, base.jobs, base.plan
-	rep := &ChaosReport{Horizon: base.clean.Makespan, Clean: base.clean}
-	// Every (intensity, scheduler config) cell is an independent simulation:
-	// precompute the traces, fan the cells out over the sweep worker pool,
-	// and assemble Runs in intensity order afterwards (see internal/pool for
-	// the determinism rules).
-	type cfg struct {
-		kind   runtime.Kind
-		plan   *planner.Plan
-		replan bool
+	horizon := base.clean.Makespan
+	// Every (intensity, scheduler) cell is an independent simulation:
+	// precompute the traces, then fan the cells out over the sweep worker
+	// pool (see internal/pool for the determinism rules).
+	var failures [len(chaosIntensities)][]runtime.Failure
+	var faults [len(chaosIntensities)][]runtime.LinkFault
+	for i, intensity := range chaosIntensities {
+		failures[i], faults[i] = GenChaosTrace(base.topo, seed, intensity, horizon)
 	}
-	cfgs := []cfg{
-		{runtime.YarnCS, nil, false},
-		{runtime.Corral, plan, false},
-		{runtime.Corral, plan, true},
+	out := &chaosSweep{
+		clean: base.clean,
+		runs:  make([]*runtime.Result, len(chaosIntensities)*len(faultSchedulers)),
 	}
-	type trace struct {
-		failures []runtime.Failure
-		faults   []runtime.LinkFault
-	}
-	traces := make([]trace, len(p.Intensities))
-	for i, intensity := range p.Intensities {
-		traces[i].failures, traces[i].faults = GenChaosTrace(topo, p.Seed, intensity, rep.Horizon)
-	}
-	results := make([]*runtime.Result, len(p.Intensities)*len(cfgs))
-	if err := pool.For(len(results), func(ci int) error {
-		tr, c := traces[ci/len(cfgs)], cfgs[ci%len(cfgs)]
-		res, err := runtime.Run(runtime.Options{
-			Cluster: topo, Scheduler: c.kind, Plan: c.plan, Seed: p.Seed,
-			Failures: tr.failures, LinkFaults: tr.faults, ReplanOnFailure: c.replan,
-		}, workload.Clone(jobs))
+	if err := pool.For(len(out.runs), func(ci int) error {
+		i, sc := ci/len(faultSchedulers), faultSchedulers[ci%len(faultSchedulers)]
+		opts := runtime.Options{
+			Cluster: base.topo, Scheduler: sc.kind, Seed: seed,
+			Failures: failures[i], LinkFaults: faults[i], ReplanOnFailure: sc.replan,
+		}
+		if sc.plan {
+			opts.Plan = base.plan
+		}
+		res, err := runtime.Run(opts, workload.Clone(base.jobs))
 		if err != nil {
 			return err
 		}
-		results[ci] = res
+		out.runs[ci] = res
 		return nil
 	}); err != nil {
 		return nil, err
 	}
-	for i, intensity := range p.Intensities {
-		rep.Runs = append(rep.Runs, ChaosRun{
-			Intensity:    intensity,
-			Yarn:         results[i*len(cfgs)],
-			CorralDrop:   results[i*len(cfgs)+1],
-			CorralReplan: results[i*len(cfgs)+2],
-		})
-	}
-	return rep, nil
+	return out, nil
 }
 
-// DefaultChaosIntensities is the bundled sweep: mild to severe.
-var DefaultChaosIntensities = []float64{0.1, 0.3, 0.5}
-
-// Chaos is the registry entry: the default sweep rendered as a table of
+// Chaos is the registry entry: the bundled sweep rendered as a table of
 // average job completion times and slowdowns relative to the clean run.
 func Chaos(p Params) (*Report, error) {
 	r := newReport("Chaos: graceful degradation under machine and uplink faults")
-	rep, err := RunChaos(ChaosParams{Size: p.Size, Seed: p.Seed, Intensities: DefaultChaosIntensities})
+	sw, err := runChaos(p.Size, p.Seed)
 	if err != nil {
 		return nil, err
 	}
-	cleanAvg := rep.Clean.AvgCompletionTime()
+	cleanAvg := sw.clean.AvgCompletionTime()
 	t := &metrics.Table{
 		Title: fmt.Sprintf("online W1, fault horizon %.1fs; avg completion (s) and slowdown vs clean Corral",
-			rep.Horizon),
+			sw.clean.Makespan),
 		Columns: []string{"intensity", "yarn-cs", "corral (drop)", "corral (replan)",
 			"replan p50", "replan p95", "replan p99", "replan slowdown"},
 	}
 	r.set("clean_avg_completion", cleanAvg)
-	r.set("clean_p95_completion", metrics.P95(rep.Clean.CompletionTimes()))
-	for _, run := range rep.Runs {
-		y, d, pl := run.Yarn.AvgCompletionTime(), run.CorralDrop.AvgCompletionTime(), run.CorralReplan.AvgCompletionTime()
-		ct := run.CorralReplan.CompletionTimes()
+	r.set("clean_p95_completion", metrics.P95(sw.clean.CompletionTimes()))
+	for i, intensity := range chaosIntensities {
+		cell := sw.runs[i*len(faultSchedulers):] // yarn-cs, corral-drop, corral-replan
+		y, d, pl := cell[0].AvgCompletionTime(), cell[1].AvgCompletionTime(), cell[2].AvgCompletionTime()
+		ct := cell[2].CompletionTimes()
 		// Slowdown is +Inf when the clean baseline completed no jobs
 		// (cleanAvg 0); F renders that as "+Inf", keeping the row valid.
-		t.AddRow(metrics.F(run.Intensity, 2), metrics.F(y, 1), metrics.F(d, 1), metrics.F(pl, 1),
+		t.AddRow(metrics.F(intensity, 2), metrics.F(y, 1), metrics.F(d, 1), metrics.F(pl, 1),
 			metrics.F(metrics.P50(ct), 1), metrics.F(metrics.P95(ct), 1), metrics.F(metrics.P99(ct), 1),
 			metrics.F(metrics.Slowdown(cleanAvg, pl), 2))
-		key := func(s string) string { return fmt.Sprintf("%s_i%02.0f", s, run.Intensity*100) }
+		key := func(s string) string { return fmt.Sprintf("%s_i%02.0f", s, intensity*100) }
 		r.set(key("avg_yarn"), y)
 		r.set(key("avg_corral_drop"), d)
 		r.set(key("avg_corral_replan"), pl)
 		r.set(key("p95_corral_replan"), metrics.P95(ct))
-		r.set(key("replans"), float64(run.CorralReplan.Replans))
-		r.set(key("repair_bytes"), run.CorralReplan.RepairBytes)
+		r.set(key("replans"), float64(cell[2].Replans))
+		r.set(key("repair_bytes"), cell[2].RepairBytes)
 	}
 	r.table(t)
 	return r, nil

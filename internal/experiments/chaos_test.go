@@ -6,29 +6,27 @@ import (
 )
 
 // TestChaosDeterminism: the full chaos sweep — trace generation plus three
-// scheduler runs per intensity — must be a pure function of (params, seed).
-// Two seeds guard against a constant-seed fallback passing vacuously.
+// scheduler runs per bundled intensity — must be a pure function of
+// (size, seed), down to every cell's full Result. Two seeds guard against
+// a constant-seed fallback passing vacuously.
 func TestChaosDeterminism(t *testing.T) {
-	params := func(seed int64) ChaosParams {
-		return ChaosParams{Size: SizeS, Seed: seed, Intensities: []float64{0.2, 0.5}}
-	}
-	reports := map[int64]*ChaosReport{}
+	sweeps := map[int64]*chaosSweep{}
 	for _, seed := range []int64{1, 42} {
-		first, err := RunChaos(params(seed))
+		first, err := runChaos(SizeS, seed)
 		if err != nil {
 			t.Fatalf("seed %d: first run: %v", seed, err)
 		}
-		second, err := RunChaos(params(seed))
+		second, err := runChaos(SizeS, seed)
 		if err != nil {
 			t.Fatalf("seed %d: second run: %v", seed, err)
 		}
 		if !reflect.DeepEqual(first, second) {
 			t.Errorf("seed %d: chaos sweep not reproducible", seed)
 		}
-		reports[seed] = first
+		sweeps[seed] = first
 	}
-	if reflect.DeepEqual(reports[int64(1)], reports[int64(42)]) {
-		t.Error("seeds 1 and 42 produced identical chaos reports; the seed is not reaching the traces")
+	if reflect.DeepEqual(sweeps[int64(1)], sweeps[int64(42)]) {
+		t.Error("seeds 1 and 42 produced identical chaos sweeps; the seed is not reaching the traces")
 	}
 }
 
@@ -70,31 +68,32 @@ func TestChaosTraceShape(t *testing.T) {
 }
 
 // TestChaosGracefulDegradation is the acceptance gate on the bundled
-// trace: at every fault intensity, Corral with failure-triggered
-// replanning completes jobs on average no later than constraint-drop-only
-// Corral, and no later than the Yarn-CS baseline.
+// sweep the registry runs: at every fault intensity, Corral with
+// failure-triggered replanning completes jobs on average no later than
+// constraint-drop-only Corral, and no later than the Yarn-CS baseline.
 func TestChaosGracefulDegradation(t *testing.T) {
-	rep, err := RunChaos(ChaosParams{Size: SizeS, Seed: 1, Intensities: DefaultChaosIntensities})
+	sw, err := runChaos(SizeS, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if want := len(chaosIntensities) * len(faultSchedulers); len(sw.runs) != want {
+		t.Fatalf("%d cells, want %d", len(sw.runs), want)
+	}
 	const eps = 1e-9
-	for _, run := range rep.Runs {
-		y, d, pl := run.Yarn.AvgCompletionTime(), run.CorralDrop.AvgCompletionTime(), run.CorralReplan.AvgCompletionTime()
+	for i, intensity := range chaosIntensities {
+		cell := sw.runs[i*len(faultSchedulers):]
+		y, d, pl := cell[0].AvgCompletionTime(), cell[1].AvgCompletionTime(), cell[2].AvgCompletionTime()
 		if pl > d+eps {
 			t.Errorf("intensity %g: replanning degraded Corral: %.3f > drop-only %.3f",
-				run.Intensity, pl, d)
+				intensity, pl, d)
 		}
 		if pl > y+eps {
 			t.Errorf("intensity %g: Corral+replan lost to Yarn-CS: %.3f > %.3f",
-				run.Intensity, pl, y)
+				intensity, pl, y)
 		}
-		for _, res := range []struct {
-			name string
-			avg  float64
-		}{{"yarn", y}, {"drop", d}, {"replan", pl}} {
-			if res.avg <= 0 {
-				t.Errorf("intensity %g: %s jobs did not all complete", run.Intensity, res.name)
+		for k, sc := range faultSchedulers {
+			if cell[k].AvgCompletionTime() <= 0 {
+				t.Errorf("intensity %g: %s jobs did not all complete", intensity, sc.name)
 			}
 		}
 	}

@@ -7,11 +7,13 @@ package experiments
 // application-master kills and DFS replica corruption, all drawn from one
 // seeded rng per trace — and replays each trace under Yarn-CS, Corral
 // with the constraint-drop fallback, and Corral with failure-triggered
-// replanning, with the invariant monitor (internal/invariants) attached.
-// Any violation — slot leak, attempt on a dead or blacklisted machine,
-// infeasible link rates, broken DFS byte accounting, a job that neither
-// completes nor fails — is collected and reported. A fixed seed makes the
-// whole sweep reproducible, so the fuzz gate in CI is a deterministic
+// replanning, with the invariant monitor (internal/invariants) attached;
+// the corral-replan run is then resumed from a mid-flight snapshot and
+// must finish bit-identical. Any violation — slot leak, attempt on a dead
+// or blacklisted machine, infeasible link rates, broken DFS byte
+// accounting, a job that neither completes nor fails, a resumed run that
+// diverges — is collected and reported. A fixed seed makes the whole
+// sweep reproducible, so the fuzz gate in CI is a deterministic
 // regression test that happens to have been born random.
 //
 // The attrition sweep is the measurement companion: the online W1
@@ -25,32 +27,17 @@ import (
 
 	"corral/internal/invariants"
 	"corral/internal/metrics"
-	"corral/internal/planner"
 	"corral/internal/pool"
 	"corral/internal/runtime"
 	"corral/internal/workload"
 )
 
-// FuzzParams configures a corralcheck sweep.
-type FuzzParams struct {
-	Size   Size
-	Seed   int64
-	Traces int // randomized traces; <=0 selects DefaultFuzzTraces
-	// Snapshots adds a mid-flight snapshot + resume check per trace: the
-	// corral-replan run is captured at its midpoint, restored from the
-	// serialized bytes, and the resumed Result must deep-equal the
-	// uninterrupted one. Divergence is reported as a violation.
-	Snapshots bool
-}
-
 // DefaultFuzzTraces is the bundled sweep size; the CI gate runs at least
 // this many traces.
 const DefaultFuzzTraces = 25
 
-// FuzzTrace is one generated workload + fault configuration.
-type FuzzTrace struct {
-	Seed            int64
-	JobCount        int
+// fuzzTrace is one generated workload + fault configuration.
+type fuzzTrace struct {
 	TaskFailureProb float64
 	Failures        []runtime.Failure
 	LinkFaults      []runtime.LinkFault
@@ -58,36 +45,12 @@ type FuzzTrace struct {
 	Corruptions     []runtime.Corruption
 }
 
-// FuzzReport aggregates a corralcheck sweep.
-type FuzzReport struct {
-	Traces     int
-	Runs       int      // simulation runs executed (3 schedulers per trace)
-	Violations []string // labeled invariant violations across all runs
-	Completed  int      // jobs that completed, summed over runs
-	Failed     int      // jobs that failed terminally (legal under attrition)
-	// Completions holds per-job completion times of every monitored run,
-	// in run order, for the percentile summary.
-	Completions []float64
-}
-
-// fuzzSchedulers are the three configurations every trace runs under.
-var fuzzSchedulers = []struct {
-	name   string
-	kind   runtime.Kind
-	plan   bool
-	replan bool
-}{
-	{"yarn-cs", runtime.YarnCS, false, false},
-	{"corral-drop", runtime.Corral, true, false},
-	{"corral-replan", runtime.Corral, true, true},
-}
-
 // genFuzzTrace draws one trace configuration. Everything derives from the
 // trace rng, so a trace is a pure function of (topology, seed, horizon,
 // job IDs).
-func genFuzzTrace(prof profile, seed int64, horizon float64, jobIDs []int) FuzzTrace {
+func genFuzzTrace(prof profile, seed int64, horizon float64, jobIDs []int) fuzzTrace {
 	rng := rand.New(rand.NewSource(seed))
-	tr := FuzzTrace{Seed: seed}
+	var tr fuzzTrace
 	// Machine failures + uplink windows reuse the chaos generator at a
 	// randomized intensity (kept below the chaos gate's severe end: the
 	// fuzzer explores interleavings, not outage Armageddon).
@@ -114,31 +77,33 @@ func genFuzzTrace(prof profile, seed int64, horizon float64, jobIDs []int) FuzzT
 	return tr
 }
 
-// RunFuzz executes the corralcheck sweep: Traces randomized traces, each
-// replayed under the three scheduler configurations with the invariant
-// monitor attached. The returned report is a pure function of the params.
-func RunFuzz(p FuzzParams) (*FuzzReport, error) {
-	if p.Traces <= 0 {
-		p.Traces = DefaultFuzzTraces
-	}
-	prof := profileFor(p.Size)
+// fuzzSweep aggregates a corralcheck sweep, or one trace of it.
+type fuzzSweep struct {
+	runs       int      // simulation runs: three schedulers plus one resume per trace
+	violations []string // labeled invariant violations across all runs
+	completed  int      // jobs that completed, summed over runs
+	failed     int      // jobs that failed terminally (legal under attrition)
+	// completions holds per-job completion times of every scheduler run,
+	// in run order, for the percentile summary.
+	completions []float64
+}
+
+// runFuzz executes the corralcheck sweep: traces randomized traces, each
+// replayed under faultSchedulers with the invariant monitor attached,
+// plus a mid-flight snapshot + resume check of its corral-replan run. The
+// outcome is a pure function of the arguments.
+func runFuzz(size Size, seed int64, traces int) (*fuzzSweep, error) {
+	prof := profileFor(size)
 	topo := prof.topo
-	rep := &FuzzReport{Traces: p.Traces}
 	// Each trace — workload generation, planning, clean run, trace
-	// generation and the three monitored runs — is fully derived from its
-	// own seed, so traces fan out over the sweep worker pool and their
-	// outputs merge in trace order (see internal/pool for the rules).
-	type traceOut struct {
-		runs        int
-		violations  []string
-		completed   int
-		failed      int
-		completions []float64
-	}
-	outs := make([]traceOut, p.Traces)
-	if err := pool.For(p.Traces, func(i int) error {
+	// generation, the three monitored runs and the resume — is fully
+	// derived from its own seed, so traces fan out over the sweep worker
+	// pool and their outputs merge in trace order (see internal/pool for
+	// the rules).
+	outs := make([]fuzzSweep, traces)
+	if err := pool.For(traces, func(i int) error {
 		out := &outs[i]
-		traceSeed := p.Seed + int64(i)*7919
+		traceSeed := seed + int64(i)*7919
 		// Randomized workload and fault trace: the crash-resume scenario,
 		// whose options are the corral-replan configuration.
 		replanOpts, jobs, err := resumeScenario(prof, traceSeed)
@@ -146,7 +111,7 @@ func RunFuzz(p FuzzParams) (*FuzzReport, error) {
 			return fmt.Errorf("fuzz trace %d: %w", i, err)
 		}
 		var replanRes *runtime.Result
-		for _, sc := range fuzzSchedulers {
+		for _, sc := range faultSchedulers {
 			mon := invariants.NewMonitor(topo.Machines(), topo.SlotsPerMachine)
 			opts := replanOpts
 			opts.Scheduler = sc.kind
@@ -185,7 +150,7 @@ func RunFuzz(p FuzzParams) (*FuzzReport, error) {
 		// Mid-flight snapshot + resume check: restore the corral-replan run
 		// from its serialized midpoint and require the resumed Result to be
 		// bit-identical to the uninterrupted one.
-		if p.Snapshots && replanRes != nil && replanRes.Events > 2 {
+		if replanRes != nil && replanRes.Events > 2 {
 			label := fmt.Sprintf("trace %d (seed %d) snapshot-resume", i, traceSeed)
 			mon := invariants.NewMonitor(topo.Machines(), topo.SlotsPerMachine)
 			_, _, mismatch, err := resumeCheck(replanOpts, jobs, replanRes.Events/2, runtime.ResumeOptions{Probe: mon}, replanRes)
@@ -205,14 +170,15 @@ func RunFuzz(p FuzzParams) (*FuzzReport, error) {
 	}); err != nil {
 		return nil, err
 	}
+	sw := &fuzzSweep{}
 	for i := range outs {
-		rep.Runs += outs[i].runs
-		rep.Violations = append(rep.Violations, outs[i].violations...)
-		rep.Completed += outs[i].completed
-		rep.Failed += outs[i].failed
-		rep.Completions = append(rep.Completions, outs[i].completions...)
+		sw.runs += outs[i].runs
+		sw.violations = append(sw.violations, outs[i].violations...)
+		sw.completed += outs[i].completed
+		sw.failed += outs[i].failed
+		sw.completions = append(sw.completions, outs[i].completions...)
 	}
-	return rep, nil
+	return sw, nil
 }
 
 // Fuzz is the corralcheck registry entry: the bundled 25-trace sweep.
@@ -221,40 +187,42 @@ func Fuzz(p Params) (*Report, error) {
 }
 
 // FuzzWithTraces runs corralcheck with a caller-chosen trace count (the
-// corralsim -fuzz-traces flag). Mid-flight snapshot + resume checks are
-// always on for the bundled entry.
+// corralsim -fuzz-traces flag); traces <= 0 selects DefaultFuzzTraces.
 func FuzzWithTraces(p Params, traces int) (*Report, error) {
+	if traces <= 0 {
+		traces = DefaultFuzzTraces
+	}
 	r := newReport("corralcheck: randomized attrition traces under the invariant monitor")
-	rep, err := RunFuzz(FuzzParams{Size: p.Size, Seed: p.Seed, Traces: traces, Snapshots: true})
+	sw, err := runFuzz(p.Size, p.Seed, traces)
 	if err != nil {
 		return nil, err
 	}
 	t := &metrics.Table{
-		Title: fmt.Sprintf("%d traces x %d scheduler configs (seed-derived workloads and faults)",
-			rep.Traces, len(fuzzSchedulers)),
+		Title: fmt.Sprintf("%d traces x %d scheduler configs + 1 snapshot/resume each (seed-derived workloads and faults)",
+			traces, len(faultSchedulers)),
 		Columns: []string{"metric", "value"},
 	}
-	t.AddRow("sim runs", metrics.F(float64(rep.Runs), 0))
-	t.AddRow("invariant violations", metrics.F(float64(len(rep.Violations)), 0))
-	t.AddRow("jobs completed", metrics.F(float64(rep.Completed), 0))
-	t.AddRow("jobs failed terminally", metrics.F(float64(rep.Failed), 0))
-	t.AddRow("completion p50 (s)", metrics.F(metrics.P50(rep.Completions), 1))
-	t.AddRow("completion p95 (s)", metrics.F(metrics.P95(rep.Completions), 1))
-	t.AddRow("completion p99 (s)", metrics.F(metrics.P99(rep.Completions), 1))
+	t.AddRow("sim runs", metrics.F(float64(sw.runs), 0))
+	t.AddRow("invariant violations", metrics.F(float64(len(sw.violations)), 0))
+	t.AddRow("jobs completed", metrics.F(float64(sw.completed), 0))
+	t.AddRow("jobs failed terminally", metrics.F(float64(sw.failed), 0))
+	t.AddRow("completion p50 (s)", metrics.F(metrics.P50(sw.completions), 1))
+	t.AddRow("completion p95 (s)", metrics.F(metrics.P95(sw.completions), 1))
+	t.AddRow("completion p99 (s)", metrics.F(metrics.P99(sw.completions), 1))
 	r.table(t)
-	r.set("traces", float64(rep.Traces))
-	r.set("runs", float64(rep.Runs))
-	r.set("violations", float64(len(rep.Violations)))
-	r.set("jobs_completed", float64(rep.Completed))
-	r.set("jobs_failed", float64(rep.Failed))
-	r.set("completion_p50", metrics.P50(rep.Completions))
-	r.set("completion_p95", metrics.P95(rep.Completions))
-	r.set("completion_p99", metrics.P99(rep.Completions))
+	r.set("traces", float64(traces))
+	r.set("runs", float64(sw.runs))
+	r.set("violations", float64(len(sw.violations)))
+	r.set("jobs_completed", float64(sw.completed))
+	r.set("jobs_failed", float64(sw.failed))
+	r.set("completion_p50", metrics.P50(sw.completions))
+	r.set("completion_p95", metrics.P95(sw.completions))
+	r.set("completion_p99", metrics.P99(sw.completions))
 	// Violations are a gate failure; surface them in the rendered report
 	// so a failing CI run is diagnosable from the log alone.
-	if len(rep.Violations) > 0 {
+	if len(sw.violations) > 0 {
 		vt := &metrics.Table{Title: "violations", Columns: []string{"detail"}}
-		for _, v := range rep.Violations {
+		for _, v := range sw.violations {
 			vt.AddRow(v)
 		}
 		r.table(vt)
@@ -264,52 +232,35 @@ func FuzzWithTraces(p Params, traces int) (*Report, error) {
 
 // --- attrition sweep --------------------------------------------------------
 
-// DefaultAttritionProbs is the bundled sweep of per-attempt crash
-// probabilities: mild flakiness up to roughly every eighth attempt
-// dying. The top level is chosen below the point where the default
-// 4-attempt budget starts failing jobs (p^4 job-killing chains become
-// non-negligible across hundreds of attempts beyond ~0.15).
-var DefaultAttritionProbs = []float64{0.03, 0.08, 0.12}
+// attritionProbs is the bundled sweep of per-attempt crash probabilities:
+// mild flakiness up to roughly every eighth attempt dying. The top level
+// is chosen below the point where the default 4-attempt budget starts
+// failing jobs (p^4 job-killing chains become non-negligible across
+// hundreds of attempts beyond ~0.15).
+var attritionProbs = [...]float64{0.03, 0.08, 0.12}
 
-// AttritionRun is one crash-probability level's outcome.
-type AttritionRun struct {
-	Prob   float64
-	Result *runtime.Result
-}
-
-// AttritionReport is the sweep outcome.
-type AttritionReport struct {
-	Clean *runtime.Result
-	Runs  []AttritionRun
-}
-
-// RunAttrition replays the online W1 workload under Corral with
-// increasing per-attempt crash probabilities, with retries, backoff and
-// blacklisting at their defaults. The invariant monitor is attached to
-// every run; violations surface as errors (the sweep is also a check).
-func RunAttrition(p Params, probs []float64) (*AttritionReport, error) {
-	prof := profileFor(p.Size)
-	topo := prof.topo
-	jobs, err := genOnlineWorkload("W1", prof, p.Seed)
+// runAttrition replays the online W1 workload under Corral at each of
+// attritionProbs, with retries, backoff and blacklisting at their
+// defaults. clean is the shared baseline's monitored zero-crash run;
+// runs[i] is the run at attritionProbs[i]. The invariant monitor is
+// attached to every run, and violations surface as errors (the sweep is
+// also a check).
+func runAttrition(size Size, seed int64) (clean *runtime.Result, runs []*runtime.Result, err error) {
+	base, err := newOnlineBaseline(size, seed)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	plan, err := planJobs(topo, jobs, planner.MinimizeAvgCompletion)
-	if err != nil {
-		return nil, err
-	}
-	rep := &AttritionReport{}
+	topo := base.topo
 	// Crash-probability levels are independent monitored runs: fan them out
 	// and collect in level order (see internal/pool for the rules).
-	levels := append([]float64{0}, probs...)
-	results := make([]*runtime.Result, len(levels))
-	if err := pool.For(len(levels), func(i int) error {
-		prob := levels[i]
+	runs = make([]*runtime.Result, len(attritionProbs))
+	if err := pool.For(len(runs), func(i int) error {
+		prob := attritionProbs[i]
 		mon := invariants.NewMonitor(topo.Machines(), topo.SlotsPerMachine)
 		res, err := runtime.Run(runtime.Options{
-			Cluster: topo, Scheduler: runtime.Corral, Plan: plan, Seed: p.Seed,
+			Cluster: topo, Scheduler: runtime.Corral, Plan: base.plan, Seed: seed,
 			TaskFailureProb: prob, Probe: mon,
-		}, workload.Clone(jobs))
+		}, workload.Clone(base.jobs))
 		if err != nil {
 			return fmt.Errorf("attrition p=%g: %w", prob, err)
 		}
@@ -317,45 +268,42 @@ func RunAttrition(p Params, probs []float64) (*AttritionReport, error) {
 			return fmt.Errorf("attrition p=%g: %d invariant violations: %v",
 				prob, n, mon.Violations())
 		}
-		results[i] = res
+		runs[i] = res
 		return nil
 	}); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	rep.Clean = results[0]
-	for i, prob := range probs {
-		rep.Runs = append(rep.Runs, AttritionRun{Prob: prob, Result: results[i+1]})
-	}
-	return rep, nil
+	return base.clean, runs, nil
 }
 
 // Attrition is the registry entry: the bundled crash-probability sweep
 // with completion-time percentiles per level.
 func Attrition(p Params) (*Report, error) {
 	r := newReport("Attrition: task retries + blacklisting under rising crash rates")
-	rep, err := RunAttrition(p, DefaultAttritionProbs)
+	clean, runs, err := runAttrition(p.Size, p.Seed)
 	if err != nil {
 		return nil, err
 	}
-	cleanAvg := rep.Clean.AvgCompletionTime()
+	cleanAvg := clean.AvgCompletionTime()
 	t := &metrics.Table{
 		Title:   "online W1 under Corral; per-attempt crash probability sweep",
 		Columns: []string{"crash prob", "avg (s)", "p50", "p95", "p99", "failed jobs", "slowdown"},
 	}
 	r.set("clean_avg_completion", cleanAvg)
-	for _, run := range rep.Runs {
-		ct := run.Result.CompletionTimes()
-		avg := run.Result.AvgCompletionTime()
+	for i, prob := range attritionProbs {
+		res := runs[i]
+		ct := res.CompletionTimes()
+		avg := res.AvgCompletionTime()
 		// Slowdown is +Inf when the clean baseline completed no jobs
 		// (cleanAvg 0); F renders that as "+Inf", keeping the row valid.
-		t.AddRow(metrics.F(run.Prob, 2), metrics.F(avg, 1),
+		t.AddRow(metrics.F(prob, 2), metrics.F(avg, 1),
 			metrics.F(metrics.P50(ct), 1), metrics.F(metrics.P95(ct), 1), metrics.F(metrics.P99(ct), 1),
-			metrics.F(float64(run.Result.FailedJobs), 0),
+			metrics.F(float64(res.FailedJobs), 0),
 			metrics.F(metrics.Slowdown(cleanAvg, avg), 2))
-		key := func(s string) string { return fmt.Sprintf("%s_p%02.0f", s, run.Prob*100) }
+		key := func(s string) string { return fmt.Sprintf("%s_p%02.0f", s, prob*100) }
 		r.set(key("avg"), avg)
 		r.set(key("p95"), metrics.P95(ct))
-		r.set(key("failed_jobs"), float64(run.Result.FailedJobs))
+		r.set(key("failed_jobs"), float64(res.FailedJobs))
 	}
 	r.table(t)
 	return r, nil

@@ -5,32 +5,29 @@ import (
 	"testing"
 )
 
-// TestFuzzGate is the corralcheck acceptance gate: the bundled fixed-seed
-// sweep runs at least DefaultFuzzTraces randomized workload+fault traces
-// under all three scheduler configurations with zero invariant
-// violations, and the traces demonstrably exercised the fault machinery
-// (jobs completed, and across the sweep at least one trace injected each
-// fault class).
+// TestFuzzGate is the corralcheck acceptance gate on the sweep the
+// registry runs: DefaultFuzzTraces randomized workload+fault traces under
+// all three scheduler configurations plus a mid-flight snapshot/resume of
+// every trace's corral-replan run, with zero invariant violations, and
+// the traces demonstrably exercised the fault machinery (jobs completed).
 func TestFuzzGate(t *testing.T) {
-	rep, err := RunFuzz(FuzzParams{Size: SizeS, Seed: 1})
+	sw, err := runFuzz(SizeS, 1, DefaultFuzzTraces)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Traces < DefaultFuzzTraces {
-		t.Fatalf("ran %d traces, want >= %d", rep.Traces, DefaultFuzzTraces)
+	if len(sw.violations) != 0 {
+		t.Fatalf("%d invariant violations:\n%v", len(sw.violations), sw.violations)
 	}
-	if want := rep.Traces * len(fuzzSchedulers); rep.Runs != want {
-		t.Fatalf("executed %d runs, want %d", rep.Runs, want)
+	// Each trace counts its three scheduler runs plus its resumed run.
+	if want := DefaultFuzzTraces * (len(faultSchedulers) + 1); sw.runs != want {
+		t.Fatalf("executed %d runs, want %d (3 schedulers + 1 resume per trace)", sw.runs, want)
 	}
-	if len(rep.Violations) != 0 {
-		t.Fatalf("%d invariant violations:\n%v", len(rep.Violations), rep.Violations)
-	}
-	if rep.Completed == 0 {
+	if sw.completed == 0 {
 		t.Fatal("no job completed across the sweep (vacuous gate)")
 	}
-	if len(rep.Completions) != rep.Completed {
+	if len(sw.completions) != sw.completed {
 		t.Fatalf("completions slice has %d entries for %d completed jobs",
-			len(rep.Completions), rep.Completed)
+			len(sw.completions), sw.completed)
 	}
 }
 
@@ -85,59 +82,58 @@ func TestFuzzTraceCoverage(t *testing.T) {
 	}
 }
 
-// TestFuzzDeterminism: the whole sweep is a pure function of the params,
-// and the seed genuinely reaches the generated traces.
+// TestFuzzDeterminism: the whole sweep, resume checks included, is a pure
+// function of its arguments down to the completion list, and the seed
+// genuinely reaches the generated traces.
 func TestFuzzDeterminism(t *testing.T) {
-	params := func(seed int64) FuzzParams {
-		return FuzzParams{Size: SizeS, Seed: seed, Traces: 4}
-	}
-	reports := map[int64]*FuzzReport{}
+	sweeps := map[int64]*fuzzSweep{}
 	for _, seed := range []int64{3, 77} {
-		first, err := RunFuzz(params(seed))
+		first, err := runFuzz(SizeS, seed, 4)
 		if err != nil {
 			t.Fatalf("seed %d: first run: %v", seed, err)
 		}
-		second, err := RunFuzz(params(seed))
+		second, err := runFuzz(SizeS, seed, 4)
 		if err != nil {
 			t.Fatalf("seed %d: second run: %v", seed, err)
 		}
 		if !reflect.DeepEqual(first, second) {
 			t.Errorf("seed %d: fuzz sweep not reproducible", seed)
 		}
-		reports[seed] = first
+		sweeps[seed] = first
 	}
-	if reflect.DeepEqual(reports[int64(3)], reports[int64(77)]) {
-		t.Error("seeds 3 and 77 produced identical fuzz reports; the seed is not reaching the traces")
+	if reflect.DeepEqual(sweeps[int64(3)], sweeps[int64(77)]) {
+		t.Error("seeds 3 and 77 produced identical fuzz sweeps; the seed is not reaching the traces")
 	}
 }
 
-// TestAttritionSweepGate is the tentpole acceptance gate: with retries,
-// backoff and blacklisting at their defaults, every job completes at
-// every bundled crash probability, and average completion time degrades
-// monotonically as the crash rate rises.
+// TestAttritionSweepGate is the attrition acceptance gate on the sweep
+// the registry runs: with retries, backoff and blacklisting at their
+// defaults, every job completes at every bundled crash probability, and
+// average completion time degrades monotonically as the crash rate rises.
 func TestAttritionSweepGate(t *testing.T) {
-	rep, err := RunAttrition(Params{Size: SizeS, Seed: 1}, DefaultAttritionProbs)
+	clean, runs, err := runAttrition(SizeS, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Runs) != len(DefaultAttritionProbs) {
-		t.Fatalf("%d runs for %d probabilities", len(rep.Runs), len(DefaultAttritionProbs))
+	if len(runs) != len(attritionProbs) {
+		t.Fatalf("%d runs for %d probabilities", len(runs), len(attritionProbs))
 	}
-	prev := rep.Clean.AvgCompletionTime()
-	for _, run := range rep.Runs {
-		if run.Result.FailedJobs != 0 {
+	prev := clean.AvgCompletionTime()
+	for i, prob := range attritionProbs {
+		res := runs[i]
+		if res.FailedJobs != 0 {
 			t.Errorf("p=%g: %d jobs failed; retries must carry every job to completion",
-				run.Prob, run.Result.FailedJobs)
+				prob, res.FailedJobs)
 		}
-		for _, jr := range run.Result.Jobs {
+		for _, jr := range res.Jobs {
 			if !jr.Failed && jr.CompletionTime <= 0 {
-				t.Fatalf("p=%g: job %d never completed", run.Prob, jr.ID)
+				t.Fatalf("p=%g: job %d never completed", prob, jr.ID)
 			}
 		}
-		avg := run.Result.AvgCompletionTime()
+		avg := res.AvgCompletionTime()
 		if avg < prev {
 			t.Errorf("p=%g: avg completion %.3f improved on previous level %.3f; degradation must be monotone",
-				run.Prob, avg, prev)
+				prob, avg, prev)
 		}
 		prev = avg
 	}

@@ -16,25 +16,24 @@ package experiments
 //     budget, replan-storm suppression and admission control. The same
 //     monitor bounds must stay clean, and the run must still complete.
 //
-// Everything is a pure function of OverloadParams: the workload, plan,
+// Everything is a pure function of (size, seed): the workload, plan,
 // storm trace and every simulation are seeded, and cells fan out over the
 // sweep pool with index-addressed slots (internal/pool determinism rules).
 
 import (
 	"fmt"
-	"math"
 
 	"corral/internal/invariants"
 	"corral/internal/metrics"
-	"corral/internal/planner"
 	"corral/internal/pool"
 	"corral/internal/runtime"
 	"corral/internal/topology"
 	"corral/internal/workload"
 )
 
-// DefaultOverloadRates sweeps from the nominal online regime to 8x past it.
-var DefaultOverloadRates = []float64{1, 2, 4, 8}
+// overloadRates are the bundled arrival-window compression factors: from
+// the nominal online regime to 8x past it.
+var overloadRates = [...]float64{1, 2, 4, 8}
 
 // Overload-hardening defaults for the sweep. The replan window and storm
 // are sized relative to the clean-run horizon so the sweep stresses every
@@ -72,103 +71,79 @@ func genFlapStorm(topo topology.Config, window, horizon float64) []runtime.LinkF
 	return out
 }
 
-// OverloadParams configures an overload sweep. The budgeted configuration
-// always runs with the bundled hardening: planner budget overloadBudget,
-// replan window horizon/overloadWindowDiv and admission limit 2*racks.
-type OverloadParams struct {
-	Size  Size
-	Seed  int64
-	Rates []float64 // arrival-window compression factors; nil = defaults
+// overloadConfigs are the sweep's three configurations, in cell order:
+// Yarn-CS, Corral-replan (no hardening) and budgeted Corral.
+var overloadConfigs = [...]struct {
+	kind     runtime.Kind
+	replan   bool
+	hardened bool
+}{
+	{runtime.YarnCS, false, false},
+	{runtime.Corral, true, false},
+	{runtime.Corral, true, true},
 }
 
-// OverloadRun is one arrival rate's outcome under the three configurations.
-type OverloadRun struct {
-	Rate         float64
-	Yarn         *runtime.Result
-	CorralReplan *runtime.Result // replanning, no hardening
-	Budgeted     *runtime.Result // budget + suppression + admission control
-	// Invariant-monitor violation counts with BoundReplanRate armed on both
-	// Corral configurations and BoundAdmissionQueue armed on the budgeted
-	// one. CorralReplanViolations > 0 during the storm is the anti-vacuity
-	// signal; BudgetedViolations must be 0.
-	CorralReplanViolations int
-	BudgetedViolations     int
+// overloadSweep is the overload sweep's outcome. base is the shared
+// online baseline: its clean rate-1 Corral makespan is the horizon the
+// storm spans. window and admission are the replan window and admission
+// limit the budgeted configuration runs with. Cell
+// i*len(overloadConfigs)+k holds overloadRates[i] under
+// overloadConfigs[k]. violations counts the invariant monitor's findings
+// per cell, with BoundReplanRate armed on both Corral configurations and
+// BoundAdmissionQueue on the budgeted one: Corral-replan tripping the
+// bound during the storm is the anti-vacuity signal, and the budgeted
+// cells must stay at 0.
+type overloadSweep struct {
+	base       *onlineBaseline
+	window     float64
+	admission  int
+	runs       []*runtime.Result
+	violations []int
 }
 
-// OverloadReport is the full sweep outcome. PlannerBudget, ReplanWindow
-// and AdmissionLimit record the values the budgeted configuration ran
-// with.
-type OverloadReport struct {
-	Horizon        float64 // clean Corral makespan at rate 1; storm spans it
-	PlannerBudget  float64
-	ReplanWindow   float64
-	AdmissionLimit int
-	Clean          *runtime.Result
-	Runs           []OverloadRun
-}
-
-// RunOverload runs the overload sweep. The clean rate-1 Corral run fixes
+// runOverload runs the overload sweep. The clean rate-1 Corral run fixes
 // the horizon; the same storm trace then replays at every rate so rows
-// differ only in arrival pressure. Every rate must be finite and positive.
-func RunOverload(p OverloadParams) (*OverloadReport, error) {
-	rates := p.Rates
-	if len(rates) == 0 {
-		rates = DefaultOverloadRates
-	}
-	for _, r := range rates {
-		if !(r > 0) || math.IsInf(r, 1) {
-			return nil, fmt.Errorf("overload: arrival rate %g must be finite and positive", r)
-		}
-	}
-	base, err := newOnlineBaseline(p.Size, p.Seed)
+// differ only in arrival pressure. The budgeted configuration runs with
+// planner budget overloadBudget, replan window horizon/overloadWindowDiv
+// and admission limit 2*racks.
+func runOverload(size Size, seed int64) (*overloadSweep, error) {
+	base, err := newOnlineBaseline(size, seed)
 	if err != nil {
 		return nil, err
 	}
-	topo, jobs, plan := base.topo, base.jobs, base.plan
-	rep := &OverloadReport{
-		Horizon:        base.clean.Makespan,
-		PlannerBudget:  overloadBudget,
-		ReplanWindow:   base.clean.Makespan / overloadWindowDiv,
-		AdmissionLimit: 2 * topo.Racks,
-		Clean:          base.clean,
+	topo := base.topo
+	horizon := base.clean.Makespan
+	sw := &overloadSweep{
+		base:      base,
+		window:    horizon / overloadWindowDiv,
+		admission: 2 * topo.Racks,
+		runs:      make([]*runtime.Result, len(overloadRates)*len(overloadConfigs)),
 	}
-	failures, _ := GenChaosTrace(topo, p.Seed, overloadStorm, rep.Horizon)
-	faults := genFlapStorm(topo, rep.ReplanWindow, rep.Horizon)
-
-	type cfg struct {
-		kind     runtime.Kind
-		plan     *planner.Plan
-		replan   bool
-		hardened bool
-	}
-	cfgs := []cfg{
-		{runtime.YarnCS, nil, false, false},
-		{runtime.Corral, plan, true, false},
-		{runtime.Corral, plan, true, true},
-	}
-	results := make([]*runtime.Result, len(rates)*len(cfgs))
-	violations := make([]int, len(results))
-	if err := pool.For(len(results), func(ci int) error {
-		rate, c := rates[ci/len(cfgs)], cfgs[ci%len(cfgs)]
+	sw.violations = make([]int, len(sw.runs))
+	failures, _ := GenChaosTrace(topo, seed, overloadStorm, horizon)
+	faults := genFlapStorm(topo, sw.window, horizon)
+	if err := pool.For(len(sw.runs), func(ci int) error {
+		rate, c := overloadRates[ci/len(overloadConfigs)], overloadConfigs[ci%len(overloadConfigs)]
 		opts := runtime.Options{
-			Cluster: topo, Scheduler: c.kind, Plan: c.plan, Seed: p.Seed,
+			Cluster: topo, Scheduler: c.kind, Seed: seed,
 			Failures: failures, LinkFaults: faults, ReplanOnFailure: c.replan,
 		}
 		var mon *invariants.Monitor
 		if c.kind == runtime.Corral {
+			opts.Plan = base.plan
 			mon = invariants.NewMonitor(topo.Machines(), topo.SlotsPerMachine)
-			mon.BoundReplanRate(replanBoundMax, rep.ReplanWindow)
+			mon.BoundReplanRate(replanBoundMax, sw.window)
 			opts.Probe = mon
 		}
 		if c.hardened {
-			opts.PlannerBudget = rep.PlannerBudget
-			opts.ReplanWindow = rep.ReplanWindow
-			opts.AdmissionLimit = rep.AdmissionLimit
-			mon.BoundAdmissionQueue(4 * rep.AdmissionLimit)
+			opts.PlannerBudget = overloadBudget
+			opts.ReplanWindow = sw.window
+			opts.AdmissionLimit = sw.admission
+			mon.BoundAdmissionQueue(4 * sw.admission)
 		}
 		// Compress the arrival window: rate r packs the same arrivals into
 		// 1/r of the nominal window.
-		cell := workload.Clone(jobs)
+		cell := workload.Clone(base.jobs)
 		for _, j := range cell {
 			j.Arrival /= rate
 		}
@@ -176,25 +151,15 @@ func RunOverload(p OverloadParams) (*OverloadReport, error) {
 		if err != nil {
 			return err
 		}
-		results[ci] = res
+		sw.runs[ci] = res
 		if mon != nil {
-			violations[ci] = mon.ViolationCount()
+			sw.violations[ci] = mon.ViolationCount()
 		}
 		return nil
 	}); err != nil {
 		return nil, err
 	}
-	for i, rate := range rates {
-		rep.Runs = append(rep.Runs, OverloadRun{
-			Rate:                   rate,
-			Yarn:                   results[i*len(cfgs)],
-			CorralReplan:           results[i*len(cfgs)+1],
-			Budgeted:               results[i*len(cfgs)+2],
-			CorralReplanViolations: violations[i*len(cfgs)+1],
-			BudgetedViolations:     violations[i*len(cfgs)+2],
-		})
-	}
-	return rep, nil
+	return sw, nil
 }
 
 // avgCompleted averages completion time over non-failed jobs: shed jobs
@@ -213,39 +178,41 @@ func avgCompleted(res *runtime.Result) float64 {
 	return s / float64(n)
 }
 
-// Overload is the registry entry: the default rate sweep.
+// Overload is the registry entry: the bundled rate sweep.
 func Overload(p Params) (*Report, error) {
 	r := newReport("Overload: graceful degradation under streaming arrivals + fault storm")
-	rep, err := RunOverload(OverloadParams{Size: p.Size, Seed: p.Seed})
+	sw, err := runOverload(p.Size, p.Seed)
 	if err != nil {
 		return nil, err
 	}
 	t := &metrics.Table{
 		Title: fmt.Sprintf("online W1, storm horizon %.1fs, planner budget %.2fs, replan window %.1fs, admission limit %d; avg completion (s) of completed jobs",
-			rep.Horizon, rep.PlannerBudget, rep.ReplanWindow, rep.AdmissionLimit),
+			sw.base.clean.Makespan, overloadBudget, sw.window, sw.admission),
 		Columns: []string{"rate", "yarn-cs", "corral replan", "viol", "budgeted", "viol",
 			"replans", "suppressed", "degr f/i/g", "deferred", "shed", "peak q"},
 	}
-	r.set("clean_avg_completion", avgCompleted(rep.Clean))
-	for _, run := range rep.Runs {
-		b := run.Budgeted
+	r.set("clean_avg_completion", avgCompleted(sw.base.clean))
+	for i, rate := range overloadRates {
+		k := i * len(overloadConfigs)
+		y, c, b := sw.runs[k], sw.runs[k+1], sw.runs[k+2]
+		cv, bv := sw.violations[k+1], sw.violations[k+2]
 		d := b.Degradations
-		t.AddRow(metrics.F(run.Rate, 0),
-			metrics.F(avgCompleted(run.Yarn), 1),
-			metrics.F(avgCompleted(run.CorralReplan), 1),
-			metrics.D(run.CorralReplanViolations),
+		t.AddRow(metrics.F(rate, 0),
+			metrics.F(avgCompleted(y), 1),
+			metrics.F(avgCompleted(c), 1),
+			metrics.D(cv),
 			metrics.F(avgCompleted(b), 1),
-			metrics.D(run.BudgetedViolations),
+			metrics.D(bv),
 			metrics.D(b.Replans),
 			metrics.D(b.ReplansSuppressed),
 			fmt.Sprintf("%d/%d/%d", d.Full, d.Incremental, d.Greedy),
 			metrics.D(b.Deferred), metrics.D(b.Shed), metrics.D(b.MaxAdmissionQueue))
-		key := func(s string) string { return fmt.Sprintf("%s_r%02.0f", s, run.Rate) }
-		r.set(key("avg_yarn"), avgCompleted(run.Yarn))
-		r.set(key("avg_corral_replan"), avgCompleted(run.CorralReplan))
+		key := func(s string) string { return fmt.Sprintf("%s_r%02.0f", s, rate) }
+		r.set(key("avg_yarn"), avgCompleted(y))
+		r.set(key("avg_corral_replan"), avgCompleted(c))
 		r.set(key("avg_budgeted"), avgCompleted(b))
-		r.set(key("violations_unsuppressed"), float64(run.CorralReplanViolations))
-		r.set(key("violations_budgeted"), float64(run.BudgetedViolations))
+		r.set(key("violations_unsuppressed"), float64(cv))
+		r.set(key("violations_budgeted"), float64(bv))
 		r.set(key("replans_budgeted"), float64(b.Replans))
 		r.set(key("suppressed"), float64(b.ReplansSuppressed))
 		r.set(key("degraded"), float64(d.Incremental+d.Greedy))

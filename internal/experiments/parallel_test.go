@@ -12,19 +12,18 @@ import (
 )
 
 // TestSweepWorkerCountInvariance is the core parallel-sweep determinism
-// gate: the same chaos sweep must produce a DeepEqual report whether the
+// gate: the same chaos sweep must produce DeepEqual Results whether the
 // cells run serially or across a wide worker pool — worker scheduling must
 // never leak into Results.
 func TestSweepWorkerCountInvariance(t *testing.T) {
 	defer pool.SetWorkers(0)
-	p := ChaosParams{Size: SizeS, Seed: 7, Intensities: []float64{0.2, 0.5}}
 	pool.SetWorkers(1)
-	serial, err := RunChaos(p)
+	serial, err := runChaos(SizeS, 7)
 	if err != nil {
 		t.Fatalf("serial sweep: %v", err)
 	}
 	pool.SetWorkers(8)
-	parallel, err := RunChaos(p)
+	parallel, err := runChaos(SizeS, 7)
 	if err != nil {
 		t.Fatalf("parallel sweep: %v", err)
 	}
@@ -34,28 +33,27 @@ func TestSweepWorkerCountInvariance(t *testing.T) {
 }
 
 // TestParallelSweepTwoSeedReplay replays a parallel chaos sweep twice per
-// seed with the full worker pool: reports must be bit-identical per seed
+// seed with the full worker pool: Results must be bit-identical per seed
 // and differ across seeds (anti-vacuity).
 func TestParallelSweepTwoSeedReplay(t *testing.T) {
 	defer pool.SetWorkers(0)
 	pool.SetWorkers(8)
-	reports := map[int64]*ChaosReport{}
+	sweeps := map[int64]*chaosSweep{}
 	for _, seed := range []int64{3, 9} {
-		p := ChaosParams{Size: SizeS, Seed: seed, Intensities: []float64{0.3}}
-		first, err := RunChaos(p)
+		first, err := runChaos(SizeS, seed)
 		if err != nil {
 			t.Fatalf("seed %d: first run: %v", seed, err)
 		}
-		second, err := RunChaos(p)
+		second, err := runChaos(SizeS, seed)
 		if err != nil {
 			t.Fatalf("seed %d: second run: %v", seed, err)
 		}
 		if !reflect.DeepEqual(first, second) {
 			t.Errorf("seed %d: parallel chaos sweep not bit-identical across replays", seed)
 		}
-		reports[seed] = first
+		sweeps[seed] = first
 	}
-	if reflect.DeepEqual(reports[int64(3)], reports[int64(9)]) {
+	if reflect.DeepEqual(sweeps[int64(3)], sweeps[int64(9)]) {
 		t.Error("seeds 3 and 9 produced identical parallel sweeps; seed plumbing is broken")
 	}
 }

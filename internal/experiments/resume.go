@@ -34,47 +34,25 @@ import (
 // checked at.
 const resumePoints = 3
 
-// ResumeParams configures a crash-resume equivalence sweep.
-type ResumeParams struct {
-	Size Size
-	Seed int64
-}
+// resumeSeeds are the seed offsets the registry entry checks: it runs
+// seeds p.Seed+1 and p.Seed+42.
+var resumeSeeds = [...]int64{1, 42}
 
-// ResumePoint is one snapshot-and-resume check.
-type ResumePoint struct {
-	EventIndex uint64
-	SimTime    float64
-	Match      bool
-	Detail     string // first divergence when Match is false
-	// Snapshot holds the encoded snapshot of a mismatching point so a
+// resumePoint is one snapshot-and-resume check.
+type resumePoint struct {
+	eventIndex uint64
+	simTime    float64
+	detail     string // first divergence; "" when the resumed run matched
+	// snapshot holds the encoded snapshot of a mismatching point so a
 	// failing gate can persist it as a debugging artifact; nil on match.
-	Snapshot []byte
-}
-
-// ResumeReport is the sweep outcome for one seed.
-type ResumeReport struct {
-	Seed   int64
-	Events uint64 // baseline event count
-	Points []ResumePoint
-}
-
-// Mismatches returns the failing points' descriptions.
-func (r *ResumeReport) Mismatches() []string {
-	var out []string
-	for _, p := range r.Points {
-		if !p.Match {
-			out = append(out, fmt.Sprintf("seed %d event %d (t=%.3f): %s",
-				r.Seed, p.EventIndex, p.SimTime, p.Detail))
-		}
-	}
-	return out
+	snapshot []byte
 }
 
 // resumeScenario builds the fault-heavy run the harness snapshots: a
 // small W1 sample with arrivals over a randomized window, under the
 // corral-replan fuzz configuration (plan + failure-triggered replanning +
 // machine/link/AM/corruption faults + task crashes), which touches every
-// state category a snapshot must carry. RunFuzz derives its three
+// state category a snapshot must carry. runFuzz derives its three
 // scheduler configurations from the same options.
 func resumeScenario(prof profile, seed int64) (runtime.Options, []*job.Job, error) {
 	topo := prof.topo
@@ -162,71 +140,64 @@ func tracedBaseline(opts runtime.Options, jobs []*job.Job, label string) (*runti
 	return res, buf.Bytes(), nil
 }
 
-// RunResumeEquivalence runs the crash-resume equivalence sweep for one
-// seed. Infrastructure failures (a run that errors outright) return an
-// error; equivalence violations are reported as mismatched points so the
-// caller can render and persist them.
-func RunResumeEquivalence(p ResumeParams) (*ResumeReport, error) {
-	prof := profileFor(p.Size)
-	opts, jobs, err := resumeScenario(prof, p.Seed)
+// runResume runs the crash-resume equivalence check for one seed: the
+// baseline's event count and resumePoints points, each resumed from a
+// random mid-flight snapshot. Infrastructure failures (a run that errors
+// outright) return an error; equivalence violations are reported in the
+// points' details so the caller can render and persist them.
+func runResume(size Size, seed int64) (events uint64, points []resumePoint, err error) {
+	opts, jobs, err := resumeScenario(profileFor(size), seed)
 	if err != nil {
-		return nil, err
+		return 0, nil, err
 	}
-	label := fmt.Sprintf("resume-eq/seed%d", p.Seed)
+	label := fmt.Sprintf("resume-eq/seed%d", seed)
 	base, baseTrace, err := tracedBaseline(opts, jobs, label)
 	if err != nil {
-		return nil, err
+		return 0, nil, err
 	}
 	if base.Events < 10 {
-		return nil, fmt.Errorf("resume seed %d: baseline fired only %d events", p.Seed, base.Events)
+		return 0, nil, fmt.Errorf("resume seed %d: baseline fired only %d events", seed, base.Events)
 	}
-	rep := &ResumeReport{Seed: p.Seed, Events: base.Events, Points: make([]ResumePoint, resumePoints)}
 	// Random mid-flight indices, drawn from their own stream so point k is
 	// independent of the point count.
-	prng := rand.New(rand.NewSource(p.Seed ^ 0x5eed))
-	indices := make([]uint64, resumePoints)
-	for i := range indices {
-		indices[i] = 1 + uint64(prng.Int63n(int64(base.Events-1)))
+	prng := rand.New(rand.NewSource(seed ^ 0x5eed))
+	points = make([]resumePoint, resumePoints)
+	for i := range points {
+		points[i].eventIndex = 1 + uint64(prng.Int63n(int64(base.Events-1)))
 	}
 	// Each point is an independent capture + resume: fan out over the
 	// sweep worker pool and collect in point order (see internal/pool).
 	if err := pool.For(resumePoints, func(i int) error {
-		pt := &rep.Points[i]
-		pt.EventIndex = indices[i]
+		pt := &points[i]
 		c := trace.NewCollector()
 		mon := invariants.NewMonitor(opts.Cluster.Machines(), opts.Cluster.SlotsPerMachine)
-		snap, raw, mismatch, err := resumeCheck(opts, jobs, indices[i],
+		snap, raw, mismatch, err := resumeCheck(opts, jobs, pt.eventIndex,
 			runtime.ResumeOptions{Trace: c.NewRun(label), Probe: mon}, base)
 		if err != nil {
-			return fmt.Errorf("resume seed %d point %d: %w", p.Seed, i, err)
+			return fmt.Errorf("resume seed %d point %d: %w", seed, i, err)
 		}
-		pt.SimTime = snap.Meta.SimTime
+		pt.simTime = snap.Meta.SimTime
+		if n := mon.ViolationCount(); mismatch == "" && n != 0 {
+			mismatch = fmt.Sprintf("resumed run raised %d invariant violations: %v", n, mon.Violations())
+		}
+		if mismatch == "" {
+			var buf bytes.Buffer
+			if err := c.WriteJSONL(&buf); err != nil {
+				return err
+			}
+			if !bytes.Equal(buf.Bytes(), baseTrace) {
+				mismatch = fmt.Sprintf("trace export differs from uninterrupted run (%d vs %d bytes)",
+					buf.Len(), len(baseTrace))
+			}
+		}
 		if mismatch != "" {
-			pt.Detail = mismatch
-			pt.Snapshot = raw
-			return nil
+			pt.detail, pt.snapshot = mismatch, raw
 		}
-		if n := mon.ViolationCount(); n != 0 {
-			pt.Detail = fmt.Sprintf("resumed run raised %d invariant violations: %v", n, mon.Violations())
-			pt.Snapshot = raw
-			return nil
-		}
-		var buf bytes.Buffer
-		if err := c.WriteJSONL(&buf); err != nil {
-			return err
-		}
-		if !bytes.Equal(buf.Bytes(), baseTrace) {
-			pt.Detail = fmt.Sprintf("trace export differs from uninterrupted run (%d vs %d bytes)",
-				buf.Len(), len(baseTrace))
-			pt.Snapshot = raw
-			return nil
-		}
-		pt.Match = true
 		return nil
 	}); err != nil {
-		return nil, err
+		return 0, nil, err
 	}
-	return rep, nil
+	return base.Events, points, nil
 }
 
 // ScenarioSnapshot captures the crash-resume scenario run for (size,
@@ -239,12 +210,9 @@ func ScenarioSnapshot(size Size, seed int64, target runtime.CheckpointTarget) (*
 	return runtime.CaptureAt(opts, workload.Clone(jobs), target)
 }
 
-// DefaultResumeSeeds are the seeds the registry entry and CI gate check.
-var DefaultResumeSeeds = []int64{1, 42}
-
-// Resume is the registry entry: the crash-resume equivalence sweep over
-// the default seeds, resumePoints random mid-flight snapshot points
-// each. Any mismatch surfaces in the report; the CI gate fails on it.
+// Resume is the registry entry: the crash-resume equivalence check over
+// resumeSeeds, resumePoints random mid-flight snapshot points each. Any
+// mismatch surfaces in the report; the CI gate fails on it.
 func Resume(p Params) (*Report, error) {
 	r := newReport("resume: crash-resume equivalence of snapshotted runs")
 	t := &metrics.Table{
@@ -253,24 +221,25 @@ func Resume(p Params) (*Report, error) {
 	}
 	mismatches := 0
 	points := 0
-	for _, seed := range DefaultResumeSeeds {
-		rep, err := RunResumeEquivalence(ResumeParams{Size: p.Size, Seed: p.Seed + seed})
+	for _, off := range resumeSeeds {
+		seed := p.Seed + off
+		events, pts, err := runResume(p.Size, seed)
 		if err != nil {
 			return nil, err
 		}
-		for _, pt := range rep.Points {
+		for _, pt := range pts {
 			points++
 			verdict := "yes"
-			if !pt.Match {
+			if pt.detail != "" {
 				mismatches++
-				verdict = "NO: " + pt.Detail
+				verdict = "NO: " + pt.detail
 			}
-			t.AddRow(metrics.F(float64(rep.Seed), 0), metrics.F(float64(rep.Events), 0),
-				metrics.F(float64(pt.EventIndex), 0), metrics.F(pt.SimTime, 2), verdict)
+			t.AddRow(metrics.F(float64(seed), 0), metrics.F(float64(events), 0),
+				metrics.F(float64(pt.eventIndex), 0), metrics.F(pt.simTime, 2), verdict)
 		}
 	}
 	r.table(t)
-	r.set("seeds", float64(len(DefaultResumeSeeds)))
+	r.set("seeds", float64(len(resumeSeeds)))
 	r.set("points", float64(points))
 	r.set("mismatches", float64(mismatches))
 	return r, nil

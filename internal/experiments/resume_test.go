@@ -20,39 +20,56 @@ import (
 // persisted so CI can upload it for offline debugging (corralsnap inspect).
 const failureArtifact = "resume-failure.snap.json"
 
-// resumeSweep runs the equivalence sweep for one seed at a given worker
+// resumeSweep runs the equivalence check for one seed at a given worker
 // count, failing the test on infrastructure errors and persisting the
 // first mismatching point's snapshot as an artifact.
-func resumeSweep(t *testing.T, seed int64, workers int) *ResumeReport {
+func resumeSweep(t *testing.T, seed int64, workers int) (uint64, []resumePoint) {
 	t.Helper()
 	pool.SetWorkers(workers)
 	defer pool.SetWorkers(0)
-	rep, err := RunResumeEquivalence(ResumeParams{Size: SizeS, Seed: seed})
+	events, points, err := runResume(SizeS, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, pt := range rep.Points {
-		if !pt.Match && pt.Snapshot != nil {
-			if werr := os.WriteFile(failureArtifact, pt.Snapshot, 0o644); werr == nil {
+	for _, pt := range points {
+		if pt.snapshot != nil {
+			if werr := os.WriteFile(failureArtifact, pt.snapshot, 0o644); werr == nil {
 				t.Logf("wrote mismatching snapshot to %s", failureArtifact)
 			}
 			break
 		}
 	}
-	return rep
+	return events, points
 }
 
-// TestResumeDeterminism is the crash-resume equivalence gate: for two
-// seeds and three random mid-flight snapshot points each, a run restored
-// from serialized snapshot bytes must finish with a bit-identical Result
-// and trace export, at any sweep worker count.
+// TestResumeDeterminism is the crash-resume equivalence gate on the seeds
+// the registry checks: for each and three random mid-flight snapshot
+// points, a run restored from serialized snapshot bytes must finish with
+// a bit-identical Result and trace export, and the points (event index,
+// simulated time, verdict) must not depend on the sweep worker count.
 func TestResumeDeterminism(t *testing.T) {
-	for _, seed := range []int64{1, 42} {
+	for _, seed := range resumeSeeds {
+		var serial []resumePoint
 		for _, workers := range []int{1, 8} {
-			rep := resumeSweep(t, seed, workers)
-			if ms := rep.Mismatches(); len(ms) != 0 {
+			events, points := resumeSweep(t, seed, workers)
+			var ms []string
+			for _, pt := range points {
+				if pt.detail != "" {
+					ms = append(ms, fmt.Sprintf("seed %d event %d (t=%.3f): %s",
+						seed, pt.eventIndex, pt.simTime, pt.detail))
+				}
+			}
+			if len(ms) != 0 {
 				t.Fatalf("seed %d workers %d: %d equivalence mismatches:\n%s",
 					seed, workers, len(ms), strings.Join(ms, "\n"))
+			}
+			if len(points) != resumePoints || events < 10 {
+				t.Fatalf("seed %d workers %d: %d points over %d events", seed, workers, len(points), events)
+			}
+			if serial == nil {
+				serial = points
+			} else if !reflect.DeepEqual(points, serial) {
+				t.Fatalf("seed %d: resume points differ between 1 and %d workers", seed, workers)
 			}
 		}
 	}

@@ -15,6 +15,17 @@
 // flows and links in id order, and same-instant events rely on the
 // internal/des FIFO tie-break, so callers must start flows in a
 // deterministic order.
+//
+// Completion rule: a flow is done once its residue is at most
+// completionEpsilon bytes, or once the time it still needs rounds to zero
+// at the current clock (now + remaining/rate == now). The second clause is
+// what lets long runs end. Charging rate*dt leaves a residue of order
+// rate*ulp(now), which grows with simulated time: at 10 Gbps near t = 1e4 s
+// it can exceed any fixed byte threshold while remaining/rate is below
+// half an ulp of now. The flow's completion event then lands on now
+// itself, no time passes, nothing is charged, and the run stalls. Such a
+// flow has no transfer time left that the clock can represent, so it
+// finishes at now.
 package netsim
 
 import (
@@ -407,7 +418,10 @@ func (n *Network) recompute() {
 				// (cancel suppresses done). Recycle the object.
 				n.flowPool = append(n.flowPool, f)
 			}
-		case f.remaining <= completionEpsilon:
+		// The second clause is the rounding rule of the package doc; a
+		// starved flow (rate 0) never meets it, as remaining/0 is +Inf.
+		//corralvet:ok floateq exact identity intended: the remaining time rounds away at this clock
+		case f.remaining <= completionEpsilon || now+des.Time(f.remaining/f.rate) == now:
 			completed = append(completed, f)
 		default:
 			n.flows[w] = f

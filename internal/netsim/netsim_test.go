@@ -499,3 +499,38 @@ func TestAuditSharesLoadBufferWithTrace(t *testing.T) {
 		t.Fatalf("auditing changed the trace: %d events without, %d with", len(plain), len(audited))
 	}
 }
+
+// TestLateFlowsFinish: a flow's completion rule must hold late in
+// simulated time. Near t = 1e4 s one ulp of the clock is ~2e-12 s, so a
+// 10 Gbps flow can keep a residue above completionEpsilon whose remaining
+// transfer time rounds to zero: its completion event lands on now, no time
+// passes and, without the package doc's rounding rule, the flow never
+// finishes. Each trial starts 2-5 random flows at t in [1e4, 2e4) s and
+// steps the simulator with a cap, so a stall fails rather than hangs.
+func TestLateFlowsFinish(t *testing.T) {
+	const trials, stepCap = 200, 10000
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < trials; trial++ {
+		sim := des.New()
+		n := New(sim, testCluster(t), NewIncrementalMaxMin())
+		nflows := 2 + rng.Intn(4)
+		done := 0
+		for i := 0; i < nflows; i++ {
+			at := des.Time(1e4 * (1 + rng.Float64()))
+			src := rng.Intn(12)
+			dst := (src + 1 + rng.Intn(11)) % 12
+			bytes := float64(1+rng.Intn(1000)) * 1e6
+			sim.At(at, func() { n.Start(src, dst, bytes, 0, i, func(*Flow) { done++ }) })
+		}
+		steps := 0
+		for sim.Step() {
+			if steps++; steps == stepCap {
+				t.Fatalf("trial %d: %d of %d flows finished after %d events; stuck at t=%v",
+					trial, done, nflows, stepCap, sim.Now())
+			}
+		}
+		if done != nflows {
+			t.Fatalf("trial %d: %d of %d flows finished", trial, done, nflows)
+		}
+	}
+}

@@ -5,13 +5,13 @@
 GO ?= go
 
 .PHONY: check ci-local fast-gate build vet fmt-check fma-check test race corralvet \
-	chaos fuzz overload trace-determinism resume-determinism scale scale-nightly
+	netsim-fuzz chaos fuzz overload trace-determinism resume-determinism scale scale-nightly
 
 check: build vet fmt-check test race chaos fuzz overload trace-determinism resume-determinism
 	@echo "check: all gates passed"
 
 # One target per CI job, in the workflow's job order.
-ci-local: fast-gate test trace-determinism resume-determinism race chaos fuzz overload scale
+ci-local: fast-gate test netsim-fuzz trace-determinism resume-determinism race chaos fuzz overload scale
 	@echo "ci-local: all CI jobs passed"
 
 fast-gate: build vet fmt-check fma-check
@@ -70,6 +70,13 @@ fma-check:
 test:
 	$(GO) test ./...
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# A short search for allocations where IncrementalMaxMin, its table edited
+# call by call, leaves the per-flow MaxMinFair oracle; plain go test runs
+# only the seed corpus, and nightly CI searches for 2 minutes. A failing
+# input lands in internal/netsim/testdata/fuzz/.
+netsim-fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzIncrementalMatchesMaxMinFair -fuzztime 30s ./internal/netsim
 
 # internal/experiments alone needs ~10 minutes under -race on a 2-vCPU
 # host, the same as go test's default per-binary timeout; 25m still fits

@@ -35,10 +35,13 @@ import "corral/internal/topology"
 // order the groups are met in, so neither the order of groups nor the
 // order of links ever shows in the rates.
 //
-// The table is only edited where the group set changes: a group that
-// appears or vanishes updates its links' group lists and dissolves the
-// components containing them, and relabel re-walks just those links.
-// Every other component keeps its label, its lists and its groups' rates.
+// The table is only edited where the group set changes. An appearing
+// group merges the components of its links into the largest of them
+// (union), relabelling only the smaller ones. A vanishing group leaves its
+// component (detach), which stays whole unless a walk from one of the
+// group's still-crossed links fails to reach the others; only then is the
+// component dissolved and re-walked by relabel. Every other component
+// keeps its label, its lists and its groups' rates.
 type grouped struct {
 	// Per-pathID group table, grown as new paths are interned; a path
 	// forms a group while its count is positive. paths[id] is the
@@ -53,24 +56,30 @@ type grouped struct {
 	// particular order, compOf[l] is l's component slot (-1 while no
 	// group crosses l), and capAt[l] is the capacity l was last filled
 	// at. cnt[l] is the fill's unfrozen member count, valid only inside
-	// fillComponent.
+	// fillComponent; mark[l] is connected's visit stamp.
 	base       []int32
 	cnt        []int32
 	linkGroups [][]int32
 	compOf     []int32
 	capAt      []float64
+	mark       []uint64
 
-	// Component slots. A dissolved slot goes on free and is reused by the
-	// next component relabel creates. seeds collects the links relabel
-	// must walk from; live is fillComponent's working link list.
+	// Component slots. A released slot goes on free and is reused by the
+	// next component newComp hands out. seeds collects the links relabel
+	// must walk from; live is fillComponent's working link list and queue
+	// connected's. stamp is the last stamp connected used; it only grows,
+	// so a stale mark never equals a current one.
 	comps []component
 	free  []int32
 	seeds []int32
 	live  []int32
+	queue []int32
+	stamp uint64
 }
 
 type pathGroup struct {
 	rate   float64 // the group's rate since its component's last fill
+	mark   uint64  // connected's visit stamp
 	count  int32   // member flows
 	was    int32   // count before the current merge; valid while moved
 	comp   int32   // component slot; -1 while unlabelled
@@ -79,8 +88,8 @@ type pathGroup struct {
 }
 
 // component is one connected component of used links. links and groups
-// list its members in walk order; dirty marks a component whose group
-// counts changed or that relabel just built.
+// list its members in no particular order; dirty marks a component whose
+// groups or group counts changed since its last fill.
 type component struct {
 	links  []int32
 	groups []int32
@@ -96,6 +105,7 @@ func (g *grouped) reset(nLinks int) {
 		g.cnt = make([]int32, nLinks)
 		g.compOf = make([]int32, nLinks)
 		g.capAt = make([]float64, nLinks)
+		g.mark = make([]uint64, nLinks)
 		lg := make([][]int32, nLinks)
 		copy(lg, g.linkGroups) // keep already-grown member slices
 		g.linkGroups = lg
@@ -138,15 +148,20 @@ func (g *grouped) adjust(id int32, path []topology.LinkID, d int32) {
 	}
 }
 
-// applyChanges folds the merge's count changes into the table. A group
-// whose count moved but stayed positive dirties its component. A group
-// that appeared or vanished edits its links' group lists and dissolves
-// every component one of its links belonged to; relabel then rebuilds
-// those links' components. A group whose count ended where it started
-// (one member left, another joined) changes nothing.
+// applyChanges folds the merge's count changes into the table. Appearing
+// groups go first, so that every union meets only labelled components;
+// then a vanishing group detaches, and a group whose count moved but
+// stayed positive dirties its component. A group whose count ended where
+// it started (one member left, another joined) changes nothing. relabel
+// finally splits the components detach dissolved.
 //
 //corral:hotpath
 func (g *grouped) applyChanges() {
+	for _, id := range g.changed {
+		if grp := &g.groups[id]; grp.was == 0 && grp.count > 0 {
+			g.union(id)
+		}
+	}
 	for _, id := range g.changed {
 		grp := &g.groups[id]
 		grp.moved = false
@@ -154,48 +169,192 @@ func (g *grouped) applyChanges() {
 		if d == 0 {
 			continue
 		}
-		path := g.paths[id]
-		for _, l := range path {
+		for _, l := range g.paths[id] {
 			g.base[l] += d
 		}
 		switch {
-		case grp.was == 0: // appeared
-			grp.comp = -1
-			for _, l := range path {
-				g.linkGroups[l] = append(g.linkGroups[l], id)
-				g.dissolve(g.compOf[l])
-				g.seeds = append(g.seeds, int32(l))
-			}
-		case grp.count == 0: // vanished
-			for _, l := range path {
-				lg := g.linkGroups[l]
-				for i, other := range lg {
-					if other == id {
-						lg[i] = lg[len(lg)-1]
-						g.linkGroups[l] = lg[:len(lg)-1]
-						break
-					}
-				}
-				g.dissolve(g.compOf[l])
-			}
+		case grp.was == 0: // appeared: already united
+		case grp.count == 0:
+			g.detach(id)
 		case grp.comp >= 0: // resized in a component that stays
 			g.comps[grp.comp].dirty = true
 		}
-		// A resized group in an already dissolved component (comp -1) is
+		// A resized group in a component detach dissolved (comp -1) is
 		// picked up by relabel like the rest of that component.
 	}
 	g.changed = g.changed[:0]
 	g.relabel()
 }
 
-// dissolve frees component c (no-op for -1): its links lose their label
-// and become relabel seeds, and its groups become unlabelled.
+// union adds appearing group id to its links' group lists and to one
+// component: the largest among its links' components, into which the
+// others merge. Only the smaller components' links and groups change
+// label; links no group crossed before join as well.
+//
+//corral:hotpath
+func (g *grouped) union(id int32) {
+	path := g.paths[id]
+	c := int32(-1)
+	for _, l := range path {
+		g.linkGroups[l] = append(g.linkGroups[l], id)
+		if k := g.compOf[l]; k >= 0 && (c < 0 || g.comps[k].size() > g.comps[c].size()) {
+			c = k
+		}
+	}
+	if c < 0 {
+		c = g.newComp()
+	}
+	comp := &g.comps[c]
+	for _, l := range path {
+		switch k := g.compOf[l]; {
+		case k < 0:
+			g.compOf[l] = c
+			comp.links = append(comp.links, int32(l))
+		case k != c:
+			other := &g.comps[k]
+			for _, l2 := range other.links {
+				g.compOf[l2] = c
+			}
+			for _, id2 := range other.groups {
+				g.groups[id2].comp = c
+			}
+			comp.links = append(comp.links, other.links...)
+			comp.groups = append(comp.groups, other.groups...)
+			other.inUse = false
+			g.free = append(g.free, k)
+		}
+	}
+	g.groups[id].comp = c
+	comp.groups = append(comp.groups, id)
+	comp.dirty = true
+}
+
+// detach removes vanishing group id from its links' group lists and from
+// its component. The component stays, dirty and without the links no
+// group crosses any more, while its other groups still connect the
+// group's links; otherwise it is dissolved for relabel to split.
+//
+//corral:hotpath
+func (g *grouped) detach(id int32) {
+	path := g.paths[id]
+	for _, l := range path {
+		g.linkGroups[l] = without(g.linkGroups[l], id)
+	}
+	c := g.groups[id].comp
+	g.groups[id].comp = -1
+	if c < 0 {
+		return // its component was dissolved earlier in this call
+	}
+	comp := &g.comps[c]
+	comp.groups = without(comp.groups, id)
+	if len(comp.groups) == 0 || !g.connected(path) {
+		g.dissolve(c)
+		return
+	}
+	for _, l := range path {
+		if len(g.linkGroups[l]) == 0 {
+			g.compOf[l] = -1
+			comp.links = without(comp.links, int32(l))
+		}
+	}
+	comp.dirty = true
+}
+
+// connected reports whether the links of path that some group still
+// crosses are connected through the remaining link → group → link lists.
+// The walk starts from the first of them and stops as soon as it has met
+// all the others.
+//
+//corral:hotpath
+func (g *grouped) connected(path []topology.LinkID) bool {
+	g.stamp += 2
+	target, seen := g.stamp-1, g.stamp
+	start, need := int32(-1), 0
+	for _, l := range path {
+		switch {
+		case len(g.linkGroups[l]) == 0:
+		case start < 0:
+			start = int32(l)
+		default:
+			g.mark[l] = target
+			need++
+		}
+	}
+	if need == 0 {
+		return true
+	}
+	g.mark[start] = seen
+	queue := append(g.queue[:0], start)
+walk:
+	for i := 0; i < len(queue); i++ {
+		for _, id := range g.linkGroups[queue[i]] {
+			grp := &g.groups[id]
+			if grp.mark == seen {
+				continue
+			}
+			grp.mark = seen
+			for _, l := range g.paths[id] {
+				switch g.mark[l] {
+				case seen:
+					continue
+				case target:
+					if need--; need == 0 {
+						break walk
+					}
+				}
+				g.mark[l] = seen
+				queue = append(queue, int32(l))
+			}
+		}
+	}
+	g.queue = queue[:0]
+	return need == 0
+}
+
+// without removes one occurrence of v from s, moving the last element
+// into its place.
+//
+//corral:hotpath
+func without(s []int32, v int32) []int32 {
+	for i, x := range s {
+		if x == v {
+			s[i] = s[len(s)-1]
+			return s[:len(s)-1]
+		}
+	}
+	return s
+}
+
+// size is the number of labels a merge of c into another component
+// rewrites.
+//
+//corral:hotpath
+func (c *component) size() int { return len(c.links) + len(c.groups) }
+
+// newComp takes a free component slot, or appends one, and returns it
+// empty, in use and dirty.
+//
+//corral:hotpath
+func (g *grouped) newComp() int32 {
+	var c int32
+	if n := len(g.free); n > 0 {
+		c = g.free[n-1]
+		g.free = g.free[:n-1]
+	} else {
+		c = int32(len(g.comps))
+		g.comps = append(g.comps, component{})
+	}
+	comp := &g.comps[c]
+	comp.links, comp.groups = comp.links[:0], comp.groups[:0]
+	comp.inUse, comp.dirty = true, true
+	return c
+}
+
+// dissolve frees component c: its links lose their label and become
+// relabel seeds, and its groups become unlabelled.
 //
 //corral:hotpath
 func (g *grouped) dissolve(c int32) {
-	if c < 0 {
-		return
-	}
 	comp := &g.comps[c]
 	for _, l := range comp.links {
 		g.compOf[l] = -1
@@ -211,10 +370,9 @@ func (g *grouped) dissolve(c int32) {
 // relabel builds a component from every seed link that some group still
 // crosses and that no walk has labelled yet, walking the link → group →
 // link lists with the component's own link list as the queue. A walk only
-// meets unlabelled links and groups: a group crossing a link of a
-// component that was not dissolved had all its links in that component
-// before the merge, and if it appeared in this merge its links dissolved
-// that component.
+// meets unlabelled links and groups: every group on a link shares that
+// link's component, and the seeds are the links of components detach
+// dissolved.
 //
 //corral:hotpath
 func (g *grouped) relabel() {
@@ -222,18 +380,11 @@ func (g *grouped) relabel() {
 		if g.compOf[seed] >= 0 || len(g.linkGroups[seed]) == 0 {
 			continue
 		}
-		var c int32
-		if n := len(g.free); n > 0 {
-			c = g.free[n-1]
-			g.free = g.free[:n-1]
-		} else {
-			c = int32(len(g.comps))
-			g.comps = append(g.comps, component{})
-		}
+		c := g.newComp()
 		comp := &g.comps[c]
 		g.compOf[seed] = c
-		links := append(comp.links[:0], seed)
-		groups := comp.groups[:0]
+		links := append(comp.links, seed)
+		groups := comp.groups
 		for i := 0; i < len(links); i++ {
 			for _, id := range g.linkGroups[links[i]] {
 				grp := &g.groups[id]
@@ -251,7 +402,6 @@ func (g *grouped) relabel() {
 			}
 		}
 		comp.links, comp.groups = links, groups
-		comp.inUse, comp.dirty = true, true
 	}
 	g.seeds = g.seeds[:0]
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"corral/internal/des"
@@ -295,27 +296,40 @@ func TestGroupedBatchedRecompute(t *testing.T) {
 	}
 }
 
+// requireContractPanic runs call and fails the test unless it panics with
+// the allocator's own contract message, so an unrelated crash on the same
+// input (an index out of range) does not pass for the check.
+func requireContractPanic(t *testing.T, name string, call func()) {
+	t.Helper()
+	defer func() {
+		r := recover()
+		if msg, _ := r.(string); !strings.HasPrefix(msg, "netsim: IncrementalMaxMin requires") {
+			t.Errorf("%s: got panic %v, want the IncrementalMaxMin contract panic", name, r)
+		}
+	}()
+	call()
+}
+
 // TestGroupedRequiresInternedFlows documents the pathID contract: flows
 // constructed outside Network.StartPath cannot be grouped and must panic
 // loudly rather than silently collapse into one class.
 func TestGroupedRequiresInternedFlows(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("IncrementalMaxMin accepted a flow with pathID 0")
-		}
-	}()
 	f := &Flow{ID: 1, Bytes: 1, remaining: 1, path: []topology.LinkID{0, 1}}
 	caps := []float64{gbps, gbps}
-	NewIncrementalMaxMin().Allocate([]*Flow{f}, caps, make([]float64, 2))
+	requireContractPanic(t, "pathID 0", func() {
+		NewIncrementalMaxMin().Allocate([]*Flow{f}, caps, make([]float64, 2))
+	})
 }
 
 // TestIncrementalRequiresIncreasingIDs documents the flow-order contract:
-// the merge finds started and ended flows by walking two ID-ordered
-// lists, so a list out of order, a repeated ID or an ID that changed its
-// path must panic rather than silently miscount a group.
+// the merge finds started and ended flows by matching the list against
+// the previous call's flow objects, so a list out of order, a repeated ID
+// or an active ID passed as another *Flow object (with another path or
+// the same one) must panic rather than silently miscount a group.
 func TestIncrementalRequiresIncreasingIDs(t *testing.T) {
 	caps := []float64{gbps, gbps}
 	p0, p1 := []topology.LinkID{0}, []topology.LinkID{1}
+	kept := incFlow(1, 1, p0)
 	for _, tc := range []struct {
 		name  string
 		calls [][]*Flow // every call but the last must be accepted
@@ -323,20 +337,17 @@ func TestIncrementalRequiresIncreasingIDs(t *testing.T) {
 		{"decreasing", [][]*Flow{{incFlow(2, 1, p0), incFlow(1, 2, p1)}}},
 		{"repeated", [][]*Flow{{incFlow(1, 1, p0), incFlow(1, 2, p1)}}},
 		{"path changed", [][]*Flow{{incFlow(1, 1, p0)}, {incFlow(1, 2, p1)}}},
+		{"another object", [][]*Flow{{incFlow(1, 1, p0)}, {incFlow(1, 1, p0)}}},
+		{"new flow before a survivor", [][]*Flow{{kept}, {incFlow(3, 2, p1), kept}}},
 	} {
 		inc := NewIncrementalMaxMin()
 		last := len(tc.calls) - 1
 		for _, flows := range tc.calls[:last] {
 			inc.Allocate(flows, caps, make([]float64, 2))
 		}
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: IncrementalMaxMin accepted the flows", tc.name)
-				}
-			}()
+		requireContractPanic(t, tc.name, func() {
 			inc.Allocate(tc.calls[last], caps, make([]float64, 2))
-		}()
+		})
 	}
 }
 

@@ -1,22 +1,24 @@
 package netsim
 
+import "math"
+
 // IncrementalMaxMin is the max-min fair allocator that emulates TCP (the
 // paper's §6.6 "max-min fair bandwidth allocation mechanism"). It keeps
 // its path groups and their connected components between calls (see
 // grouped.go) and re-fills only the components whose inputs changed.
 //
-// Each Allocate merges the flow list with the previous call's (ID, pathID)
-// pairs. Both lists are in strictly increasing ID order (the Policy
-// contract), so one linear merge finds exactly the flows that started and
-// the flows that ended, and adjusts their groups' member counts. A group
-// that appears or vanishes edits the per-link group lists and relabels
-// only the components its links belonged to. A component is re-filled
-// when any of its inputs could have changed:
+// Each Allocate merges the flow list with the previous call's flows. Both
+// lists are in strictly increasing ID order and an active flow keeps one
+// *Flow object (the Policy contract), so the flows whose ID is not above
+// the previous call's last ID are survivors, matched by pointer against
+// the previous list without being read; only the new flows after them are
+// dereferenced. The merge adjusts the member counts of the groups whose
+// flows started or ended. An appearing group merges its links' components
+// and a vanishing group splits its component only where it disconnects
+// it (see grouped.go). A component is re-filled when any of its inputs
+// could have changed:
 //
-//   - one of its groups changed member count;
-//   - relabel built it, because a group appeared or vanished on one of
-//     its links (which covers a vanished path that bridged components
-//     that are separate now, and a new path merging two);
+//   - one of its groups appeared, vanished or changed member count;
 //   - one of its links carries a different capacity than the component
 //     was last filled at (link fault or repair).
 //
@@ -40,11 +42,12 @@ package netsim
 type IncrementalMaxMin struct {
 	grouped
 
-	// prev and next hold the (ID, pathID) pairs of the previous call's
-	// flows and of the current one's, swapped after every merge. caps is
-	// the capacity slice of the Network the table was built on.
-	prev, next []flowKey
-	caps       []float64
+	// keys holds the last call's flows with their pathIDs, in list
+	// order, and lastID the ID of its last flow. caps is the capacity
+	// slice of the Network the table was built on.
+	keys   []flowKey
+	lastID int64
+	caps   []float64
 
 	// incRounds/fullRounds count Allocate calls that kept at least one
 	// component's rates vs calls that re-filled every component; tests
@@ -54,9 +57,11 @@ type IncrementalMaxMin struct {
 	fullRounds int
 }
 
-// flowKey is what Allocate remembers of a flow between calls.
+// flowKey is what Allocate remembers of a flow between calls. The path is
+// kept beside the pointer because a pooled Flow object that ended may
+// already carry another flow's path.
 type flowKey struct {
-	id   int64
+	f    *Flow
 	path int32
 }
 
@@ -72,10 +77,11 @@ func (inc *IncrementalMaxMin) Rounds() (incremental, full int) {
 	return inc.incRounds, inc.fullRounds
 }
 
-// Allocate implements Policy. It panics if any flow was constructed
+// Allocate implements Policy. It panics if a new flow was constructed
 // outside Network.StartPath (pathID 0), since grouping needs the interned
 // path identity, and if the flows are not in strictly increasing ID order
-// or an ID changed its path, since the merge relies on both.
+// or an active ID comes as another *Flow object, since the merge relies
+// on both.
 //
 // Steady state is allocation-free: all table and scratch slices grow once
 // and are reused, pinned by TestIncrementalAllocateSteadyStateZeroAlloc
@@ -87,7 +93,8 @@ func (inc *IncrementalMaxMin) Allocate(flows []*Flow, caps []float64, scratch []
 	if len(caps) > 0 && (len(inc.caps) == 0 || &caps[0] != &inc.caps[0]) {
 		// First call, or another Network: its path IDs mean other paths.
 		g.reset(len(caps))
-		inc.prev = inc.prev[:0]
+		clear(inc.keys[:cap(inc.keys)]) // release the old Network's flows
+		inc.keys = inc.keys[:0]
 		inc.caps = caps
 	}
 	inc.merge(flows)
@@ -110,43 +117,61 @@ func (inc *IncrementalMaxMin) Allocate(flows []*Flow, caps []float64, scratch []
 	} else {
 		inc.fullRounds++
 	}
-	for _, f := range flows {
-		f.rate = g.groups[f.pathID].rate
+	for _, key := range inc.keys {
+		key.f.rate = g.groups[key.path].rate
 	}
 }
 
-// merge walks flows alongside the previous call's flow keys, both in
-// increasing ID order: an ID only in flows started since (its group gains
-// a member), an ID only in prev ended since (its group loses one).
+// merge matches flows against the previous call's keys. The flows after
+// the last one whose ID is not above the previous last ID are new: each
+// adds a member to its group. The ones before it are survivors and must
+// appear among the keys in the same order, as the same objects; a key
+// they skip is a flow that ended, and its group loses a member. The keys
+// are rewritten in place into this call's.
 //
 //corral:hotpath
 func (inc *IncrementalMaxMin) merge(flows []*Flow) {
 	g := &inc.grouped
-	prev, next := inc.prev, inc.next[:0]
-	i := 0
-	for j, f := range flows {
+	keys := inc.keys
+	last := int64(math.MinInt64)
+	k := 0
+	if len(keys) > 0 {
+		last = inc.lastID
+		k = len(flows)
+		for k > 0 && flows[k-1].ID > last {
+			k--
+		}
+	}
+	// Until the first ended flow, survivors sit where they sat.
+	w := 0
+	for w < min(k, len(keys)) && flows[w] == keys[w].f {
+		w++
+	}
+	for _, key := range keys[w:] {
+		if w < k && flows[w] == key.f {
+			keys[w] = key
+			w++
+		} else {
+			g.adjust(key.path, nil, -1)
+		}
+	}
+	if w < k {
+		panic("netsim: IncrementalMaxMin requires flows in strictly increasing ID order, each active ID as one *Flow object")
+	}
+	keys = keys[:w]
+	for _, f := range flows[k:] {
 		if f.pathID == 0 {
 			panic("netsim: IncrementalMaxMin requires flows started via Network.StartPath (pathID unset)")
 		}
-		if j > 0 && f.ID <= flows[j-1].ID {
+		if f.ID <= last {
 			panic("netsim: IncrementalMaxMin requires flows in strictly increasing ID order")
 		}
-		for i < len(prev) && prev[i].id < f.ID {
-			g.adjust(prev[i].path, nil, -1)
-			i++
-		}
-		if i < len(prev) && prev[i].id == f.ID {
-			if prev[i].path != f.pathID {
-				panic("netsim: IncrementalMaxMin requires a flow ID to keep one path")
-			}
-			i++
-		} else {
-			g.adjust(f.pathID, f.path, +1)
-		}
-		next = append(next, flowKey{id: f.ID, path: f.pathID})
+		last = f.ID
+		g.adjust(f.pathID, f.path, +1)
+		keys = append(keys, flowKey{f: f, path: f.pathID})
 	}
-	for ; i < len(prev); i++ {
-		g.adjust(prev[i].path, nil, -1)
+	if len(flows) > 0 {
+		inc.lastID = flows[len(flows)-1].ID // read already, by the scan or the loop above
 	}
-	inc.prev, inc.next = next, prev
+	inc.keys = keys
 }

@@ -275,13 +275,10 @@ func TestIncrementalAllocateSteadyStateZeroAlloc(t *testing.T) {
 	assertSameAsFresh(t, "after churn", base, n.caps)
 }
 
-// tableMatchesFlows checks the allocator's persistent table against the
-// flows it last allocated: every link's base count is the number of flows
-// crossing it, and two used links share a component label exactly when
-// the flows connect them (by union-find over the flows' paths). It returns
-// the number of components.
-func tableMatchesFlows(t *testing.T, inc *IncrementalMaxMin, flows []*Flow, nLinks int) int {
-	t.Helper()
+// flowComponents returns, for every link, a union-find root of the
+// link → flow → link graph (equal roots: connected by the flows) and the
+// number of flows crossing it.
+func flowComponents(flows []*Flow, nLinks int) (root, count []int) {
 	parent := make([]int, nLinks)
 	for i := range parent {
 		parent[i] = i
@@ -292,7 +289,7 @@ func tableMatchesFlows(t *testing.T, inc *IncrementalMaxMin, flows []*Flow, nLin
 		}
 		return x
 	}
-	count := make([]int, nLinks)
+	count = make([]int, nLinks)
 	for _, f := range flows {
 		r0 := find(int(f.path[0]))
 		for _, l := range f.path {
@@ -302,6 +299,21 @@ func tableMatchesFlows(t *testing.T, inc *IncrementalMaxMin, flows []*Flow, nLin
 			}
 		}
 	}
+	root = make([]int, nLinks)
+	for l := range root {
+		root[l] = find(l)
+	}
+	return root, count
+}
+
+// tableMatchesFlows checks the allocator's persistent table against the
+// flows it last allocated: every link's base count is the number of flows
+// crossing it, and two used links share a component label exactly when
+// the flows connect them (by union-find over the flows' paths). It returns
+// the number of components.
+func tableMatchesFlows(t *testing.T, inc *IncrementalMaxMin, flows []*Flow, nLinks int) int {
+	t.Helper()
+	root, count := flowComponents(flows, nLinks)
 	labelOfRoot := map[int]int32{}
 	rootOfLabel := map[int32]int{}
 	for l := 0; l < nLinks; l++ {
@@ -318,7 +330,7 @@ func tableMatchesFlows(t *testing.T, inc *IncrementalMaxMin, flows []*Flow, nLin
 		if c < 0 || !inc.comps[c].inUse {
 			t.Fatalf("used link %d has label %d, not a live component", l, c)
 		}
-		r := find(l)
+		r := root[l]
 		if lc, ok := labelOfRoot[r]; ok && lc != c {
 			t.Fatalf("link %d: label %d, a connected link has %d", l, c, lc)
 		}
@@ -341,12 +353,15 @@ func tableMatchesFlows(t *testing.T, inc *IncrementalMaxMin, flows []*Flow, nLin
 
 // TestIncrementalLocalRelabel drives the persistent table through a
 // seeded stream in which bridging paths between otherwise separate
-// islands repeatedly appear (merging components) and vanish (splitting
-// them), mixed with member-count changes and capacity changes. Every
-// round must match a cold pass and MaxMinFair by Float64bits, and the
-// table must describe the flows' true components. Anti-vacuity: some
-// rounds that relabelled still kept other components' rates, and both
-// merges and splits happened.
+// islands repeatedly appear (merging components) and vanish (leaving
+// their component whole or splitting it), one at a time or one appearing
+// while another vanishes in the same call, mixed with member-count
+// changes and capacity changes. Every round must match a cold pass and
+// MaxMinFair by Float64bits, and the table must describe the flows' true
+// components. Anti-vacuity: some rounds that changed a bridge still kept
+// other components' rates, both merges and splits happened, same-call
+// swaps happened, and a vanishing bridge both left its component
+// connected (through the other bridge of its pair) and split it.
 func TestIncrementalLocalRelabel(t *testing.T) {
 	const islands = 8 // island k owns links 2k and 2k+1
 	const nLinks = 2 * islands
@@ -357,9 +372,15 @@ func TestIncrementalLocalRelabel(t *testing.T) {
 			[]topology.LinkID{topology.LinkID(2 * k), topology.LinkID(2*k + 1)})
 	}
 	firstBridge := len(paths)
-	for k := 0; k+1 < islands; k++ { // bridge k joins islands k and k+1
-		paths = append(paths, []topology.LinkID{topology.LinkID(2*k + 1), topology.LinkID(2*k + 2)})
+	// Two bridges join islands k and k+1, one over links 2k+1 and 2k+2 and
+	// one over links 2k and 2k+3: while both islands hold their two-link
+	// path, either bridge may vanish without disconnecting them.
+	for k := 0; k+1 < islands; k++ {
+		paths = append(paths,
+			[]topology.LinkID{topology.LinkID(2*k + 1), topology.LinkID(2*k + 2)},
+			[]topology.LinkID{topology.LinkID(2 * k), topology.LinkID(2*k + 3)})
 	}
+	bridges := len(paths) - firstBridge
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		caps := make([]float64, nLinks)
@@ -373,6 +394,9 @@ func TestIncrementalLocalRelabel(t *testing.T) {
 			flows = append(flows, incFlow(nextID, int32(p+1), paths[p]))
 			nextID++
 		}
+		has := func(p int) bool {
+			return slices.ContainsFunc(flows, func(f *Flow) bool { return f.pathID == int32(p+1) })
+		}
 		removeAll := func(p int) {
 			flows = slices.DeleteFunc(flows, func(f *Flow) bool { return f.pathID == int32(p+1) })
 		}
@@ -383,21 +407,40 @@ func TestIncrementalLocalRelabel(t *testing.T) {
 		inc.Allocate(flows, caps, scratch)
 		comps := tableMatchesFlows(t, inc, flows, nLinks)
 		merges, splits, keptWhileRelabel := 0, 0, 0
-		for round := 0; round < 300; round++ {
-			bridge := -1
+		swaps, vanishKept, vanishSplit := 0, 0, 0
+		for round := 0; round < 400; round++ {
+			bridged, vanished := false, -1
 			switch r := rng.Float64(); {
-			case r < 0.45:
-				bridge = firstBridge + rng.Intn(islands-1)
-				if slices.ContainsFunc(flows, func(f *Flow) bool { return f.pathID == int32(bridge+1) }) {
-					removeAll(bridge)
+			case r < 0.35: // one bridge appears or vanishes
+				b := firstBridge + rng.Intn(bridges)
+				if has(b) {
+					removeAll(b)
+					vanished = b
 				} else {
 					for i := 1 + rng.Intn(2); i > 0; i-- {
-						add(bridge)
+						add(b)
 					}
 				}
-			case r < 0.7:
+				bridged = true
+			case r < 0.5: // one bridge vanishes while another appears
+				var on, off []int
+				for b := firstBridge; b < len(paths); b++ {
+					if has(b) {
+						on = append(on, b)
+					} else {
+						off = append(off, b)
+					}
+				}
+				if len(on) > 0 && len(off) > 0 {
+					vanished = on[rng.Intn(len(on))]
+					removeAll(vanished)
+					add(off[rng.Intn(len(off))])
+					bridged = true
+					swaps++
+				}
+			case r < 0.72:
 				add(rng.Intn(firstBridge))
-			case r < 0.85:
+			case r < 0.86:
 				if i := rng.Intn(len(flows)); flows[i].pathID <= int32(firstBridge) {
 					flows = slices.Delete(flows, i, i+1)
 				}
@@ -409,7 +452,18 @@ func TestIncrementalLocalRelabel(t *testing.T) {
 			label := fmt.Sprintf("seed %d round %d", seed, round)
 			assertSameAsFresh(t, label, flows, caps)
 			now := tableMatchesFlows(t, inc, flows, nLinks)
-			if bridge >= 0 {
+			if vanished >= 0 {
+				root, count := flowComponents(flows, nLinks)
+				a, b := paths[vanished][0], paths[vanished][1]
+				if count[a] > 0 && count[b] > 0 {
+					if root[a] == root[b] {
+						vanishKept++
+					} else {
+						vanishSplit++
+					}
+				}
+			}
+			if bridged {
 				switch {
 				case now < comps:
 					merges++
@@ -422,20 +476,22 @@ func TestIncrementalLocalRelabel(t *testing.T) {
 			}
 			comps = now
 		}
-		if merges == 0 || splits == 0 || keptWhileRelabel == 0 {
-			t.Fatalf("seed %d: %d merges, %d splits, %d relabelling rounds that kept clean components: test is vacuous",
-				seed, merges, splits, keptWhileRelabel)
+		if merges == 0 || splits == 0 || keptWhileRelabel == 0 || swaps == 0 || vanishKept == 0 || vanishSplit == 0 {
+			t.Fatalf("seed %d: %d merges, %d splits, %d bridge rounds that kept clean components, %d same-call swaps, "+
+				"%d vanishes that kept their component, %d that split it: test is vacuous",
+				seed, merges, splits, keptWhileRelabel, swaps, vanishKept, vanishSplit)
 		}
 	}
 }
 
 // orderCheck wraps a policy and fails the test the first time a Network
 // passes flows out of strictly increasing ID order, or a flow ID shows up
-// with another path than before.
+// with another path or as another object than before.
 type orderCheck struct {
 	Policy
 	t     *testing.T
 	path  map[int64]int32
+	obj   map[int64]*Flow
 	calls int
 }
 
@@ -449,13 +505,18 @@ func (p *orderCheck) Allocate(flows []*Flow, caps []float64, scratch []float64) 
 			p.t.Fatalf("call %d: flow %d moved from path %d to %d", p.calls, f.ID, id, f.pathID)
 		}
 		p.path[f.ID] = f.pathID
+		if o, ok := p.obj[f.ID]; ok && o != f {
+			p.t.Fatalf("call %d: flow %d passed as another *Flow object", p.calls, f.ID)
+		}
+		p.obj[f.ID] = f
 	}
 	p.Policy.Allocate(flows, caps, scratch)
 }
 
 // TestNetworkPassesFlowsInIDOrder checks the Policy flow-order contract
-// from the Network's side, across starts, cancels, flows started from
-// done callbacks, flow pooling and link faults.
+// (ID order, one path and one object per active ID) from the Network's
+// side, across starts, cancels, flows started from done callbacks, flow
+// pooling and link faults.
 func TestNetworkPassesFlowsInIDOrder(t *testing.T) {
 	c := topology.MustNew(topology.Config{
 		Racks:            4,
@@ -467,7 +528,7 @@ func TestNetworkPassesFlowsInIDOrder(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		sim := des.New()
-		p := &orderCheck{Policy: NewIncrementalMaxMin(), t: t, path: map[int64]int32{}}
+		p := &orderCheck{Policy: NewIncrementalMaxMin(), t: t, path: map[int64]int32{}, obj: map[int64]*Flow{}}
 		n := New(sim, c, p)
 		n.SetFlowPooling(true)
 		machines := c.Config.Racks * c.Config.MachinesPerRack

@@ -82,11 +82,13 @@ func (f *Flow) Rate() float64 { return f.rate }
 //
 // Flow order contract: a Network passes its flows in strictly increasing
 // ID order on every call (it appends new flows with the next ID and drops
-// finished ones in place), and a flow ID keeps one path for the flow's
-// life, even when the Flow object is pooled and reused under a new ID. A
-// policy may therefore keep state between calls keyed on IDs:
-// IncrementalMaxMin merges each call's list with the previous one to find
-// the flows that started or ended, and panics when the order is broken.
+// finished ones in place), a flow ID keeps one path for the flow's life,
+// and an active flow keeps one *Flow object: an object is pooled and
+// reused under a new ID only after its flow ended. A policy may therefore
+// keep state between calls keyed on IDs or on the objects themselves:
+// IncrementalMaxMin merges each call's list with the previous one by
+// pointer to find the flows that started or ended, and panics when the
+// contract is broken.
 type Policy interface {
 	// Allocate assigns rates to flows. caps[linkID] is each link's
 	// capacity; scratch is a reusable buffer of the same length holding

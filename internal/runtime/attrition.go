@@ -297,20 +297,20 @@ func (rt *runtime) applyCorruption(c Corruption) {
 
 // validateAttrition checks the attrition-related options at startup.
 func validateAttrition(opts Options, machines int) error {
-	if opts.TaskFailureProb < 0 || opts.TaskFailureProb > 1 {
+	if !(opts.TaskFailureProb >= 0 && opts.TaskFailureProb <= 1) { // NaN too
 		return fmt.Errorf("runtime: TaskFailureProb %g outside [0,1]", opts.TaskFailureProb)
 	}
 	for _, af := range opts.AMFailures {
-		if af.At < 0 {
-			return fmt.Errorf("runtime: AM failure at negative time %g", af.At)
+		if err := checkFinite("AMFailure.At", af.At); err != nil {
+			return err
 		}
 	}
 	for _, c := range opts.Corruptions {
 		if c.Machine < 0 || c.Machine >= machines {
 			return fmt.Errorf("runtime: corruption targets machine %d, out of range", c.Machine)
 		}
-		if c.At < 0 {
-			return fmt.Errorf("runtime: corruption at negative time %g", c.At)
+		if err := checkFinite("Corruption.At", c.At); err != nil {
+			return err
 		}
 	}
 	return nil

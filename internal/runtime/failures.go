@@ -396,11 +396,11 @@ func validateFailures(failures []Failure, machines int) error {
 		if f.Machine < 0 || f.Machine >= machines {
 			return fmt.Errorf("runtime: failure targets machine %d, out of range", f.Machine)
 		}
-		if f.At < 0 {
-			return fmt.Errorf("runtime: failure at negative time %g", f.At)
+		if err := checkFinite("Failure.At", f.At); err != nil {
+			return err
 		}
-		if f.Downtime < 0 {
-			return fmt.Errorf("runtime: failure with negative downtime %g", f.Downtime)
+		if err := checkFinite("Failure.Downtime", f.Downtime); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -412,14 +412,24 @@ func validateLinkFaults(faults []LinkFault, racks int) error {
 		if lf.Rack < 0 || lf.Rack >= racks {
 			return fmt.Errorf("runtime: link fault targets rack %d, out of range", lf.Rack)
 		}
-		if lf.At < 0 {
-			return fmt.Errorf("runtime: link fault at negative time %g", lf.At)
+		if err := checkFinite("LinkFault.At", lf.At); err != nil {
+			return err
 		}
-		if lf.Factor < 0 {
-			return fmt.Errorf("runtime: link fault with negative factor %g", lf.Factor)
+		if err := checkFinite("LinkFault.Factor", lf.Factor); err != nil {
+			return err
 		}
 	}
 	return nil
+}
+
+// checkFinite returns an error naming field unless v is finite and at
+// least 0. NaN fails every ordered comparison, so a bare v < 0 test would
+// let it through.
+func checkFinite(field string, v float64) error {
+	if v >= 0 && !math.IsInf(v, 1) {
+		return nil
+	}
+	return fmt.Errorf("runtime: %s is %g, want a finite value >= 0", field, v)
 }
 
 // computeDuration applies straggler injection to a task's nominal compute

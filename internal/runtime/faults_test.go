@@ -3,6 +3,7 @@ package runtime
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"corral/internal/dfs"
@@ -210,6 +211,38 @@ func TestFailureValidationDowntime(t *testing.T) {
 	neg := Options{Cluster: smallTopo(), LinkFaults: []LinkFault{{At: 1, Rack: 0, Factor: -0.5}}}
 	if _, err := Run(neg, nil); err == nil {
 		t.Fatal("negative link fault factor not rejected")
+	}
+}
+
+// TestFaultScheduleRejectsNonFinite requires every fault time, downtime
+// and factor to be finite and non-negative, and TaskFailureProb to be a
+// number: NaN passes every ordered comparison, so a bare < 0 check let
+// these schedules through, to run silently or to stall the network.
+func TestFaultScheduleRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		field string
+		opts  Options
+	}{
+		{"Failure.At", Options{Failures: []Failure{{At: nan, Machine: 0}}}},
+		{"Failure.At", Options{Failures: []Failure{{At: inf, Machine: 0}}}},
+		{"Failure.Downtime", Options{Failures: []Failure{{At: 1, Machine: 0, Downtime: nan}}}},
+		{"Failure.Downtime", Options{Failures: []Failure{{At: 1, Machine: 0, Downtime: inf}}}},
+		{"LinkFault.At", Options{LinkFaults: []LinkFault{{At: nan, Rack: 0, Factor: 1}}}},
+		{"LinkFault.At", Options{LinkFaults: []LinkFault{{At: inf, Rack: 0, Factor: 1}}}},
+		{"LinkFault.Factor", Options{LinkFaults: []LinkFault{{At: 1, Rack: 0, Factor: nan}}}},
+		{"LinkFault.Factor", Options{LinkFaults: []LinkFault{{At: 1, Rack: 0, Factor: inf}}}},
+		{"AMFailure.At", Options{AMFailures: []AMFailure{{At: nan, JobID: 1}}}},
+		{"AMFailure.At", Options{AMFailures: []AMFailure{{At: inf, JobID: 1}}}},
+		{"Corruption.At", Options{Corruptions: []Corruption{{At: nan, Machine: 0}}}},
+		{"Corruption.At", Options{Corruptions: []Corruption{{At: inf, Machine: 0}}}},
+		{"TaskFailureProb", Options{TaskFailureProb: nan}},
+	} {
+		tc.opts.Cluster = smallTopo()
+		_, err := Run(tc.opts, []*job.Job{shuffleJob(1)})
+		if err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: Run returned %v, want an error naming %s", tc.field, err, tc.field)
+		}
 	}
 }
 

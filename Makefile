@@ -43,7 +43,7 @@ fmt-check:
 # package below for arm64, reads its assembly and fails on any
 # FMADD/FMSUB/FNMADD/FNMSUB; it also fails if a package yields no assembly
 # at all, so an empty listing cannot pass.
-FMA_PKGS = datadeps des dfs invariants job lp metrics model netsim planner runtime snapshot topology trace
+FMA_PKGS = datadeps des dfs experiments invariants job lp metrics model netsim planner runtime snapshot topology trace
 
 fma-check:
 	@for p in $(FMA_PKGS); do \

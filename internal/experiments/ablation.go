@@ -169,29 +169,18 @@ func AblationDelay(p Params) (*Report, error) {
 		Title:   "Yarn-CS batch behavior vs patience (in scheduling opportunities)",
 		Columns: []string{"node-local patience", "makespan (s)", "cross-rack GB"},
 	}
-	// Patience levels fan out as independent cells and render in level
-	// order (internal/pool).
 	mults := []float64{0.1, 1, 4}
 	patience := make([]int, len(mults))
+	cells := make([]runtime.Options, len(mults))
 	for i, mult := range mults {
-		d1 := int(float64(machines) * mult)
-		if d1 < 1 {
-			d1 = 1
-		}
-		patience[i] = d1
-	}
-	results := make([]*runtime.Result, len(mults))
-	if err := pool.For(len(mults), func(i int) error {
-		res, err := runtime.Run(runtime.Options{
+		patience[i] = max(int(float64(machines)*mult), 1)
+		cells[i] = runtime.Options{
 			Cluster: topo, Scheduler: runtime.YarnCS, Seed: p.Seed,
 			DelayNodeLocal: patience[i], DelayRackLocal: 2 * patience[i],
-		}, workload.Clone(jobs))
-		if err != nil {
-			return err
 		}
-		results[i] = res
-		return nil
-	}); err != nil {
+	}
+	results, err := runCells(cells, jobs)
+	if err != nil {
 		return nil, err
 	}
 	for i, d1 := range patience {

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"corral/internal/job"
 	"corral/internal/metrics"
 	"corral/internal/planner"
 	"corral/internal/runtime"
@@ -20,40 +19,18 @@ func Fig11(p Params) (*Report, error) {
 	nRecur := prof.w1Jobs
 	nAdhoc := prof.w1Jobs / 2
 
-	build := func() ([]*job.Job, error) {
-		recurring, err := genOnlineWorkload("W1", prof, p.Seed+6)
-		if err != nil {
-			return nil, err
-		}
-		adhoc := workload.MarkAdHoc(workload.W1(prof.wcfg(p.Seed+7, nAdhoc, 0)))
-		workload.Renumber(adhoc, nRecur+1)
-		return append(recurring, adhoc...), nil
-	}
-
-	yarnJobs, err := build()
+	recurring, err := genOnlineWorkload("W1", prof, p.Seed+6)
 	if err != nil {
 		return nil, err
 	}
-	yarn, err := runtime.Run(runtime.Options{
-		Cluster: topo, Scheduler: runtime.YarnCS, Seed: p.Seed,
-	}, yarnJobs)
+	adhoc := workload.MarkAdHoc(workload.W1(prof.wcfg(p.Seed+7, nAdhoc, 0)))
+	workload.Renumber(adhoc, nRecur+1)
+	res, err := runAll(topo, append(recurring, adhoc...), planner.MinimizeAvgCompletion, p.Seed,
+		runtime.YarnCS, runtime.Corral)
 	if err != nil {
 		return nil, err
 	}
-	corralJobs, err := build()
-	if err != nil {
-		return nil, err
-	}
-	plan, err := planJobs(topo, corralJobs, planner.MinimizeAvgCompletion)
-	if err != nil {
-		return nil, err
-	}
-	corral, err := runtime.Run(runtime.Options{
-		Cluster: topo, Scheduler: runtime.Corral, Plan: plan, Seed: p.Seed,
-	}, corralJobs)
-	if err != nil {
-		return nil, err
-	}
+	yarn, corral := res[runtime.YarnCS], res[runtime.Corral]
 
 	groups := []struct {
 		name string

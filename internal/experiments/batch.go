@@ -37,77 +37,48 @@ func batchWorkloads(size Size) []string {
 // Fig6 reports batch makespan reduction relative to Yarn-CS (paper: Corral
 // 10-33%, LocalShuffle mixed, ShuffleWatcher significantly negative).
 func Fig6(p Params) (*Report, error) {
-	r := newReport("Fig 6: reduction in makespan vs Yarn-CS (batch)")
-	suite, err := batchSuite(p, batchWorkloads(p.Size))
-	if err != nil {
-		return nil, err
-	}
-	t := &metrics.Table{
-		Title:   "% reduction in makespan (higher is better; negative = worse than Yarn-CS)",
-		Columns: []string{"workload", "corral", "local-shuffle", "shufflewatcher"},
-	}
-	for _, w := range batchWorkloads(p.Size) {
-		res := suite[w]
-		base := res[runtime.YarnCS].Makespan
-		row := []string{w}
-		for _, k := range []runtime.Kind{runtime.Corral, runtime.LocalShuffle, runtime.ShuffleWatcher} {
-			red := metrics.Reduction(base, res[k].Makespan)
-			row = append(row, metrics.Pct(red))
-			r.set(fmt.Sprintf("%s_%s_makespan_reduction_pct", w, k), red)
-		}
-		t.AddRow(row...)
-	}
-	r.table(t)
-	return r, nil
+	return batchReduction(p, "Fig 6: reduction in makespan vs Yarn-CS (batch)",
+		"% reduction in makespan (higher is better; negative = worse than Yarn-CS)",
+		"makespan", func(res *runtime.Result) float64 { return res.Makespan })
 }
 
 // Fig7a reports cross-rack data reduction vs Yarn-CS (paper: 20-90% for
 // Corral).
 func Fig7a(p Params) (*Report, error) {
-	r := newReport("Fig 7a: reduction in cross-rack data vs Yarn-CS (batch)")
-	suite, err := batchSuite(p, batchWorkloads(p.Size))
-	if err != nil {
-		return nil, err
-	}
-	t := &metrics.Table{
-		Title:   "% reduction in bytes crossing the rack-core boundary",
-		Columns: []string{"workload", "corral", "local-shuffle", "shufflewatcher"},
-	}
-	for _, w := range batchWorkloads(p.Size) {
-		res := suite[w]
-		base := res[runtime.YarnCS].CrossRackBytes
-		row := []string{w}
-		for _, k := range []runtime.Kind{runtime.Corral, runtime.LocalShuffle, runtime.ShuffleWatcher} {
-			red := metrics.Reduction(base, res[k].CrossRackBytes)
-			row = append(row, metrics.Pct(red))
-			r.set(fmt.Sprintf("%s_%s_crossrack_reduction_pct", w, k), red)
-		}
-		t.AddRow(row...)
-	}
-	r.table(t)
-	return r, nil
+	return batchReduction(p, "Fig 7a: reduction in cross-rack data vs Yarn-CS (batch)",
+		"% reduction in bytes crossing the rack-core boundary",
+		"crossrack", func(res *runtime.Result) float64 { return res.CrossRackBytes })
 }
 
 // Fig7b reports compute-hours reduction vs Yarn-CS (paper: up to ~20% for
 // Corral; ShuffleWatcher can look better here while losing on makespan).
 func Fig7b(p Params) (*Report, error) {
-	r := newReport("Fig 7b: reduction in compute-hours vs Yarn-CS (batch)")
+	return batchReduction(p, "Fig 7b: reduction in compute-hours vs Yarn-CS (batch)",
+		"% reduction in total task wall-clock time",
+		"computehours", func(res *runtime.Result) float64 { return res.TaskSeconds })
+}
+
+// batchReduction is one view of the batch suite (Fig 6, 7a, 7b): for each
+// workload, the reduction in metric vs Yarn-CS of every other scheduler,
+// keyed <workload>_<scheduler>_<key>_reduction_pct.
+func batchReduction(p Params, name, title, key string, metric func(*runtime.Result) float64) (*Report, error) {
+	r := newReport(name)
 	suite, err := batchSuite(p, batchWorkloads(p.Size))
 	if err != nil {
 		return nil, err
 	}
 	t := &metrics.Table{
-		Title:   "% reduction in total task wall-clock time",
+		Title:   title,
 		Columns: []string{"workload", "corral", "local-shuffle", "shufflewatcher"},
 	}
 	for _, w := range batchWorkloads(p.Size) {
 		res := suite[w]
-		base := res[runtime.YarnCS].TaskSeconds
+		base := metric(res[runtime.YarnCS])
 		row := []string{w}
-		for _, k := range []runtime.Kind{runtime.Corral, runtime.LocalShuffle, runtime.ShuffleWatcher} {
-			red := metrics.Reduction(base, res[k].TaskSeconds)
+		for _, k := range allSchedulers[1:] {
+			red := metrics.Reduction(base, metric(res[k]))
 			row = append(row, metrics.Pct(red))
-			r.set(fmt.Sprintf("%s_%s_computehours_reduction_pct", w, k), red)
+			r.set(fmt.Sprintf("%s_%s_%s_reduction_pct", w, k, key), red)
 		}
 		t.AddRow(row...)
 	}
@@ -139,12 +110,7 @@ func Fig7c(p Params) (*Report, error) {
 		Title:   "average reduce time percentiles (seconds)",
 		Columns: []string{"percentile", "yarn-cs", "corral", "reduction"},
 	}
-	for _, q := range []float64{0.25, 0.5, 0.75, 0.9} {
-		y := metrics.Percentile(yarn, q)
-		c := metrics.Percentile(corral, q)
-		t.AddRow(fmt.Sprintf("p%d", int(q*100)), metrics.F(y, 1), metrics.F(c, 1),
-			metrics.Pct(metrics.Reduction(y, c)))
-	}
+	percentileRows(t, pLabel, true, yarn, corral)
 	r.table(t)
 	r.set("reduce_time_median_reduction_pct",
 		metrics.Reduction(metrics.Percentile(yarn, 0.5), metrics.Percentile(corral, 0.5)))

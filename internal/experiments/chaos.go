@@ -53,9 +53,9 @@ func GenChaosTrace(topo topology.Config, seed int64, intensity, horizon float64)
 	for m := 0; m < topo.Machines(); m++ {
 		t := rng.ExpFloat64() * mttf
 		for t < horizon {
-			down := mttr * (0.5 + rng.Float64())
+			down := float64(mttr * (0.5 + float64(rng.Float64())))
 			failures = append(failures, runtime.Failure{At: t, Machine: m, Downtime: down})
-			t += down + rng.ExpFloat64()*mttf
+			t += down + float64(rng.ExpFloat64()*mttf)
 		}
 	}
 
@@ -64,8 +64,8 @@ func GenChaosTrace(topo topology.Config, seed int64, intensity, horizon float64)
 		if rng.Float64() >= intensity {
 			continue
 		}
-		start := rng.Float64() * 0.8 * horizon
-		dur := 0.1 * horizon * (0.5 + rng.Float64())
+		start := float64(rng.Float64() * 0.8 * horizon)
+		dur := float64(0.1 * horizon * (0.5 + float64(rng.Float64())))
 		factor := chaosFactors[rng.Intn(len(chaosFactors))]
 		faults = append(faults,
 			runtime.LinkFault{At: start, Rack: r, Factor: factor},

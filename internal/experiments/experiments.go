@@ -17,6 +17,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -231,39 +232,22 @@ func planJobs(topo topology.Config, jobs []*job.Job, obj planner.Objective) (*pl
 }
 
 // runAll runs the same workload under every scheduler in kinds, planning
-// once for the plan-driven schedulers.
+// once for the plan-driven schedulers. The plan goes to every kind;
+// Yarn-CS and ShuffleWatcher ignore it.
 func runAll(topo topology.Config, jobs []*job.Job, obj planner.Objective, seed int64, kinds ...runtime.Kind) (map[runtime.Kind]*runtime.Result, error) {
 	var plan *planner.Plan
-	needPlan := false
-	for _, k := range kinds {
-		if k == runtime.Corral || k == runtime.LocalShuffle {
-			needPlan = true
-		}
-	}
-	if needPlan {
+	if slices.Contains(kinds, runtime.Corral) || slices.Contains(kinds, runtime.LocalShuffle) {
 		var err error
-		plan, err = planJobs(topo, jobs, obj)
-		if err != nil {
+		if plan, err = planJobs(topo, jobs, obj); err != nil {
 			return nil, err
 		}
 	}
-	// Each scheduler's run is independent (the plan is read-only, jobs are
-	// cloned per run), so kinds fan out over the sweep worker pool and the
-	// result map is assembled in kind order afterwards (internal/pool).
-	results := make([]*runtime.Result, len(kinds))
-	if err := pool.For(len(kinds), func(i int) error {
-		res, err := runtime.Run(runtime.Options{
-			Cluster:   topo,
-			Scheduler: kinds[i],
-			Plan:      plan,
-			Seed:      seed,
-		}, workload.Clone(jobs))
-		if err != nil {
-			return err
-		}
-		results[i] = res
-		return nil
-	}); err != nil {
+	cells := make([]runtime.Options, len(kinds))
+	for i, k := range kinds {
+		cells[i] = runtime.Options{Cluster: topo, Scheduler: k, Plan: plan, Seed: seed}
+	}
+	results, err := runCells(cells, jobs)
+	if err != nil {
 		return nil, err
 	}
 	out := make(map[runtime.Kind]*runtime.Result, len(kinds))
@@ -271,6 +255,22 @@ func runAll(topo topology.Config, jobs []*job.Job, obj planner.Objective, seed i
 		out[k] = results[i]
 	}
 	return out, nil
+}
+
+// runCells runs the same workload under each of cells, every run on its
+// own clone of jobs, and returns result i for cells[i]. The runs fan out
+// over the sweep worker pool (internal/pool), so cells may share a plan,
+// which runs only read, but not a stateful netsim.Policy.
+func runCells(cells []runtime.Options, jobs []*job.Job) ([]*runtime.Result, error) {
+	results := make([]*runtime.Result, len(cells))
+	if err := pool.For(len(cells), func(i int) error {
+		res, err := runtime.Run(cells[i], workload.Clone(jobs))
+		results[i] = res
+		return err
+	}); err != nil {
+		return nil, err
+	}
+	return results, nil
 }
 
 // completionTimes extracts per-job completion times filtered by a
@@ -286,4 +286,25 @@ func completionTimes(res *runtime.Result, keep func(*runtime.JobResult) bool) []
 	return out
 }
 
+// percentileRows adds one row per reported percentile (p25, p50, p75,
+// p90) to t: label(q), each series' percentile in seconds and, with
+// withReduction, the last series' reduction against the first.
+func percentileRows(t *metrics.Table, label func(q float64) string, withReduction bool, series ...[]float64) {
+	for _, q := range []float64{0.25, 0.5, 0.75, 0.9} {
+		row := []string{label(q)}
+		for _, s := range series {
+			row = append(row, metrics.F(metrics.Percentile(s, q), 1))
+		}
+		if withReduction {
+			first, last := metrics.Percentile(series[0], q), metrics.Percentile(series[len(series)-1], q)
+			row = append(row, metrics.Pct(metrics.Reduction(first, last)))
+		}
+		t.AddRow(row...)
+	}
+}
+
+// pLabel labels percentile q as p25, p50, ...
+func pLabel(q float64) string { return fmt.Sprintf("p%d", int(q*100)) }
+
+// allSchedulers lists Yarn-CS, the baseline, first.
 var allSchedulers = []runtime.Kind{runtime.YarnCS, runtime.Corral, runtime.LocalShuffle, runtime.ShuffleWatcher}

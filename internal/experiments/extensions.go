@@ -23,66 +23,51 @@ import (
 // interconnect. Corral cannot pre-place input data, but still isolates
 // shuffles and reduces.
 func ExtRemoteStorage(p Params) (*Report, error) {
-	r := newReport("Extension (§7): remote storage cluster")
-	prof := profileFor(p.Size)
-	topo := prof.withBackground(prof.bgFrac)
-	// Interconnect sized at twice one rack uplink: a shared bottleneck.
-	topo.RemoteStorageBandwidth = 2 * prof.topo.RackUplinkCapacity()
-
-	jobs := genWorkload("W1", prof, p.Seed, 0)
-	plan, err := planJobs(topo, jobs, planner.MinimizeMakespan)
-	if err != nil {
-		return nil, err
-	}
-	t := &metrics.Table{
-		Title:   "W1 batch with inputs fetched from remote storage",
-		Columns: []string{"scheduler", "makespan (s)", "cross-rack GB"},
-	}
-	var results [2]*runtime.Result
-	for i, k := range []runtime.Kind{runtime.YarnCS, runtime.Corral} {
-		res, err := runtime.Run(runtime.Options{
-			Cluster: topo, Scheduler: k, Plan: plan, Seed: p.Seed,
-			RemoteStorageInput: true,
-		}, workload.Clone(jobs))
-		if err != nil {
-			return nil, err
-		}
-		results[i] = res
-		t.AddRow(k.String(), metrics.F(res.Makespan, 1), metrics.F(res.CrossRackBytes/1e9, 1))
-	}
-	r.table(t)
-	r.set("makespan_reduction_pct", metrics.Reduction(results[0].Makespan, results[1].Makespan))
-	r.set("crossrack_reduction_pct", metrics.Reduction(results[0].CrossRackBytes, results[1].CrossRackBytes))
-	return r, nil
+	return extStorage(p, "Extension (§7): remote storage cluster",
+		"W1 batch with inputs fetched from remote storage", true)
 }
 
 // ExtInMemory reproduces the §7 "In-memory systems" argument: even with
 // Spark-like in-memory data (no replicated output writes), shuffles remain
 // network-bound and Corral's locality still pays.
 func ExtInMemory(p Params) (*Report, error) {
-	r := newReport("Extension (§7): in-memory data (Spark-like)")
+	return extStorage(p, "Extension (§7): in-memory data (Spark-like)",
+		"W1 batch without replicated output writes", false)
+}
+
+// extStorage runs the W1 batch under Yarn-CS and Corral with inputs read
+// from a remote storage cluster (remote) or with in-memory data (!remote).
+func extStorage(p Params, name, title string, remote bool) (*Report, error) {
+	r := newReport(name)
 	prof := profileFor(p.Size)
 	topo := prof.withBackground(prof.bgFrac)
+	if remote {
+		// Interconnect sized at twice one rack uplink: a shared bottleneck.
+		topo.RemoteStorageBandwidth = 2 * prof.topo.RackUplinkCapacity()
+	}
 	jobs := genWorkload("W1", prof, p.Seed, 0)
 	plan, err := planJobs(topo, jobs, planner.MinimizeMakespan)
 	if err != nil {
 		return nil, err
 	}
+	kinds := []runtime.Kind{runtime.YarnCS, runtime.Corral}
+	cells := make([]runtime.Options, len(kinds))
+	for i, k := range kinds {
+		cells[i] = runtime.Options{
+			Cluster: topo, Scheduler: k, Plan: plan, Seed: p.Seed,
+			RemoteStorageInput: remote, InMemoryInput: !remote,
+		}
+	}
+	results, err := runCells(cells, jobs)
+	if err != nil {
+		return nil, err
+	}
 	t := &metrics.Table{
-		Title:   "W1 batch without replicated output writes",
+		Title:   title,
 		Columns: []string{"scheduler", "makespan (s)", "cross-rack GB"},
 	}
-	var results [2]*runtime.Result
-	for i, k := range []runtime.Kind{runtime.YarnCS, runtime.Corral} {
-		res, err := runtime.Run(runtime.Options{
-			Cluster: topo, Scheduler: k, Plan: plan, Seed: p.Seed,
-			InMemoryInput: true,
-		}, workload.Clone(jobs))
-		if err != nil {
-			return nil, err
-		}
-		results[i] = res
-		t.AddRow(k.String(), metrics.F(res.Makespan, 1), metrics.F(res.CrossRackBytes/1e9, 1))
+	for i, k := range kinds {
+		t.AddRow(k.String(), metrics.F(results[i].Makespan, 1), metrics.F(results[i].CrossRackBytes/1e9, 1))
 	}
 	r.table(t)
 	r.set("makespan_reduction_pct", metrics.Reduction(results[0].Makespan, results[1].Makespan))
@@ -167,16 +152,20 @@ func ExtSpeculation(p Params) (*Report, error) {
 		{"stragglers, no speculation", 0.1, false, "makespan_stragglers"},
 		{"stragglers + speculation", 0.1, true, "makespan_speculation"},
 	}
-	for _, c := range configs {
-		res, err := runtime.Run(runtime.Options{
+	cells := make([]runtime.Options, len(configs))
+	for i, c := range configs {
+		cells[i] = runtime.Options{
 			Cluster: topo, Scheduler: runtime.Corral, Plan: plan, Seed: p.Seed,
 			StragglerFraction: c.fraction, Speculation: c.speculate,
-		}, workload.Clone(jobs))
-		if err != nil {
-			return nil, err
 		}
-		t.AddRow(c.name, metrics.F(res.Makespan, 1))
-		r.set(c.keyForMakespan, res.Makespan)
+	}
+	results, err := runCells(cells, jobs)
+	if err != nil {
+		return nil, err
+	}
+	for i, c := range configs {
+		t.AddRow(c.name, metrics.F(results[i].Makespan, 1))
+		r.set(c.keyForMakespan, results[i].Makespan)
 	}
 	r.table(t)
 	return r, nil
@@ -240,24 +229,21 @@ func ExtReplan(p Params) (*Report, error) {
 		Title:   "two-wave workload: average completion time (seconds)",
 		Columns: []string{"strategy", "avg completion (s)"},
 	}
-	for _, c := range []struct {
-		name string
-		kind runtime.Kind
-		plan *planner.Plan
-		key  string
-	}{
-		{"yarn-cs (no plan)", runtime.YarnCS, nil, "avg_yarn"},
-		{"corral, replanned", runtime.Corral, replanned, "avg_replan"},
-		{"corral, oracle plan", runtime.Corral, oracle, "avg_oracle"},
+	results, err := runCells([]runtime.Options{
+		{Cluster: topo, Scheduler: runtime.YarnCS, Seed: p.Seed},
+		{Cluster: topo, Scheduler: runtime.Corral, Plan: replanned, Seed: p.Seed},
+		{Cluster: topo, Scheduler: runtime.Corral, Plan: oracle, Seed: p.Seed},
+	}, all)
+	if err != nil {
+		return nil, err
+	}
+	for i, row := range []struct{ name, key string }{
+		{"yarn-cs (no plan)", "avg_yarn"},
+		{"corral, replanned", "avg_replan"},
+		{"corral, oracle plan", "avg_oracle"},
 	} {
-		res, err := runtime.Run(runtime.Options{
-			Cluster: topo, Scheduler: c.kind, Plan: c.plan, Seed: p.Seed,
-		}, workload.Clone(all))
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(c.name, metrics.F(res.AvgCompletionTime(), 1))
-		r.set(c.key, res.AvgCompletionTime())
+		t.AddRow(row.name, metrics.F(results[i].AvgCompletionTime(), 1))
+		r.set(row.key, results[i].AvgCompletionTime())
 	}
 	r.table(t)
 	return r, nil

@@ -1,12 +1,9 @@
 package experiments
 
 import (
-	"fmt"
-
 	"corral/internal/metrics"
 	"corral/internal/netsim"
 	"corral/internal/planner"
-	"corral/internal/pool"
 	"corral/internal/runtime"
 	"corral/internal/topology"
 	"corral/internal/workload"
@@ -58,49 +55,31 @@ func Fig14(p Params) (*Report, error) {
 		{"corral+tcp", runtime.Corral, nil},
 		{"corral+varys", runtime.Corral, netsim.Varys{}},
 	}
-	// The four scheduler x flow-policy combos fan out as independent cells
-	// (internal/pool). Varys is a stateless value, safe to hand to concurrent
-	// runs; the plan is read-only.
-	combosTimes := make([][]float64, len(combos))
-	if err := pool.For(len(combos), func(i int) error {
-		c := combos[i]
-		res, err := runtime.Run(runtime.Options{
-			Cluster:   topo,
-			Scheduler: c.sched,
-			Network:   c.net,
-			Plan:      plan,
-			Seed:      p.Seed,
-		}, workload.Clone(jobs))
-		if err != nil {
-			return err
-		}
-		combosTimes[i] = completionTimes(res, nil)
-		return nil
-	}); err != nil {
+	// Varys is a stateless value, safe to hand to concurrent runs.
+	cells := make([]runtime.Options, len(combos))
+	for i, c := range combos {
+		cells[i] = runtime.Options{Cluster: topo, Scheduler: c.sched, Network: c.net, Plan: plan, Seed: p.Seed}
+	}
+	results, err := runCells(cells, jobs)
+	if err != nil {
 		return nil, err
 	}
-	times := map[string][]float64{}
-	for i, c := range combos {
-		times[c.label] = combosTimes[i]
+	times := make([][]float64, len(combos))
+	for i, res := range results {
+		times[i] = completionTimes(res, nil)
 	}
 
 	t := &metrics.Table{
 		Title:   "completion time percentiles (seconds)",
 		Columns: []string{"percentile", "yarn-cs+tcp", "yarn-cs+varys", "corral+tcp", "corral+varys"},
 	}
-	for _, q := range []float64{0.25, 0.5, 0.75, 0.9} {
-		row := []string{fmt.Sprintf("p%d", int(q*100))}
-		for _, c := range combos {
-			row = append(row, metrics.F(metrics.Percentile(times[c.label], q), 1))
-		}
-		t.AddRow(row...)
-	}
+	percentileRows(t, pLabel, false, times...)
 	r.table(t)
 
-	base := metrics.Percentile(times["yarn-cs+tcp"], 0.5)
-	for _, c := range combos[1:] {
+	base := metrics.Percentile(times[0], 0.5) // yarn-cs+tcp
+	for i, c := range combos[1:] {
 		r.set(c.label+"_median_reduction_pct",
-			metrics.Reduction(base, metrics.Percentile(times[c.label], 0.5)))
+			metrics.Reduction(base, metrics.Percentile(times[i+1], 0.5)))
 	}
 	return r, nil
 }

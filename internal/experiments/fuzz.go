@@ -54,7 +54,7 @@ func genFuzzTrace(prof profile, seed int64, horizon float64, jobIDs []int) fuzzT
 	// Machine failures + uplink windows reuse the chaos generator at a
 	// randomized intensity (kept below the chaos gate's severe end: the
 	// fuzzer explores interleavings, not outage Armageddon).
-	intensity := 0.05 + 0.3*rng.Float64()
+	intensity := 0.05 + float64(0.3*rng.Float64())
 	tr.Failures, tr.LinkFaults = GenChaosTrace(prof.topo, rng.Int63(), intensity, horizon)
 	// Task crashes: capped so the attempt budget (4) almost never
 	// exhausts — job failures remain legal but rare, keeping the

@@ -25,7 +25,7 @@ func Fig1(p Params) (*Report, error) {
 		row := []string{s.Name}
 		for d := 20; d < 30; d++ {
 			v := s.Actual(d, 0) / base
-			row = append(row, metrics.F(math.Log10(v)+1, 3)) // log10 scale, shifted
+			row = append(row, metrics.F(float64(math.Log10(v))+1, 3)) // log10 scale, shifted
 		}
 		t.AddRow(row...)
 	}

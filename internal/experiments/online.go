@@ -28,21 +28,14 @@ func Fig8(p Params) (*Report, error) {
 			Title:   w + ": completion time percentiles (seconds)",
 			Columns: []string{"percentile", "yarn-cs", "corral", "local-shuffle", "shufflewatcher"},
 		}
-		times := map[runtime.Kind][]float64{}
-		for _, k := range allSchedulers {
-			times[k] = completionTimes(res[k], nil)
+		times := make([][]float64, len(allSchedulers)) // Yarn-CS, Corral, ...
+		for i, k := range allSchedulers {
+			times[i] = completionTimes(res[k], nil)
 		}
-		for _, q := range []float64{0.25, 0.5, 0.75, 0.9} {
-			row := []string{fmt.Sprintf("p%d", int(q*100))}
-			for _, k := range allSchedulers {
-				row = append(row, metrics.F(metrics.Percentile(times[k], q), 1))
-			}
-			t.AddRow(row...)
-		}
+		percentileRows(t, pLabel, false, times...)
 		r.table(t)
-		baseMed := metrics.Percentile(times[runtime.YarnCS], 0.5)
-		corralMed := metrics.Percentile(times[runtime.Corral], 0.5)
-		r.set(w+"_median_reduction_pct", metrics.Reduction(baseMed, corralMed))
+		r.set(w+"_median_reduction_pct", metrics.Reduction(
+			metrics.Percentile(times[0], 0.5), metrics.Percentile(times[1], 0.5)))
 		r.set(w+"_avg_reduction_pct", metrics.Reduction(
 			res[runtime.YarnCS].AvgCompletionTime(), res[runtime.Corral].AvgCompletionTime()))
 	}
@@ -79,7 +72,7 @@ func Fig9(p Params) (*Report, error) {
 	for _, b := range bins {
 		base := metrics.Mean(completionTimes(res[runtime.YarnCS], b.keep))
 		row := []string{b.name}
-		for _, k := range []runtime.Kind{runtime.Corral, runtime.LocalShuffle, runtime.ShuffleWatcher} {
+		for _, k := range allSchedulers[1:] {
 			red := metrics.Reduction(base, metrics.Mean(completionTimes(res[k], b.keep)))
 			row = append(row, metrics.Pct(red))
 			r.set(fmt.Sprintf("%s_%s_avg_reduction_pct", b.name, k), red)

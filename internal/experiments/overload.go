@@ -58,7 +58,7 @@ const (
 // of the arguments: no rng.
 func genFlapStorm(topo topology.Config, window, horizon float64) []runtime.LinkFault {
 	period := window / overloadFlapDiv
-	down := period / 2
+	down := float64(period / 2)
 	var out []runtime.LinkFault
 	i := 0
 	for at := 0.05 * horizon; at < 0.55*horizon; at += period {

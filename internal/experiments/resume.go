@@ -58,7 +58,7 @@ func resumeScenario(prof profile, seed int64) (runtime.Options, []*job.Job, erro
 	topo := prof.topo
 	wrng := rand.New(rand.NewSource(seed))
 	nJobs := 3 + wrng.Intn(5)
-	window := 20 + 60*wrng.Float64()
+	window := 20 + float64(60*wrng.Float64())
 	jobs := workload.W1(prof.wcfg(seed, nJobs, window))
 	plan, err := planJobs(topo, jobs, planner.MinimizeAvgCompletion)
 	if err != nil {

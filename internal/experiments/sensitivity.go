@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 
 	"corral/internal/job"
 	"corral/internal/metrics"
@@ -74,10 +75,11 @@ func Fig12(p Params) (*Report, error) {
 		makespanRed /= float64(len(seeds))
 		avgRed /= float64(len(seeds))
 
-		label := fmt.Sprintf("%d%% uplink", int(frac*100))
-		t.AddRow(label, metrics.Pct(makespanRed), metrics.Pct(avgRed))
-		r.set(fmt.Sprintf("makespan_reduction_pct_bg%d", int(frac*100)), makespanRed)
-		r.set(fmt.Sprintf("avgtime_reduction_pct_bg%d", int(frac*100)), avgRed)
+		// Rounded: int(0.58*100) truncates 57.99999999999999 to 57.
+		pct := int(math.Round(frac * 100))
+		t.AddRow(fmt.Sprintf("%d%% uplink", pct), metrics.Pct(makespanRed), metrics.Pct(avgRed))
+		r.set(fmt.Sprintf("makespan_reduction_pct_bg%d", pct), makespanRed)
+		r.set(fmt.Sprintf("avgtime_reduction_pct_bg%d", pct), avgRed)
 	}
 	r.table(t)
 	return r, nil
@@ -87,66 +89,16 @@ func Fig12(p Params) (*Report, error) {
 // predicted (unperturbed) workload while the cluster runs jobs whose data
 // volumes differ by up to ±err (paper: benefits stay 25-35% up to 50%).
 func Fig13a(p Params) (*Report, error) {
-	r := newReport("Fig 13a: robustness to error in predicted data size, W1 batch")
 	prof := profileFor(p.Size)
-	topo := prof.withBackground(prof.bgFrac)
-	seeds := sensitivitySeeds(p)
-
-	type seedState struct {
-		predicted []*job.Job
-		plan      *planner.Plan
-	}
-	states := make([]seedState, len(seeds))
-	for i, seed := range seeds {
-		predicted := genWorkload("W1", prof, seed, 0)
-		plan, err := planJobs(topo, predicted, planner.MinimizeMakespan)
-		if err != nil {
-			return nil, err
-		}
-		states[i] = seedState{predicted: predicted, plan: plan}
-	}
-
-	t := &metrics.Table{
-		Title:   "% reduction in makespan vs Yarn-CS under size error",
-		Columns: []string{"error", "reduction"},
-	}
-	// (error level, seed) grid, fanned out per the internal/pool rules: the
-	// seed states are precomputed above, each cell runs its own pair of
-	// simulations, and per-level averages reduce in seed order.
-	errFracs := []float64{0, 0.1, 0.2, 0.3, 0.4, 0.5}
-	reds := make([]float64, len(errFracs)*len(seeds))
-	if err := pool.For(len(reds), func(ci int) error {
-		errFrac, i := errFracs[ci/len(seeds)], ci%len(seeds)
-		seed := seeds[i]
-		actual := workload.PerturbSizes(states[i].predicted, errFrac, seed+int64(errFrac*100))
-		yarn, err := runtime.Run(runtime.Options{
-			Cluster: topo, Scheduler: runtime.YarnCS, Seed: seed,
-		}, workload.Clone(actual))
-		if err != nil {
-			return err
-		}
-		corral, err := runtime.Run(runtime.Options{
-			Cluster: topo, Scheduler: runtime.Corral, Plan: states[i].plan, Seed: seed,
-		}, workload.Clone(actual))
-		if err != nil {
-			return err
-		}
-		reds[ci] = metrics.Reduction(yarn.Makespan, corral.Makespan)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	for fi, errFrac := range errFracs {
-		red := 0.0
-		for si := range seeds {
-			red += reds[fi*len(seeds)+si]
-		}
-		red /= float64(len(seeds))
-		t.AddRow(metrics.Pct(100*errFrac), metrics.Pct(red))
-		r.set(fmt.Sprintf("makespan_reduction_pct_err%d", int(errFrac*100)), red)
-	}
-	r.table(t)
-	return r, nil
+	return perturbSweep(p, "Fig 13a: robustness to error in predicted data size, W1 batch",
+		&metrics.Table{
+			Title:   "% reduction in makespan vs Yarn-CS under size error",
+			Columns: []string{"error", "reduction"},
+		},
+		"makespan_reduction_pct_err%d", planner.MinimizeMakespan,
+		func(seed int64) ([]*job.Job, error) { return genWorkload("W1", prof, seed, 0), nil },
+		workload.PerturbSizes,
+		func(res *runtime.Result) float64 { return res.Makespan })
 }
 
 // Fig13b injects job start-time error: a fraction f of jobs is delayed by
@@ -154,73 +106,80 @@ func Fig13a(p Params) (*Report, error) {
 // while the plan assumed the original arrivals (paper: benefit declines
 // from ~40% to ≥25% as f goes 0→50%).
 func Fig13b(p Params) (*Report, error) {
-	r := newReport("Fig 13b: robustness to error in job arrival times, W1 online")
+	prof := profileFor(p.Size)
+	return perturbSweep(p, "Fig 13b: robustness to error in job arrival times, W1 online",
+		&metrics.Table{
+			Title:   "% reduction in average job time vs Yarn-CS under arrival error",
+			Columns: []string{"% jobs delayed", "reduction"},
+		},
+		"avgtime_reduction_pct_delayed%d", planner.MinimizeAvgCompletion,
+		func(seed int64) ([]*job.Job, error) { return genOnlineWorkload("W1", prof, seed) },
+		func(predicted []*job.Job, f float64, seed int64) []*job.Job {
+			window := 0.0
+			for _, j := range predicted {
+				window = max(window, j.Arrival)
+			}
+			// The paper's t = 4 min on a 60-min window (~6.67x the mean
+			// inter-arrival gap); keep the same ratio at our window size.
+			return workload.PerturbArrivals(predicted, f, window*4/60, seed)
+		},
+		(*runtime.Result).AvgCompletionTime)
+}
+
+// perturbSweep is the (error level × seed) grid of Fig 13a/13b. Each
+// seed's predicted workload is planned once with obj; each cell perturbs
+// it at one level and runs Yarn-CS and Corral, Corral keeping the plan
+// made for the prediction. Cells fan out over the sweep worker pool, and
+// each level's reduction in metric averages its seeds in seed order
+// (internal/pool). Rows and keyFmt keys go out per level in percent.
+func perturbSweep(p Params, name string, t *metrics.Table, keyFmt string, obj planner.Objective,
+	predict func(seed int64) ([]*job.Job, error),
+	perturb func(predicted []*job.Job, level float64, seed int64) []*job.Job,
+	metric func(*runtime.Result) float64) (*Report, error) {
+	r := newReport(name)
 	prof := profileFor(p.Size)
 	topo := prof.withBackground(prof.bgFrac)
 	seeds := sensitivitySeeds(p)
 
-	type seedState struct {
-		predicted []*job.Job
-		plan      *planner.Plan
-		delay     float64
-	}
-	states := make([]seedState, len(seeds))
+	predicted := make([][]*job.Job, len(seeds))
+	plans := make([]*planner.Plan, len(seeds))
 	for i, seed := range seeds {
-		predicted, err := genOnlineWorkload("W1", prof, seed)
+		jobs, err := predict(seed)
 		if err != nil {
 			return nil, err
 		}
-		plan, err := planJobs(topo, predicted, planner.MinimizeAvgCompletion)
-		if err != nil {
+		if plans[i], err = planJobs(topo, jobs, obj); err != nil {
 			return nil, err
 		}
-		window := 0.0
-		for _, j := range predicted {
-			if j.Arrival > window {
-				window = j.Arrival
-			}
-		}
-		// The paper's t = 4 min on a 60-min window (~6.67x the mean
-		// inter-arrival gap); keep the same ratio at our window size.
-		states[i] = seedState{predicted: predicted, plan: plan, delay: window * 4 / 60}
+		predicted[i] = jobs
 	}
 
-	t := &metrics.Table{
-		Title:   "% reduction in average job time vs Yarn-CS under arrival error",
-		Columns: []string{"% jobs delayed", "reduction"},
-	}
-	// Same (level, seed) grid fan-out as Fig13a, per the internal/pool rules.
-	delayFracs := []float64{0, 0.1, 0.2, 0.3, 0.4, 0.5}
-	reds := make([]float64, len(delayFracs)*len(seeds))
+	levels := []float64{0, 0.1, 0.2, 0.3, 0.4, 0.5}
+	reds := make([]float64, len(levels)*len(seeds))
 	if err := pool.For(len(reds), func(ci int) error {
-		f, i := delayFracs[ci/len(seeds)], ci%len(seeds)
-		seed, st := seeds[i], states[i]
-		actual := workload.PerturbArrivals(st.predicted, f, st.delay, seed+int64(f*100))
-		yarn, err := runtime.Run(runtime.Options{
-			Cluster: topo, Scheduler: runtime.YarnCS, Seed: seed,
-		}, workload.Clone(actual))
+		level, i := levels[ci/len(seeds)], ci%len(seeds)
+		seed := seeds[i]
+		actual := perturb(predicted[i], level, seed+int64(level*100))
+		res, err := runCells([]runtime.Options{
+			{Cluster: topo, Scheduler: runtime.YarnCS, Seed: seed},
+			{Cluster: topo, Scheduler: runtime.Corral, Plan: plans[i], Seed: seed},
+		}, actual)
 		if err != nil {
 			return err
 		}
-		corral, err := runtime.Run(runtime.Options{
-			Cluster: topo, Scheduler: runtime.Corral, Plan: st.plan, Seed: seed,
-		}, workload.Clone(actual))
-		if err != nil {
-			return err
-		}
-		reds[ci] = metrics.Reduction(yarn.AvgCompletionTime(), corral.AvgCompletionTime())
+		reds[ci] = metrics.Reduction(metric(res[0]), metric(res[1]))
 		return nil
 	}); err != nil {
 		return nil, err
 	}
-	for fi, f := range delayFracs {
+	for li, level := range levels {
 		red := 0.0
 		for si := range seeds {
-			red += reds[fi*len(seeds)+si]
+			red += reds[li*len(seeds)+si]
 		}
 		red /= float64(len(seeds))
-		t.AddRow(metrics.Pct(100*f), metrics.Pct(red))
-		r.set(fmt.Sprintf("avgtime_reduction_pct_delayed%d", int(f*100)), red)
+		t.AddRow(metrics.Pct(100*level), metrics.Pct(red))
+		r.set(fmt.Sprintf(keyFmt, int(level*100)), red)
 	}
 	r.table(t)
 	return r, nil

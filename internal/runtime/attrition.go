@@ -295,10 +295,22 @@ func (rt *runtime) applyCorruption(c Corruption) {
 	rt.store.CorruptReplica(b, c.Machine)
 }
 
-// validateAttrition checks the attrition-related options at startup.
+// validateAttrition checks the per-task options at startup: attrition
+// and straggler injection, the DFS block size and the delay-scheduling
+// patience.
 func validateAttrition(opts Options, machines int) error {
 	if !(opts.TaskFailureProb >= 0 && opts.TaskFailureProb <= 1) { // NaN too
 		return fmt.Errorf("runtime: TaskFailureProb %g outside [0,1]", opts.TaskFailureProb)
+	}
+	if !(opts.StragglerFraction >= 0 && opts.StragglerFraction <= 1) {
+		return fmt.Errorf("runtime: StragglerFraction %g outside [0,1]", opts.StragglerFraction)
+	}
+	if err := checkFinite("BlockSize", opts.BlockSize); err != nil {
+		return err
+	}
+	if opts.DelayNodeLocal < 0 || opts.DelayRackLocal < 0 {
+		return fmt.Errorf("runtime: negative delay-scheduling patience (DelayNodeLocal %d, DelayRackLocal %d)",
+			opts.DelayNodeLocal, opts.DelayRackLocal)
 	}
 	for _, af := range opts.AMFailures {
 		if err := checkFinite("AMFailure.At", af.At); err != nil {

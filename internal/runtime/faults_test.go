@@ -215,9 +215,11 @@ func TestFailureValidationDowntime(t *testing.T) {
 }
 
 // TestFaultScheduleRejectsNonFinite requires every fault time, downtime
-// and factor to be finite and non-negative, and TaskFailureProb to be a
-// number: NaN passes every ordered comparison, so a bare < 0 check let
-// these schedules through, to run silently or to stall the network.
+// and factor and the DFS block size to be finite and non-negative, the
+// task probabilities to lie in [0,1] and the delay-scheduling patience to
+// be non-negative: NaN fails every ordered comparison, so a bare < 0 check
+// let these through, to run silently (a NaN block size changes the
+// makespan) or to stall the network.
 func TestFaultScheduleRejectsNonFinite(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	for _, tc := range []struct {
@@ -237,6 +239,14 @@ func TestFaultScheduleRejectsNonFinite(t *testing.T) {
 		{"Corruption.At", Options{Corruptions: []Corruption{{At: nan, Machine: 0}}}},
 		{"Corruption.At", Options{Corruptions: []Corruption{{At: inf, Machine: 0}}}},
 		{"TaskFailureProb", Options{TaskFailureProb: nan}},
+		{"StragglerFraction", Options{StragglerFraction: nan}},
+		{"StragglerFraction", Options{StragglerFraction: -1}},
+		{"StragglerFraction", Options{StragglerFraction: 2}},
+		{"BlockSize", Options{BlockSize: nan}},
+		{"BlockSize", Options{BlockSize: inf}},
+		{"BlockSize", Options{BlockSize: -1}},
+		{"DelayNodeLocal", Options{DelayNodeLocal: -5}},
+		{"DelayRackLocal", Options{DelayRackLocal: -5}},
 	} {
 		tc.opts.Cluster = smallTopo()
 		_, err := Run(tc.opts, []*job.Job{shuffleJob(1)})

@@ -35,11 +35,11 @@ const maxReplanCooldown = 8
 
 // validateOverload checks the overload-hardening knobs at startup.
 func validateOverload(opts Options) error {
-	if opts.PlannerBudget < 0 {
-		return fmt.Errorf("runtime: negative PlannerBudget %g", opts.PlannerBudget)
+	if !(opts.PlannerBudget >= 0) { // NaN too
+		return fmt.Errorf("runtime: PlannerBudget %g, want >= 0", opts.PlannerBudget)
 	}
-	if opts.ReplanWindow < 0 {
-		return fmt.Errorf("runtime: negative ReplanWindow %g", opts.ReplanWindow)
+	if !(opts.ReplanWindow >= 0) {
+		return fmt.Errorf("runtime: ReplanWindow %g, want >= 0", opts.ReplanWindow)
 	}
 	if opts.AdmissionLimit < 0 {
 		return fmt.Errorf("runtime: negative AdmissionLimit %d", opts.AdmissionLimit)

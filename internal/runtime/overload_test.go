@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -20,8 +21,10 @@ func TestValidateOverloadRejects(t *testing.T) {
 		mut  func(*Options)
 		want string
 	}{
-		{"negative budget", func(o *Options) { o.PlannerBudget = -1 }, "negative PlannerBudget"},
-		{"negative window", func(o *Options) { o.ReplanWindow = -0.5 }, "negative ReplanWindow"},
+		{"negative budget", func(o *Options) { o.PlannerBudget = -1 }, "PlannerBudget -1"},
+		{"NaN budget", func(o *Options) { o.PlannerBudget = math.NaN() }, "PlannerBudget NaN"},
+		{"negative window", func(o *Options) { o.ReplanWindow = -0.5 }, "ReplanWindow -0.5"},
+		{"NaN window", func(o *Options) { o.ReplanWindow = math.NaN() }, "ReplanWindow NaN"},
 		{"negative admission limit", func(o *Options) { o.AdmissionLimit = -1 }, "negative AdmissionLimit"},
 		{"negative queue cap", func(o *Options) { o.AdmissionQueueCap = -4 }, "negative AdmissionQueueCap"},
 		{"queue cap without limit", func(o *Options) { o.AdmissionQueueCap = 8 }, "requires AdmissionLimit"},

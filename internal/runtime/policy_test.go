@@ -1,7 +1,9 @@
 package runtime
 
 import (
+	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -217,5 +219,56 @@ func TestQuickRuntimeInvariants(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPlanIgnoredByUnplannedSchedulers requires Options.Plan to have no
+// effect on Yarn-CS and ShuffleWatcher: experiments hand one plan to every
+// scheduler of a comparison, so a plan leaking into a baseline would
+// change its numbers. Each run is compared with and without the plan, on
+// a clean run and under machine failures, an uplink outage and
+// ReplanOnFailure, by Result and by trace bytes.
+func TestPlanIgnoredByUnplannedSchedulers(t *testing.T) {
+	topo := smallTopo()
+	mk := func() []*job.Job {
+		j1, j2, j3 := shuffleJob(1), shuffleJob(2), shuffleJob(3)
+		j2.Arrival = 3
+		j3.AdHoc, j3.Recurring = true, false
+		return []*job.Job{j1, j2, j3}
+	}
+	plan := planFor(t, topo, mk()[:2], planner.MinimizeAvgCompletion)
+	if len(plan.Assignments) != 2 {
+		t.Fatalf("plan assigns %d jobs, want 2", len(plan.Assignments))
+	}
+	faults := func(o *Options) {
+		o.Failures = []Failure{{At: 2, Machine: 0}, {At: 4, Machine: 5, Downtime: 10}}
+		o.LinkFaults = []LinkFault{{At: 3, Rack: 0, Factor: 0}, {At: 9, Rack: 0, Factor: 1}}
+		o.ReplanOnFailure = true
+	}
+	for _, kind := range []Kind{YarnCS, ShuffleWatcher} {
+		var clean *Result
+		for _, faulty := range []bool{false, true} {
+			opts := Options{Cluster: topo, Scheduler: kind, BlockSize: 64e6, Seed: 55}
+			if faulty {
+				faults(&opts)
+			}
+			without, withoutTrace := tracedRun(t, opts, mk())
+			opts.Plan = plan
+			with, withTrace := tracedRun(t, opts, mk())
+			if len(withoutTrace) == 0 {
+				t.Fatalf("%v faulty=%v: empty trace", kind, faulty)
+			}
+			if !reflect.DeepEqual(with, without) {
+				t.Errorf("%v faulty=%v: Result differs with a plan:\nwith:    %+v\nwithout: %+v", kind, faulty, with, without)
+			}
+			if !bytes.Equal(withTrace, withoutTrace) {
+				t.Errorf("%v faulty=%v: trace differs with a plan (%d vs %d bytes)", kind, faulty, len(withTrace), len(withoutTrace))
+			}
+			if !faulty {
+				clean = without
+			} else if reflect.DeepEqual(without, clean) {
+				t.Errorf("%v: the faults left the run unchanged (vacuous case)", kind)
+			}
+		}
 	}
 }

@@ -40,22 +40,26 @@ fmt-check:
 # (and ppc64le, s390x) fuse x*y + z, which rounds once where amd64 rounds
 # twice and so changes rates, byte counts and times. An explicit
 # float64(...) around the product prevents the fusion. This compiles each
-# package below for arm64, reads its assembly and fails on any
+# package directory below for arm64 (discarding the output, so a command
+# leaves no binary behind), reads its assembly and fails on any
 # FMADD/FMSUB/FNMADD/FNMSUB; it also fails if a package yields no assembly
 # at all, so an empty listing cannot pass.
-FMA_PKGS = datadeps des dfs experiments invariants job lp metrics model netsim planner runtime snapshot topology trace
+FMA_PKGS = internal/datadeps internal/des internal/dfs internal/experiments \
+	internal/invariants internal/job internal/lp internal/metrics internal/model \
+	internal/netsim internal/planner internal/runtime internal/snapshot \
+	internal/topology internal/trace cmd/corraltrace
 
 fma-check:
 	@for p in $(FMA_PKGS); do \
-		pkg=corral/internal/$$p; \
-		asm="$$(GOARCH=arm64 $(GO) build -gcflags="$$pkg=-S" ./internal/$$p 2>&1)" || { echo "$$asm" >&2; exit 1; }; \
-		if ! printf '%s\n' "$$asm" | grep -q "TEXT.*$$pkg"; then \
-			echo "fma-check: no assembly listing for internal/$$p" >&2; \
+		pkg=corral/$$p; \
+		asm="$$(GOARCH=arm64 $(GO) build -o /dev/null -gcflags="$$pkg=-S" ./$$p 2>&1)" || { echo "$$asm" >&2; exit 1; }; \
+		if ! printf '%s\n' "$$asm" | grep -qE "/$$p/[^/]+\.go:[0-9]+\)[[:space:]]+TEXT"; then \
+			echo "fma-check: no assembly listing for $$p" >&2; \
 			exit 1; \
 		fi; \
 		fused="$$(printf '%s\n' "$$asm" | grep -E '[[:space:]]F(N?)M(ADD|SUB)[SD][[:space:]]' || true)"; \
 		if [ -n "$$fused" ]; then \
-			echo "fma-check: fused multiply-adds in internal/$$p (arm64):" >&2; \
+			echo "fma-check: fused multiply-adds in $$p (arm64):" >&2; \
 			echo "$$fused" >&2; \
 			exit 1; \
 		fi; \

@@ -274,7 +274,7 @@ func (rs *runSummary) add(e *event) {
 // advance integrates the current utilization level up to time t.
 func (ls *linkStats) advance(t float64) {
 	if dt := t - ls.lastT; dt > 0 {
-		ls.integral += ls.lastUtil * dt
+		ls.integral += float64(ls.lastUtil * dt)
 		if ls.lastUtil >= 0.99 {
 			ls.saturate += dt
 		}

@@ -20,8 +20,8 @@
 //	}, jobs)
 //	fmt.Println(res.Makespan)
 //
-// See the examples/ directory for runnable programs and cmd/corralsim for
-// the experiment harness.
+// See the package's Example functions for runnable programs and
+// cmd/corralsim for the experiment harness.
 package corral
 
 import (
@@ -239,10 +239,6 @@ func EncodeSnapshot(s *Snapshot) ([]byte, error) { return snapshot.Encode(s) }
 // DecodeSnapshot parses a snapshot, rejecting unknown versions, corrupted
 // sections and schema drift with a clear error — never a partial restore.
 func DecodeSnapshot(data []byte) (*Snapshot, error) { return snapshot.Decode(data) }
-
-// DiffSnapshots returns human-readable field paths differing between two
-// snapshots (empty when identical).
-func DiffSnapshots(a, b *Snapshot) []string { return snapshot.Diff(a, b) }
 
 // Tracer records one run's deterministic simulation-time event stream
 // (task lifecycle, machine state, flows, link utilization, DFS activity,

@@ -170,31 +170,6 @@ func TestTPCHViaAPI(t *testing.T) {
 	}
 }
 
-// ExamplePlanBatch demonstrates the quickstart flow.
-func ExamplePlanBatch() {
-	cluster := corral.ClusterConfig{
-		Racks: 2, MachinesPerRack: 2, SlotsPerMachine: 2,
-		NICBandwidth: 10e9 / 8, Oversubscription: 5,
-	}
-	jobs := []*corral.Job{
-		corral.NewMapReduce(1, "logs-a", corral.Profile{
-			InputBytes: 1e9, ShuffleBytes: 2e9, OutputBytes: 1e8,
-			MapTasks: 4, ReduceTasks: 4, MapRate: 2e8, ReduceRate: 2e8,
-		}),
-		corral.NewMapReduce(2, "logs-b", corral.Profile{
-			InputBytes: 1e9, ShuffleBytes: 2e9, OutputBytes: 1e8,
-			MapTasks: 4, ReduceTasks: 4, MapRate: 2e8, ReduceRate: 2e8,
-		}),
-	}
-	plan, err := corral.PlanBatch(cluster, jobs)
-	if err != nil {
-		panic(err)
-	}
-	a, b := plan.Assignments[1], plan.Assignments[2]
-	fmt.Println("jobs isolated:", len(a.Racks) == 1 && len(b.Racks) == 1 && a.Racks[0] != b.Racks[0])
-	// Output: jobs isolated: true
-}
-
 // TestRejectsNilAndDuplicateJobs: a nil job is an error, not a panic, on
 // every entry point that takes jobs, and the planner rejects two jobs
 // sharing an ID instead of planning one of them.

@@ -285,23 +285,6 @@ func (s *Store) Open(name string) (f *File, ok bool) {
 	return f, ok
 }
 
-// ClosestReplica returns the replica of block b that is cheapest for a
-// reader on machine m: same machine, then same rack, then any (first)
-// remote replica.
-func (s *Store) ClosestReplica(b *Block, m int) int {
-	for _, r := range b.Replicas {
-		if r == m {
-			return r
-		}
-	}
-	for _, r := range b.Replicas {
-		if s.cluster.SameRack(r, m) {
-			return r
-		}
-	}
-	return b.Replicas[0]
-}
-
 // RackCoV returns the coefficient of variation of bytes stored per rack —
 // the paper's data-balance metric (§6.2: Corral ≤ 0.004 vs HDFS ≤ 0.014).
 func (s *Store) RackCoV() float64 {

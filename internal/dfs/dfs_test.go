@@ -143,26 +143,6 @@ func TestCorralPlacementEmptyRacksPanics(t *testing.T) {
 	s.Create("x", 100, CorralPlacement{})
 }
 
-func TestClosestReplica(t *testing.T) {
-	s := newStore(1)
-	b := &Block{Size: 1, Replicas: []int{5, 40, 100}}
-	if got := s.ClosestReplica(b, 5); got != 5 {
-		t.Fatalf("same-machine replica = %d, want 5", got)
-	}
-	// Machine 10 is in rack 0 with replica 5.
-	if got := s.ClosestReplica(b, 10); got != 5 {
-		t.Fatalf("same-rack replica = %d, want 5", got)
-	}
-	// Machine 200 (rack 6) shares no rack: falls back to first replica.
-	if got := s.ClosestReplica(b, 200); got != 5 {
-		t.Fatalf("remote fallback = %d, want 5", got)
-	}
-	// Machine 41 is in rack 1 with replica 40.
-	if got := s.ClosestReplica(b, 41); got != 40 {
-		t.Fatalf("same-rack preference = %d, want 40", got)
-	}
-}
-
 func TestRackCoVImprovesWithLeastLoaded(t *testing.T) {
 	// Corral placement (least-loaded remote rack) should yield lower CoV
 	// than default random placement, mirroring §6.2 (0.004 vs 0.014).

@@ -1,6 +1,7 @@
 // Package pool is the one bounded worker pool: experiment sweeps fan
 // their cells out over it and the planner's provisioning fast path fans
-// its candidate blocks out over it, under one worker bound.
+// its candidate blocks out over it, under one process-wide worker bound,
+// nested calls included.
 //
 // Determinism obligations: worker scheduling must never leak into
 // results. A closure passed to For may write only to its own
@@ -20,6 +21,11 @@ import (
 // bound is the configured worker bound; <= 0 means GOMAXPROCS.
 var bound atomic.Int64
 
+// helpers counts the helper goroutines running in every For of the
+// process. Each For also works on its calling goroutine, so at most
+// Workers()-1 helpers keep nested Fors within the bound.
+var helpers atomic.Int64
+
 // SetWorkers bounds the pool. n <= 0 restores the default (GOMAXPROCS);
 // n == 1 forces serial execution. The setting changes wall-clock only,
 // never results.
@@ -33,33 +39,47 @@ func Workers() int {
 	return goruntime.GOMAXPROCS(0)
 }
 
-// For runs fn(0..n-1) across the pool and returns the lowest-index
-// error, or nil.
+// claimHelper reserves one helper slot if fewer than Workers()-1 are
+// taken. It never blocks, so a For nested in a For closure runs on its
+// caller when the slots are taken and cannot deadlock.
+func claimHelper() bool {
+	for {
+		h := helpers.Load()
+		if h >= int64(Workers()-1) {
+			return false
+		}
+		if helpers.CompareAndSwap(h, h+1) {
+			return true
+		}
+	}
+}
+
+// For runs fn(0..n-1) on the calling goroutine plus as many helpers as
+// the process-wide bound has free, up to min(Workers(), n)-1, and
+// returns the lowest-index error, or nil.
 func For(n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
 	}
 	errs := make([]error, n)
-	w := min(Workers(), n)
-	if w <= 1 {
-		for i := range n {
+	var next atomic.Int64
+	next.Store(-1)
+	work := func() {
+		for i := int(next.Add(1)); i < n; i = int(next.Add(1)) {
 			errs[i] = fn(i)
 		}
-	} else {
-		var next atomic.Int64
-		next.Store(-1)
-		var wg sync.WaitGroup
-		for range w {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := int(next.Add(1)); i < n; i = int(next.Add(1)) {
-					errs[i] = fn(i)
-				}
-			}()
-		}
-		wg.Wait()
 	}
+	var wg sync.WaitGroup
+	for k := min(Workers(), n) - 1; k > 0 && claimHelper(); k-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer helpers.Add(-1)
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return err

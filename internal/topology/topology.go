@@ -132,7 +132,7 @@ func New(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// MustNew is New for tests and examples with known-good configs.
+// MustNew is New for tests with known-good configs.
 func MustNew(cfg Config) *Cluster {
 	c, err := New(cfg)
 	if err != nil {

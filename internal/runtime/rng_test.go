@@ -43,9 +43,6 @@ func (c *refSource) Seed(seed int64) {
 // reaches.
 func (c *countingSource) int31n(n int32) int32 {
 	v := int31(c.Uint64())
-	if n&(n-1) == 0 {
-		return v & (n - 1)
-	}
 	if v > math.MaxInt32-n {
 		v = c.redrawAbove(v, n)
 	}
@@ -160,7 +157,7 @@ func FuzzCountingSourceMatchesMathRand(f *testing.F) {
 				got, want = uint64(rt.rngSrc.int31n(n)), uint64(oracle.Int31n(n))
 			case 3:
 				n := arg*10 + 1
-				rt.machineOrder = identityOrder(n)
+				rt.machineOrder, rt.machineAt = identityOrder(n), identityOrder(n)
 				checkShuffle(t, rt, ref, oracle, identityOrder(n), fmt.Sprintf("op %d: shuffle of %d", i, n))
 			}
 			if got != want || rt.rngSrc.draws != ref.draws {

@@ -390,7 +390,7 @@ type runtime struct {
 	deadCount    int
 	running      [][]*runningTask // per-machine in-flight attempts
 	machineOrder []int32          // heartbeat visit order, reshuffled per pass
-	rackOf       []int32          // machine -> rack, for the heartbeat rack filter
+	machineAt    []int32          // machine -> its position in machineOrder
 
 	// tkArena is the chunked attempt arena (newRunningTask): objects are
 	// handed out chunk-by-chunk and never recycled.
@@ -439,8 +439,13 @@ type runtime struct {
 	// with runnable tasks, rebuilt at the top of every dispatch.
 	runnableJobs []*jobExec
 	// rackDemand is dispatch's per-rack scratch: the racks some runnable
-	// job may run in, rebuilt with runnableJobs.
-	rackDemand []bool
+	// job may run in, rebuilt with runnableJobs. demandRacks lists the
+	// marked racks, so the next dispatch clears only those.
+	rackDemand  []bool
+	demandRacks []int32
+	// visitKeys is visitEligible's scratch: pos<<32|machine per eligible
+	// machine of the demanded racks, sized for all machines up front.
+	visitKeys []uint64
 
 	dispatchPending bool
 	retryPending    bool
@@ -528,13 +533,14 @@ func newRuntime(opts Options, jobs []*job.Job) (*runtime, error) {
 	// objects are recycled instead of churning the GC.
 	rt.net.SetFlowPooling(true)
 	rt.machineOrder = make([]int32, m)
-	rt.rackOf = make([]int32, m)
+	rt.machineAt = make([]int32, m)
 	for i := range rt.freeSlots {
 		rt.freeSlots[i] = cluster.Config.SlotsPerMachine
 		rt.machineOrder[i] = int32(i)
-		rt.rackOf[i] = int32(cluster.RackOf(i))
+		rt.machineAt[i] = int32(i)
 	}
 	rt.rackDemand = make([]bool, cluster.Config.Racks)
+	rt.visitKeys = make([]uint64, 0, m)
 	rt.blacklisted = make([]bool, m)
 	rt.machineFailures = make([]int, m)
 

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"math"
+	"slices"
 
 	"corral/internal/des"
 )
@@ -18,21 +19,29 @@ import (
 // job accepts rack-local slots, after DelayRackLocal any slot.
 
 // shuffleMachineOrder re-permutes the heartbeat order (Fisher-Yates on the
-// runtime's seeded stream, so runs stay deterministic). Each swap index is
+// runtime's seeded stream, so runs stay deterministic) and records each
+// machine's new position in machineAt. Each swap index is
 // (*rand.Rand).Int31n(i+1) computed inline on the source's ring, so the
 // same values and the same draw count as rt.rng.Intn(i+1)
-// (TestShuffleMatchesRandIntn): a mask for powers of two, otherwise
-// rejection above max = (1<<31)-1-(1<<31)%n followed by v % n. Since
-// (1<<31)%n < n, max >= (1<<31)-n, so a draw at or below MaxInt32-n is
-// accepted without computing max; only the top n values (a ~n/2^31
-// chance) go to redrawAbove. The ring index and the draw count live in
-// locals for the whole pass, and the ring refills in place when used up;
-// this runs about 30% faster than a call per draw to a standalone Int31n
-// over the same ring. A 10k-machine pass makes 10k draws.
+// (TestShuffleMatchesRandIntn): rejection above max =
+// (1<<31)-1-(1<<31)%n followed by v % n. Int31n masks powers of two
+// instead, but for those max is MaxInt32 and v % n is v & (n-1), so the
+// one path gives the same values and draws without a per-step test.
+// Since (1<<31)%n < n, max >= (1<<31)-n, so a draw at or below
+// MaxInt32-n is accepted without computing max; only the top n values (a
+// ~n/2^31 chance) go to redrawAbove. The ring index and the draw count
+// live in locals for the whole pass, and the ring refills in place when
+// used up; this runs about 30% faster than a call per draw to a
+// standalone Int31n over the same ring. A 10k-machine pass makes 10k
+// draws.
+//
+// Once the swap at step i is done, order[i] never moves again in the
+// pass, so its position is recorded right there; order[0] is the one
+// entry left when the loop ends.
 //
 //corral:hotpath
 func (rt *runtime) shuffleMachineOrder() {
-	c, order := rt.rngSrc, rt.machineOrder
+	c, order, at := rt.rngSrc, rt.machineOrder, rt.machineAt
 	pos, draws := c.pos, c.draws
 	for i := len(order) - 1; i > 0; i-- {
 		if pos >= rngLen {
@@ -43,18 +52,21 @@ func (rt *runtime) shuffleMachineOrder() {
 		pos++
 		draws++
 		n := int32(i + 1)
-		var j int32
-		if n&(n-1) == 0 {
-			j = v & (n - 1)
-		} else {
-			if v > math.MaxInt32-n {
-				c.pos, c.draws = pos, draws
-				v = c.redrawAbove(v, n)
-				pos, draws = c.pos, c.draws
-			}
-			j = v % n
+		if v > math.MaxInt32-n {
+			c.pos, c.draws = pos, draws
+			v = c.redrawAbove(v, n)
+			pos, draws = c.pos, c.draws
 		}
-		order[i], order[j] = order[j], order[i]
+		// v >= 0: the unsigned remainder is v % n, minus the signed
+		// division's overflow guard.
+		j := uint32(v) % uint32(n)
+		m := order[j]
+		order[j] = order[i]
+		order[i] = m
+		at[m] = int32(i)
+	}
+	if len(order) > 0 {
+		at[order[0]] = 0
 	}
 	c.pos, c.draws = pos, draws
 }
@@ -108,7 +120,8 @@ func (je *jobExec) runnableTasks() int {
 // Machines are visited in a freshly shuffled order on every pass: YARN
 // node-manager heartbeats arrive in effectively random order, and a fixed
 // index order would let the FIFO scheduler pack jobs into low-numbered
-// racks "for free".
+// racks "for free". A pass visits only the machines that can take a slot
+// (visitEligible), in that order.
 //
 //corral:hotpath
 func (rt *runtime) dispatch() {
@@ -131,7 +144,7 @@ func (rt *runtime) dispatch() {
 	// (submit, the failure and link-fault fallbacks, adoptReplan), never
 	// inside a dispatch, so the marks stay a superset for the whole call.
 	rt.runnableJobs = rt.runnableJobs[:0]
-	clear(rt.rackDemand)
+	rt.clearDemand()
 	anyRack := false
 	for _, je := range rt.byOrder {
 		if !je.submitted || je.done() || je.amDown || je.runnableTasks() == 0 {
@@ -141,37 +154,100 @@ func (rt *runtime) dispatch() {
 		if je.allowedRacks == nil {
 			anyRack = true
 		} else if !anyRack {
-			for _, r := range je.allowedRacks {
-				rt.rackDemand[r] = true
-			}
+			rt.markDemand(je.allowedRacks)
 		}
 	}
+	fill := func(m int) bool {
+		launched := false
+		for rt.freeSlots[m] > 0 && rt.offerSlot(m) {
+			launched = true
+		}
+		return launched
+	}
 	for {
-		assigned := false
 		// The shuffle runs even when no job is runnable: every pass consumes
 		// its draws, demand or not.
 		rt.shuffleMachineOrder()
-		if len(rt.runnableJobs) == 0 {
-			break
-		}
-		for _, m := range rt.machineOrder {
-			// The rack test comes first: at datacenter scale it rejects
-			// almost every machine, from two small tables.
-			if !anyRack && !rt.rackDemand[rt.rackOf[m]] ||
-				rt.freeSlots[m] == 0 || rt.dead[m] || rt.blacklisted[m] {
-				continue
-			}
-			for rt.freeSlots[m] > 0 && rt.offerSlot(int(m)) {
-				assigned = true
-			}
-		}
-		if !assigned {
+		if len(rt.runnableJobs) == 0 || !rt.visitEligible(anyRack, fill) {
 			break
 		}
 	}
 	if rt.declined && !rt.retryPending {
 		rt.armRetry()
 	}
+}
+
+// clearDemand unmarks the racks the previous dispatch marked.
+func (rt *runtime) clearDemand() {
+	for _, r := range rt.demandRacks {
+		rt.rackDemand[r] = false
+	}
+	rt.demandRacks = rt.demandRacks[:0]
+}
+
+// markDemand marks racks in rackDemand and lists each newly marked one in
+// demandRacks, so the list holds every marked rack exactly once.
+func (rt *runtime) markDemand(racks []int) {
+	for _, r := range racks {
+		if !rt.rackDemand[r] {
+			rt.rackDemand[r] = true
+			rt.demandRacks = append(rt.demandRacks, int32(r))
+		}
+	}
+}
+
+// canTake reports whether machine m can take a slot: live, not
+// blacklisted, with a free slot.
+func (rt *runtime) canTake(m int) bool {
+	return rt.freeSlots[m] > 0 && !rt.dead[m] && !rt.blacklisted[m]
+}
+
+// visitEligible calls visit on every machine that canTake a slot and,
+// unless anyRack, sits in a rack marked in rackDemand, in machineOrder's
+// order, and reports whether any visit returned true. Each machine is
+// checked again just before its visit, since an earlier visit in the pass
+// may have made it ineligible.
+//
+// With anyRack the pass walks all of machineOrder. Otherwise it collects
+// the eligible machines of the demanded racks alone and sorts them by
+// their machineAt position, packed as pos<<32|m keys. That is exact
+// because no visit makes another machine newly eligible: within a
+// dispatch, freeSlots only falls (runMap and runReduce take a slot on the
+// visited machine; every slot return — task end, abort, recovery — is an
+// event handler, and netsim never calls a done callback synchronously),
+// and dead and blacklisted change only in event handlers (failMachine,
+// recoverMachine, noteAttemptFailure via crashAttempt, unblacklist). So a
+// machine the collection leaves out is one the full walk would skip.
+//
+//corral:hotpath
+func (rt *runtime) visitEligible(anyRack bool, visit func(m int) bool) bool {
+	assigned := false
+	if anyRack {
+		for _, m := range rt.machineOrder {
+			if rt.canTake(int(m)) && visit(int(m)) {
+				assigned = true
+			}
+		}
+		return assigned
+	}
+	keys := rt.visitKeys[:0]
+	for _, r := range rt.demandRacks {
+		lo, hi := rt.cluster.MachinesInRack(int(r))
+		for m := lo; m < hi; m++ {
+			if rt.canTake(m) {
+				keys = append(keys, uint64(rt.machineAt[m])<<32|uint64(m))
+			}
+		}
+	}
+	slices.Sort(keys)
+	rt.visitKeys = keys
+	for _, k := range keys {
+		m := int(uint32(k))
+		if rt.canTake(m) && visit(m) {
+			assigned = true
+		}
+	}
+	return assigned
 }
 
 // armRetry schedules the delay-scheduling heartbeat retry.

@@ -250,6 +250,9 @@ func (s *Store) Create(name string, size float64, policy Placement) (*File, erro
 	if size > 0 && nBlocks == 0 {
 		nBlocks = 1
 	}
+	if nBlocks > 0 {
+		f.Blocks = make([]Block, 0, nBlocks)
+	}
 	rest := size
 	for i := 0; i < nBlocks; i++ {
 		b := Block{Size: math.Min(s.blockSize, rest)}

@@ -125,6 +125,22 @@ func (g *grouped) reset(nLinks int) {
 	}
 }
 
+// growTo returns s extended with zero elements to length n, doubling its
+// capacity when it must reallocate. The per-pathID tables grow one path
+// at a time, and append's ~1.25x growth of large slices would allocate
+// about five times their final size.
+func growTo[T any](s []T, n int) []T {
+	if n > cap(s) {
+		t := make([]T, len(s), max(n, 2*cap(s)))
+		copy(t, s)
+		s = t
+	}
+	m := len(s)
+	s = s[:n]
+	clear(s[m:])
+	return s
+}
+
 // adjust adds d member flows to the group of pathID id, whose link path is
 // path, recording the group's count before the merge the first time it
 // moves.
@@ -132,9 +148,8 @@ func (g *grouped) reset(nLinks int) {
 //corral:hotpath
 func (g *grouped) adjust(id int32, path []topology.LinkID, d int32) {
 	if int(id) >= len(g.groups) {
-		grow := int(id) + 1 - len(g.groups)
-		g.groups = append(g.groups, make([]pathGroup, grow)...)
-		g.paths = append(g.paths, make([][]topology.LinkID, grow)...)
+		g.groups = growTo(g.groups, int(id)+1)
+		g.paths = growTo(g.paths, int(id)+1)
 	}
 	grp := &g.groups[id]
 	if !grp.moved {

@@ -16,6 +16,13 @@
 // internal/des FIFO tie-break, so callers must start flows in a
 // deterministic order.
 //
+// Path interning: StartPath gives every distinct link path a dense id,
+// the key the allocator groups flows on, and keeps one canonical copy of
+// it. Lookups go through an open-addressing table of ids hashed from the
+// links, checked against the canonical copies, so a path seen before
+// costs no allocation and a new one only amortized growth of the table,
+// the id-indexed path list and a chunked link arena.
+//
 // Completion rule: a flow is done once its residue is at most
 // completionEpsilon bytes, or once the time it still needs rounds to zero
 // at the current clock (now + remaining/rate == now). The second clause is
@@ -31,6 +38,7 @@ package netsim
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"corral/internal/des"
 	"corral/internal/topology"
@@ -109,16 +117,21 @@ type Network struct {
 	baseCaps []float64 // capacities as registered by the topology
 	scratch  []float64
 
-	// Path interning: flows with byte-identical link paths share a dense
+	// Path interning: flows with identical link paths share a dense
 	// pathID (starting at 1), the equivalence-class key IncrementalMaxMin
-	// groups on. pathKey is a reused encoding buffer — map lookups via
-	// pathIDs[string(pathKey)] do not allocate; only the first sighting of
-	// a distinct path does. pathsByID[id] is the canonical (never mutated)
-	// link slice for each interned path: every flow's path field aliases
-	// it, so callers may pass reusable path buffers to StartPath and
-	// caches like IncrementalMaxMin can hold path references across rounds.
-	pathIDs   map[string]int32
-	pathKey   []byte
+	// groups on. pathTable is an open-addressing hash table of pathIDs
+	// (0 = empty slot, at most half full), indexed by hashPath >>
+	// pathShift with linear probing; a probe compares links against
+	// pathsByID, so a lookup allocates nothing. pathsByID[id] is the
+	// canonical (never mutated) link slice for each interned path, carved
+	// with its capacity capped out of pathArena, a chunk of links replaced
+	// when full: every flow's path field aliases it, so callers may pass
+	// reusable path buffers to StartPath and caches like IncrementalMaxMin
+	// can hold path references across rounds. A new path costs only
+	// amortized growth of these three arrays.
+	pathTable []int32
+	pathShift uint
+	pathArena []topology.LinkID
 	pathsByID [][]topology.LinkID
 	numPaths  int32
 	startBuf  []topology.LinkID // reused by Start for AppendPath
@@ -181,7 +194,8 @@ func New(sim *des.Simulator, cluster *topology.Cluster, policy Policy) *Network 
 		caps:      caps,
 		baseCaps:  base,
 		scratch:   make([]float64, len(links)),
-		pathIDs:   make(map[string]int32),
+		pathTable: make([]int32, 1<<pathTableBits),
+		pathShift: 64 - pathTableBits,
 		pathsByID: [][]topology.LinkID{nil}, // index 0: the un-interned id
 
 		crossByJob: make(map[int]float64),
@@ -291,20 +305,68 @@ func (n *Network) startPath(path []topology.LinkID, crossRack bool, bytes float6
 // internPath returns the dense id shared by every flow with this exact link
 // path, assigning the next id on first sight. Ids start at 1 so the zero
 // value marks un-interned flows.
+//
+//corral:hotpath
 func (n *Network) internPath(path []topology.LinkID) int32 {
-	n.pathKey = n.pathKey[:0]
+	mask := len(n.pathTable) - 1
+	i := int(hashPath(path) >> n.pathShift)
+	for ; n.pathTable[i] != 0; i = (i + 1) & mask {
+		if id := n.pathTable[i]; slices.Equal(n.pathsByID[id], path) {
+			return id
+		}
+	}
+	return n.addPath(path, i)
+}
+
+// Path-table sizing: the table starts at 1<<pathTableBits slots and
+// doubles whenever an insert would fill more than half of it; canonical
+// paths are carved from arena chunks of pathArenaChunk links.
+const (
+	pathTableBits  = 8
+	pathArenaChunk = 1024
+)
+
+// hashPath mixes a path's links into 64 bits whose high bits index the
+// path table.
+func hashPath(path []topology.LinkID) uint64 {
+	h := uint64(len(path))
 	for _, l := range path {
-		n.pathKey = append(n.pathKey, byte(l), byte(l>>8), byte(l>>16), byte(l>>24))
+		h = (h ^ uint64(l)) * 0x9e3779b97f4a7c15
 	}
-	if id, ok := n.pathIDs[string(n.pathKey)]; ok {
-		return id
+	return h
+}
+
+// addPath interns a path internPath did not find, at the empty slot i its
+// probe ended on.
+func (n *Network) addPath(path []topology.LinkID, slot int) int32 {
+	if len(path) > cap(n.pathArena)-len(n.pathArena) {
+		n.pathArena = make([]topology.LinkID, 0, max(pathArenaChunk, len(path)))
 	}
+	k := len(n.pathArena)
+	n.pathArena = append(n.pathArena, path...)
 	n.numPaths++
-	n.pathIDs[string(n.pathKey)] = n.numPaths
-	canon := make([]topology.LinkID, len(path))
-	copy(canon, path)
-	n.pathsByID = append(n.pathsByID, canon)
+	n.pathsByID = growTo(n.pathsByID, int(n.numPaths)+1)
+	n.pathsByID[n.numPaths] = n.pathArena[k : k+len(path) : k+len(path)]
+	if 2*int(n.numPaths) > len(n.pathTable) {
+		n.growPathTable()
+		return n.numPaths
+	}
+	n.pathTable[slot] = n.numPaths
 	return n.numPaths
+}
+
+// growPathTable doubles the path table and reinserts every interned path.
+func (n *Network) growPathTable() {
+	n.pathTable = make([]int32, 2*len(n.pathTable))
+	n.pathShift--
+	mask := len(n.pathTable) - 1
+	for id := int32(1); id <= n.numPaths; id++ {
+		i := int(hashPath(n.pathsByID[id]) >> n.pathShift)
+		for n.pathTable[i] != 0 {
+			i = (i + 1) & mask
+		}
+		n.pathTable[i] = id
+	}
 }
 
 // NumPaths returns how many distinct link paths the network has seen — the

@@ -199,7 +199,7 @@ func checkFeasible(t *testing.T, cl *topology.Cluster, flows []*Flow) {
 	}
 	for i, l := range cl.Links() {
 		if usage[i] > l.Capacity*(1+1e-9)+1e-6 {
-			t.Fatalf("link %s oversubscribed: %g > %g", l.Name, usage[i], l.Capacity)
+			t.Fatalf("link %s oversubscribed: %g > %g", cl.LinkName(l.ID), usage[i], l.Capacity)
 		}
 	}
 }

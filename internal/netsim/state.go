@@ -87,11 +87,14 @@ func (n *Network) CaptureState() *State {
 			Canceled:  f.canceled,
 		}
 	}
-	s.Paths = make([]PathIntern, 0, len(n.pathIDs))
-	for k, id := range n.pathIDs {
-		s.Paths = append(s.Paths, PathIntern{Key: []byte(k), ID: id})
+	s.Paths = make([]PathIntern, 0, n.numPaths)
+	for id := int32(1); id <= n.numPaths; id++ {
+		key := make([]byte, 0, 4*len(n.pathsByID[id]))
+		for _, l := range n.pathsByID[id] {
+			key = append(key, byte(l), byte(l>>8), byte(l>>16), byte(l>>24))
+		}
+		s.Paths = append(s.Paths, PathIntern{Key: key, ID: id})
 	}
-	sort.Slice(s.Paths, func(i, j int) bool { return s.Paths[i].ID < s.Paths[j].ID })
 	s.CrossByJob = make([]JobBytes, 0, len(n.crossByJob))
 	for j, b := range n.crossByJob {
 		s.CrossByJob = append(s.CrossByJob, JobBytes{JobID: j, Bytes: b})

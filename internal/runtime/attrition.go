@@ -207,8 +207,6 @@ func (rt *runtime) recoverStage(st *stageExec) {
 	if st.phase == stageWaiting || st.phase == stageDone {
 		return
 	}
-	st.byMachine = make(map[int][]*mapTask)
-	st.byRack = make(map[int][]*mapTask)
 	st.anyPref, st.anywhere = nil, nil
 	st.pendingMapCount = 0
 	st.mapsDone = 0
@@ -230,8 +228,9 @@ func (rt *runtime) recoverStage(st *stageExec) {
 		t.doneOn = -1
 		t.attempts = 0
 		t.speculated = false
-		rt.requeueMap(st, t)
+		rt.queueMap(st, t)
 	}
+	rt.locBuild.build(st, rt.cluster.Config.Machines())
 	if st.phase != stageReducing {
 		return
 	}

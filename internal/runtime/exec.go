@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"corral/internal/des"
@@ -108,16 +109,17 @@ type stageExec struct {
 	upstreamMachines []int     // producer machines for derived stages
 
 	// Pending map-task indexes. byMachine/byRack hold locality-preferred
-	// tasks (lazily cleaned); anywhere holds preference-free tasks.
+	// tasks (lazily cleaned; see locIndex); anywhere holds
+	// preference-free tasks.
 	pendingMapCount int
-	byMachine       map[int][]*mapTask
-	byRack          map[int][]*mapTask
+	byMachine       locIndex
+	byRack          locIndex
 	anyPref         []*mapTask // preferred somewhere; fallback at level 2
 	anywhere        []*mapTask // no preference at all
 
 	mapsDone      int
 	mapsOnMachine map[int]int
-	mapsOnRack    []int
+	mapsOnRack    []int32 // completed maps per rack
 
 	// maps holds every map task (index order) so AM restart can audit which
 	// completed outputs survive; the locality indexes above only hold the
@@ -194,10 +196,8 @@ func (rt *runtime) submit(je *jobExec) {
 			idx:           i,
 			profile:       je.job.Stages[i].Profile,
 			phase:         stageWaiting,
-			byMachine:     make(map[int][]*mapTask),
-			byRack:        make(map[int][]*mapTask),
 			mapsOnMachine: make(map[int]int),
-			mapsOnRack:    make([]int, rt.cluster.Config.Racks),
+			mapsOnRack:    make([]int32, rt.cluster.Config.Racks),
 		}
 		rt.coflowID++
 		st.coflow = rt.coflowID
@@ -268,14 +268,22 @@ func (rt *runtime) startStage(st *stageExec) {
 
 	// One slab allocation for the whole stage's map tasks instead of one
 	// per task; at datacenter scale a stage can carry tens of thousands.
+	// Every task of a stage lands in the same one of anyPref and anywhere.
 	slab := make([]mapTask, p.MapTasks)
+	st.maps = make([]*mapTask, p.MapTasks)
+	if st.inputFile != nil && len(st.inputFile.Blocks) > 0 || len(st.upstreamMachines) > 0 {
+		st.anyPref = make([]*mapTask, 0, p.MapTasks)
+	} else {
+		st.anywhere = make([]*mapTask, 0, p.MapTasks)
+	}
+	lb := &rt.locBuild
 	for i := 0; i < p.MapTasks; i++ {
 		t := &slab[i]
 		t.index = i
 		t.bytes = perMap
 		t.srcMachine = -1
 		t.doneOn = -1
-		st.maps = append(st.maps, t)
+		st.maps[i] = t
 		switch {
 		case st.inputFile != nil && len(st.inputFile.Blocks) > 0:
 			bi := i * len(st.inputFile.Blocks) / p.MapTasks
@@ -284,15 +292,13 @@ func (rt *runtime) startStage(st *stageExec) {
 				if rt.dead[m] {
 					continue
 				}
-				st.byMachine[m] = append(st.byMachine[m], t)
-				st.byRack[rt.cluster.RackOf(m)] = append(st.byRack[rt.cluster.RackOf(m)], t)
+				lb.add(m, rt.cluster.RackOf(m), i)
 			}
 			st.anyPref = append(st.anyPref, t)
 		case len(st.upstreamMachines) > 0:
 			m := st.upstreamMachines[i%len(st.upstreamMachines)]
 			t.srcMachine = m
-			st.byMachine[m] = append(st.byMachine[m], t)
-			st.byRack[rt.cluster.RackOf(m)] = append(st.byRack[rt.cluster.RackOf(m)], t)
+			lb.add(m, rt.cluster.RackOf(m), i)
 			st.anyPref = append(st.anyPref, t)
 		default:
 			st.anywhere = append(st.anywhere, t)
@@ -300,6 +306,7 @@ func (rt *runtime) startStage(st *stageExec) {
 		st.pendingMapCount++
 		rt.tr.TaskQueued(float64(rt.sim.Now()), trace.RoleMap, st.je.job.ID, st.idx, t.index, t.attempts)
 	}
+	lb.build(st, rt.cluster.Config.Machines())
 	rt.requestDispatch()
 }
 
@@ -466,8 +473,8 @@ func (rt *runtime) finishMapsPhase(st *stageExec) {
 	// (Re)build the reduce set: fresh on the first transition, and again
 	// when an AM restart rewound the stage to mapping after losing map
 	// outputs — the shuffle must be re-fed, so reduces restart too.
-	st.reduces = st.reduces[:0]
-	st.reduceQ = st.reduceQ[:0]
+	st.reduces = slices.Grow(st.reduces[:0], st.profile.ReduceTasks)
+	st.reduceQ = slices.Grow(st.reduceQ[:0], st.profile.ReduceTasks)
 	st.reducesDone = 0
 	// Slab-allocated like the map tasks; a rebuild after an AM restart
 	// gets a fresh slab (stale pointers in aborted attempts are inert).

@@ -231,6 +231,19 @@ func (rt *runtime) abortTask(tk *runningTask, freeSlot bool, requeueDelay des.Ti
 // requeueMap returns an aborted map task to its stage's pending indexes,
 // skipping now-dead replica machines.
 func (rt *runtime) requeueMap(st *stageExec, t *mapTask) {
+	lb := &rt.locBuild
+	rt.queueMap(st, t)
+	for i, p := range lb.machine {
+		st.byMachine.push(int(p.key), int(p.task))
+		st.byRack.push(int(lb.rack[i].key), int(p.task))
+	}
+	lb.machine, lb.rack = lb.machine[:0], lb.rack[:0]
+}
+
+// queueMap marks t pending again and queues it: its live preferred
+// machines go to rt.locBuild, for the caller to push or build, and the
+// task itself to anyPref, or to anywhere when no preference is live.
+func (rt *runtime) queueMap(st *stageExec, t *mapTask) {
 	t.assigned = false
 	st.pendingMapCount++
 	// Enabled-guarded: st.je may be nil for synthetic stages in tests, so
@@ -238,6 +251,7 @@ func (rt *runtime) requeueMap(st *stageExec, t *mapTask) {
 	if rt.tr.Enabled() {
 		rt.tr.TaskQueued(float64(rt.sim.Now()), trace.RoleMap, st.je.job.ID, st.idx, t.index, t.attempts)
 	}
+	lb := &rt.locBuild
 	switch {
 	case t.blk != nil:
 		pushed := false
@@ -245,8 +259,7 @@ func (rt *runtime) requeueMap(st *stageExec, t *mapTask) {
 			if rt.dead[m] {
 				continue
 			}
-			st.byMachine[m] = append(st.byMachine[m], t)
-			st.byRack[rt.cluster.RackOf(m)] = append(st.byRack[rt.cluster.RackOf(m)], t)
+			lb.add(m, rt.cluster.RackOf(m), t.index)
 			pushed = true
 		}
 		if pushed {
@@ -255,8 +268,7 @@ func (rt *runtime) requeueMap(st *stageExec, t *mapTask) {
 			st.anywhere = append(st.anywhere, t)
 		}
 	case t.srcMachine >= 0 && !rt.dead[t.srcMachine]:
-		st.byMachine[t.srcMachine] = append(st.byMachine[t.srcMachine], t)
-		st.byRack[rt.cluster.RackOf(t.srcMachine)] = append(st.byRack[rt.cluster.RackOf(t.srcMachine)], t)
+		lb.add(t.srcMachine, rt.cluster.RackOf(t.srcMachine), t.index)
 		st.anyPref = append(st.anyPref, t)
 	default:
 		st.anywhere = append(st.anywhere, t)

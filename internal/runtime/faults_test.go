@@ -61,10 +61,8 @@ func TestRequeueMapReplicaFiltering(t *testing.T) {
 	}
 	newStage := func() *stageExec {
 		return &stageExec{
-			byMachine:     make(map[int][]*mapTask),
-			byRack:        make(map[int][]*mapTask),
 			mapsOnMachine: make(map[int]int),
-			mapsOnRack:    make([]int, rt.cluster.Config.Racks),
+			mapsOnRack:    make([]int32, rt.cluster.Config.Racks),
 		}
 	}
 	blk := &dfs.Block{Size: 1, Replicas: []int{0, 1, 4}}
@@ -74,8 +72,8 @@ func TestRequeueMapReplicaFiltering(t *testing.T) {
 	rt.dead[0] = true
 	tk := &mapTask{blk: blk, srcMachine: -1, assigned: true}
 	rt.requeueMap(st, tk)
-	if len(st.byMachine[0]) != 0 || len(st.byMachine[1]) != 1 || len(st.byMachine[4]) != 1 {
-		t.Fatalf("byMachine after one dead replica = %v", st.byMachine)
+	if bucketLen(&st.byMachine, 0) != 0 || bucketLen(&st.byMachine, 1) != 1 || bucketLen(&st.byMachine, 4) != 1 {
+		t.Fatalf("byMachine after one dead replica = %v", st.byMachine.captureQueues())
 	}
 	if len(st.anyPref) != 1 || len(st.anywhere) != 0 {
 		t.Fatalf("anyPref/anywhere = %d/%d, want 1/0", len(st.anyPref), len(st.anywhere))
@@ -89,9 +87,9 @@ func TestRequeueMapReplicaFiltering(t *testing.T) {
 	rt.dead[1], rt.dead[4] = true, true
 	tk2 := &mapTask{blk: blk, srcMachine: -1, assigned: true}
 	rt.requeueMap(st, tk2)
-	if len(st.anywhere) != 1 || len(st.anyPref) != 0 || len(st.byMachine) != 0 {
+	if len(st.anywhere) != 1 || len(st.anyPref) != 0 || len(st.byMachine.captureQueues()) != 0 {
 		t.Fatalf("all-replicas-dead requeue: anywhere=%d anyPref=%d byMachine=%v",
-			len(st.anywhere), len(st.anyPref), st.byMachine)
+			len(st.anywhere), len(st.anyPref), st.byMachine.captureQueues())
 	}
 }
 

@@ -19,6 +19,13 @@
 // scans go in index order, and order-sensitive work never ranges over a
 // map unsorted (see the collect-and-sort idiom in exec.go).
 //
+// Task queues: each stage keeps its pending map tasks' locality
+// preferences in two compact indexes (locality.go), one keyed by machine
+// and one by rack: sorted int32 keys, one range per key, and one
+// pointer-free backing array of task indexes, laid out exact-sized when
+// the stage starts or an application master restarts. A pop is a binary
+// search plus a LIFO walk and allocates nothing.
+//
 // Observation: a run has one event stream. Each lifecycle point (job,
 // attempt, machine, AM, replan, admission, audit, end of run) is emitted
 // once, as a trace.Event into the run's tracer. Options.Probe observes
@@ -395,6 +402,8 @@ type runtime struct {
 	// tkArena is the chunked attempt arena (newRunningTask): objects are
 	// handed out chunk-by-chunk and never recycled.
 	tkArena []runningTask
+	// locBuild is the scratch that lays out stages' locality indexes.
+	locBuild locBuilder
 	// shufBuf is the reusable shuffle-path buffer for StartPath (which
 	// interns paths and never retains the caller's slice).
 	shufBuf [3]topology.LinkID
@@ -558,7 +567,7 @@ func newRuntime(opts Options, jobs []*job.Job) (*runtime, error) {
 			rt.tr.MachineMeta(mi, cluster.RackOf(mi))
 		}
 		for _, l := range cluster.Links() {
-			rt.tr.LinkMeta(int(l.ID), l.Name, l.Capacity)
+			rt.tr.LinkMeta(int(l.ID), cluster.LinkName(l.ID), l.Capacity)
 		}
 	}
 	rt.net.Trace = rt.tr

@@ -307,7 +307,7 @@ func (rt *runtime) offerSlotTo(m int, filter func(*jobExec) bool) bool {
 			if st.pendingMapCount > 0 {
 				hadMaps = true
 			}
-			if t := popTask(st.byMachine, m, st); t != nil {
+			if t := popTask(&st.byMachine, m, st); t != nil {
 				je.skips = 0
 				rt.runMap(st, t, m)
 				return true
@@ -338,7 +338,7 @@ func (rt *runtime) offerSlotTo(m int, filter func(*jobExec) bool) bool {
 				if st.phase != stageMapping {
 					continue
 				}
-				if t := popTask(st.byRack, rack, st); t != nil {
+				if t := popTask(&st.byRack, rack, st); t != nil {
 					rt.runMap(st, t, m)
 					return true
 				}
@@ -377,26 +377,17 @@ func (je *jobExec) localityLevel(rt *runtime) int {
 	return 2
 }
 
-// popTask pops an unassigned task from an index bucket, lazily discarding
-// entries already assigned through other buckets.
-func popTask(idx map[int][]*mapTask, key int, st *stageExec) *mapTask {
-	lst := idx[key]
-	for len(lst) > 0 {
-		t := lst[len(lst)-1]
-		lst = lst[:len(lst)-1]
-		if !t.assigned {
-			idx[key] = lst
-			t.assigned = true
-			st.pendingMapCount--
-			return t
-		}
+// popTask pops an unassigned task from a locality bucket (see
+// locIndex.pop) and marks it assigned.
+//
+//corral:hotpath
+func popTask(ix *locIndex, key int, st *stageExec) *mapTask {
+	t := ix.pop(key, st.maps)
+	if t != nil {
+		t.assigned = true
+		st.pendingMapCount--
 	}
-	if len(lst) == 0 {
-		delete(idx, key)
-	} else {
-		idx[key] = lst
-	}
-	return nil
+	return t
 }
 
 // popSlice pops an unassigned task from a plain list.

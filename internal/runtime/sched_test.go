@@ -240,7 +240,7 @@ func newBusyDispatch(tb testing.TB, anyRack bool) *runtime {
 func holdsPendingInput(rt *runtime, m int) bool {
 	for _, je := range rt.jobs {
 		for _, st := range je.stages {
-			if len(st.byMachine[m]) > 0 {
+			if bucketLen(&st.byMachine, m) > 0 {
 				return true
 			}
 		}

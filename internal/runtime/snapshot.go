@@ -526,7 +526,7 @@ func captureStage(st *stageExec) snapshot.StageState {
 		UpstreamMachines: append([]int(nil), st.upstreamMachines...),
 		PendingMaps:      st.pendingMapCount,
 		MapsDone:         st.mapsDone,
-		MapsOnRack:       append([]int(nil), st.mapsOnRack...),
+		MapsOnRack:       intsOf(st.mapsOnRack),
 		ReducesDone:      st.reducesDone,
 		ReduceMachines:   append([]int(nil), st.reduceMachines...),
 	}
@@ -534,8 +534,8 @@ func captureStage(st *stageExec) snapshot.StageState {
 		ss.MapsOnMachine = append(ss.MapsOnMachine, snapshot.MachineCount{Machine: m, Count: st.mapsOnMachine[m]})
 	}
 	sort.Slice(ss.MapsOnMachine, func(i, j int) bool { return ss.MapsOnMachine[i].Machine < ss.MapsOnMachine[j].Machine })
-	ss.ByMachine = captureQueues(st.byMachine)
-	ss.ByRack = captureQueues(st.byRack)
+	ss.ByMachine = st.byMachine.captureQueues()
+	ss.ByRack = st.byRack.captureQueues()
 	for _, t := range st.anyPref {
 		ss.AnyPref = append(ss.AnyPref, t.index)
 	}
@@ -566,22 +566,14 @@ func captureStage(st *stageExec) snapshot.StageState {
 	return ss
 }
 
-// captureQueues exports a locality-queue map sorted by key. Stale entries
-// (tasks already assigned through another bucket, awaiting lazy cleanup)
-// are included: future pops depend on them.
-func captureQueues(q map[int][]*mapTask) []snapshot.TaskQueue {
-	keys := make([]int, 0, len(q))
-	for k := range q {
-		keys = append(keys, k)
+// intsOf widens xs to []int, nil when empty.
+func intsOf(xs []int32) []int {
+	if len(xs) == 0 {
+		return nil
 	}
-	sort.Ints(keys)
-	out := make([]snapshot.TaskQueue, 0, len(keys))
-	for _, k := range keys {
-		tq := snapshot.TaskQueue{Key: k}
-		for _, t := range q[k] {
-			tq.Tasks = append(tq.Tasks, t.index)
-		}
-		out = append(out, tq)
+	out := make([]int, len(xs))
+	for i, x := range xs {
+		out[i] = int(x)
 	}
 	return out
 }

@@ -80,10 +80,10 @@ func (c Config) RackUplinkCapacity() float64 {
 // LinkID identifies one registered link.
 type LinkID int
 
-// Link is one capacity-constrained network resource.
+// Link is one capacity-constrained network resource. Its name follows
+// from its ID (Cluster.LinkName).
 type Link struct {
 	ID       LinkID
-	Name     string
 	Capacity float64 // bytes/sec available to simulated flows
 }
 
@@ -111,25 +111,48 @@ func New(cfg Config) (*Cluster, error) {
 	c.rackUp = make([]LinkID, cfg.Racks)
 	c.rackDown = make([]LinkID, cfg.Racks)
 
-	add := func(name string, cap float64) LinkID {
+	// The registry layout LinkName decodes: each machine's uplink and
+	// downlink, then each rack's, then the storage interconnect.
+	n := 2*m + 2*cfg.Racks
+	if cfg.RemoteStorageBandwidth > 0 {
+		n++
+	}
+	c.links = make([]Link, 0, n)
+	add := func(cap float64) LinkID {
 		id := LinkID(len(c.links))
-		c.links = append(c.links, Link{ID: id, Name: name, Capacity: cap})
+		c.links = append(c.links, Link{ID: id, Capacity: cap})
 		return id
 	}
 	for i := 0; i < m; i++ {
-		c.machineUp[i] = add(fmt.Sprintf("m%d-up", i), cfg.NICBandwidth)
-		c.machineDown[i] = add(fmt.Sprintf("m%d-down", i), cfg.NICBandwidth)
+		c.machineUp[i] = add(cfg.NICBandwidth)
+		c.machineDown[i] = add(cfg.NICBandwidth)
 	}
 	rackCap := cfg.RackUplinkCapacity() - cfg.BackgroundPerRack
 	for r := 0; r < cfg.Racks; r++ {
-		c.rackUp[r] = add(fmt.Sprintf("r%d-up", r), rackCap)
-		c.rackDown[r] = add(fmt.Sprintf("r%d-down", r), rackCap)
+		c.rackUp[r] = add(rackCap)
+		c.rackDown[r] = add(rackCap)
 	}
 	c.storage = -1
 	if cfg.RemoteStorageBandwidth > 0 {
-		c.storage = add("storage-interconnect", cfg.RemoteStorageBandwidth)
+		c.storage = add(cfg.RemoteStorageBandwidth)
 	}
 	return c, nil
+}
+
+// LinkName returns a registered link's name: "m<i>-up"/"m<i>-down" for
+// machine i's NIC, "r<r>-up"/"r<r>-down" for rack r's core links, or
+// "storage-interconnect".
+func (c *Cluster) LinkName(id LinkID) string {
+	dir := [2]string{"up", "down"}[id%2]
+	m := LinkID(c.Config.Machines())
+	switch {
+	case id < 2*m:
+		return fmt.Sprintf("m%d-%s", id/2, dir)
+	case id == c.storage:
+		return "storage-interconnect"
+	default:
+		return fmt.Sprintf("r%d-%s", (id-2*m)/2, dir)
+	}
 }
 
 // MustNew is New for tests with known-good configs.

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -229,5 +230,36 @@ func TestNegativeRemoteStorageRejected(t *testing.T) {
 	cfg.RemoteStorageBandwidth = -1
 	if cfg.Validate() == nil {
 		t.Fatal("negative storage bandwidth accepted")
+	}
+}
+
+// TestLinkNames checks the names LinkName derives from the registry
+// layout against each link's accessor, storage interconnect included, and
+// that New sizes the registry exactly.
+func TestLinkNames(t *testing.T) {
+	cfg := paperConfig()
+	cfg.RemoteStorageBandwidth = 40 * gbps
+	c := MustNew(cfg)
+	want := make(map[LinkID]string)
+	for m := 0; m < cfg.Machines(); m++ {
+		want[c.MachineUplink(m)] = fmt.Sprintf("m%d-up", m)
+		want[c.MachineDownlink(m)] = fmt.Sprintf("m%d-down", m)
+	}
+	for r := 0; r < cfg.Racks; r++ {
+		want[c.RackUplink(r)] = fmt.Sprintf("r%d-up", r)
+		want[c.RackDownlink(r)] = fmt.Sprintf("r%d-down", r)
+	}
+	s, ok := c.StorageLink()
+	if !ok {
+		t.Fatal("no storage link")
+	}
+	want[s] = "storage-interconnect"
+	if len(want) != c.NumLinks() || cap(c.Links()) != c.NumLinks() {
+		t.Fatalf("%d named links, %d registered with capacity %d", len(want), c.NumLinks(), cap(c.Links()))
+	}
+	for _, l := range c.Links() {
+		if got := c.LinkName(l.ID); got != want[l.ID] {
+			t.Errorf("LinkName(%d) = %q, want %q", l.ID, got, want[l.ID])
+		}
 	}
 }

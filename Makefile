@@ -1,13 +1,13 @@
 # Mirrors .github/workflows/ci.yml: `make ci-local` runs the same gates as
 # the CI job matrix (fast-gate, test, race, chaos-fuzz, scale), serially.
-# `make check` is the historical alias without the scale gate.
+# `make check` is ci-local without the scale gate.
 
 GO ?= go
 
 .PHONY: check ci-local fast-gate build vet fmt-check fma-check test race corralvet \
 	netsim-fuzz chaos fuzz overload trace-determinism resume-determinism scale scale-nightly
 
-check: build vet fmt-check test race chaos fuzz overload trace-determinism resume-determinism
+check: fast-gate test netsim-fuzz trace-determinism resume-determinism race chaos fuzz overload
 	@echo "check: all gates passed"
 
 # One target per CI job, in the workflow's job order.

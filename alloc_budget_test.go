@@ -52,15 +52,16 @@ func simulateBytesPerEvent(t *testing.T, cfg corral.SimConfig, jobs []*corral.Jo
 // TestSimulateBytesPerEventBudget runs the bench's tiny dc-online and
 // chaos-resume shapes (bench/workload.go) at seed 1 and bounds the bytes
 // Simulate allocates per event at 5% over the value this test logged
-// (go test -v, go1.24 on amd64) once the locality buckets became compact
-// indexes and path interning stopped allocating per path: dc-online
-// 675 B, chaos-resume 1134 B (684 B and 1157 B under -race; 890 B and
-// 1262 B before). A change that puts an allocation back on a per-event or
-// per-task path fails here before the bench sees it.
+// (go test -v, go1.24 on amd64) once a task attempt stepped through its
+// phases with two bound callbacks instead of nested closures: dc-online
+// 568 B, chaos-resume 1056 B (575 B and 1080 B under -race; 675 B and
+// 1134 B before, 890 B and 1262 B before the compact locality indexes).
+// A change that puts an allocation back on a per-event or per-task path
+// fails here before the bench sees it.
 func TestSimulateBytesPerEventBudget(t *testing.T) {
 	const (
-		onlineBudget = 675 * 1.05
-		chaosBudget  = 1134 * 1.05
+		onlineBudget = 568 * 1.05
+		chaosBudget  = 1056 * 1.05
 	)
 	cluster := budgetCluster(5)
 

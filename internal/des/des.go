@@ -14,15 +14,11 @@ package des
 import (
 	"container/heap"
 	"fmt"
-	"math"
 	"sort"
 )
 
 // Time is simulation time in seconds.
 type Time float64
-
-// Inf is a time later than any event the simulator will ever fire.
-const Inf Time = Time(math.MaxFloat64)
 
 // Event is a scheduled callback.
 type Event struct {
@@ -93,10 +89,6 @@ func (s *Simulator) Now() Time { return s.now }
 // instrumentation and runaway detection in tests.
 func (s *Simulator) Fired() uint64 { return s.fired }
 
-// Pending returns the number of events still queued (including canceled
-// events that have not been popped yet).
-func (s *Simulator) Pending() int { return len(s.events) }
-
 // At schedules fn to run at absolute time at. Scheduling in the past (before
 // Now) panics: it always indicates a modelling bug, and silently clamping
 // would hide it.
@@ -137,40 +129,6 @@ func (s *Simulator) Run() {
 	}
 }
 
-// RunUntil fires events with time <= deadline, then sets the clock to
-// deadline. Events scheduled exactly at deadline do fire.
-func (s *Simulator) RunUntil(deadline Time) {
-	for len(s.events) > 0 {
-		// Peek.
-		next := s.events[0]
-		if next.canceled {
-			heap.Pop(&s.events)
-			continue
-		}
-		if next.at > deadline {
-			break
-		}
-		s.Step()
-	}
-	if s.now < deadline {
-		s.now = deadline
-	}
-}
-
-// NextEventTime returns the time of the earliest non-canceled pending event,
-// or Inf if none.
-func (s *Simulator) NextEventTime() Time {
-	for len(s.events) > 0 {
-		next := s.events[0]
-		if next.canceled {
-			heap.Pop(&s.events)
-			continue
-		}
-		return next.at
-	}
-	return Inf
-}
-
 // Seq returns the total number of events ever scheduled — the next event's
 // FIFO tie-break sequence number.
 func (s *Simulator) Seq() uint64 { return s.seq }
@@ -184,9 +142,9 @@ type EventInfo struct {
 }
 
 // PendingEvents returns every queued event — including canceled entries
-// that have not been popped yet — sorted by (At, Seq). Unlike NextEventTime
-// it never mutates the heap, so it is safe to call between Steps of a run
-// that will continue.
+// that have not been popped yet — sorted by (At, Seq). It never mutates
+// the heap, so it is safe to call between Steps of a run that will
+// continue.
 func (s *Simulator) PendingEvents() []EventInfo {
 	out := make([]EventInfo, len(s.events))
 	for i, e := range s.events {

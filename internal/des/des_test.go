@@ -15,9 +15,6 @@ func TestEmptySimulator(t *testing.T) {
 	if s.Step() {
 		t.Fatal("Step on empty simulator returned true")
 	}
-	if got := s.NextEventTime(); got != Inf {
-		t.Fatalf("NextEventTime = %v, want Inf", got)
-	}
 }
 
 func TestEventsFireInTimeOrder(t *testing.T) {
@@ -118,39 +115,6 @@ func TestCancelDuringRun(t *testing.T) {
 	s.Run()
 	if fired {
 		t.Fatal("event canceled by an earlier event still fired")
-	}
-}
-
-func TestRunUntil(t *testing.T) {
-	s := New()
-	var fired []Time
-	for _, at := range []Time{1, 2, 3, 4} {
-		at := at
-		s.At(at, func() { fired = append(fired, at) })
-	}
-	s.RunUntil(2)
-	if len(fired) != 2 || fired[0] != 1 || fired[1] != 2 {
-		t.Fatalf("RunUntil(2) fired %v, want [1 2]", fired)
-	}
-	if s.Now() != 2 {
-		t.Fatalf("clock = %v, want 2", s.Now())
-	}
-	s.RunUntil(10)
-	if len(fired) != 4 {
-		t.Fatalf("RunUntil(10) total fired = %d, want 4", len(fired))
-	}
-	if s.Now() != 10 {
-		t.Fatalf("clock advanced to %v, want deadline 10", s.Now())
-	}
-}
-
-func TestNextEventTimeSkipsCanceled(t *testing.T) {
-	s := New()
-	e := s.At(1, func() {})
-	s.At(2, func() {})
-	e.Cancel()
-	if got := s.NextEventTime(); got != 2 {
-		t.Fatalf("NextEventTime = %v, want 2", got)
 	}
 }
 

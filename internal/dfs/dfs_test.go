@@ -183,14 +183,6 @@ func TestFixedPlacement(t *testing.T) {
 	}
 }
 
-func TestConfigurableReplication(t *testing.T) {
-	s := newStore(1)
-	f, _ := s.Create("r2", 100, DefaultPlacement{Replicas: 2})
-	if len(f.Blocks[0].Replicas) != 2 {
-		t.Fatalf("replicas = %d, want 2", len(f.Blocks[0].Replicas))
-	}
-}
-
 func TestCorruptionRepairLifecycle(t *testing.T) {
 	s := newStore(5)
 	f, err := s.Create("data", 2*DefaultBlockSize, DefaultPlacement{})

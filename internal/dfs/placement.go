@@ -2,24 +2,22 @@ package dfs
 
 import "math/rand"
 
+// replicas is the replica count of every placed block: HDFS's default of
+// three, the count §2 and §3.1 describe.
+const replicas = 3
+
 // DefaultPlacement is the HDFS-like policy from §2: for each chunk, two
 // replicas on one (randomly chosen) rack and the third on a different
 // rack, each chunk placed independently and uniformly at random — both the
 // racks and the machines within them. The resulting spread is what gives
 // HDFS its per-rack CoV of ~0.014 in §6.2.
-type DefaultPlacement struct {
-	Replicas int // 0 means 3
-}
+type DefaultPlacement struct{}
 
 // Name implements Placement.
 func (DefaultPlacement) Name() string { return "hdfs-default" }
 
 // Place implements Placement.
-func (p DefaultPlacement) Place(view *View, rng *rand.Rand) []int {
-	n := p.Replicas
-	if n == 0 {
-		n = 3
-	}
+func (DefaultPlacement) Place(view *View, rng *rand.Rand) []int {
 	racks := view.Cluster.Config.Racks
 	primaryRack := rng.Intn(racks)
 	var remoteRack int
@@ -31,24 +29,24 @@ func (p DefaultPlacement) Place(view *View, rng *rand.Rand) []int {
 			remoteRack++
 		}
 	}
-	replicas := make([]int, 0, n)
-	used := make(map[int]bool, n)
+	out := make([]int, 0, replicas)
+	used := make(map[int]bool, replicas)
 	pick := func(rack int) {
 		lo, hi := view.Cluster.MachinesInRack(rack)
 		for tries := 0; ; tries++ {
 			m := lo + rng.Intn(hi-lo)
-			if !used[m] || tries > 8 || hi-lo <= len(replicas) {
+			if !used[m] || tries > 8 || hi-lo <= len(out) {
 				used[m] = true
-				replicas = append(replicas, m)
+				out = append(out, m)
 				return
 			}
 		}
 	}
 	pick(primaryRack)
-	for i := 1; i < n; i++ {
+	for i := 1; i < replicas; i++ {
 		pick(remoteRack)
 	}
-	return replicas
+	return out
 }
 
 // CorralPlacement implements the joint data/compute placement policy
@@ -58,8 +56,7 @@ func (p DefaultPlacement) Place(view *View, rng *rand.Rand) []int {
 // the least-loaded rack, which together with the planner's imbalance
 // penalty keeps input data balanced across the cluster.
 type CorralPlacement struct {
-	Racks    []int // the job's assigned racks R_j; must be non-empty
-	Replicas int   // 0 means 3
+	Racks []int // the job's assigned racks R_j; must be non-empty
 }
 
 // Name implements Placement.
@@ -67,10 +64,6 @@ func (CorralPlacement) Name() string { return "corral" }
 
 // Place implements Placement.
 func (p CorralPlacement) Place(view *View, rng *rand.Rand) []int {
-	n := p.Replicas
-	if n == 0 {
-		n = 3
-	}
 	if len(p.Racks) == 0 {
 		panic("dfs: CorralPlacement with empty rack set")
 	}
@@ -81,30 +74,30 @@ func (p CorralPlacement) Place(view *View, rng *rand.Rand) []int {
 	} else {
 		remoteRack = view.LeastLoadedRack(primaryRack)
 	}
-	return assignReplicas(view, n, primaryRack, remoteRack)
+	return assignReplicas(view, primaryRack, remoteRack)
 }
 
 // assignReplicas puts the first replica on the primary rack and the
-// remaining n-1 on the remote rack (the 2-plus-1 pattern with the single
+// other two on the remote rack (the 2-plus-1 pattern with the single
 // copy on the primary rack, which is the Corral arrangement; for the
 // default policy the labels are symmetric so the same split reproduces
 // "two on one rack, one on another" with the roles swapped).
-func assignReplicas(view *View, n, primaryRack, remoteRack int) []int {
-	replicas := make([]int, 0, n)
+func assignReplicas(view *View, primaryRack, remoteRack int) []int {
+	out := make([]int, 0, replicas)
 	pick := func(rack int) {
 		// The machines already chosen are the exclusions.
-		m := view.LeastLoadedMachineInRack(rack, replicas)
+		m := view.LeastLoadedMachineInRack(rack, out)
 		if m < 0 {
 			// Rack exhausted (more replicas than machines); reuse allowed.
 			m = view.LeastLoadedMachineInRack(rack, nil)
 		}
-		replicas = append(replicas, m)
+		out = append(out, m)
 	}
 	pick(primaryRack)
-	for i := 1; i < n; i++ {
+	for i := 1; i < replicas; i++ {
 		pick(remoteRack)
 	}
-	return replicas
+	return out
 }
 
 // FixedPlacement pins every replica to an explicit machine list; used in

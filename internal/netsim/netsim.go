@@ -650,12 +650,3 @@ func (n *Network) traceAllocation() {
 		}
 	}
 }
-
-// Rates returns a snapshot of (flow, rate) for inspection in tests.
-func (n *Network) Rates() map[int64]float64 {
-	out := make(map[int64]float64, len(n.flows))
-	for _, f := range n.flows {
-		out[f.ID] = f.rate
-	}
-	return out
-}

@@ -106,13 +106,17 @@ func TestMaxMinUnevenShares(t *testing.T) {
 	// Flow B and C: 2->4 and 3->5 cross rack (uplink 8Gbps shared: 4 each).
 	// A shares no links with B/C, so A gets the full 10 Gbps.
 	var ta des.Time
-	n.Start(0, 1, 10*gbps, 0, 1, func(*Flow) { ta = sim.Now() })
-	n.Start(2, 4, 100*gbps, 0, 2, nil)
-	n.Start(3, 5, 100*gbps, 0, 3, nil)
-	sim.RunUntil(0)
-	rates := n.Rates()
-	if len(rates) != 3 {
-		t.Fatalf("active flows = %d, want 3", len(rates))
+	a := n.Start(0, 1, 10*gbps, 0, 1, func(*Flow) { ta = sim.Now() })
+	b := n.Start(2, 4, 100*gbps, 0, 2, nil)
+	c := n.Start(3, 5, 100*gbps, 0, 3, nil)
+	sim.Step() // the t=0 recompute allocates all three
+	for i, tc := range []struct {
+		f    *Flow
+		want float64
+	}{{a, 10 * gbps}, {b, 4 * gbps}, {c, 4 * gbps}} {
+		if math.Abs(tc.f.Rate()-tc.want) > 1 {
+			t.Fatalf("flow %d rate = %g, want %g", i, tc.f.Rate(), tc.want)
+		}
 	}
 	sim.Run()
 	if math.Abs(float64(ta)-1.0) > 1e-6 {

@@ -59,7 +59,7 @@ func (rt *runtime) armCrash(tk *runningTask, nominal float64) {
 	if nominal <= 0 {
 		nominal = 1
 	}
-	tk.after(rt, des.Time(frac*nominal), func() { rt.crashAttempt(tk) })
+	tk.arm(timerCrash, des.Time(frac*nominal))
 }
 
 // crashAttempt handles one injected attempt crash: the attempt aborts,
@@ -67,9 +67,6 @@ func (rt *runtime) armCrash(tk *runningTask, nominal float64) {
 // the task either requeues after exponential backoff or — with its budget
 // exhausted — fails the whole job.
 func (rt *runtime) crashAttempt(tk *runningTask) {
-	if tk.done || tk.aborted {
-		return
-	}
 	je := tk.je
 	role, idx, att := tk.ident()
 	rt.tr.TaskCrash(float64(rt.sim.Now()), role, je.job.ID, tk.st.idx, idx, att, tk.machine)
@@ -83,13 +80,13 @@ func (rt *runtime) crashAttempt(tk *runningTask) {
 	}
 	rt.noteAttemptFailure(tk.machine)
 	if attempts >= maxTaskAttempts {
-		rt.abortTask(tk, true, -1)
+		rt.abort(tk, true, -1)
 		rt.failJob(je, fmt.Sprintf("task attempt budget (%d) exhausted", maxTaskAttempts))
 		return
 	}
 	backoff := retryBackoff * math.Pow(2, float64(attempts-1))
 	rt.tr.TaskBackoff(float64(rt.sim.Now()), role, je.job.ID, tk.st.idx, idx, attempts, backoff)
-	rt.abortTask(tk, true, des.Time(backoff))
+	rt.abort(tk, true, des.Time(backoff))
 }
 
 // noteAttemptFailure charges a failed attempt to its machine and
@@ -148,7 +145,7 @@ func (rt *runtime) abortJobAttempts(je *jobExec) {
 		attempts := append([]*runningTask(nil), lst...)
 		for _, tk := range attempts {
 			if tk.je == je {
-				rt.abortTask(tk, true, -1)
+				rt.abort(tk, true, -1)
 			}
 		}
 	}

@@ -397,57 +397,22 @@ func (rt *runtime) taskEnded(je *jobExec) {
 // not node-local) followed by compute at B_M. The attempt is tracked so
 // machine failures and the speculation watchdog can abort and requeue it.
 func (rt *runtime) runMap(st *stageExec, t *mapTask, m int) {
-	je := st.je
-	rt.freeSlots[m]--
-	rt.taskStarted(je)
-	je.touchRack(rt.cluster.RackOf(m))
-	tk := rt.track(je, st, t, nil, m)
-	rt.tr.TaskStart(float64(rt.sim.Now()), trace.RoleMap, je.job.ID, st.idx, t.index, t.attempts, m)
-	rt.armCrash(tk, t.bytes/st.profile.MapRate)
-
+	tk := rt.launch(st, t, nil, m)
 	src, failover := rt.replicaClosest(t, m)
-	if src >= 0 && src != m && !st.remoteStorage {
-		rt.tr.BlockRead(float64(rt.sim.Now()), je.job.ID, m, src, t.bytes, failover)
-	}
-	compute := func() {
-		nominal := t.bytes / st.profile.MapRate
-		dur := rt.computeDuration(tk, nominal)
-		tk.after(rt, des.Time(dur), func() {
-			tk.done = true
-			rt.finishTracking(tk)
-			rt.tr.TaskFinish(float64(rt.sim.Now()), trace.RoleMap, je.job.ID, st.idx, t.index, t.attempts, m,
-				float64(rt.sim.Now()-tk.started))
-			je.taskSeconds += float64(rt.sim.Now() - tk.started)
-			rt.freeSlots[m]++
-			rt.taskEnded(je)
-			t.doneOn = m
-			st.mapsDone++
-			st.mapsOnMachine[m]++
-			st.mapsOnRack[rt.cluster.RackOf(m)]++
-			if st.mapsDone == st.profile.MapTasks {
-				rt.finishMapsPhase(st)
-			}
-			rt.requestDispatch()
-		})
-	}
-	if st.remoteStorage {
+	switch {
+	case st.remoteStorage:
 		// Fetch the split from the storage cluster over the shared
 		// interconnect (§7 "Remote storage").
-		tk.flow(rt, func(done func(*netsim.Flow)) *netsim.Flow {
-			return rt.net.StartPath(rt.cluster.StoragePath(m), false, t.bytes,
-				st.coflow, je.job.ID, done)
-		}, compute)
-		return
+		tk.startPath(rt.cluster.StoragePath(m), false, t.bytes)
+	case src >= 0 && src != m:
+		rt.tr.BlockRead(float64(rt.sim.Now()), st.je.job.ID, m, src, t.bytes, failover)
+		tk.startFlow(src, m, t.bytes)
 	}
-	if src < 0 || src == m {
-		// Node-local (or sourceless): the local read is folded into the
-		// compute rate, as in the §4.3 model.
-		compute()
-		return
+	// Node-local (or sourceless) input: the local read is folded into the
+	// compute rate, as in the §4.3 model.
+	if len(tk.flows) == 0 {
+		tk.step()
 	}
-	tk.flow(rt, func(done func(*netsim.Flow)) *netsim.Flow {
-		return rt.net.Start(src, m, t.bytes, st.coflow, je.job.ID, done)
-	}, compute)
 }
 
 // finishMapsPhase transitions a stage to reducing (or completes it for
@@ -495,66 +460,21 @@ func (rt *runtime) finishMapsPhase(st *stageExec) {
 // for terminal stages. The attempt is tracked so failures and speculation
 // can abort it.
 func (rt *runtime) runReduce(st *stageExec, rT *reduceTask, m int) {
-	je := st.je
-	rt.freeSlots[m]--
-	rt.taskStarted(je)
-	je.touchRack(rt.cluster.RackOf(m))
-	tk := rt.track(je, st, nil, rT, m)
-	rt.tr.TaskStart(float64(rt.sim.Now()), trace.RoleReduce, je.job.ID, st.idx, rT.index, rT.attempts, m)
+	tk := rt.launch(st, nil, rT, m)
 	p := st.profile
 	perReduce := p.ShuffleBytes / float64(p.ReduceTasks)
-	rt.armCrash(tk, p.OutputBytes/float64(p.ReduceTasks)/p.ReduceRate)
-
-	finish := func() {
-		tk.done = true
-		rt.finishTracking(tk)
-		dur := float64(rt.sim.Now() - tk.started)
-		rt.tr.TaskFinish(float64(rt.sim.Now()), trace.RoleReduce, je.job.ID, st.idx, rT.index, rT.attempts, m, dur)
-		je.taskSeconds += dur
-		je.reduceSeconds = append(je.reduceSeconds, dur)
-		rt.freeSlots[m]++
-		rt.taskEnded(je)
-		rT.doneOn = m
-		st.reduceMachines = append(st.reduceMachines, m)
-		st.reducesDone++
-		if st.reducesDone == p.ReduceTasks {
-			rt.finishStage(st)
-		}
-		rt.requestDispatch()
-	}
-
-	write := func() {
-		outBytes := p.OutputBytes / float64(p.ReduceTasks)
-		if outBytes <= 0 || !rt.isTerminal(st) || rt.opts.InMemoryInput {
-			finish()
-			return
-		}
-		rt.writeOutput(tk, st.coflow, m, outBytes, finish)
-	}
-
-	compute := func() {
-		rt.tr.ShuffleDone(float64(rt.sim.Now()), je.job.ID, st.idx, rT.index, m)
-		nominal := p.OutputBytes / float64(p.ReduceTasks) / p.ReduceRate
-		tk.after(rt, des.Time(rt.computeDuration(tk, nominal)), write)
-	}
-
 	// Shuffle: one aggregated flow per source rack. The portion produced
 	// on machine m itself never touches the network; the rest of m's rack
 	// contends only on the reducer's downlink (full in-rack bisection);
 	// remote racks traverse their uplink and the reducer rack's downlink.
+	// shufBuf is reusable: StartPath interns the path and the flow keeps
+	// the canonical copy, never this buffer.
 	if perReduce <= 0 || p.MapTasks == 0 {
-		compute()
+		tk.step()
 		return
 	}
 	myRack := rt.cluster.RackOf(m)
 	nm := float64(p.MapTasks)
-	remainingFlows := 1 // guard so compute fires exactly once, async
-	flowDone := func() {
-		remainingFlows--
-		if remainingFlows == 0 {
-			compute()
-		}
-	}
 	for r, cnt := range st.mapsOnRack {
 		if cnt == 0 {
 			continue
@@ -562,40 +482,90 @@ func (rt *runtime) runReduce(st *stageExec, rT *reduceTask, m int) {
 		bytes := perReduce * float64(cnt) / nm
 		if r == myRack {
 			bytes -= perReduce * float64(st.mapsOnMachine[m]) / nm
-			if bytes <= 0 {
-				continue
-			}
-			remainingFlows++
-			tk.flow(rt, func(done func(*netsim.Flow)) *netsim.Flow {
-				// shufBuf is reusable: StartPath interns the path and the
-				// flow keeps the canonical copy, never this buffer.
+			if bytes > 0 {
 				rt.shufBuf[0] = rt.cluster.MachineDownlink(m)
-				return rt.net.StartPath(rt.shufBuf[:1],
-					false, bytes, st.coflow, je.job.ID, done)
-			}, flowDone)
+				tk.startPath(rt.shufBuf[:1], false, bytes)
+			}
 			continue
 		}
-		remainingFlows++
-		tk.flow(rt, func(done func(*netsim.Flow)) *netsim.Flow {
-			rt.shufBuf[0] = rt.cluster.RackUplink(r)
-			rt.shufBuf[1] = rt.cluster.RackDownlink(myRack)
-			rt.shufBuf[2] = rt.cluster.MachineDownlink(m)
-			return rt.net.StartPath(rt.shufBuf[:3],
-				true, bytes, st.coflow, je.job.ID, done)
-		}, flowDone)
+		rt.shufBuf[0] = rt.cluster.RackUplink(r)
+		rt.shufBuf[1] = rt.cluster.RackDownlink(myRack)
+		rt.shufBuf[2] = rt.cluster.MachineDownlink(m)
+		tk.startPath(rt.shufBuf[:3], true, bytes)
 	}
-	// Release the guard via a zero-byte loopback so compute runs (async)
-	// even when all shuffle input was node-local.
-	tk.flow(rt, func(done func(*netsim.Flow)) *netsim.Flow {
-		return rt.net.Start(m, m, 0, 0, je.job.ID, done)
-	}, flowDone)
+	// A zero-byte loopback lands in an event of its own, so the shuffle
+	// ends asynchronously even when all its input was node-local.
+	tk.startFlow(m, m, 0)
 }
 
-// writeOutput models the replicated DFS write pipeline: the first replica
-// stays local; one copy crosses to a machine on a remote rack and a second
-// copy is made within that rack.
-func (rt *runtime) writeOutput(tk *runningTask, coflow netsim.CoflowID, m int, bytes float64, done func()) {
-	je := tk.je
+// step advances the attempt past the phase that just ended: the last flow
+// of its fetch or write landed, or its compute timer fired.
+func (tk *runningTask) step() {
+	if tk.aborted {
+		return
+	}
+	rt, st := tk.rt, tk.st
+	switch tk.phase {
+	case phaseFetch:
+		tk.phase = phaseCompute
+		if tk.redT != nil {
+			rt.tr.ShuffleDone(float64(rt.sim.Now()), tk.je.job.ID, st.idx, tk.redT.index, tk.machine)
+		}
+		tk.arm(timerCompute, des.Time(rt.computeDuration(tk, tk.nominal())))
+	case phaseCompute:
+		if tk.redT != nil && rt.writeOutput(tk) {
+			tk.phase = phaseWrite
+			return
+		}
+		rt.finishAttempt(tk)
+	case phaseWrite:
+		rt.finishAttempt(tk)
+	}
+}
+
+// finishAttempt completes the attempt's task once its last phase ends.
+func (rt *runtime) finishAttempt(tk *runningTask) {
+	tk.done = true
+	rt.finishTracking(tk)
+	je, st, m := tk.je, tk.st, tk.machine
+	dur := float64(rt.sim.Now() - tk.started)
+	role, idx, att := tk.ident()
+	rt.tr.TaskFinish(float64(rt.sim.Now()), role, je.job.ID, st.idx, idx, att, m, dur)
+	je.taskSeconds += dur
+	rt.freeSlots[m]++
+	rt.taskEnded(je)
+	if t := tk.mapT; t != nil {
+		t.doneOn = m
+		st.mapsDone++
+		st.mapsOnMachine[m]++
+		st.mapsOnRack[rt.cluster.RackOf(m)]++
+		if st.mapsDone == st.profile.MapTasks {
+			rt.finishMapsPhase(st)
+		}
+	} else {
+		je.reduceSeconds = append(je.reduceSeconds, dur)
+		tk.redT.doneOn = m
+		st.reduceMachines = append(st.reduceMachines, m)
+		st.reducesDone++
+		if st.reducesDone == st.profile.ReduceTasks {
+			rt.finishStage(st)
+		}
+	}
+	rt.requestDispatch()
+}
+
+// writeOutput starts a reduce attempt's replicated DFS write of its share
+// of the output, and reports whether it did: an empty output, a stage a
+// later stage consumes and an in-memory run write nothing. The first
+// replica stays local; one copy crosses to a machine on a remote rack and
+// a second copy is made within that rack.
+func (rt *runtime) writeOutput(tk *runningTask) bool {
+	p := tk.st.profile
+	bytes := p.OutputBytes / float64(p.ReduceTasks)
+	if bytes <= 0 || !rt.isTerminal(tk.st) || rt.opts.InMemoryInput {
+		return false
+	}
+	m := tk.machine
 	view := rt.store.View()
 	myRack := rt.cluster.RackOf(m)
 	remoteRack := myRack
@@ -610,19 +580,9 @@ func (rt *runtime) writeOutput(tk *runningTask, coflow netsim.CoflowID, m int, b
 	if r3 < 0 {
 		r3 = r2
 	}
-	remaining := 2
-	flowDone := func() {
-		remaining--
-		if remaining == 0 {
-			done()
-		}
-	}
-	tk.flow(rt, func(cb func(*netsim.Flow)) *netsim.Flow {
-		return rt.net.Start(m, r2, bytes, coflow, je.job.ID, cb)
-	}, flowDone)
-	tk.flow(rt, func(cb func(*netsim.Flow)) *netsim.Flow {
-		return rt.net.Start(r2, r3, bytes, coflow, je.job.ID, cb)
-	}, flowDone)
+	tk.startFlow(m, r2, bytes)
+	tk.startFlow(r2, r3, bytes)
+	return true
 }
 
 // pickRemoteRack returns a uniformly random rack != myRack, deterministic-

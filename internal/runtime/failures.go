@@ -44,6 +44,7 @@ import (
 	"corral/internal/des"
 	"corral/internal/netsim"
 	"corral/internal/snapshot"
+	"corral/internal/topology"
 	"corral/internal/trace"
 )
 
@@ -57,20 +58,55 @@ type (
 	Corruption = snapshot.Corruption
 )
 
-// runningTask tracks one in-flight task attempt so it can be aborted.
+// runningTask is one in-flight task attempt. It steps through the phases
+// of attemptPhase; step advances it when the last flow of a fetch or write
+// lands or when its compute timer fires. All its flows share one completion
+// callback (onFlow) and all its timers one firing callback (onTimer), both
+// bound at launch.
+//
+// Abort cancels the attempt's timers and flows. A canceled des event never
+// fires and a canceled flow's done never runs (loopback flows included),
+// with one exception: a flow a recompute has already found complete still
+// reports when an earlier completion of that recompute aborts its attempt.
+// So step's aborted check is the attempt's only guard.
 type runningTask struct {
+	rt      *runtime
 	je      *jobExec
 	st      *stageExec
 	mapT    *mapTask    // nil for reduce attempts
 	redT    *reduceTask // nil for map attempts
 	machine int
 	started des.Time
+	phase   attemptPhase
 	aborted bool
 	done    bool
 	noSpec  bool // speculative relaunch: nominal speed, no watchdog
-	events  []*des.Event
+	// timers holds the armed timers by kind; flows the transfers still in
+	// flight, so its length is the phase's outstanding flow count.
+	timers  [numTimers]*des.Event
 	flows   []*netsim.Flow
+	onFlow  func(*netsim.Flow) // flowDone
+	onTimer func()             // timerFired
 }
+
+// attemptPhase is a stage of an attempt's lifecycle: a map reads then
+// computes; a reduce shuffles, computes and, in a terminal stage, writes
+// its replicated output.
+type attemptPhase uint8
+
+const (
+	phaseFetch   attemptPhase = iota // input read or shuffle in flight
+	phaseCompute                     // compute timer armed
+	phaseWrite                       // output write in flight
+)
+
+// The kinds of attempt timer, in the order an attempt arms them.
+const (
+	timerCrash   = iota // injected crash (armCrash)
+	timerWatch          // speculation watchdog (computeDuration)
+	timerCompute        // end of the compute phase
+	numTimers
+)
 
 // ident returns the attempt's trace identity (role, task index, attempt).
 func (tk *runningTask) ident() (trace.Role, int, int) {
@@ -80,12 +116,21 @@ func (tk *runningTask) ident() (trace.Role, int, int) {
 	return trace.RoleReduce, tk.redT.index, tk.redT.attempts
 }
 
+// nominal returns the attempt's compute time at nominal speed: B_M for a
+// map's input, B_R for a reduce's share of the output.
+func (tk *runningTask) nominal() float64 {
+	if tk.mapT != nil {
+		return tk.mapT.bytes / tk.st.profile.MapRate
+	}
+	p := tk.st.profile
+	return p.OutputBytes / float64(p.ReduceTasks) / p.ReduceRate
+}
+
 // newRunningTask hands out attempt objects from a chunked arena: one
 // allocation per chunk instead of one per attempt. Objects are never
-// recycled — an attempt's deferred closures (watchdog, requeue, flow done)
-// may hold the pointer past its lifetime, and a never-reused object makes
-// every such access trivially safe while still cutting allocation count
-// ~chunkwise.
+// recycled — an attempt's bound callbacks and its requeue may hold the
+// pointer past its lifetime, and a never-reused object makes every such
+// access trivially safe while still cutting allocation count ~chunkwise.
 //
 //corral:hotpath
 func (rt *runtime) newRunningTask() *runningTask {
@@ -97,24 +142,34 @@ func (rt *runtime) newRunningTask() *runningTask {
 	return &rt.tkArena[len(rt.tkArena)-1]
 }
 
-// track registers a new running attempt (exactly one of t, rT is set).
-func (rt *runtime) track(je *jobExec, st *stageExec, t *mapTask, rT *reduceTask, m int) *runningTask {
+// launch starts an attempt of map t or reduce rT (exactly one is set) on
+// machine m: it takes the slot, registers the attempt, binds its two
+// callbacks and rolls its injected crash. The caller starts the fetch.
+func (rt *runtime) launch(st *stageExec, t *mapTask, rT *reduceTask, m int) *runningTask {
+	je := st.je
+	rt.freeSlots[m]--
+	rt.taskStarted(je)
+	je.touchRack(rt.cluster.RackOf(m))
 	tk := rt.newRunningTask()
-	*tk = runningTask{je: je, st: st, mapT: t, redT: rT, machine: m, started: rt.sim.Now()}
-	if (t != nil && t.speculated) || (rT != nil && rT.speculated) {
-		tk.noSpec = true
-	}
+	*tk = runningTask{rt: rt, je: je, st: st, mapT: t, redT: rT, machine: m, started: rt.sim.Now()}
+	tk.noSpec = (t != nil && t.speculated) || (rT != nil && rT.speculated)
+	tk.onFlow, tk.onTimer = tk.flowDone, tk.timerFired
 	rt.running[m] = append(rt.running[m], tk)
+	role, idx, att := tk.ident()
+	rt.tr.TaskStart(float64(rt.sim.Now()), role, je.job.ID, st.idx, idx, att, m)
+	rt.armCrash(tk, tk.nominal())
 	return tk
 }
 
-// finishTracking removes a completed attempt from the running set and
-// cancels its owned timers (notably the speculation watchdog), so finished
-// tasks leave no dead events in the DES queue. Canceling the timer that is
+// finishTracking removes a completed or aborted attempt from the running
+// set and cancels its timers (notably the speculation watchdog), so it
+// leaves no dead events in the DES queue. Canceling the timer that is
 // currently firing is a harmless no-op.
 func (rt *runtime) finishTracking(tk *runningTask) {
-	for _, ev := range tk.events {
-		ev.Cancel()
+	for _, ev := range tk.timers {
+		if ev != nil {
+			ev.Cancel()
+		}
 	}
 	lst := rt.running[tk.machine]
 	for i, other := range lst {
@@ -126,67 +181,77 @@ func (rt *runtime) finishTracking(tk *runningTask) {
 	}
 }
 
-// after schedules a timer owned by the attempt; it is canceled on abort.
-func (tk *runningTask) after(rt *runtime, d des.Time, fn func()) {
-	ev := rt.sim.After(d, func() {
-		if tk.aborted {
-			return
-		}
-		fn()
-	})
-	tk.events = append(tk.events, ev)
+// arm schedules the attempt's timer of the given kind d from now.
+func (tk *runningTask) arm(kind int, d des.Time) {
+	tk.timers[kind] = tk.rt.sim.After(d, tk.onTimer)
 }
 
-// flow starts a network flow owned by the attempt. The completion wrapper
-// drops the attempt's reference before anything else: under flow pooling
-// (enabled by newRuntime) the *netsim.Flow is recycled once its done
-// callback returns, so a stale entry in tk.flows could alias a different,
-// still-active flow by the time abortTask cancels the list.
-func (tk *runningTask) flow(rt *runtime, start func(done func(*netsim.Flow)) *netsim.Flow, done func()) {
-	f := start(func(fin *netsim.Flow) {
-		tk.removeFlow(fin)
-		if tk.aborted {
-			return
-		}
-		done()
-	})
-	tk.flows = append(tk.flows, f)
+// timerFired is the callback of every attempt timer. A crash or watchdog
+// timer aborts the attempt, so a live attempt has seen neither fire, and
+// timers due at one instant fire in arming order (crash, watchdog,
+// compute). So the first kind armed and due by now is the one firing.
+func (tk *runningTask) timerFired() {
+	now := tk.rt.sim.Now()
+	switch {
+	case tk.due(timerCrash, now):
+		tk.rt.crashAttempt(tk)
+	case tk.due(timerWatch, now):
+		tk.rt.abortSpeculative(tk)
+	default:
+		tk.step()
+	}
 }
 
-// removeFlow drops one flow reference by identity (swap-remove; order is
-// irrelevant, Cancel on abort is order-independent).
-func (tk *runningTask) removeFlow(f *netsim.Flow) {
+// due reports whether the attempt's timer of the given kind is armed for
+// a time no later than now.
+func (tk *runningTask) due(kind int, now des.Time) bool {
+	return tk.timers[kind] != nil && tk.timers[kind].At() <= now
+}
+
+// startFlow starts a transfer from machine src to dst owned by the
+// attempt, in its stage's coflow.
+func (tk *runningTask) startFlow(src, dst int, bytes float64) {
+	tk.flows = append(tk.flows, tk.rt.net.Start(src, dst, bytes, tk.st.coflow, tk.je.job.ID, tk.onFlow))
+}
+
+// startPath starts a transfer over an explicit link path owned by the
+// attempt, in its stage's coflow.
+func (tk *runningTask) startPath(path []topology.LinkID, crossRack bool, bytes float64) {
+	tk.flows = append(tk.flows, tk.rt.net.StartPath(path, crossRack, bytes, tk.st.coflow, tk.je.job.ID, tk.onFlow))
+}
+
+// flowDone is the callback of every attempt flow; the last one of a phase
+// steps the attempt. It drops the attempt's reference first: under flow
+// pooling (enabled by newRuntime) the *netsim.Flow is recycled once this
+// returns, so a stale entry in tk.flows could alias a different, still
+// active flow by the time abort cancels the list. The swap-remove leaves
+// the list unordered, which Cancel does not mind.
+func (tk *runningTask) flowDone(f *netsim.Flow) {
 	for i, other := range tk.flows {
 		if other == f {
 			last := len(tk.flows) - 1
 			tk.flows[i] = tk.flows[last]
 			tk.flows[last] = nil
 			tk.flows = tk.flows[:last]
-			return
+			break
 		}
+	}
+	if len(tk.flows) == 0 {
+		tk.step()
 	}
 }
 
-// abort cancels the attempt's timers and flows and requeues its work
-// immediately. freeSlot controls whether the slot is returned (false when
-// the machine itself died).
-func (rt *runtime) abort(tk *runningTask, freeSlot bool) {
-	rt.abortTask(tk, freeSlot, 0)
-}
-
-// abortTask cancels the attempt's timers and flows. requeueDelay controls
-// what happens to the work: negative drops it (the job is failing
-// terminally or an AM restart will rebuild the stage), zero requeues it
-// now, positive requeues it after a retry backoff. A delayed requeue is
+// abort cancels the attempt's timers and flows. freeSlot returns the slot
+// (false when the machine itself died). requeueDelay controls what
+// happens to the work: negative drops it (the job is failing terminally
+// or an AM restart will rebuild the stage), zero requeues it now,
+// positive requeues it after a retry backoff. A delayed requeue is
 // voided if the job reaches a terminal state — or restarts its AM — first.
-func (rt *runtime) abortTask(tk *runningTask, freeSlot bool, requeueDelay des.Time) {
+func (rt *runtime) abort(tk *runningTask, freeSlot bool, requeueDelay des.Time) {
 	if tk.aborted || tk.done {
 		return
 	}
 	tk.aborted = true
-	for _, ev := range tk.events {
-		ev.Cancel()
-	}
 	// Cancel and immediately forget the attempt's flows: once canceled they
 	// retire at the next recompute and (under pooling) are recycled, after
 	// which these references must never be used again.
@@ -325,7 +390,7 @@ func (rt *runtime) failMachine(m int) {
 	// Abort running attempts (slot not returned: the machine is gone).
 	attempts := append([]*runningTask(nil), rt.running[m]...)
 	for _, tk := range attempts {
-		rt.abort(tk, false)
+		rt.abort(tk, false, 0)
 	}
 	// The DFS loses the machine's replicas; the repair daemon re-creates
 	// them on survivors (repair.go).
@@ -461,16 +526,9 @@ func (rt *runtime) computeDuration(tk *runningTask, nominal float64) float64 {
 		dur *= stragglerSlowdown
 	}
 	if rt.opts.Speculation && dur > nominal {
-		watch := des.Time(nominal * speculationThreshold)
-		ev := rt.sim.After(watch, func() {
-			if tk.aborted {
-				return
-			}
-			// Still running past the threshold: relaunch (the backup copy
-			// wins; the straggling attempt is killed).
-			rt.abortSpeculative(tk)
-		})
-		tk.events = append(tk.events, ev)
+		// Still running past the threshold: relaunch (the backup copy
+		// wins; the straggling attempt is killed).
+		tk.arm(timerWatch, des.Time(nominal*speculationThreshold))
 	}
 	return dur
 }
@@ -483,5 +541,5 @@ func (rt *runtime) abortSpeculative(tk *runningTask) {
 	} else {
 		tk.redT.speculated = true
 	}
-	rt.abort(tk, true)
+	rt.abort(tk, true, 0)
 }

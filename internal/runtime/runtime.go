@@ -26,6 +26,19 @@
 // the stage starts or an application master restarts. A pop is a binary
 // search plus a LIFO walk and allocates nothing.
 //
+// Attempt lifecycle: a task attempt (runningTask, failures.go) steps
+// through fetch, compute and write. A map reads its input split (one flow,
+// or none when the read is node-local) and computes; a reduce shuffles one
+// flow per source rack plus a zero-byte loopback, computes and, in a
+// terminal stage, writes two remote replicas. When the last flow of a
+// phase lands or the compute timer fires, the attempt's step method moves
+// it on. All flows of an attempt share one completion callback, and all
+// its timers (crash, speculation watchdog, compute end) one firing
+// callback, both bound at launch: no closure per flow or phase. Abort
+// cancels the attempt's timers and flows. A canceled event never fires
+// and a canceled flow never reports, except one a recompute already found
+// complete, so step's check of aborted is the only guard.
+//
 // Observation: a run has one event stream. Each lifecycle point (job,
 // attempt, machine, AM, replan, admission, audit, end of run) is emitted
 // once, as a trace.Event into the run's tracer. Options.Probe observes

@@ -471,7 +471,11 @@ func (rt *runtime) captureState() *snapshot.State {
 				Started: float64(tk.started),
 				NoSpec:  tk.noSpec,
 				NFlows:  len(tk.flows),
-				NEvents: len(tk.events),
+			}
+			for _, ev := range tk.timers {
+				if ev != nil {
+					a.NEvents++
+				}
 			}
 			if tk.mapT != nil {
 				a.Role, a.Task, a.Attempts = "map", tk.mapT.index, tk.mapT.attempts

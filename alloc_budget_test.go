@@ -52,16 +52,17 @@ func simulateBytesPerEvent(t *testing.T, cfg corral.SimConfig, jobs []*corral.Jo
 // TestSimulateBytesPerEventBudget runs the bench's tiny dc-online and
 // chaos-resume shapes (bench/workload.go) at seed 1 and bounds the bytes
 // Simulate allocates per event at 5% over the value this test logged
-// (go test -v, go1.24 on amd64) once a task attempt stepped through its
-// phases with two bound callbacks instead of nested closures: dc-online
-// 568 B, chaos-resume 1056 B (575 B and 1080 B under -race; 675 B and
-// 1134 B before, 890 B and 1262 B before the compact locality indexes).
+// (go test -v, go1.24 on amd64) once event nodes, task attempts and
+// loopback flows came from free lists: dc-online 469 B, chaos-resume
+// 983 B (478 B and 1001 B under -race; 568 B and 1056 B before, 675 B and
+// 1134 B before the attempt phase machine, 890 B and 1262 B before the
+// compact locality indexes).
 // A change that puts an allocation back on a per-event or per-task path
 // fails here before the bench sees it.
 func TestSimulateBytesPerEventBudget(t *testing.T) {
 	const (
-		onlineBudget = 568 * 1.05
-		chaosBudget  = 1056 * 1.05
+		onlineBudget = 469 * 1.05
+		chaosBudget  = 983 * 1.05
 	)
 	cluster := budgetCluster(5)
 

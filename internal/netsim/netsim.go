@@ -66,6 +66,11 @@ type Flow struct {
 	lastRate  float64 // last rate reported to the tracer
 	done      func(*Flow)
 	canceled  bool
+
+	// A loopback flow (empty path) completes by a des event of its own,
+	// which fires onLoop: bound once per object by startPath, it survives
+	// pooling, so a pooled loopback costs no allocation.
+	onLoop func()
 }
 
 // PathID returns the flow's interned path identity: flows with equal link
@@ -138,16 +143,18 @@ type Network struct {
 
 	completedScratch []*Flow // reused each recompute for finished flows
 
-	// Flow pooling (SetFlowPooling): canceled and completed path flows are
+	// Flow pooling (SetFlowPooling): canceled and completed flows are
 	// recycled through flowPool once fully retired — after accounting,
-	// tracing and done callbacks. Loopback flows are never pooled: their
-	// completion closure reads the object after an arbitrary delay.
+	// tracing and done callbacks. A loopback flow retires when its
+	// completion event fires, canceled or not, so no event of it is
+	// queued once it is in the pool.
 	flowPool  []*Flow
 	poolFlows bool
 
 	lastAdvance  des.Time
-	completionEv *des.Event
-	recomputeEv  *des.Event
+	completionEv des.Handle
+	recomputeEv  des.Handle
+	onRecompute  func() // recompute, bound once: both events fire it
 
 	// OnAllocate, if set, runs after every rate recomputation — the hook
 	// the invariant monitor uses to audit each allocation the moment it is
@@ -187,7 +194,7 @@ func New(sim *des.Simulator, cluster *topology.Cluster, policy Policy) *Network 
 	}
 	base := make([]float64, len(caps))
 	copy(base, caps)
-	return &Network{
+	n := &Network{
 		sim:       sim,
 		cluster:   cluster,
 		policy:    policy,
@@ -201,6 +208,8 @@ func New(sim *des.Simulator, cluster *topology.Cluster, policy Policy) *Network 
 		crossByJob: make(map[int]float64),
 		linkBytes:  make([]float64, len(links)),
 	}
+	n.onRecompute = n.recompute
+	return n
 }
 
 // ActiveFlows returns the number of currently active flows.
@@ -225,7 +234,7 @@ func (n *Network) FlowsServed() int64 { return n.flowsServed }
 // the done callback (or after Cancel) and never touch a flow afterward.
 // The runtime follows that discipline; direct test/tool users of Network
 // should leave pooling off unless they do too. Loopback (src==dst) flows
-// are never pooled.
+// are pooled too, once their completion event has fired.
 func (n *Network) SetFlowPooling(on bool) { n.poolFlows = on }
 
 // Start begins a transfer of bytes from machine src to machine dst.
@@ -260,12 +269,13 @@ func (n *Network) startPath(path []topology.LinkID, crossRack bool, bytes float6
 	}
 	n.nextID++
 	var f *Flow
-	if n.poolFlows && len(path) > 0 && len(n.flowPool) > 0 {
+	if n.poolFlows && len(n.flowPool) > 0 {
 		f = n.flowPool[len(n.flowPool)-1]
 		n.flowPool[len(n.flowPool)-1] = nil
 		n.flowPool = n.flowPool[:len(n.flowPool)-1]
 	} else {
 		f = new(Flow)
+		f.onLoop = func() { n.loopbackDone(f) }
 	}
 	*f = Flow{
 		ID:        n.nextID,
@@ -277,21 +287,13 @@ func (n *Network) startPath(path []topology.LinkID, crossRack bool, bytes float6
 		CrossRack: crossRack,
 		path:      path,
 		done:      done,
+		onLoop:    f.onLoop,
 
 		remaining: bytes,
 	}
 	if len(path) == 0 {
 		// Local copy: fixed loopback rate, not subject to network sharing.
-		d := des.Time(bytes / loopbackRate)
-		n.sim.After(d, func() {
-			if f.canceled {
-				return
-			}
-			n.flowsServed++
-			if f.done != nil {
-				f.done(f)
-			}
-		})
+		n.sim.After(des.Time(bytes/loopbackRate), f.onLoop)
 		return f
 	}
 	f.pathID = n.internPath(path)
@@ -300,6 +302,21 @@ func (n *Network) startPath(path []topology.LinkID, crossRack bool, bytes float6
 	n.flows = append(n.flows, f)
 	n.scheduleRecompute()
 	return f
+}
+
+// loopbackDone is a loopback flow's completion event. A canceled flow's
+// event still fires (it counts as a fired event like any other) but only
+// retires the object; otherwise the flow is served and reports.
+func (n *Network) loopbackDone(f *Flow) {
+	if !f.canceled {
+		n.flowsServed++
+		if f.done != nil {
+			f.done(f)
+		}
+	}
+	if n.poolFlows {
+		n.flowPool = append(n.flowPool, f)
+	}
 }
 
 // internPath returns the dense id shared by every flow with this exact link
@@ -379,8 +396,8 @@ func (n *Network) NumPaths() int { return int(n.numPaths) }
 // recomputation and its completion callback never fires. Bytes already
 // transferred still count toward cross-rack accounting (they were really
 // sent). Canceling a finished or already-canceled flow is a no-op.
-// Loopback flows (empty path) cannot be canceled — their completion event
-// is already queued — but their callback is suppressed.
+// A loopback flow (empty path) keeps its completion event, which still
+// fires at its time, but its callback is suppressed.
 func (n *Network) Cancel(f *Flow) {
 	if f == nil || f.canceled {
 		return
@@ -413,10 +430,10 @@ func (n *Network) LinkCapacity(id topology.LinkID) float64 { return n.caps[id] }
 // single rate recomputation.
 func (n *Network) scheduleRecompute() {
 	//corralvet:ok floateq exact identity intended: both sides are the same des.Time instant; near-equal instants are distinct events
-	if n.recomputeEv != nil && !n.recomputeEv.Canceled() && n.recomputeEv.At() == n.sim.Now() {
+	if n.sim.Scheduled(n.recomputeEv) && n.recomputeEv.At() == n.sim.Now() {
 		return
 	}
-	n.recomputeEv = n.sim.After(0, n.recompute)
+	n.recomputeEv = n.sim.After(0, n.onRecompute)
 }
 
 const completionEpsilon = 1e-3 // bytes; below this a flow is done
@@ -433,7 +450,7 @@ func (n *Network) recompute() {
 	// Without this, a flow-set change made by a *later* event at the same
 	// instant would see a stale recomputeEv with At() == Now() and wrongly
 	// skip scheduling, leaving flows without rates or completion events.
-	n.recomputeEv = nil
+	n.recomputeEv = des.Handle{}
 	now := n.sim.Now()
 	dt := float64(now - n.lastAdvance)
 	n.lastAdvance = now
@@ -508,7 +525,9 @@ func (n *Network) recompute() {
 				n.crossByJob[f.JobID] += f.Bytes
 			}
 		}
-		if f.done != nil {
+		// A flow an earlier done of this batch canceled keeps its bytes
+		// and its trace, but reports to nobody: Cancel promises that.
+		if f.done != nil && !f.canceled {
 			f.done(f)
 		}
 		if n.poolFlows {
@@ -524,10 +543,8 @@ func (n *Network) recompute() {
 	}
 	n.completedScratch = completed[:0]
 
-	if n.completionEv != nil {
-		n.completionEv.Cancel()
-		n.completionEv = nil
-	}
+	n.sim.Cancel(n.completionEv)
+	n.completionEv = des.Handle{}
 	if len(n.flows) == 0 {
 		n.traceAllocation() // report links draining to zero utilization
 		return
@@ -572,7 +589,7 @@ func (n *Network) recompute() {
 		}
 		return
 	}
-	n.completionEv = n.sim.After(des.Time(next), n.recompute)
+	n.completionEv = n.sim.After(des.Time(next), n.onRecompute)
 }
 
 // AuditFeasibility checks the current allocation against the per-link

@@ -501,9 +501,6 @@ func (rt *runtime) runReduce(st *stageExec, rT *reduceTask, m int) {
 // step advances the attempt past the phase that just ended: the last flow
 // of its fetch or write landed, or its compute timer fired.
 func (tk *runningTask) step() {
-	if tk.aborted {
-		return
-	}
 	rt, st := tk.rt, tk.st
 	switch tk.phase {
 	case phaseFetch:
@@ -523,7 +520,8 @@ func (tk *runningTask) step() {
 	}
 }
 
-// finishAttempt completes the attempt's task once its last phase ends.
+// finishAttempt completes the attempt's task once its last phase ends and
+// retires the attempt.
 func (rt *runtime) finishAttempt(tk *runningTask) {
 	tk.done = true
 	rt.finishTracking(tk)
@@ -534,7 +532,9 @@ func (rt *runtime) finishAttempt(tk *runningTask) {
 	je.taskSeconds += dur
 	rt.freeSlots[m]++
 	rt.taskEnded(je)
-	if t := tk.mapT; t != nil {
+	t, rT := tk.mapT, tk.redT
+	rt.retire(tk)
+	if t != nil {
 		t.doneOn = m
 		st.mapsDone++
 		st.mapsOnMachine[m]++
@@ -544,7 +544,7 @@ func (rt *runtime) finishAttempt(tk *runningTask) {
 		}
 	} else {
 		je.reduceSeconds = append(je.reduceSeconds, dur)
-		tk.redT.doneOn = m
+		rT.doneOn = m
 		st.reduceMachines = append(st.reduceMachines, m)
 		st.reducesDone++
 		if st.reducesDone == st.profile.ReduceTasks {

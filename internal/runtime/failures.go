@@ -62,13 +62,15 @@ type (
 // of attemptPhase; step advances it when the last flow of a fetch or write
 // lands or when its compute timer fires. All its flows share one completion
 // callback (onFlow) and all its timers one firing callback (onTimer), both
-// bound at launch.
+// bound once per object, when newRunningTask first makes it.
 //
-// Abort cancels the attempt's timers and flows. A canceled des event never
-// fires and a canceled flow's done never runs (loopback flows included),
-// with one exception: a flow a recompute has already found complete still
-// reports when an earlier completion of that recompute aborts its attempt.
-// So step's aborted check is the attempt's only guard.
+// Attempt objects are recycled: finishAttempt and abort retire an attempt
+// onto the runtime's free list, and launch reuses it. By then no callback
+// of the attempt is queued: finishTracking has canceled its timers, and
+// its flows have all landed (finish) or been canceled (abort). A canceled
+// des event never fires, and a canceled flow's done never runs, loopback
+// flows and flows of the same completion batch included. flowDone and
+// timerFired panic if a callback ever reaches a retired attempt.
 type runningTask struct {
 	rt      *runtime
 	je      *jobExec
@@ -80,10 +82,12 @@ type runningTask struct {
 	phase   attemptPhase
 	aborted bool
 	done    bool
+	retired bool // on the free list, until launch reuses it
 	noSpec  bool // speculative relaunch: nominal speed, no watchdog
-	// timers holds the armed timers by kind; flows the transfers still in
-	// flight, so its length is the phase's outstanding flow count.
-	timers  [numTimers]*des.Event
+	// timers holds the armed timers by kind (the zero Handle when not
+	// armed); flows the transfers still in flight, so its length is the
+	// phase's outstanding flow count.
+	timers  [numTimers]des.Handle
 	flows   []*netsim.Flow
 	onFlow  func(*netsim.Flow) // flowDone
 	onTimer func()             // timerFired
@@ -126,34 +130,51 @@ func (tk *runningTask) nominal() float64 {
 	return p.OutputBytes / float64(p.ReduceTasks) / p.ReduceRate
 }
 
-// newRunningTask hands out attempt objects from a chunked arena: one
-// allocation per chunk instead of one per attempt. Objects are never
-// recycled — an attempt's bound callbacks and its requeue may hold the
-// pointer past its lifetime, and a never-reused object makes every such
-// access trivially safe while still cutting allocation count ~chunkwise.
+// newRunningTask takes an attempt object off the free list, or makes one
+// and binds its two callbacks when the list is empty. A run makes only as
+// many as it ever has attempts in flight at once.
 //
 //corral:hotpath
 func (rt *runtime) newRunningTask() *runningTask {
-	const chunk = 256
-	if len(rt.tkArena) == cap(rt.tkArena) {
-		rt.tkArena = make([]runningTask, 0, chunk)
+	if k := len(rt.tkFree) - 1; k >= 0 {
+		tk := rt.tkFree[k]
+		rt.tkFree = rt.tkFree[:k]
+		return tk
 	}
-	rt.tkArena = rt.tkArena[:len(rt.tkArena)+1]
-	return &rt.tkArena[len(rt.tkArena)-1]
+	tk := new(runningTask)
+	tk.onFlow, tk.onTimer = tk.flowDone, tk.timerFired
+	return tk
+}
+
+// retire puts a finished or aborted attempt on the free list. Its timers
+// are canceled and it owns no flow, so nothing queued can call it back.
+//
+//corral:hotpath
+func (rt *runtime) retire(tk *runningTask) {
+	tk.retired = true
+	rt.tkFree = append(rt.tkFree, tk)
+}
+
+// retiredPanic reports a callback that reached a retired attempt.
+func (tk *runningTask) retiredPanic(what string) {
+	role, idx, att := tk.ident()
+	panic(fmt.Sprintf("runtime: %s callback reached retired attempt %d of %s %d (job %d, stage %d, machine %d)",
+		what, att, role, idx, tk.je.job.ID, tk.st.idx, tk.machine))
 }
 
 // launch starts an attempt of map t or reduce rT (exactly one is set) on
-// machine m: it takes the slot, registers the attempt, binds its two
-// callbacks and rolls its injected crash. The caller starts the fetch.
+// machine m: it takes the slot, registers the attempt and rolls its
+// injected crash. The caller starts the fetch.
 func (rt *runtime) launch(st *stageExec, t *mapTask, rT *reduceTask, m int) *runningTask {
 	je := st.je
 	rt.freeSlots[m]--
 	rt.taskStarted(je)
 	je.touchRack(rt.cluster.RackOf(m))
 	tk := rt.newRunningTask()
-	*tk = runningTask{rt: rt, je: je, st: st, mapT: t, redT: rT, machine: m, started: rt.sim.Now()}
+	// A reused object keeps its callbacks and its emptied flow list.
+	*tk = runningTask{rt: rt, je: je, st: st, mapT: t, redT: rT, machine: m, started: rt.sim.Now(),
+		flows: tk.flows[:0], onFlow: tk.onFlow, onTimer: tk.onTimer}
 	tk.noSpec = (t != nil && t.speculated) || (rT != nil && rT.speculated)
-	tk.onFlow, tk.onTimer = tk.flowDone, tk.timerFired
 	rt.running[m] = append(rt.running[m], tk)
 	role, idx, att := tk.ident()
 	rt.tr.TaskStart(float64(rt.sim.Now()), role, je.job.ID, st.idx, idx, att, m)
@@ -166,10 +187,8 @@ func (rt *runtime) launch(st *stageExec, t *mapTask, rT *reduceTask, m int) *run
 // leaves no dead events in the DES queue. Canceling the timer that is
 // currently firing is a harmless no-op.
 func (rt *runtime) finishTracking(tk *runningTask) {
-	for _, ev := range tk.timers {
-		if ev != nil {
-			ev.Cancel()
-		}
+	for _, h := range tk.timers {
+		rt.sim.Cancel(h)
 	}
 	lst := rt.running[tk.machine]
 	for i, other := range lst {
@@ -191,6 +210,9 @@ func (tk *runningTask) arm(kind int, d des.Time) {
 // timers due at one instant fire in arming order (crash, watchdog,
 // compute). So the first kind armed and due by now is the one firing.
 func (tk *runningTask) timerFired() {
+	if tk.retired {
+		tk.retiredPanic("timer")
+	}
 	now := tk.rt.sim.Now()
 	switch {
 	case tk.due(timerCrash, now):
@@ -205,7 +227,7 @@ func (tk *runningTask) timerFired() {
 // due reports whether the attempt's timer of the given kind is armed for
 // a time no later than now.
 func (tk *runningTask) due(kind int, now des.Time) bool {
-	return tk.timers[kind] != nil && tk.timers[kind].At() <= now
+	return tk.timers[kind].Armed() && tk.timers[kind].At() <= now
 }
 
 // startFlow starts a transfer from machine src to dst owned by the
@@ -227,6 +249,9 @@ func (tk *runningTask) startPath(path []topology.LinkID, crossRack bool, bytes f
 // active flow by the time abort cancels the list. The swap-remove leaves
 // the list unordered, which Cancel does not mind.
 func (tk *runningTask) flowDone(f *netsim.Flow) {
+	if tk.retired {
+		tk.retiredPanic("flow")
+	}
 	for i, other := range tk.flows {
 		if other == f {
 			last := len(tk.flows) - 1
@@ -241,12 +266,13 @@ func (tk *runningTask) flowDone(f *netsim.Flow) {
 	}
 }
 
-// abort cancels the attempt's timers and flows. freeSlot returns the slot
-// (false when the machine itself died). requeueDelay controls what
-// happens to the work: negative drops it (the job is failing terminally
-// or an AM restart will rebuild the stage), zero requeues it now,
-// positive requeues it after a retry backoff. A delayed requeue is
-// voided if the job reaches a terminal state — or restarts its AM — first.
+// abort cancels the attempt's timers and flows and retires it. freeSlot
+// returns the slot (false when the machine itself died). requeueDelay
+// controls what happens to the work: negative drops it (the job is
+// failing terminally or an AM restart will rebuild the stage), zero
+// requeues it now, positive requeues it after a retry backoff. A delayed
+// requeue is voided if the job reaches a terminal state — or restarts its
+// AM — first.
 func (rt *runtime) abort(tk *runningTask, freeSlot bool, requeueDelay des.Time) {
 	if tk.aborted || tk.done {
 		return
@@ -267,21 +293,23 @@ func (rt *runtime) abort(tk *runningTask, freeSlot bool, requeueDelay des.Time) 
 	if freeSlot {
 		rt.freeSlots[tk.machine]++
 	}
+	je, st, t, rT := tk.je, tk.st, tk.mapT, tk.redT
+	rt.retire(tk)
 	if requeueDelay < 0 {
 		rt.requestDispatch()
 		return
 	}
-	je, st := tk.je, tk.st
+	// The requeue holds the task, not the retired attempt.
 	gen := je.amAttempt
 	requeue := func() {
 		if je.done() || je.amDown || je.amAttempt != gen {
 			return
 		}
-		if tk.mapT != nil {
-			rt.requeueMap(st, tk.mapT)
+		if t != nil {
+			rt.requeueMap(st, t)
 		} else {
-			st.reduceQ = append(st.reduceQ, tk.redT)
-			rt.tr.TaskQueued(float64(rt.sim.Now()), trace.RoleReduce, je.job.ID, st.idx, tk.redT.index, tk.redT.attempts)
+			st.reduceQ = append(st.reduceQ, rT)
+			rt.tr.TaskQueued(float64(rt.sim.Now()), trace.RoleReduce, je.job.ID, st.idx, rT.index, rT.attempts)
 		}
 		rt.requestDispatch()
 	}

@@ -1,6 +1,9 @@
 package runtime
 
 import (
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"corral/internal/invariants"
@@ -93,6 +96,7 @@ func abortInPhase(t *testing.T, c lifecycleCase, crash bool, seed int64) bool {
 
 	role, idx, att := tk.ident()
 	phase, mark := tk.phase, len(events)
+	stage, mach := tk.st.idx, tk.machine
 	flows := append([]*netsim.Flow(nil), tk.flows...)
 	timers := tk.timers
 	if crash {
@@ -107,31 +111,35 @@ func abortInPhase(t *testing.T, c lifecycleCase, crash bool, seed int64) bool {
 			t.Fatalf("%s: flow %d of the aborted attempt not canceled", c.name, f.ID)
 		}
 	}
-	for kind, ev := range timers {
-		if ev != nil && !ev.Canceled() {
+	for kind, h := range timers {
+		if rt.sim.Scheduled(h) {
 			t.Fatalf("%s: timer kind %d of the aborted attempt not canceled", c.name, kind)
 		}
 	}
-	// netsim still reports a flow a recompute already found complete when
-	// an earlier completion of that recompute aborts its attempt; deliver
-	// such a late report.
-	if len(flows) > 0 {
-		tk.onFlow(flows[0])
+	// Checked before the next event too: a launch may reuse the retired
+	// object.
+	if !tk.aborted || !tk.retired || tk.done || tk.phase != phase || len(tk.flows) != 0 {
+		t.Fatalf("%s: aborted attempt moved on: aborted=%v retired=%v done=%v phase %d→%d flows=%d",
+			c.name, tk.aborted, tk.retired, tk.done, phase, tk.phase, len(tk.flows))
 	}
+	// A callback that reaches a retired attempt panics, naming it (a
+	// crash has counted the attempt by now).
+	_, _, attNow := tk.ident()
+	name := fmt.Sprintf("retired attempt %d of %s %d (job %d, stage %d, machine %d)", attNow, role, idx, j.ID, stage, mach)
+	if len(flows) > 0 {
+		mustPanic(t, name, func() { tk.onFlow(flows[0]) })
+	}
+	mustPanic(t, name, tk.onTimer)
 	for rt.sim.Step() {
 	}
 	if _, err := rt.finish(); err != nil {
 		t.Fatal(err)
 	}
 
-	if !tk.aborted || tk.done || tk.phase != phase || len(tk.flows) != 0 {
-		t.Fatalf("%s: aborted attempt moved on: aborted=%v done=%v phase %d→%d flows=%d",
-			c.name, tk.aborted, tk.done, phase, tk.phase, len(tk.flows))
-	}
 	// A crash traces the attempt it ends, then the abort the next one.
 	var queued, finished, aborts, crashes int
 	for _, e := range events[mark:] {
-		if e.Role != role || e.Job != j.ID || e.Stage != tk.st.idx || e.Task != idx {
+		if e.Role != role || e.Job != j.ID || e.Stage != stage || e.Task != idx {
 			continue
 		}
 		switch e.Kind {
@@ -139,8 +147,8 @@ func abortInPhase(t *testing.T, c lifecycleCase, crash bool, seed int64) bool {
 			queued++
 		case trace.KTaskFinish:
 			finished++
-			if e.Att == att && e.Mach == tk.machine {
-				t.Fatalf("%s: the aborted attempt (attempt %d on machine %d) finished", c.name, att, tk.machine)
+			if e.Att == att && e.Mach == mach {
+				t.Fatalf("%s: the aborted attempt (attempt %d on machine %d) finished", c.name, att, mach)
 			}
 		case trace.KTaskAbort:
 			aborts++
@@ -166,11 +174,25 @@ func abortInPhase(t *testing.T, c lifecycleCase, crash bool, seed int64) bool {
 	return true
 }
 
+// mustPanic runs f and fails unless it panics with a message containing
+// want.
+func mustPanic(t *testing.T, want string, f func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, want) {
+			t.Fatalf("panic %q, want one naming %q", msg, want)
+		}
+	}()
+	f()
+}
+
 // TestAbortedAttemptRunsNothing aborts an attempt in every phase of its
 // lifecycle, by a machine failure and by an injected crash. The attempt's
-// flows and timers are canceled and nothing of it runs afterwards: it
-// never leaves its phase or finishes, its task is requeued exactly once
-// and finishes once elsewhere, and the invariant monitor stays clean.
+// flows and timers are canceled and it is retired in its phase; a late
+// flow or timer callback panics naming it; it never finishes, its task is
+// requeued exactly once and finishes once elsewhere, and the invariant
+// monitor stays clean.
 func TestAbortedAttemptRunsNothing(t *testing.T) {
 	hits := make(map[string]int)
 	for _, c := range lifecycleCases() {
@@ -194,4 +216,56 @@ func TestAbortedAttemptRunsNothing(t *testing.T) {
 		}
 	}
 	t.Logf("cases hit: %v", hits)
+}
+
+// TestAttemptCycleZeroAlloc requires a warmed attempt launch→finish cycle
+// and a warmed launch→abort cycle to allocate nothing: the attempt object,
+// its callbacks, its flow and event nodes and the dispatch event all come
+// back from free lists. Each cycle runs a map whose input is read from
+// another rack, so it starts a flow and arms a compute timer, on a stage
+// that never completes (its map count is out of reach).
+func TestAttemptCycleZeroAlloc(t *testing.T) {
+	rt, err := newRuntime(Options{Cluster: smallTopo(), Seed: 1}, []*job.Job{shuffleJob(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	je := rt.jobs[0]
+	je.racksTouched = make([]bool, rt.cluster.Config.Racks)
+	st := &stageExec{
+		je: je, profile: job.Profile{MapTasks: math.MaxInt32, MapRate: 2e8},
+		mapsOnMachine: map[int]int{0: 0}, mapsOnRack: make([]int32, rt.cluster.Config.Racks),
+	}
+	task := &mapTask{bytes: 64e6, srcMachine: 8, doneOn: -1}
+	const m = 0
+	finishes, aborts := 0, 0
+	finish := func() {
+		rt.runMap(st, task, m)
+		for rt.sim.Step() {
+		}
+		finishes++
+	}
+	abort := func() {
+		rt.runMap(st, task, m)
+		tk := rt.running[m][0]
+		if len(tk.flows) != 1 || tk.phase != phaseFetch {
+			t.Fatalf("attempt in phase %d with %d flows, want a fetch with one flow", tk.phase, len(tk.flows))
+		}
+		rt.abort(tk, true, -1)
+		for rt.sim.Step() {
+		}
+		aborts++
+	}
+	finish()
+	abort()
+	if allocs := testing.AllocsPerRun(50, finish); allocs != 0 {
+		t.Fatalf("launch→finish allocates %v objects per attempt, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(50, abort); allocs != 0 {
+		t.Fatalf("launch→abort allocates %v objects per attempt, want 0", allocs)
+	}
+	if st.mapsDone != finishes || len(rt.running[m]) != 0 || rt.freeSlots[m] != rt.cluster.Config.SlotsPerMachine ||
+		len(rt.tkFree) != 1 || rt.net.FlowsServed() != int64(finishes) {
+		t.Fatalf("after %d finishes and %d aborts: %d maps done, %d running, %d free slots, %d free attempts, %d flows served",
+			finishes, aborts, st.mapsDone, len(rt.running[m]), rt.freeSlots[m], len(rt.tkFree), rt.net.FlowsServed())
+	}
 }

@@ -34,10 +34,12 @@
 // phase lands or the compute timer fires, the attempt's step method moves
 // it on. All flows of an attempt share one completion callback, and all
 // its timers (crash, speculation watchdog, compute end) one firing
-// callback, both bound at launch: no closure per flow or phase. Abort
-// cancels the attempt's timers and flows. A canceled event never fires
-// and a canceled flow never reports, except one a recompute already found
-// complete, so step's check of aborted is the only guard.
+// callback, both bound once per attempt object: no closure per flow or
+// phase. Finish and abort retire the attempt onto a free list that the
+// next launch takes from, once its timers are canceled and it owns no
+// flow. A canceled event never fires and a canceled flow never reports,
+// not even one its recompute already found complete, so no callback
+// reaches a retired attempt; flowDone and timerFired panic if one does.
 //
 // Observation: a run has one event stream. Each lifecycle point (job,
 // attempt, machine, AM, replan, admission, audit, end of run) is emitted
@@ -412,9 +414,8 @@ type runtime struct {
 	machineOrder []int32          // heartbeat visit order, reshuffled per pass
 	machineAt    []int32          // machine -> its position in machineOrder
 
-	// tkArena is the chunked attempt arena (newRunningTask): objects are
-	// handed out chunk-by-chunk and never recycled.
-	tkArena []runningTask
+	// tkFree holds retired attempt objects for newRunningTask to reuse.
+	tkFree []*runningTask
 	// locBuild is the scratch that lays out stages' locality indexes.
 	locBuild locBuilder
 	// shufBuf is the reusable shuffle-path buffer for StartPath (which
@@ -472,6 +473,8 @@ type runtime struct {
 	dispatchPending bool
 	retryPending    bool
 	declined        bool
+	// onDispatch and onRetry are dispatchFired and retryFired, bound once.
+	onDispatch, onRetry func()
 
 	// Queue-share accounting for the planned vs ad-hoc capacity queues.
 	runningPlanned int
@@ -554,6 +557,7 @@ func newRuntime(opts Options, jobs []*job.Job) (*runtime, error) {
 	// dropped in the done callback or cleared on abort), so retired flow
 	// objects are recycled instead of churning the GC.
 	rt.net.SetFlowPooling(true)
+	rt.onDispatch, rt.onRetry = rt.dispatchFired, rt.retryFired
 	rt.machineOrder = make([]int32, m)
 	rt.machineAt = make([]int32, m)
 	for i := range rt.freeSlots {

@@ -92,10 +92,19 @@ func (rt *runtime) requestDispatch() {
 		return
 	}
 	rt.dispatchPending = true
-	rt.sim.After(0, func() {
-		rt.dispatchPending = false
-		rt.dispatch()
-	})
+	rt.sim.After(0, rt.onDispatch)
+}
+
+// dispatchFired and retryFired are the dispatch and retry events,
+// bound once as onDispatch and onRetry.
+func (rt *runtime) dispatchFired() {
+	rt.dispatchPending = false
+	rt.dispatch()
+}
+
+func (rt *runtime) retryFired() {
+	rt.retryPending = false
+	rt.dispatch()
 }
 
 // runnableTasks reports how many tasks the job could offer to a slot right
@@ -253,10 +262,7 @@ func (rt *runtime) visitEligible(anyRack bool, visit func(m int) bool) bool {
 // armRetry schedules the delay-scheduling heartbeat retry.
 func (rt *runtime) armRetry() {
 	rt.retryPending = true
-	rt.sim.After(des.Time(heartbeat), func() {
-		rt.retryPending = false
-		rt.dispatch()
-	})
+	rt.sim.After(des.Time(heartbeat), rt.onRetry)
 }
 
 // offerSlot offers one slot on machine m. Under the plan-driven

@@ -472,8 +472,8 @@ func (rt *runtime) captureState() *snapshot.State {
 				NoSpec:  tk.noSpec,
 				NFlows:  len(tk.flows),
 			}
-			for _, ev := range tk.timers {
-				if ev != nil {
+			for _, h := range tk.timers {
+				if h.Armed() {
 					a.NEvents++
 				}
 			}

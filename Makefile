@@ -5,13 +5,13 @@
 GO ?= go
 
 .PHONY: check ci-local fast-gate build vet fmt-check fma-check test race corralvet \
-	netsim-fuzz chaos fuzz overload trace-determinism resume-determinism scale scale-nightly
+	netsim-fuzz snapshot-fuzz chaos fuzz overload trace-determinism resume-determinism scale scale-nightly
 
-check: fast-gate test netsim-fuzz trace-determinism resume-determinism race chaos fuzz overload
+check: fast-gate test netsim-fuzz snapshot-fuzz trace-determinism resume-determinism race chaos fuzz overload
 	@echo "check: all gates passed"
 
 # One target per CI job, in the workflow's job order.
-ci-local: fast-gate test netsim-fuzz trace-determinism resume-determinism race chaos fuzz overload scale
+ci-local: fast-gate test netsim-fuzz snapshot-fuzz trace-determinism resume-determinism race chaos fuzz overload scale
 	@echo "ci-local: all CI jobs passed"
 
 fast-gate: build vet fmt-check fma-check
@@ -81,6 +81,13 @@ test:
 # input lands in internal/netsim/testdata/fuzz/.
 netsim-fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzIncrementalMatchesMaxMinFair -fuzztime 30s ./internal/netsim
+
+# A short search for snapshot files on which Encode and Decode (the plan
+# codec, or its encoding/json fallback) leave the reference codec; plain
+# go test runs only the seed corpus, and nightly CI searches for 2
+# minutes. A failing input lands in internal/snapshot/testdata/fuzz/.
+snapshot-fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzDecodeMatchesReference -fuzztime 30s ./internal/snapshot
 
 # internal/experiments alone needs ~10 minutes under -race on a 2-vCPU
 # host, the same as go test's default per-binary timeout; 25m still fits

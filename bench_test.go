@@ -108,8 +108,9 @@ func BenchmarkAdmissionControl(b *testing.B) {
 
 // Snapshot-layer benchmarks: the cost of capturing a mid-flight snapshot
 // (simulate to the midpoint + deep state export), of encoding it to the
-// canonical checksummed byte form, and of a full restore (replay to the
-// capture point + field-level audit + run to completion).
+// canonical checksummed byte form and decoding it back (on a 2k-machine
+// capture), and of a full restore (replay to the capture point +
+// field-level audit + run to completion).
 
 func snapshotScenario(tb testing.TB) (*corral.Snapshot, []byte) {
 	tb.Helper()
@@ -143,14 +144,49 @@ func BenchmarkSnapshotCapture(b *testing.B) {
 	}
 }
 
+// scaleSnapshot captures the 2k-machine scale cell's online Corral run at
+// half its events (about 3.6 MB encoded), the codec's benchmark input.
+func scaleSnapshot(b *testing.B) (*corral.Snapshot, []byte) {
+	b.Helper()
+	cluster, jobs := scaleCell(2000)
+	plan, err := corral.PlanOnline(cluster, jobs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := corral.SimConfig{Cluster: cluster, Scheduler: corral.SchedulerCorral, Plan: plan, Seed: 1}
+	res, err := corral.Simulate(cfg, corral.CloneJobs(jobs))
+	if err != nil {
+		b.Fatal(err)
+	}
+	snap, err := corral.CaptureSnapshot(cfg, corral.CloneJobs(jobs), corral.CheckpointTarget{EventIndex: res.Events / 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	raw, err := corral.EncodeSnapshot(snap)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return snap, raw
+}
+
 func BenchmarkSnapshotEncode(b *testing.B) {
-	snap, _ := snapshotScenario(b)
+	snap, raw := scaleSnapshot(b)
+	b.SetBytes(int64(len(raw)))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		raw, err := corral.EncodeSnapshot(snap)
-		if err != nil {
+		if _, err := corral.EncodeSnapshot(snap); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+func BenchmarkSnapshotDecode(b *testing.B) {
+	_, raw := scaleSnapshot(b)
+	b.SetBytes(int64(len(raw)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
 		if _, err := corral.DecodeSnapshot(raw); err != nil {
 			b.Fatal(err)
 		}

@@ -543,8 +543,20 @@ func (rt *runtime) finishAttempt(tk *runningTask) {
 			rt.finishMapsPhase(st)
 		}
 	} else {
+		// Sized once, at the first reduce to finish: a job or stage without
+		// reduces keeps nil slices.
+		if je.reduceSeconds == nil {
+			total := 0
+			for _, s := range je.stages {
+				total += s.profile.ReduceTasks
+			}
+			je.reduceSeconds = make([]float64, 0, total)
+		}
 		je.reduceSeconds = append(je.reduceSeconds, dur)
 		rT.doneOn = m
+		if st.reduceMachines == nil {
+			st.reduceMachines = make([]int, 0, st.profile.ReduceTasks)
+		}
 		st.reduceMachines = append(st.reduceMachines, m)
 		st.reducesDone++
 		if st.reducesDone == st.profile.ReduceTasks {

@@ -7,13 +7,43 @@ package snapshot
 //	{"version":1,"meta":{...},"spec":{...},"state":{...},
 //	 "sums":{"meta":"<hex>","spec":"<hex>","state":"<hex>"}}
 //
-// Encode marshals each section once and appends the envelope around them
-// straight into one buffer. The sections are json.Marshal output, already
-// compact and HTML-escaped, so the bytes are exactly what marshalling the
-// envelope struct would give, without re-compacting the sections.
+// Each direction has two paths, and no option selects between them.
 //
-// Decode is strict by construction — it either returns the exact snapshot
-// that was encoded or an error, never a partial restore:
+// The fast path is the plan codec (plancodec.go): one pass over per-type
+// plans. Encode appends the envelope and the three sections straight into
+// one buffer, byte for byte what json.Marshal gives (struct fields in
+// declaration order, map keys sorted as strings, encoding/json's float
+// format and HTML escaping). Decode walks the file once, in place,
+// decoding each section straight into the Snapshot and checking each
+// section's sha256 over its byte span. It accepts only input that
+// encoding/json provably decodes to the same value:
+//
+//   - the envelope's keys in the order Encode writes them, version 1, and
+//     JSON whitespace anywhere between tokens;
+//   - known keys in exact case and in declaration order (so none
+//     repeats); a left-out field keeps its zero value, as with
+//     encoding/json;
+//   - strings of printable ASCII without escapes ('<', '>' and '&'
+//     excluded, since encoding/json writes them escaped);
+//   - numbers in the JSON grammar, parsed as encoding/json parses them
+//     (ParseInt/ParseUint with an overflow check, ParseFloat(s, 64));
+//   - null for a pointer, slice, []byte or map, and [] as an empty non-nil
+//     slice; map keys as canonical decimals, each once;
+//   - sums that match the sections.
+//
+// Everything else — and every error — takes the encoding/json path
+// (encodeJSON, decodeJSON): a NaN or infinite float on the way out; on the
+// way in a non-canonical file, a checksum or parse failure, an unknown
+// version. Results and error messages are therefore the encoding/json
+// path's by construction, and the decoded snapshot never aliases the
+// input.
+//
+// That path marshals each section once and appends the envelope around
+// them; the sections are json.Marshal output, already compact and
+// HTML-escaped, so the bytes are exactly what marshalling the envelope
+// struct would give. Its Decode is strict by construction — it either
+// returns the exact snapshot that was encoded or an error, never a
+// partial restore:
 //
 //   - an unknown or newer version fails before any section is touched;
 //   - a flipped byte anywhere in a section fails its checksum;
@@ -22,12 +52,11 @@ package snapshot
 // The strict envelope decode runs first. Only when it fails, or finds no
 // version or the wrong one, does a loose version probe re-read the file,
 // so "not a snapshot file", "missing version" and "version N not
-// supported" still take precedence over "malformed envelope" while a valid
-// file is scanned once.
+// supported" still take precedence over "malformed envelope".
 //
-// Encoding is deterministic: encoding/json emits struct fields in
-// declaration order, sorts map keys, and formats floats shortest
-// round-trip, so equal snapshots encode to equal bytes.
+// Encoding is deterministic: struct fields go out in declaration order,
+// map keys sorted, floats shortest round-trip, so equal snapshots encode
+// to equal bytes.
 
 import (
 	"bytes"
@@ -68,6 +97,15 @@ func Encode(s *Snapshot) ([]byte, error) {
 	if s == nil {
 		return nil, fmt.Errorf("snapshot: encoding nil snapshot")
 	}
+	if out, ok := encodePlans(s); ok {
+		return out, nil
+	}
+	return encodeJSON(s)
+}
+
+// encodeJSON is Encode through encoding/json: the path for a snapshot the
+// plan encoder refuses, and the source of every encoding error.
+func encodeJSON(s *Snapshot) ([]byte, error) {
 	meta, err := json.Marshal(&s.Meta)
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: encoding meta: %w", err)
@@ -106,6 +144,15 @@ func Encode(s *Snapshot) ([]byte, error) {
 // and schema drift with a clear error. It never returns a partially
 // populated snapshot.
 func Decode(data []byte) (*Snapshot, error) {
+	if s, ok := decodePlans(data); ok {
+		return s, nil
+	}
+	return decodeJSON(data)
+}
+
+// decodeJSON is Decode through encoding/json: the path for every file the
+// plan decoder does not accept, and the source of every decoding error.
+func decodeJSON(data []byte) (*Snapshot, error) {
 	var env envelope
 	err := strictUnmarshal(data, &env)
 	if err != nil || env.Version == nil || *env.Version != Version {

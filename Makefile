@@ -83,11 +83,14 @@ netsim-fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzIncrementalMatchesMaxMinFair -fuzztime 30s ./internal/netsim
 
 # A short search for snapshot files on which Encode and Decode (the plan
-# codec, or its encoding/json fallback) leave the reference codec; plain
-# go test runs only the seed corpus, and nightly CI searches for 2
-# minutes. A failing input lands in internal/snapshot/testdata/fuzz/.
+# codec, or the encoding/json decode fallback) leave the reference codec;
+# plain go test runs only the seed corpus, and nightly CI searches for 2
+# minutes. The seeds are whole snapshot files, and minimizing a new input
+# under the default 60s limit would take most of the 30s, so minimizing
+# stops after 3s. A failing input lands in
+# internal/snapshot/testdata/fuzz/.
 snapshot-fuzz:
-	$(GO) test -run '^$$' -fuzz FuzzDecodeMatchesReference -fuzztime 30s ./internal/snapshot
+	$(GO) test -run '^$$' -fuzz FuzzDecodeMatchesReference -fuzztime 30s -fuzzminimizetime 3s ./internal/snapshot
 
 # internal/experiments alone needs ~10 minutes under -race on a 2-vCPU
 # host, the same as go test's default per-binary timeout; 25m still fits

@@ -7,16 +7,20 @@ package snapshot
 //	{"version":1,"meta":{...},"spec":{...},"state":{...},
 //	 "sums":{"meta":"<hex>","spec":"<hex>","state":"<hex>"}}
 //
-// Each direction has two paths, and no option selects between them.
+// Both directions run the plan codec (plancodec.go): one pass over
+// per-type plans. Encode appends the envelope and the three sections
+// straight into one buffer, byte for byte what json.Marshal of each
+// section, wrapped in the envelope, gives (struct fields in declaration
+// order, map keys sorted as strings, encoding/json's float format and
+// HTML escaping). Its only error, for a NaN or infinite float, is the
+// *json.UnsupportedValueError json.Marshal returns, met at the same value
+// and wrapped with the same section name.
 //
-// The fast path is the plan codec (plancodec.go): one pass over per-type
-// plans. Encode appends the envelope and the three sections straight into
-// one buffer, byte for byte what json.Marshal gives (struct fields in
-// declaration order, map keys sorted as strings, encoding/json's float
-// format and HTML escaping). Decode walks the file once, in place,
-// decoding each section straight into the Snapshot and checking each
-// section's sha256 over its byte span. It accepts only input that
-// encoding/json provably decodes to the same value:
+// Decode has two paths, and no option selects between them. The plan
+// decoder walks the file once, in place, decoding each section straight
+// into the Snapshot and checking each section's sha256 over its byte
+// span. It accepts only input that encoding/json provably decodes to the
+// same value:
 //
 //   - the envelope's keys in the order Encode writes them, version 1, and
 //     JSON whitespace anywhere between tokens;
@@ -31,19 +35,15 @@ package snapshot
 //     slice; map keys as canonical decimals, each once;
 //   - sums that match the sections.
 //
-// Everything else — and every error — takes the encoding/json path
-// (encodeJSON, decodeJSON): a NaN or infinite float on the way out; on the
-// way in a non-canonical file, a checksum or parse failure, an unknown
-// version. Results and error messages are therefore the encoding/json
-// path's by construction, and the decoded snapshot never aliases the
-// input.
+// Everything else — a non-canonical file, a checksum or parse failure, an
+// unknown version — takes the encoding/json path (decodeJSON), which
+// alone produces decoding errors. Results and error messages are
+// therefore that path's by construction, and the decoded snapshot never
+// aliases the input.
 //
-// That path marshals each section once and appends the envelope around
-// them; the sections are json.Marshal output, already compact and
-// HTML-escaped, so the bytes are exactly what marshalling the envelope
-// struct would give. Its Decode is strict by construction — it either
-// returns the exact snapshot that was encoded or an error, never a
-// partial restore:
+// The encoding/json path is strict by construction — it either returns
+// the exact snapshot that was encoded or an error, never a partial
+// restore:
 //
 //   - an unknown or newer version fails before any section is touched;
 //   - a flipped byte anywhere in a section fails its checksum;
@@ -64,7 +64,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"strconv"
 )
 
 // envelope is the decode-side view of the file; Encode writes the same
@@ -97,47 +96,7 @@ func Encode(s *Snapshot) ([]byte, error) {
 	if s == nil {
 		return nil, fmt.Errorf("snapshot: encoding nil snapshot")
 	}
-	if out, ok := encodePlans(s); ok {
-		return out, nil
-	}
-	return encodeJSON(s)
-}
-
-// encodeJSON is Encode through encoding/json: the path for a snapshot the
-// plan encoder refuses, and the source of every encoding error.
-func encodeJSON(s *Snapshot) ([]byte, error) {
-	meta, err := json.Marshal(&s.Meta)
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: encoding meta: %w", err)
-	}
-	spec, err := json.Marshal(&s.Spec)
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: encoding spec: %w", err)
-	}
-	state, err := json.Marshal(&s.State)
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: encoding state: %w", err)
-	}
-	sumMeta, sumSpec, sumState := sum(meta), sum(spec), sum(state)
-	// Room for the sections, the three 64-digit sums, and the keys and
-	// version around them (under 100 bytes).
-	out := make([]byte, 0, len(meta)+len(spec)+len(state)+3*64+128)
-	out = append(out, `{"version":`...)
-	out = strconv.AppendInt(out, int64(s.Version), 10)
-	out = append(out, `,"meta":`...)
-	out = append(out, meta...)
-	out = append(out, `,"spec":`...)
-	out = append(out, spec...)
-	out = append(out, `,"state":`...)
-	out = append(out, state...)
-	out = append(out, `,"sums":{"meta":"`...)
-	out = append(out, sumMeta...)
-	out = append(out, `","spec":"`...)
-	out = append(out, sumSpec...)
-	out = append(out, `","state":"`...)
-	out = append(out, sumState...)
-	out = append(out, `"}}`...)
-	return out, nil
+	return encodePlans(s)
 }
 
 // Decode parses a snapshot, rejecting unknown versions, corrupted sections

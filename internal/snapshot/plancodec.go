@@ -17,9 +17,7 @@ package snapshot
 // never produces an error itself.
 //
 // encodePlans appends through the same plans and produces exactly what
-// json.Marshal would. It reports false on a value it cannot encode that
-// way (a NaN or infinite float), and Encode then takes the encoding/json
-// path, which produces the error.
+// json.Marshal would, the error for a NaN or infinite float included.
 
 import (
 	"bytes"
@@ -30,7 +28,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"math/bits"
 	"reflect"
 	"sort"
 	"strconv"
@@ -60,9 +57,6 @@ type plan struct {
 	size   uintptr // typ.Size()
 	elem   *plan   // slice element, pointee, map value (a *T plan)
 	fields []planField
-	// keysLen is a struct's bytes outside its field values: braces,
-	// commas, quoted keys and colons.
-	keysLen int
 	// scalarElems marks a slice of numbers or bools, whose JSON array
 	// holds no ',' or ']' inside an element, so its length can be
 	// counted before it is decoded.
@@ -169,13 +163,6 @@ func buildPlan(t reflect.Type, built map[reflect.Type]*plan) *plan {
 				plan:   buildPlan(f.Type, built),
 			})
 		}
-		p.keysLen = len("{}")
-		for _, f := range p.fields {
-			p.keysLen += len(f.enc)
-		}
-		if len(p.fields) > 0 {
-			p.keysLen-- // the first field's enc holds the '{'
-		}
 	case reflect.Map:
 		if t.Key().Kind() != reflect.Int || t.Elem().Kind() != reflect.Pointer {
 			unsupported()
@@ -191,9 +178,11 @@ func buildPlan(t reflect.Type, built map[reflect.Type]*plan) *plan {
 
 // Encoding.
 
-// encodePlans serializes s to the bytes the encoding/json path produces,
-// or reports false if some value needs that path.
-func encodePlans(s *Snapshot) ([]byte, bool) {
+// encodePlans serializes s to the envelope around json.Marshal of each
+// section. Its only error is encoding/json's for a NaN or infinite float,
+// met at the value json.Marshal would stop at: the sections go out in
+// the same order, fields in declaration order, map entries sorted.
+func encodePlans(s *Snapshot) ([]byte, error) {
 	// One allocation: the sections' size bound plus the envelope, whose
 	// keys, version and three hex sums take under 300 bytes.
 	b := make([]byte, 0, encodedSize(metaPlan, unsafe.Pointer(&s.Meta))+
@@ -203,19 +192,19 @@ func encodePlans(s *Snapshot) ([]byte, bool) {
 	b = strconv.AppendInt(b, int64(s.Version), 10)
 	var spans [3][2]int
 	for i, sec := range [3]struct {
-		key string
-		pl  *plan
-		p   unsafe.Pointer
+		name string
+		pl   *plan
+		p    unsafe.Pointer
 	}{
-		{`,"meta":`, metaPlan, unsafe.Pointer(&s.Meta)},
-		{`,"spec":`, specPlan, unsafe.Pointer(&s.Spec)},
-		{`,"state":`, statePlan, unsafe.Pointer(&s.State)},
+		{"meta", metaPlan, unsafe.Pointer(&s.Meta)},
+		{"spec", specPlan, unsafe.Pointer(&s.Spec)},
+		{"state", statePlan, unsafe.Pointer(&s.State)},
 	} {
-		b = append(b, sec.key...)
+		b = append(b, `,"`+sec.name+`":`...)
 		spans[i][0] = len(b)
-		var ok bool
-		if b, ok = appendValue(b, sec.pl, sec.p); !ok {
-			return nil, false
+		var err error
+		if b, err = appendValue(b, sec.pl, sec.p); err != nil {
+			return nil, fmt.Errorf("snapshot: encoding %s: %w", sec.name, err)
 		}
 		spans[i][1] = len(b)
 	}
@@ -224,108 +213,74 @@ func encodePlans(s *Snapshot) ([]byte, bool) {
 		h := sha256.Sum256(b[spans[i][0]:spans[i][1]])
 		b = hex.AppendEncode(b, h[:])
 	}
-	return append(b, `"}}`...), true
+	return append(b, `"}}`...), nil
 }
 
-func appendValue(b []byte, pl *plan, p unsafe.Pointer) ([]byte, bool) {
+func appendValue(b []byte, pl *plan, p unsafe.Pointer) ([]byte, error) {
 	switch pl.kind {
 	case planBool:
-		return appendBool(b, *(*bool)(p)), true
+		return strconv.AppendBool(b, *(*bool)(p)), nil
 	case planInt:
-		return appendInt(b, *(*int64)(p)), true
+		return strconv.AppendInt(b, *(*int64)(p), 10), nil
 	case planInt32:
-		return appendInt(b, int64(*(*int32)(p))), true
+		return strconv.AppendInt(b, int64(*(*int32)(p)), 10), nil
 	case planUint64:
-		return appendUint(b, *(*uint64)(p)), true
+		return strconv.AppendUint(b, *(*uint64)(p), 10), nil
 	case planFloat64:
 		return appendFloat(b, *(*float64)(p))
 	case planString:
-		return appendString(b, *(*string)(p)), true
+		return appendString(b, *(*string)(p)), nil
 	case planBytes:
 		v := *(*[]byte)(p)
 		if v == nil {
-			return append(b, "null"...), true
+			return append(b, "null"...), nil
 		}
 		b = append(b, '"')
 		b = base64.StdEncoding.AppendEncode(b, v)
-		return append(b, '"'), true
+		return append(b, '"'), nil
 	case planSlice:
 		h := (*sliceHeader)(p)
 		if h.data == nil {
-			return append(b, "null"...), true
+			return append(b, "null"...), nil
 		}
 		if h.len == 0 {
-			return append(b, "[]"...), true
+			return append(b, "[]"...), nil
 		}
-		b = append(b, '[')
 		// Each element is followed by a ',', and the last one's becomes
-		// the ']'. The common scalar slices skip the per-element dispatch.
-		switch pl.elem.kind {
-		case planInt:
-			for _, v := range unsafe.Slice((*int64)(h.data), h.len) {
-				b = append(appendInt(b, v), ',')
+		// the ']'.
+		b = append(b, '[')
+		var err error
+		for i := 0; i < h.len; i++ {
+			if b, err = appendValue(b, pl.elem, unsafe.Add(h.data, uintptr(i)*pl.elem.size)); err != nil {
+				return b, err
 			}
-		case planBool:
-			for _, v := range unsafe.Slice((*bool)(h.data), h.len) {
-				b = append(appendBool(b, v), ',')
-			}
-		default:
-			var ok bool
-			for i := 0; i < h.len; i++ {
-				if b, ok = appendValue(b, pl.elem, unsafe.Add(h.data, uintptr(i)*pl.elem.size)); !ok {
-					return b, false
-				}
-				b = append(b, ',')
-			}
+			b = append(b, ',')
 		}
 		b[len(b)-1] = ']'
-		return b, true
+		return b, nil
 	case planPtr:
 		q := *(*unsafe.Pointer)(p)
 		if q == nil {
-			return append(b, "null"...), true
+			return append(b, "null"...), nil
 		}
 		return appendValue(b, pl.elem, q)
 	case planStruct:
 		if len(pl.fields) == 0 {
-			return append(b, "{}"...), true
+			return append(b, "{}"...), nil
 		}
-		var ok bool
+		var err error
 		for i := range pl.fields {
 			f := &pl.fields[i]
 			b = append(b, f.enc...)
-			q := unsafe.Add(p, f.offset)
-			switch f.plan.kind { // the common leaves, without a call
-			case planInt:
-				b = appendInt(b, *(*int64)(q))
-			case planBool:
-				b = appendBool(b, *(*bool)(q))
-			default:
-				if b, ok = appendValue(b, f.plan, q); !ok {
-					return b, false
-				}
+			if b, err = appendValue(b, f.plan, unsafe.Add(p, f.offset)); err != nil {
+				return b, err
 			}
 		}
-		return append(b, '}'), true
+		return append(b, '}'), nil
 	case planMap:
 		return appendMap(b, pl, p)
 	}
 	panic("snapshot: plan codec: unknown plan kind")
-}
-
-func appendBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, "true"...)
-	}
-	return append(b, "false"...)
-}
-
-// boolLen is the length of v's JSON literal.
-func boolLen(v bool) int {
-	if v {
-		return len("true")
-	}
-	return len("false")
 }
 
 // encodedSize bounds the bytes appendValue writes for the value at p, so
@@ -335,7 +290,10 @@ func boolLen(v bool) int {
 func encodedSize(pl *plan, p unsafe.Pointer) int {
 	switch pl.kind {
 	case planBool:
-		return boolLen(*(*bool)(p))
+		if *(*bool)(p) {
+			return len("true")
+		}
+		return len("false")
 	case planInt:
 		return intLen(*(*int64)(p))
 	case planInt32:
@@ -367,19 +325,8 @@ func encodedSize(pl *plan, p unsafe.Pointer) int {
 			return len("null")
 		}
 		n := 2 + max(h.len-1, 0) // brackets and commas
-		switch pl.elem.kind {
-		case planInt:
-			for _, v := range unsafe.Slice((*int64)(h.data), h.len) {
-				n += intLen(v)
-			}
-		case planBool:
-			for _, v := range unsafe.Slice((*bool)(h.data), h.len) {
-				n += boolLen(v)
-			}
-		default:
-			for i := 0; i < h.len; i++ {
-				n += encodedSize(pl.elem, unsafe.Add(h.data, uintptr(i)*pl.elem.size))
-			}
+		for i := 0; i < h.len; i++ {
+			n += encodedSize(pl.elem, unsafe.Add(h.data, uintptr(i)*pl.elem.size))
 		}
 		return n
 	case planPtr:
@@ -389,18 +336,13 @@ func encodedSize(pl *plan, p unsafe.Pointer) int {
 		}
 		return encodedSize(pl.elem, q)
 	case planStruct:
-		n := pl.keysLen
+		n := len("}") // the first field's enc holds the '{'
+		if len(pl.fields) == 0 {
+			n = len("{}")
+		}
 		for i := range pl.fields {
 			f := &pl.fields[i]
-			q := unsafe.Add(p, f.offset)
-			switch f.plan.kind { // the common leaves, without a call
-			case planInt:
-				n += intLen(*(*int64)(q))
-			case planBool:
-				n += boolLen(*(*bool)(q))
-			default:
-				n += encodedSize(f.plan, q)
-			}
+			n += len(f.enc) + encodedSize(f.plan, unsafe.Add(p, f.offset))
 		}
 		return n
 	case planMap:
@@ -418,47 +360,13 @@ func encodedSize(pl *plan, p unsafe.Pointer) int {
 	panic("snapshot: plan codec: unknown plan kind")
 }
 
-// appendInt appends strconv.FormatInt(i, 10).
-func appendInt(b []byte, i int64) []byte {
-	if i < 0 {
-		return appendUint(append(b, '-'), -uint64(i))
-	}
-	return appendUint(b, uint64(i))
-}
-
-// appendUint appends strconv.FormatUint(u, 10), writing the digits in
-// place when the buffer has room (Encode sizes it so that it does).
-func appendUint(b []byte, u uint64) []byte {
-	n := uintLen(u)
-	if cap(b)-len(b) < n {
-		return strconv.AppendUint(b, u, 10)
-	}
-	b = b[:len(b)+n]
-	for i := len(b) - 1; u >= 10; i-- {
-		q := u / 10
-		b[i] = byte('0' + u - q*10)
-		u = q
-	}
-	b[len(b)-n] = byte('0' + u)
-	return b
-}
-
-// pow10 holds 10^0 through 10^19.
-var pow10 = func() (t [20]uint64) {
-	t[0] = 1
-	for i := 1; i < len(t); i++ {
-		t[i] = t[i-1] * 10
-	}
-	return t
-}()
-
-// uintLen is the number of decimal digits of u.
+// uintLen is the length of strconv.FormatUint(u, 10).
 func uintLen(u uint64) int {
-	n := bits.Len64(u) * 1233 >> 12 // floor(log10(2^Len64(u)))
-	if n < len(pow10) && u >= pow10[n] {
+	n := 1
+	for ; u >= 10; u /= 10 {
 		n++
 	}
-	return max(n, 1)
+	return n
 }
 
 // intLen is the length of strconv.FormatInt(i, 10).
@@ -471,10 +379,10 @@ func intLen(i int64) int {
 
 // appendMap writes a map[int]*T the way encoding/json does: keys as
 // decimal strings, sorted as strings (so "10" sorts before "2").
-func appendMap(b []byte, pl *plan, p unsafe.Pointer) ([]byte, bool) {
+func appendMap(b []byte, pl *plan, p unsafe.Pointer) ([]byte, error) {
 	m := reflect.NewAt(pl.typ, p).Elem()
 	if m.IsNil() {
-		return append(b, "null"...), true
+		return append(b, "null"...), nil
 	}
 	type entry struct {
 		key string
@@ -486,7 +394,7 @@ func appendMap(b []byte, pl *plan, p unsafe.Pointer) ([]byte, bool) {
 	}
 	sort.Slice(entries, func(i, j int) bool { return entries[i].key < entries[j].key })
 	b = append(b, '{')
-	var ok bool
+	var err error
 	for i := range entries {
 		if i > 0 {
 			b = append(b, ',')
@@ -494,22 +402,19 @@ func appendMap(b []byte, pl *plan, p unsafe.Pointer) ([]byte, bool) {
 		b = append(b, '"')
 		b = append(b, entries[i].key...)
 		b = append(b, `":`...)
-		if b, ok = appendValue(b, pl.elem, unsafe.Pointer(&entries[i].val)); !ok {
-			return b, false
+		if b, err = appendValue(b, pl.elem, unsafe.Pointer(&entries[i].val)); err != nil {
+			return b, err
 		}
 	}
-	return append(b, '}'), true
+	return append(b, '}'), nil
 }
 
 // appendFloat formats f as encoding/json does: 'f' format, or 'e' with
 // the exponent's leading zero dropped when |f| < 1e-6 or |f| >= 1e21. A
-// NaN or an infinity reports false (encoding/json rejects it).
-func appendFloat(b []byte, f float64) ([]byte, bool) {
+// NaN or an infinity gets encoding/json's error.
+func appendFloat(b []byte, f float64) ([]byte, error) {
 	if math.IsInf(f, 0) || math.IsNaN(f) {
-		return b, false
-	}
-	if i, ok := smallInt(f); ok {
-		return appendInt(b, i), true
+		return b, &json.UnsupportedValueError{Value: reflect.ValueOf(f), Str: strconv.FormatFloat(f, 'g', -1, 64)}
 	}
 	format := byte('f')
 	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
@@ -523,7 +428,7 @@ func appendFloat(b []byte, f float64) ([]byte, bool) {
 			b = b[:n-1]
 		}
 	}
-	return b, true
+	return b, nil
 }
 
 // smallInt returns f as an integer if f is integral, |f| < 1e15 and f is
@@ -751,79 +656,35 @@ func (d *decoder) number() (num []byte, integer, ok bool) {
 
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 
-// sign splits a number's leading '-' from its magnitude.
-func sign(num []byte) (neg bool, mag []byte) {
-	if num[0] == '-' {
-		return true, num[1:]
-	}
-	return false, num
-}
-
-// digits accumulates an all-digit run of at most 18 digits, which cannot
-// overflow.
-func digits(b []byte) int64 {
-	var n int64
-	for _, c := range b {
-		n = n*10 + int64(c-'0')
-	}
-	return n
-}
-
 // int consumes an integer the way encoding/json decodes one into a
-// width-bit signed field: strconv.ParseInt then an overflow check. Up to
-// 18 digits it accumulates the digits itself, which is exact.
+// width-bit signed field. encoding/json parses at 64 bits and then checks
+// the field's width; ParseInt at that width accepts the same numbers.
 func (d *decoder) int(width int) (int64, bool) {
 	num, integer, ok := d.number()
 	if !ok || !integer {
 		return 0, false
 	}
-	var n int64
-	if neg, mag := sign(num); len(mag) <= 18 {
-		n = digits(mag)
-		if neg {
-			n = -n
-		}
-	} else {
-		var err error
-		if n, err = strconv.ParseInt(string(num), 10, 64); err != nil {
-			return 0, false
-		}
-	}
-	if width == 32 && (n < math.MinInt32 || n > math.MaxInt32) {
-		return 0, false
-	}
-	return n, true
+	n, err := strconv.ParseInt(string(num), 10, width)
+	return n, err == nil
 }
 
 // uint consumes an integer the way encoding/json decodes one into a
 // uint64 field: strconv.ParseUint, which rejects any sign.
 func (d *decoder) uint() (uint64, bool) {
 	num, integer, ok := d.number()
-	if !ok || !integer || num[0] == '-' {
+	if !ok || !integer {
 		return 0, false
-	}
-	if len(num) <= 18 {
-		return uint64(digits(num)), true
 	}
 	n, err := strconv.ParseUint(string(num), 10, 64)
 	return n, err == nil
 }
 
 // float consumes a number the way encoding/json decodes one into a
-// float64 field: strconv.ParseFloat(s, 64), failing on a range error. An
-// integer of at most 15 digits is below 2^53, so converting it is exact
-// and equals ParseFloat's correctly rounded result ("-0" included).
+// float64 field: strconv.ParseFloat(s, 64), failing on a range error.
 func (d *decoder) float() (float64, bool) {
-	num, integer, ok := d.number()
+	num, _, ok := d.number()
 	if !ok {
 		return 0, false
-	}
-	if neg, mag := sign(num); integer && len(mag) <= 15 {
-		f := float64(digits(mag))
-		if neg {
-			f = -f
-		}
-		return f, true
 	}
 	f, err := strconv.ParseFloat(string(num), 64)
 	return f, err == nil

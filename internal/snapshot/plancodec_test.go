@@ -2,6 +2,9 @@ package snapshot
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -14,7 +17,7 @@ import (
 
 // Boundary values the random states draw from. The floats straddle
 // encoding/json's switch between 'f' and 'e' format (1e-6 and 1e21) and
-// the plan encoder's integer shortcut (1e15), and include both zeros and
+// the size walk's exact integer case (1e15), and include both zeros and
 // subnormals; the strings hold bytes that encoding/json escapes (the HTML
 // set, U+2028, control bytes) or replaces (invalid UTF-8).
 var (
@@ -149,23 +152,28 @@ func TestCodecRandomStatesMatchReference(t *testing.T) {
 		t.Errorf("only %d of %d draws took the plan decoder", fast, draws)
 	}
 
+	// Encode has no encoding/json path: its error must still be the
+	// reference's, text and type, at the first bad value in json.Marshal's
+	// order.
+	sameErr := func(what string, s *Snapshot) {
+		t.Helper()
+		_, gotErr := Encode(s)
+		_, wantErr := refEncode(s)
+		var ue *json.UnsupportedValueError
+		if gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error() || !errors.As(gotErr, &ue) {
+			t.Errorf("%s: Encode err = %v, reference err = %v", what, gotErr, wantErr)
+		}
+	}
 	bad := &Snapshot{Version: Version}
 	fillRandom(rng, reflect.ValueOf(bad).Elem(), randStrings)
 	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		bad.Meta.SimTime = f
-		_, gotErr := Encode(bad)
-		_, wantErr := refEncode(bad)
-		if gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error() {
-			t.Errorf("SimTime %v: Encode err = %v, reference err = %v", f, gotErr, wantErr)
-		}
+		sameErr(fmt.Sprintf("SimTime %v", f), bad)
 	}
+	bad.State.DES.Pending = []PendingEvent{{At: 1}, {At: math.Inf(-1)}}
+	sameErr("-Inf in Meta and State", bad)
 	bad.Meta.SimTime = 1
-	bad.State.DES.Pending = []PendingEvent{{At: 1}, {At: math.NaN()}}
-	_, gotErr := Encode(bad)
-	_, wantErr := refEncode(bad)
-	if gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error() {
-		t.Errorf("NaN in State: Encode err = %v, reference err = %v", gotErr, wantErr)
-	}
+	sameErr("-Inf in State", bad)
 }
 
 // decodeAllocBudget is the bytes one Decode of golden_v1 allocates, as

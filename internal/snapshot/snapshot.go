@@ -24,8 +24,8 @@
 // Determinism obligations: encoding is canonical — struct field order,
 // sorted keys, shortest round-trip floats, exactly the bytes
 // encoding/json produces (the plan codec writes them itself, and
-// encoding/json remains the path for errors and non-canonical input; see
-// codec.go) — so equal states encode to equal bytes.
+// encoding/json remains the decode path for errors and non-canonical
+// input; see codec.go) — so equal states encode to equal bytes.
 package snapshot
 
 import (
